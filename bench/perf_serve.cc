@@ -76,7 +76,7 @@ void BM_DecodeService(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
   Workload w = MakeWorkload(k);
-  serve::ServeOptions opts;
+  serve::DecodeServiceOptions opts;
   opts.num_threads = threads;
   opts.max_batch = 32;
   serve::DecodeService<double> service(w.model, opts);
@@ -113,7 +113,7 @@ void BM_StreamingDecoderPush(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const size_t lag = static_cast<size_t>(state.range(1));
   Workload w = MakeWorkload(k);
-  serve::StreamingOptions opts;
+  serve::StreamingDecoderOptions opts;
   opts.lag = lag;
   serve::StreamingDecoder<double> dec(w.model, opts);
   size_t frames = 0;

@@ -7,9 +7,11 @@
 //
 // Flags: --models=<int> (default 3)  --max-resident=<int> (default 2)
 //        --requests=<int> (default 12, per model)
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hmm/model.h"
@@ -161,14 +163,14 @@ int main(int argc, char** argv) {
     }
     req.request_id = next_id++;
     req.model = 1;
-    req.deadline_micros = 1;  // expires while queued
-    frontend.PauseDispatch();
-    if (client.Send(req).ok()) {
-      frontend.ResumeDispatch();
-      if (client.Receive(&resp).ok()) {
-        std::printf("expired deadline -> %s\n",
-                    resp.status.ToString().c_str());
-      }
+    req.deadline_micros = 1;  // expires while queued in model 1's service
+    auto service = registry.Acquire(1);
+    if (service.ok()) service.value()->PauseDispatch();
+    const bool sent = client.Send(req).ok();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (service.ok()) service.value()->ResumeDispatch();
+    if (sent && client.Receive(&resp).ok()) {
+      std::printf("expired deadline -> %s\n", resp.status.ToString().c_str());
     }
   }
 

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   prob::Rng req_rng(3);
   hmm::Dataset<double> requests =
       hmm::SampleDataset(trained, num_requests, 16, req_rng);
-  serve::ServeOptions sopts;
+  serve::DecodeServiceOptions sopts;
   sopts.num_threads = threads;
   sopts.max_batch = 16;
   serve::DecodeService<double> service(v1, sopts);
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
               path.c_str(), avg_v2, avg_v2 > avg_v1 ? "yes" : "no");
 
   // 4. Online labeling: fixed-lag smoothing over a live stream.
-  serve::StreamingOptions stream_opts;
+  serve::StreamingDecoderOptions stream_opts;
   stream_opts.lag = lag;
   serve::StreamingDecoder<double> stream(service.ModelSnapshot(),
                                          stream_opts);

@@ -1,12 +1,17 @@
 // The request-facing decode layer: a persistent, batched decoding service.
 //
 // DecodeService turns the offline inference stack (workspace-threaded
-// kernels, cached transition transposes, the PR-2 thread pool) into a
-// front end for decode-per-request traffic: callers Submit() Viterbi /
-// posterior-decode / log-likelihood requests from any thread and get a
-// future-style handle back; a dispatcher coalesces pending requests into
-// batches and fans each batch across the pool's workers, one
-// InferenceWorkspace per worker.
+// kernels, cached transition transposes, the persistent thread pool) into
+// the one batching layer for decode-per-request traffic: callers Submit()
+// Viterbi / posterior-decode / log-likelihood requests from any thread; a
+// dispatcher coalesces pending requests into batches and fans each batch
+// across the pool's workers, one InferenceWorkspace per worker.
+//
+// After each batch the dispatcher fires every request's CompletionHook
+// (serve/request.h) in slot order: Submit(req, hook) hands the response to
+// the caller's hook, Submit(req) returns a DecodeFuture whose hook wakes
+// its waiter. A request whose deadline has passed when its batch is cut
+// is answered DeadlineExceeded without decode work.
 //
 // Model hot-swap is RCU-style: the service holds the current model as a
 // std::shared_ptr<const HmmModel<Obs>>, every batch snapshots that pointer
@@ -22,7 +27,7 @@
 // hmm::Viterbi / hmm::PosteriorDecode / hmm::LogLikelihood for every
 // worker count and batch size (tests/serve_test.cc pins this).
 //
-// Allocation: request slots, the pending ring, batch scratch, and all
+// Allocation: request slots, the pending queue, batch scratch, and all
 // per-worker workspaces are pooled and grow-only. After warm-up at a fixed
 // model size and sequence length, a Submit/Wait/Release round performs
 // zero heap allocations (instrumented-new pinned).
@@ -31,6 +36,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -94,24 +100,25 @@ struct DecodeServiceOptions {
   static constexpr int kMaxThreads = 4096;
 };
 
-/// Pre-unification spelling, kept as an alias for existing callers.
-using ServeOptions = DecodeServiceOptions;
-
 template <typename Obs>
 class DecodeService;
 
 namespace internal {
 
-/// One pooled request: inputs, result, and a tiny per-slot waiter. Slots
-/// are recycled through the service free list, so their result buffers
-/// (path) are grow-only across requests.
+/// One pooled request: inputs, result, completion hook, and a tiny
+/// per-slot waiter for the future form. Slots are recycled through the
+/// service free list, so their result buffers (path) are grow-only across
+/// requests.
 template <typename Obs>
 struct RequestSlot {
   DecodeKind kind = DecodeKind::kViterbi;
   uint64_t request_id = 0;                // echoed into the response
   const std::vector<Obs>* obs = nullptr;  // borrowed until done
+  std::chrono::steady_clock::time_point deadline;  // max() = none
+  CompletionHook on_done;
   DecodeResult result;
 
+  // Future form only: on_done sets `done` and wakes the waiter.
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;  // guarded by mu
@@ -174,11 +181,12 @@ class DecodeFuture {
   internal::RequestSlot<Obs>* slot_ = nullptr;
 };
 
-/// \brief Thread-safe batched decoding front end with RCU model hot-swap.
+/// \brief Thread-safe batched decoding service with RCU model hot-swap.
 ///
 /// Submit() may be called concurrently from any number of threads; the
-/// service's destructor drains every accepted request before returning.
-/// Outstanding DecodeFutures must be released before the service dies.
+/// service's destructor drains every accepted request (firing its hook)
+/// before returning. Outstanding DecodeFutures must be released before the
+/// service dies.
 template <typename Obs>
 class DecodeService {
  public:
@@ -231,39 +239,21 @@ class DecodeService {
   DecodeService(const DecodeService&) = delete;
   DecodeService& operator=(const DecodeService&) = delete;
 
-  /// \brief Enqueues one request — the canonical entry point; the wire
-  /// front-end submits the exact same type. `req.obs` is borrowed: it must
-  /// stay alive and unmodified until the returned future completes.
-  /// `req.model` and `req.deadline_micros` are the caller's concern (the
-  /// registry routes on the former, the front-end enforces the latter);
-  /// the single-model service echoes them through untouched.
+  /// \brief Enqueues one request and returns a future for it — the
+  /// in-process entry point. `req.obs` is borrowed: it must stay alive and
+  /// unmodified until the returned future completes. `req.model` is the
+  /// caller's concern (the registry routes on it); the single-model
+  /// service echoes it through untouched.
   DecodeFuture<Obs> Submit(const DecodeRequest<Obs>& req) {
-    DHMM_CHECK_MSG(req.obs != nullptr, "DecodeRequest without observations");
-    internal::RequestSlot<Obs>* slot = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      DHMM_CHECK_MSG(!shutdown_, "Submit on a shut-down DecodeService");
-      if (free_.empty()) {
-        slots_.push_back(std::make_unique<internal::RequestSlot<Obs>>());
-        free_.push_back(slots_.back().get());
-      }
-      slot = free_.back();
-      free_.pop_back();
-      slot->kind = req.kind;
-      slot->request_id = req.request_id;
-      slot->obs = req.obs;
-      slot->done = false;
-      pending_.push_back(slot);
-    }
-    // Process-wide per-kind counts (obs/metrics.h): one relaxed add per
-    // request, clamped so a kind byte beyond the enum can never index out
-    // of the table (recording never aborts).
-    const size_t kind_ix = std::min<size_t>(static_cast<size_t>(req.kind),
-                                            kNumKindCounters - 1);
-    m_by_kind_[kind_ix]->Add();
-    m_requests_->Add();
-    pending_cv_.notify_one();
-    return DecodeFuture<Obs>(this, slot);
+    return DecodeFuture<Obs>(this, Enqueue(req, CompletionHook{}));
+  }
+
+  /// \brief Hook form, the wire front-end's entry point: no future; the
+  /// service calls `on_done` once after the request's batch and recycles
+  /// the slot when it returns. `req.obs` must stay alive until then.
+  void Submit(const DecodeRequest<Obs>& req, CompletionHook on_done) {
+    DHMM_CHECK_MSG(on_done.fn != nullptr, "Submit with an empty hook");
+    Enqueue(req, on_done);
   }
 
   /// Convenience form for in-process callers that have no correlation id
@@ -321,6 +311,21 @@ class DecodeService {
   /// Resolved worker parallelism.
   int num_threads() const { return pool_.num_threads(); }
 
+  /// \brief Test hook: holds the dispatcher so submitted requests queue
+  /// deterministically (deadline, shed, ordering and shutdown tests). The
+  /// destructor overrides a pause, so it still drains.
+  void PauseDispatch() {
+    std::lock_guard<std::mutex> lock(mu_);
+    paused_ = true;
+  }
+  void ResumeDispatch() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      paused_ = false;
+    }
+    pending_cv_.notify_all();
+  }
+
   /// The "decode." slice of the process-wide metrics snapshot, rendered as
   /// text (obs/metrics.h). Allocates; for diagnostics, not the hot path.
   std::string StatsString() const {
@@ -349,6 +354,58 @@ class DecodeService {
     hmm::ViterbiResult viterbi;
   };
 
+  using Clock = std::chrono::steady_clock;
+
+  // Takes a pooled slot, fills it from `req`, and queues it. An empty
+  // `on_done` selects the future form: the hook becomes WakeWaiter.
+  internal::RequestSlot<Obs>* Enqueue(const DecodeRequest<Obs>& req,
+                                      CompletionHook on_done) {
+    DHMM_CHECK_MSG(req.obs != nullptr, "DecodeRequest without observations");
+    // Only a request with a deadline pays for the clock read. A deadline
+    // comes off the wire unchecked: past kMaxDeadlineMicros it means none,
+    // which also keeps the time_point sum from overflowing.
+    const Clock::time_point deadline =
+        req.deadline_micros == 0 || req.deadline_micros > kMaxDeadlineMicros
+            ? Clock::time_point::max()
+            : Clock::now() + std::chrono::microseconds(req.deadline_micros);
+    internal::RequestSlot<Obs>* slot = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      DHMM_CHECK_MSG(!shutdown_, "Submit on a shut-down DecodeService");
+      if (free_.empty()) {
+        slots_.push_back(std::make_unique<internal::RequestSlot<Obs>>());
+        free_.push_back(slots_.back().get());
+      }
+      slot = free_.back();
+      free_.pop_back();
+      slot->kind = req.kind;
+      slot->request_id = req.request_id;
+      slot->obs = req.obs;
+      slot->deadline = deadline;
+      slot->on_done = on_done.fn ? on_done : CompletionHook{&WakeWaiter, slot};
+      slot->done = false;
+      pending_.push_back(slot);
+    }
+    // Process-wide per-kind counts (obs/metrics.h): one relaxed add per
+    // request, clamped so a kind byte beyond the enum can never index out
+    // of the table (recording never aborts).
+    const size_t kind_ix = std::min<size_t>(static_cast<size_t>(req.kind),
+                                            kNumKindCounters - 1);
+    m_by_kind_[kind_ix]->Add();
+    m_requests_->Add();
+    pending_cv_.notify_one();
+    return slot;
+  }
+
+  static void WakeWaiter(void* ctx, const DecodeResponse& /*resp*/) {
+    auto* slot = static_cast<internal::RequestSlot<Obs>*>(ctx);
+    {
+      std::lock_guard<std::mutex> lock(slot->mu);
+      slot->done = true;
+    }
+    slot->cv.notify_all();
+  }
+
   void ReleaseSlot(internal::RequestSlot<Obs>* slot) {
     {
       // A future may be released without ever Wait()ing; the slot cannot
@@ -361,7 +418,7 @@ class DecodeService {
   }
 
   // Moves up to max_batch pending requests into batch_ and snapshots the
-  // model for them. Caller holds mu_.
+  // model and the clock (for deadlines) for them. Caller holds mu_.
   void CutBatchLocked() {
     const size_t n = options_.max_batch == 0
                          ? pending_.size()
@@ -375,14 +432,16 @@ class DecodeService {
                    pending_.begin() + static_cast<ptrdiff_t>(n));
     batch_model_ = model_;  // refcount bump only — the RCU snapshot
     batch_version_ = model_version_;
+    batch_cut_ = Clock::now();
   }
 
   void DispatchLoop() {
     for (;;) {
       {
         std::unique_lock<std::mutex> lock(mu_);
-        pending_cv_.wait(lock,
-                         [&] { return shutdown_ || !pending_.empty(); });
+        pending_cv_.wait(lock, [&] {
+          return shutdown_ || (!paused_ && !pending_.empty());
+        });
         if (pending_.empty()) return;  // shutdown, drained
         // Coalesce depth = backlog visible when the batch is cut; how much
         // of it one batch absorbs is bounded by max_batch.
@@ -394,21 +453,30 @@ class DecodeService {
       // The dispatcher participates as worker 0, so num_threads == 1 runs
       // the whole batch inline with no cross-thread traffic.
       pool_.ParallelFor(batch_.size(), batch_fn_);
-      // Counters first: a Wait() that returns must already see this batch
-      // counted (done is published after, under each slot's mutex).
+      // Counters first: a hook (or a Wait() that returns) must already see
+      // this batch counted.
       requests_served_.fetch_add(batch_.size(), std::memory_order_relaxed);
       batches_dispatched_.fetch_add(1, std::memory_order_relaxed);
       if (batch_.size() > largest_batch_.load(std::memory_order_relaxed)) {
         largest_batch_.store(batch_.size(), std::memory_order_relaxed);
       }
-      for (internal::RequestSlot<Obs>* slot : batch_) {
-        {
-          std::lock_guard<std::mutex> lock(slot->mu);
-          slot->done = true;
-        }
-        slot->cv.notify_all();
-      }
+      CompleteBatch();
       batch_model_.reset();  // drop the snapshot promptly after the batch
+    }
+  }
+
+  // Every request completes here, in slot order. A hook-form slot goes
+  // back to the pool before its hook runs, so a caller that submits again
+  // from the hook's round trip finds it free; its result stays put because
+  // only this thread writes results. A future's slot is its owner's.
+  void CompleteBatch() {
+    for (internal::RequestSlot<Obs>* slot : batch_) {
+      const CompletionHook hook = slot->on_done;
+      if (hook.fn != &WakeWaiter) {
+        std::lock_guard<std::mutex> lock(mu_);
+        free_.push_back(slot);
+      }
+      hook.fn(hook.ctx, slot->result);
     }
   }
 
@@ -423,6 +491,10 @@ class DecodeService {
     r.path.clear();
     r.text.clear();  // slots recycle; a stale snapshot must not leak out
     r.value = 0.0;
+    if (batch_cut_ >= slot->deadline) {
+      r.status = Status::DeadlineExceeded("deadline expired before dispatch");
+      return;
+    }
     if (slot->obs->empty()) {
       r.status = Status::InvalidArgument("empty observation sequence");
       return;
@@ -503,6 +575,7 @@ class DecodeService {
   std::shared_ptr<const hmm::HmmModel<Obs>> model_;  // guarded by mu_
   uint64_t model_version_ = 1;                       // guarded by mu_
   bool shutdown_ = false;                            // guarded by mu_
+  bool paused_ = false;                              // guarded by mu_
   std::vector<std::unique_ptr<internal::RequestSlot<Obs>>> slots_;  // pool
   std::vector<internal::RequestSlot<Obs>*> free_;     // guarded by mu_
   std::vector<internal::RequestSlot<Obs>*> pending_;  // guarded by mu_
@@ -511,6 +584,7 @@ class DecodeService {
   std::vector<internal::RequestSlot<Obs>*> batch_;
   std::shared_ptr<const hmm::HmmModel<Obs>> batch_model_;
   uint64_t batch_version_ = 0;
+  Clock::time_point batch_cut_;
 
   std::thread dispatcher_;
   std::atomic<uint64_t> requests_served_{0};
@@ -521,6 +595,7 @@ class DecodeService {
   // bumped with relaxed atomics on the hot path. One per-kind slot per wire
   // kind; Submit clamps into the table so recording never aborts.
   static constexpr size_t kNumKindCounters = 5;
+  static constexpr uint64_t kMaxDeadlineMicros = uint64_t{1} << 40;  // ~12 d
   obs::Counter* m_requests_ = nullptr;
   obs::Counter* m_batches_ = nullptr;
   obs::Counter* m_hot_swaps_ = nullptr;

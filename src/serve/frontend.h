@@ -1,20 +1,25 @@
 // The socket front-end: binary wire protocol -> ModelRegistry -> DecodeService.
 //
-// One IO thread runs a poll() event loop over a loopback TCP listener and
-// its connections: it accepts, reassembles length-prefixed frames
-// (serve/wire.h), decodes request payloads into pooled request slots, and
-// hands slot pointers to the dispatcher through a lock-free bounded MPSC
-// ring (util/mpsc_ring.h). The dispatcher drains the ring in groups,
-// enforces per-request deadlines, routes each request to its model's
-// DecodeService via the registry, and returns completed slots through a
-// second ring; the IO thread encodes the response frames and writes them
-// back (partial writes finish under POLLOUT).
+// One IO thread, and one DecodeService per model. The IO thread runs a
+// poll() event loop over a loopback TCP listener and its connections: it
+// accepts, reassembles length-prefixed frames (serve/wire.h), decodes
+// request payloads into pooled request slots, routes each decode to its
+// model's DecodeService via the registry, and Submits it with a
+// CompletionHook. The service is the only batching layer: after each batch
+// its dispatcher calls the hook, which copies the response into the slot,
+// pushes the slot onto a lock-free done ring (util/mpsc_ring.h) and wakes
+// the IO thread through a pipe; the IO thread encodes the response frames
+// and writes them back (partial writes finish under POLLOUT). kStats and
+// kSessionPush frames are answered inline on the IO thread.
+//
+// Responses on a connection come back in completion order, FIFO per
+// model; clients match them to requests by request id.
 //
 // Overload and error semantics — a hostile or unlucky client never crashes
 // the process, it gets a typed response:
-//   * request ring full          -> Unavailable        (shed-on-full)
+//   * queue_capacity requests already in flight -> Unavailable (shed)
 //   * unknown model id           -> NotFound
-//   * deadline already expired   -> DeadlineExceeded
+//   * deadline expired by the time its batch is cut -> DeadlineExceeded
 //   * oversized payload          -> OutOfRange, then the connection closes
 //   * malformed payload          -> InvalidArgument (framing intact, the
 //                                   connection survives)
@@ -22,11 +27,12 @@
 //                                   trustworthy framing there is nothing
 //                                   to address a response to.
 //
-// Allocation: connections, request slots, read/write buffers, the rings,
-// and the dispatcher's future/service staging are all pooled and
-// grow-only. After warm-up, a request/response round trip performs zero
-// heap allocations on the IO-thread + dispatcher path
-// (tests/frontend_test.cc pins this with the instrumented allocator).
+// Allocation: connections, request slots, read/write buffers and the done
+// ring are all pooled and grow-only. After warm-up, a request/response
+// round trip performs zero heap allocations on the IO-thread + service
+// path (tests/frontend_test.cc pins this with the instrumented allocator).
+//
+// Stop() drains: it frees nothing until every submitted hook has fired.
 //
 // Determinism: the front-end only moves bytes; decoding happens in
 // DecodeService, so wire results are bitwise-identical to offline
@@ -45,12 +51,9 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -78,17 +81,14 @@ struct FrontEndOptions {
   uint16_t port = 0;
   /// Most simultaneous connections; excess accepts are closed immediately.
   int max_connections = 64;
-  /// Bounded request-queue depth between IO thread and dispatcher (rounded
-  /// up to a power of two). A full queue sheds with Unavailable.
+  /// Most requests in flight to the decode services at once; a decode
+  /// arriving with this many in flight is shed with Unavailable.
   size_t queue_capacity = 256;
   /// Largest accepted request payload; frames above it get OutOfRange.
   /// Must not exceed wire::kMaxPayload.
   size_t max_payload_bytes = size_t{1} << 20;
   /// poll() tick; the wake pipe makes the loop responsive regardless.
   int poll_timeout_ms = 100;
-  /// Most requests the dispatcher submits to decode services before
-  /// waiting — the group a DecodeService can coalesce into one batch.
-  size_t max_inflight_batch = 64;
 
   Status Validate() const {
     if (max_connections < 1) {
@@ -107,10 +107,6 @@ struct FrontEndOptions {
       return Status::InvalidArgument(
           "FrontEndOptions::poll_timeout_ms must be >= 1");
     }
-    if (max_inflight_batch < 1) {
-      return Status::InvalidArgument(
-          "FrontEndOptions::max_inflight_batch must be >= 1");
-    }
     return Status::OK();
   }
 };
@@ -118,8 +114,8 @@ struct FrontEndOptions {
 /// \brief Wire-protocol serving front-end over a ModelRegistry.
 ///
 /// The registry is borrowed and must outlive the front-end. Start() binds
-/// and spins up the IO and dispatcher threads; Stop() (or the destructor)
-/// shuts them down. Counters are readable from any thread.
+/// and spins up the IO thread; Stop() (or the destructor) drains and shuts
+/// it down. Counters are readable from any thread.
 template <typename Obs>
 class FrontEnd {
  public:
@@ -151,7 +147,7 @@ class FrontEnd {
   FrontEnd(const FrontEnd&) = delete;
   FrontEnd& operator=(const FrontEnd&) = delete;
 
-  /// \brief Binds 127.0.0.1:port, spins up the IO and dispatcher threads.
+  /// \brief Binds 127.0.0.1:port and spins up the IO thread.
   Status Start() {
     DHMM_RETURN_NOT_OK(options_.Validate());
     if (running_) return Status::FailedPrecondition("FrontEnd already started");
@@ -184,40 +180,26 @@ class FrontEnd {
     SetNonBlocking(wake_pipe_[0]);
     SetNonBlocking(wake_pipe_[1]);
 
-    req_ring_ = std::make_unique<util::MpscRing<ReqSlot*>>(
-        options_.queue_capacity);
-    // Completed slots can exceed the request queue (synthesized deadline /
-    // not-found responses join decode results), so give the return path
-    // headroom; the dispatcher additionally spins on a full done ring
-    // because responses must never be dropped.
+    // At most queue_capacity slots are in flight, so a hook's push onto
+    // the done ring cannot fail.
     done_ring_ = std::make_unique<util::MpscRing<ReqSlot*>>(
-        2 * options_.queue_capacity);
+        options_.queue_capacity);
 
     stop_.store(false, std::memory_order_relaxed);
+    wake_pending_ = false;
     running_ = true;
     io_thread_ = std::thread([this] { IoLoop(); });
-    dispatcher_ = std::thread([this] { DispatchLoop(); });
     return Status::OK();
   }
 
-  /// \brief Stops both threads and closes every socket. Idempotent.
-  /// In-flight requests are abandoned (their connections are closing
-  /// anyway); pooled memory is reclaimed by the destructor.
+  /// \brief Drains every in-flight request, then stops the IO thread and
+  /// closes every socket. Idempotent; the destructor reclaims the pools.
   void Stop() {
     if (!running_) return;
     stop_.store(true, std::memory_order_release);
     WakeIo();
-    {
-      std::lock_guard<std::mutex> lock(dispatch_mu_);
-      dispatch_cv_.notify_all();
-    }
-    dispatcher_.join();
     io_thread_.join();
-    for (Conn& c : conns_) {
-      if (c.fd >= 0) ::close(c.fd);
-      c.fd = -1;
-      c.open = false;
-    }
+    for (size_t i = 0; i < conns_.size(); ++i) CloseConn(i);
     ::close(wake_pipe_[0]);
     ::close(wake_pipe_[1]);
     ::close(listen_fd_);
@@ -226,9 +208,10 @@ class FrontEnd {
   }
 
   /// \brief Enables streaming sessions: kSessionPush frames addressed to
-  /// `model` extend a resident fixed-lag session (one per connection) in
-  /// `sessions` instead of running a stateless batch decode. The manager
-  /// is borrowed and must outlive the front-end; call before Start().
+  /// `model` extend a resident fixed-lag session (one per connection, torn
+  /// down when the connection closes) in `sessions` instead of running a
+  /// stateless batch decode. The manager is borrowed and must outlive the
+  /// front-end; call before Start().
   /// Pushes addressed to any other model id get NotFound, and a push on a
   /// front-end without sessions gets FailedPrecondition.
   void EnableSessions(SessionManager<Obs>* sessions, ModelId model) {
@@ -240,15 +223,6 @@ class FrontEnd {
 
   /// The bound port (after Start()).
   uint16_t port() const { return port_; }
-
-  /// \brief Test hook: holds the dispatcher so the request queue fills
-  /// deterministically (shed-on-full, expired-deadline tests).
-  void PauseDispatch() { paused_.store(true, std::memory_order_release); }
-  void ResumeDispatch() {
-    paused_.store(false, std::memory_order_release);
-    std::lock_guard<std::mutex> lock(dispatch_mu_);
-    dispatch_cv_.notify_all();
-  }
 
   /// \brief Rendered text snapshot of the front-end metric family
   /// (obs::RenderText over the "frontend." prefix) — the in-process
@@ -272,17 +246,19 @@ class FrontEnd {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// One pooled request in flight through the rings. The IO thread owns
-  /// slot acquisition and release (single-threaded free list, no lock);
-  /// the dispatcher only borrows slots while they sit between the rings.
+  /// One pooled request. The IO thread owns slot acquisition and release
+  /// (single-threaded free list, no lock); while a decode is in flight the
+  /// slot belongs to its service, whose hook hands it back through the
+  /// done ring.
   struct ReqSlot {
-    uint64_t request_id = 0;
+    FrontEnd* owner = nullptr;  // the completion hook's way back
     ModelId model = 0;
-    DecodeKind kind = DecodeKind::kViterbi;
-    uint64_t deadline_micros = 0;
     Clock::time_point arrival{};
     std::vector<Obs> obs;  // grow-only decode target
     DecodeResponse resp;   // grow-only path
+    // The routed service, held until the IO thread drains the slot, so a
+    // registry eviction never tears a service down under its own hook.
+    std::shared_ptr<DecodeService<Obs>> service;
     size_t conn_index = 0;
     uint64_t conn_generation = 0;
   };
@@ -295,6 +271,7 @@ class FrontEnd {
     bool open = false;
     uint64_t generation = 0;
     uint32_t inflight = 0;
+    SessionHandle session = kInvalidSessionHandle;  // resident wire session
     std::vector<uint8_t> rbuf;
     size_t rlen = 0;  // valid bytes at the front of rbuf
     std::vector<uint8_t> wbuf;
@@ -327,11 +304,17 @@ class FrontEnd {
     // A full pipe already guarantees a pending wake-up.
     [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &b, 1);
   }
-  void WakeDispatcher() {
-    if (dispatcher_sleeping_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(dispatch_mu_);
-      dispatch_cv_.notify_one();
+
+  // Empty the pipe first, then clear wake_pending_: clearing first would
+  // let a hook set the flag and have its byte swallowed here, leaving the
+  // flag set with an empty pipe and every later hook's wake-up lost. The
+  // clear is an RMW, so it synchronizes with every hook that found the
+  // flag set and the DrainDoneRing that follows sees their slots.
+  void DrainWakePipe() {
+    char buf[256];
+    while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
     }
+    wake_pending_.exchange(false);
   }
 
   // ---------------------------------------------------------------- IO --
@@ -355,11 +338,7 @@ class FrontEnd {
       if (n < 0 && errno != EINTR) break;
       if (stop_.load(std::memory_order_acquire)) break;
 
-      if (pollfds_[1].revents & POLLIN) {
-        char buf[256];
-        while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-        }
-      }
+      if (pollfds_[1].revents & POLLIN) DrainWakePipe();
       DrainDoneRing();
       if (pollfds_[0].revents & POLLIN) AcceptAll();
       for (size_t p = 2; p < pollfds_.size(); ++p) {
@@ -373,6 +352,18 @@ class FrontEnd {
         if (pollfds_[p].revents & POLLOUT) FlushConn(idx);
         if (c.open && (pollfds_[p].revents & POLLIN)) ReadConn(idx);
       }
+    }
+    // Shutdown drains: answer every decode still in flight, then wait out
+    // the tail of the last hooks (a pipe write and a decrement), so Stop()
+    // frees nothing a hook still touches.
+    while (inflight_ > 0) {
+      pollfd p{wake_pipe_[0], POLLIN, 0};
+      ::poll(&p, 1, options_.poll_timeout_ms);
+      DrainWakePipe();
+      DrainDoneRing();
+    }
+    while (unfinished_hooks_ != 0) {
+      std::this_thread::yield();
     }
   }
 
@@ -416,6 +407,7 @@ class FrontEnd {
     c.fd = -1;
     c.open = false;
     ++c.generation;  // any response still in flight is now stale
+    DestroySession(c);
     if (c.inflight == 0) free_conns_.push_back(idx);
   }
 
@@ -504,15 +496,21 @@ class FrontEnd {
     // shed, expire, or fail routing). The per-kind counters partition
     // exactly these frames: sum over kinds == frames_accepted.
     m_frames_accepted_->Add();
-    m_by_kind_[static_cast<size_t>(h.decode_kind())]->Add();
-    slot->request_id = h.request_id;
-    slot->model = h.model;
-    slot->kind = h.decode_kind();
-    slot->deadline_micros = h.deadline_micros;
-    slot->arrival = Clock::now();
-    slot->conn_index = idx;
-    slot->conn_generation = c.generation;
-    if (!req_ring_->TryPush(slot)) {
+    const DecodeKind kind = h.decode_kind();
+    m_by_kind_[static_cast<size_t>(kind)]->Add();
+    const Clock::time_point arrival = Clock::now();
+    DecodeResponse& r = slot->resp;
+    ResetResponse(h, Status::OK(), &r);
+    if (kind == DecodeKind::kStats) {
+      // Stats queries are served inline: the snapshot is process state,
+      // not a model decode. Allocates (the rendered text) — an operator
+      // surface, not a steady-state path.
+      r.text = obs::RenderText(obs::Registry::Global().TakeSnapshot());
+      Bump(requests_served_);
+      m_requests_served_->Add();
+    } else if (kind == DecodeKind::kSessionPush) {
+      HandleSessionPush(c, h.model, slot->obs, &r);
+    } else if (inflight_ >= options_.queue_capacity) {
       Bump(requests_shed_);
       m_requests_shed_->Add();
       SynthesizeError(c, h,
@@ -520,24 +518,94 @@ class FrontEnd {
       FlushConn(idx);
       ReleaseSlot(slot);
       return;
+    } else {
+      Result<std::shared_ptr<DecodeService<Obs>>> svc =
+          registry_->Acquire(h.model);
+      if (svc.ok()) {
+        // From here until the IO thread pops it off the done ring, the
+        // slot belongs to the service and its hook.
+        slot->model = h.model;
+        slot->arrival = arrival;
+        slot->conn_index = idx;
+        slot->conn_generation = c.generation;
+        slot->service = std::move(svc).value();
+        ++c.inflight;
+        m_ring_occupancy_->Set(static_cast<double>(++inflight_));
+        ++unfinished_hooks_;
+        DecodeRequest<Obs> req;
+        req.request_id = h.request_id;
+        req.model = h.model;
+        req.kind = kind;
+        req.deadline_micros = h.deadline_micros;
+        req.obs = &slot->obs;
+        slot->service->Submit(req, CompletionHook{&OnDecoded, slot});
+        return;
+      }
+      Bump(routing_errors_);
+      m_routing_errors_->Add();
+      r.status = svc.status();
     }
-    ++c.inflight;
-    WakeDispatcher();
+    m_latency_us_->Record(MicrosSince(arrival));
+    WriteResponse(c, r, h.model);
+    FlushConn(idx);
+    ReleaseSlot(slot);
+  }
+
+  // The completion hook, on the service's dispatcher thread: copy the
+  // response into the pooled slot (whose id and kind HandleFrame already
+  // set), count it, hand the slot back.
+  static void OnDecoded(void* ctx, const DecodeResponse& result) {
+    ReqSlot* slot = static_cast<ReqSlot*>(ctx);
+    FrontEnd* self = slot->owner;
+    DecodeResponse& r = slot->resp;
+    r.status = result.status;
+    r.path.assign(result.path.begin(), result.path.end());
+    r.value = result.value;
+    r.model_version = result.model_version;
+    if (r.status.code() == StatusCode::kDeadlineExceeded) {
+      Bump(self->deadline_expired_);
+      self->m_deadline_expired_->Add();
+    } else {
+      Bump(self->requests_served_);
+      self->m_requests_served_->Add();
+    }
+    // At most queue_capacity slots are in flight and the ring holds that
+    // many, so the push cannot fail.
+    const bool pushed = self->done_ring_->TryPush(slot);
+    DHMM_CHECK_MSG(pushed, "done ring overflow");
+    // One pipe write per IO-thread wake-up, not per response.
+    if (!self->wake_pending_.exchange(true)) {
+      self->WakeIo();
+    }
+    // The last touch of the front end: Stop() waits for this count.
+    --self->unfinished_hooks_;
+  }
+
+  static uint64_t MicrosSince(Clock::time_point t) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                              t)
+            .count());
+  }
+
+  /// An empty answer to `h` carrying `st`; buffers keep their capacity.
+  static void ResetResponse(const wire::FrameHeader& h, Status st,
+                            DecodeResponse* r) {
+    r->request_id = h.request_id;
+    r->kind = h.kind <= static_cast<uint8_t>(DecodeKind::kStats)
+                  ? h.decode_kind()
+                  : DecodeKind::kViterbi;
+    r->status = std::move(st);
+    r->path.clear();
+    r->value = 0.0;
+    r->model_version = 0;
+    r->text.clear();
   }
 
   /// Builds an error response straight on the IO thread (shed, malformed,
-  /// oversized): no slot crosses the rings.
+  /// oversized) without touching a request slot.
   void SynthesizeError(Conn& c, const wire::FrameHeader& h, Status st) {
-    scratch_resp_.request_id = h.request_id;
-    scratch_resp_.kind =
-        h.kind <= static_cast<uint8_t>(DecodeKind::kStats)
-            ? h.decode_kind()
-            : DecodeKind::kViterbi;
-    scratch_resp_.status = std::move(st);
-    scratch_resp_.path.clear();
-    scratch_resp_.value = 0.0;
-    scratch_resp_.model_version = 0;
-    scratch_resp_.text.clear();
+    ResetResponse(h, std::move(st), &scratch_resp_);
     WriteResponse(c, scratch_resp_, h.model);
   }
 
@@ -570,13 +638,12 @@ class FrontEnd {
   void DrainDoneRing() {
     ReqSlot* slot = nullptr;
     while (done_ring_->TryPop(&slot)) {
+      --inflight_;
+      slot->service.reset();
       // Per-request latency: frame fully parsed -> response ready to
       // write. One clock read + one relaxed striped increment per
       // response; no allocation.
-      m_latency_us_->Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              Clock::now() - slot->arrival)
-              .count()));
+      m_latency_us_->Record(MicrosSince(slot->arrival));
       Conn& c = conns_[slot->conn_index];
       if (c.generation == slot->conn_generation && c.open) {
         WriteResponse(c, slot->resp, slot->model);
@@ -587,11 +654,13 @@ class FrontEnd {
       if (!c.open && c.inflight == 0) free_conns_.push_back(slot->conn_index);
       ReleaseSlot(slot);
     }
+    m_ring_occupancy_->Set(static_cast<double>(inflight_));
   }
 
   ReqSlot* AcquireSlot() {
     if (free_slots_.empty()) {
       all_slots_.push_back(std::make_unique<ReqSlot>());
+      all_slots_.back()->owner = this;
       free_slots_.push_back(all_slots_.back().get());
     }
     ReqSlot* s = free_slots_.back();
@@ -600,215 +669,71 @@ class FrontEnd {
   }
   void ReleaseSlot(ReqSlot* s) { free_slots_.push_back(s); }
 
-  // -------------------------------------------------------- dispatcher --
+  // ---------------------------------------------------------- sessions --
 
-  void DispatchLoop() {
-    // Reserved once: group staging must not allocate at steady state.
-    group_.reserve(options_.max_inflight_batch);
-    futures_.reserve(options_.max_inflight_batch);
-    services_.reserve(options_.max_inflight_batch);
-    for (;;) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      if (paused_.load(std::memory_order_acquire)) {
-        std::unique_lock<std::mutex> lock(dispatch_mu_);
-        dispatch_cv_.wait_for(lock, std::chrono::milliseconds(10));
-        continue;
-      }
-      group_.clear();
-      ReqSlot* slot = nullptr;
-      while (group_.size() < options_.max_inflight_batch &&
-             req_ring_->TryPop(&slot)) {
-        group_.push_back(slot);
-      }
-      if (group_.empty()) {
-        dispatcher_sleeping_.store(true, std::memory_order_release);
-        std::unique_lock<std::mutex> lock(dispatch_mu_);
-        if (req_ring_->size_approx() == 0 &&
-            !stop_.load(std::memory_order_acquire)) {
-          dispatch_cv_.wait_for(lock, std::chrono::milliseconds(50));
-        }
-        dispatcher_sleeping_.store(false, std::memory_order_release);
-        continue;
-      }
-      // Ring depth after the group was cut: what is still waiting.
-      m_ring_occupancy_->Set(
-          static_cast<double>(req_ring_->size_approx()));
-      DispatchGroup();
-    }
-  }
-
-  void DispatchGroup() {
-    // Submit everything first: requests for the same model coalesce into
-    // one DecodeService batch while distinct models run independently.
-    futures_.clear();
-    services_.clear();
-    const Clock::time_point now = Clock::now();
-    for (ReqSlot* slot : group_) {
-      DecodeResponse& r = slot->resp;
-      r.request_id = slot->request_id;
-      r.kind = slot->kind;
-      r.path.clear();
-      r.value = 0.0;
-      r.model_version = 0;
-      r.text.clear();
-      if (slot->deadline_micros != 0 &&
-          now - slot->arrival >=
-              std::chrono::microseconds(slot->deadline_micros)) {
-        Bump(deadline_expired_);
-        m_deadline_expired_->Add();
-        r.status = Status::DeadlineExceeded(
-            "deadline expired before dispatch");
-        futures_.emplace_back();  // invalid future = pre-resolved slot
-        services_.emplace_back();
-        continue;
-      }
-      if (slot->kind == DecodeKind::kStats) {
-        // Stats queries are served inline by the front end itself: the
-        // snapshot is process state, not a model decode. Allocates (the
-        // rendered text) — an operator surface, not a steady-state path.
-        r.text = obs::RenderText(obs::Registry::Global().TakeSnapshot());
-        r.status = Status::OK();
-        Bump(requests_served_);
-        m_requests_served_->Add();
-        futures_.emplace_back();
-        services_.emplace_back();
-        continue;
-      }
-      if (slot->kind == DecodeKind::kSessionPush) {
-        // Session pushes run inline on the dispatcher (per-push work is
-        // O(lag * k^2), far below a batch decode) instead of crossing a
-        // DecodeService.
-        HandleSessionPush(slot);
-        futures_.emplace_back();
-        services_.emplace_back();
-        continue;
-      }
-      Result<std::shared_ptr<DecodeService<Obs>>> svc =
-          registry_->Acquire(slot->model);
-      if (!svc.ok()) {
-        Bump(routing_errors_);
-        m_routing_errors_->Add();
-        r.status = svc.status();
-        futures_.emplace_back();
-        services_.emplace_back();
-        continue;
-      }
-      services_.push_back(std::move(svc).value());
-      DecodeRequest<Obs> req;
-      req.request_id = slot->request_id;
-      req.model = slot->model;
-      req.kind = slot->kind;
-      req.deadline_micros = slot->deadline_micros;
-      req.obs = &slot->obs;
-      futures_.push_back(services_.back()->Submit(req));
-    }
-    for (size_t i = 0; i < group_.size(); ++i) {
-      ReqSlot* slot = group_[i];
-      if (futures_[i].valid()) {
-        const DecodeResult& result = futures_[i].Wait();
-        slot->resp.status = result.status;
-        slot->resp.value = result.value;
-        slot->resp.model_version = result.model_version;
-        slot->resp.path.assign(result.path.begin(), result.path.end());
-        futures_[i].Release();
-        Bump(requests_served_);
-        m_requests_served_->Add();
-      }
-      // Responses must never be dropped: spin until the return ring has
-      // room (the IO thread is draining it). On shutdown the IO thread is
-      // gone and the connection with it — abandon the response.
-      while (!done_ring_->TryPush(slot)) {
-        if (stop_.load(std::memory_order_acquire)) break;
-        WakeIo();
-        std::this_thread::yield();
-      }
-    }
-    services_.clear();
-    futures_.clear();
-    WakeIo();
-  }
-
-  /// Runs one kSessionPush request against the connection's resident
-  /// session, creating it on first use. The response carries every label
-  /// that left the lag window (resp.path, in stream order) and the running
-  /// stream log-likelihood (resp.value). A poisoned stream reports its
-  /// error once and is torn down, so the connection's next push starts a
-  /// fresh stream; a session reaped by an idle sweep between requests is
-  /// recreated transparently.
-  void HandleSessionPush(ReqSlot* slot) {
-    DecodeResponse& r = slot->resp;
-    if (sessions_ == nullptr) {
+  /// Runs one kSessionPush against the connection's resident session
+  /// (created on first use, destroyed by CloseConn). The response carries
+  /// every label that left the lag window (path, in stream order) and the
+  /// running stream log-likelihood (value). A poisoned stream reports its
+  /// error once and is torn down; the next push starts a fresh stream.
+  void HandleSessionPush(Conn& c, ModelId model, const std::vector<Obs>& frames,
+                         DecodeResponse* r) {
+    if (sessions_ == nullptr || model != session_model_) {
       Bump(routing_errors_);
       m_routing_errors_->Add();
-      r.status = Status::FailedPrecondition(
-          "sessions are not enabled on this front-end");
+      if (sessions_ == nullptr) {
+        r->status = Status::FailedPrecondition(
+            "sessions are not enabled on this front-end");
+      } else {
+        r->status = Status::NotFound("session pushes serve model id " +
+                                     std::to_string(session_model_) + " only");
+      }
       return;
     }
-    if (slot->model != session_model_) {
-      Bump(routing_errors_);
-      m_routing_errors_->Add();
-      r.status = Status::NotFound("session pushes serve model id " +
-                                  std::to_string(session_model_) + " only");
-      return;
-    }
-    // One resident session per connection slot. Connection slots are
-    // pooled by index, so a reused slot (fresh generation) lazily tears
-    // down its predecessor's session here, and the map stays bounded by
-    // max_connections.
-    auto [it, inserted] = wire_sessions_.try_emplace(
-        slot->conn_index,
-        std::make_pair(slot->conn_generation, kInvalidSessionHandle));
-    if (!inserted && it->second.first != slot->conn_generation) {
-      (void)sessions_->DestroySession(it->second.second);
-      it->second = {slot->conn_generation, kInvalidSessionHandle};
-    }
-    SessionHandle h = it->second.second;
     Status st = Status::OK();
-    for (const Obs& y : slot->obs) {
-      if (h == kInvalidSessionHandle) {
-        Result<SessionHandle> created = sessions_->CreateSession();
-        if (!created.ok()) {
-          st = created.status();
-          break;
-        }
-        h = created.value();
-        it->second.second = h;
-      }
+    for (const Obs& y : frames) {
       int label = -1;
-      st = sessions_->Push(h, y, &label);
-      if (st.code() == StatusCode::kNotFound) {
-        // Evicted by an idle sweep between requests: the stream state is
-        // gone, so restart once and retry this frame on the new session.
-        h = kInvalidSessionHandle;
-        Result<SessionHandle> created = sessions_->CreateSession();
-        if (!created.ok()) {
-          st = created.status();
-          break;
-        }
-        h = created.value();
-        it->second.second = h;
-        st = sessions_->Push(h, y, &label);
-      }
+      st = PushFrame(c, y, &label);
       if (!st.ok()) break;
-      if (label >= 0) r.path.push_back(label);
+      if (label >= 0) r->path.push_back(label);
     }
     if (!st.ok()) {
-      if (h != kInvalidSessionHandle) (void)sessions_->DestroySession(h);
-      wire_sessions_.erase(it);
+      DestroySession(c);
       Bump(routing_errors_);
       m_routing_errors_->Add();
-      r.status = std::move(st);
-      r.path.clear();
+      r->status = std::move(st);
+      r->path.clear();
       return;
     }
-    if (h != kInvalidSessionHandle) {
-      const Result<double> ll = sessions_->LogLikelihood(h);
-      if (ll.ok()) r.value = ll.value();
+    if (c.session != kInvalidSessionHandle) {
+      const Result<double> ll = sessions_->LogLikelihood(c.session);
+      if (ll.ok()) r->value = ll.value();
     }
-    r.model_version = sessions_->model_version();
-    r.status = Status::OK();
+    r->model_version = sessions_->model_version();
     Bump(requests_served_);
     m_requests_served_->Add();
+  }
+
+  // Pushes one frame onto the connection's session, creating it first if
+  // needed. A session reaped by an idle sweep between requests (NotFound)
+  // has lost its stream state: it is recreated once and the frame retried.
+  Status PushFrame(Conn& c, const Obs& y, int* label) {
+    for (int attempt = 0;; ++attempt) {
+      if (c.session == kInvalidSessionHandle) {
+        Result<SessionHandle> created = sessions_->CreateSession();
+        if (!created.ok()) return created.status();
+        c.session = created.value();
+      }
+      Status st = sessions_->Push(c.session, y, label);
+      if (st.code() != StatusCode::kNotFound || attempt == 1) return st;
+      c.session = kInvalidSessionHandle;
+    }
+  }
+
+  void DestroySession(Conn& c) {
+    if (c.session == kInvalidSessionHandle) return;
+    (void)sessions_->DestroySession(c.session);
+    c.session = kInvalidSessionHandle;
   }
 
   const FrontEndOptions options_;
@@ -821,7 +746,6 @@ class FrontEnd {
   uint16_t port_ = 0;
   bool running_ = false;
 
-  std::unique_ptr<util::MpscRing<ReqSlot*>> req_ring_;
   std::unique_ptr<util::MpscRing<ReqSlot*>> done_ring_;
 
   // IO-thread state (single-threaded: no locks).
@@ -832,25 +756,15 @@ class FrontEnd {
   std::vector<pollfd> pollfds_;
   std::vector<size_t> poll_conn_;  // conn index per pollfd entry past [1]
   DecodeResponse scratch_resp_;
-
-  // Dispatcher state.
-  std::vector<ReqSlot*> group_;
-  std::vector<DecodeFuture<Obs>> futures_;
-  std::vector<std::shared_ptr<DecodeService<Obs>>> services_;
-  // Resident wire sessions, keyed by connection slot index; the stored
-  // generation proves the entry belongs to the current tenant of the slot.
-  // Dispatcher-only, like the rest of the session routing.
-  std::map<size_t, std::pair<uint64_t, SessionHandle>> wire_sessions_;
+  size_t inflight_ = 0;  // submitted decodes not yet popped off done_ring_
   SessionManager<Obs>* sessions_ = nullptr;
   ModelId session_model_ = 0;
-  std::mutex dispatch_mu_;
-  std::condition_variable dispatch_cv_;
-  std::atomic<bool> dispatcher_sleeping_{false};
-  std::atomic<bool> paused_{false};
 
+  // Shared with the completion hooks.
+  std::atomic<bool> wake_pending_{false};    // a wake-up is already queued
+  std::atomic<size_t> unfinished_hooks_{0};  // submitted, hook not returned
   std::atomic<bool> stop_{false};
   std::thread io_thread_;
-  std::thread dispatcher_;
 
   // Obs metric pointers, resolved once at construction (see metrics.h).
   obs::Counter* m_frames_accepted_ = nullptr;
@@ -860,6 +774,8 @@ class FrontEnd {
   obs::Counter* m_requests_served_ = nullptr;
   obs::Counter* m_routing_errors_ = nullptr;
   obs::Counter* m_by_kind_[5] = {};  // indexed by DecodeKind wire value
+  // "frontend.req_ring_occupancy": the in-flight decode count (the name
+  // is kept for existing readers of the metric).
   obs::Gauge* m_ring_occupancy_ = nullptr;
   obs::Histogram* m_latency_us_ = nullptr;
 

@@ -10,6 +10,7 @@
 #define DHMM_SERVE_REQUEST_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/status.h"
@@ -51,9 +52,10 @@ struct DecodeRequest {
   uint64_t request_id = 0;   ///< caller-chosen correlation id, echoed back
   ModelId model = 0;         ///< registry key; single-model services ignore
   DecodeKind kind = DecodeKind::kViterbi;
-  /// Relative deadline in microseconds from submission; 0 = none. The
-  /// front-end sheds a request whose deadline expires while it is still
-  /// queued (DeadlineExceeded) rather than decoding dead work.
+  /// Relative deadline in microseconds from DecodeService::Submit; 0 (or
+  /// more than 2^40, about 12 days) = none. A request whose deadline has
+  /// passed when its batch is cut is answered DeadlineExceeded without any
+  /// decode work.
   uint64_t deadline_micros = 0;
   const std::vector<Obs>* obs = nullptr;  ///< borrowed until completion
 };
@@ -61,7 +63,8 @@ struct DecodeRequest {
 /// \brief Completed request payload — in-process and on the wire.
 ///
 /// In-process it lives in a pooled slot (valid until the owning
-/// DecodeFuture is released); on the wire it is the response frame body.
+/// DecodeFuture is released, or for the duration of a CompletionHook
+/// call); on the wire it is the response frame body.
 struct DecodeResponse {
   uint64_t request_id = 0;   ///< echoed from the request
   Status status;             ///< non-OK for rejected requests
@@ -74,6 +77,15 @@ struct DecodeResponse {
   /// message), so the frame layout is unchanged: an OK response encodes
   /// `text`, a non-OK response encodes status.message().
   std::string text;
+};
+
+/// \brief Allocation-free completion callback (function pointer + opaque
+/// context). DecodeService calls `fn(ctx, resp)` once per request, after
+/// its batch, in slot order; `resp` is valid only during the call. The
+/// hook must not block or call back into the service.
+struct CompletionHook {
+  void (*fn)(void* ctx, const DecodeResponse& resp) = nullptr;
+  void* ctx = nullptr;
 };
 
 }  // namespace dhmm::serve

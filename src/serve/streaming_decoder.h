@@ -62,9 +62,6 @@ struct StreamingDecoderOptions {
   }
 };
 
-/// Pre-unification spelling, kept as an alias for existing callers.
-using StreamingOptions = StreamingDecoderOptions;
-
 /// \brief Incremental fixed-lag posterior decoder over one live stream.
 ///
 /// Thread-compatible: one decoder serves one stream. Reuse via Reset().

@@ -99,6 +99,7 @@ class WireClient {
   void Close() {
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
+    recv_have_ = 0;
   }
 
   bool connected() const { return fd_ >= 0; }
@@ -132,7 +133,8 @@ class WireClient {
   /// \brief Blocks for the next response frame. The returned
   /// `resp->status` is the server-side decode status; a non-OK return
   /// here means the transport itself failed (closed connection,
-  /// undecodable frame).
+  /// undecodable frame). A receive deadline that fires mid-frame keeps the
+  /// bytes already read, so the next Receive resumes the same frame.
   Status Receive(DecodeResponse* resp, wire::FrameHeader* header = nullptr) {
     if (fd_ < 0) return Status::FailedPrecondition("client not connected");
     // One deadline covers the whole frame: header and payload.
@@ -140,14 +142,15 @@ class WireClient {
       deadline_ = Clock::now() +
                   std::chrono::milliseconds(options_.receive_timeout_ms);
     }
-    DHMM_RETURN_NOT_OK(ReceiveExact(wire::kHeaderSize));
+    DHMM_RETURN_NOT_OK(ReceiveUpTo(wire::kHeaderSize));
     wire::FrameHeader h;
     DHMM_RETURN_NOT_OK(wire::DecodeHeader(recv_buf_.data(),
                                           wire::kHeaderSize, &h));
-    DHMM_RETURN_NOT_OK(ReceiveExact(h.payload_len));
+    DHMM_RETURN_NOT_OK(ReceiveUpTo(wire::kHeaderSize + h.payload_len));
+    recv_have_ = 0;  // frame complete: the next Receive starts a new one
     if (header != nullptr) *header = h;
-    return wire::DecodeResponsePayload(h, recv_buf_.data(), h.payload_len,
-                                       resp);
+    return wire::DecodeResponsePayload(h, recv_buf_.data() + wire::kHeaderSize,
+                                       h.payload_len, resp);
   }
 
   /// \brief One-shot convenience: Send + Receive.
@@ -243,12 +246,14 @@ class WireClient {
     }
   }
 
-  Status ReceiveExact(size_t size) {
+  // Reads until the current frame has `size` bytes in recv_buf_. Progress
+  // lives in recv_have_, not a local, so a deadline loses nothing.
+  Status ReceiveUpTo(size_t size) {
     if (recv_buf_.size() < size) recv_buf_.resize(size);  // grow-only
-    size_t off = 0;
-    while (off < size) {
+    while (recv_have_ < size) {
       DHMM_RETURN_NOT_OK(AwaitReadable());
-      const ssize_t n = ::recv(fd_, recv_buf_.data() + off, size - off, 0);
+      const ssize_t n = ::recv(fd_, recv_buf_.data() + recv_have_,
+                               size - recv_have_, 0);
       if (n == 0) {
         return Status::Unavailable("connection closed by server");
       }
@@ -256,7 +261,7 @@ class WireClient {
         if (errno == EINTR) continue;
         return Errno("recv");
       }
-      off += static_cast<size_t>(n);
+      recv_have_ += static_cast<size_t>(n);
     }
     return Status::OK();
   }
@@ -267,7 +272,8 @@ class WireClient {
   Clock::time_point deadline_{};
   int fd_ = -1;
   std::vector<uint8_t> send_buf_;
-  std::vector<uint8_t> recv_buf_;
+  std::vector<uint8_t> recv_buf_;  // the current frame: header, payload
+  size_t recv_have_ = 0;           // bytes of it received so far
 };
 
 }  // namespace dhmm::serve

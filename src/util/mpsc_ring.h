@@ -1,16 +1,16 @@
 // Lock-free bounded multi-producer ring buffer.
 //
-// The hand-off between the serve front-end's IO thread and its dispatcher:
-// producers TryPush from any thread, one consumer TryPops in FIFO-per-
-// producer order. The queue is a fixed slot array with monotonically
-// increasing producer/consumer indices and a per-cell sequence number
-// (Vyukov's bounded queue) — no locks, no node allocation, and after
-// construction the queue never touches the heap, so it sits on the
-// zero-allocation-per-request serving path.
+// The hand-off from the decode services' completion hooks back to the
+// serve front-end's IO thread: producers TryPush from any thread, one
+// consumer TryPops in FIFO-per-producer order. The queue is a fixed slot
+// array with monotonically increasing producer/consumer indices and a
+// per-cell sequence number (Vyukov's bounded queue) — no locks, no node
+// allocation, and after construction the queue never touches the heap, so
+// it sits on the zero-allocation-per-request serving path.
 //
-// A full queue fails TryPush immediately instead of blocking: callers use
-// that as the backpressure signal (the front-end sheds the request with an
-// Unavailable response). Capacity is rounded up to a power of two.
+// A full queue fails TryPush immediately instead of blocking (the
+// front-end sizes it to its in-flight bound, so it never fills). Capacity
+// is rounded up to a power of two.
 #ifndef DHMM_UTIL_MPSC_RING_H_
 #define DHMM_UTIL_MPSC_RING_H_
 
@@ -94,14 +94,6 @@ class MpscRing {
         pos = tail_.load(std::memory_order_relaxed);
       }
     }
-  }
-
-  /// Approximate occupancy (exact when producers and the consumer are
-  /// quiescent) — used by tests and stats, not for flow control.
-  size_t size_approx() const {
-    const size_t h = head_.load(std::memory_order_acquire);
-    const size_t t = tail_.load(std::memory_order_acquire);
-    return h >= t ? h - t : 0;
   }
 
  private:

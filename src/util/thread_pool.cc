@@ -105,10 +105,11 @@ void ThreadPool::ParallelFor(size_t n,
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [&] { return busy_workers_ == 0; });
     task_ = nullptr;
+    // Wake a destructor waiting for quiescence (it needs task_ == nullptr,
+    // which only this thread publishes) — under mu_, so it cannot destroy
+    // done_cv_ mid-broadcast.
+    done_cv_.notify_all();
   }
-  // Wake a destructor waiting for quiescence (it needs task_ == nullptr,
-  // which only this thread publishes).
-  done_cv_.notify_all();
 }
 
 }  // namespace dhmm::util

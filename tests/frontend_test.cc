@@ -7,8 +7,10 @@
 //  - loopback integration: wire requests against every registered model
 //    decode bitwise-identically to offline single-threaded references,
 //  - typed error responses: unknown model -> NotFound, expired deadline ->
-//    DeadlineExceeded, full queue -> Unavailable, malformed payload ->
-//    InvalidArgument — never a crash or an abort,
+//    DeadlineExceeded, queue_capacity in flight -> Unavailable, malformed
+//    payload -> InvalidArgument — never a crash or an abort,
+//  - responses come back in completion order, FIFO per model, and Stop()
+//    drains every in-flight request before freeing anything,
 //  - steady-state wire round trips at a fixed shape make zero heap
 //    allocations (instrumented operator new).
 #include <atomic>
@@ -272,6 +274,14 @@ class FrontEndTest : public ::testing::Test {
     return req;
   }
 
+  // The routed service of `model`: tests pause its dispatcher to hold
+  // requests in flight deterministically.
+  std::shared_ptr<serve::DecodeService<double>> Service(serve::ModelId model) {
+    auto svc = registry_.Acquire(model);
+    EXPECT_TRUE(svc.ok());
+    return svc.ok() ? std::move(svc).value() : nullptr;
+  }
+
   serve::ModelRegistry<double> registry_;
   std::unique_ptr<serve::FrontEnd<double>> frontend_;
 };
@@ -345,24 +355,69 @@ TEST_F(FrontEndTest, PipelinedRequestsAcrossModelsKeepTheirIds) {
 
   serve::WireClient client;
   ASSERT_TRUE(client.Connect(frontend_->port()).ok());
-  constexpr int kRounds = 8;
-  for (int i = 0; i < kRounds; ++i) {
+  // Even ids go to model 1, odd ids to model 2, interleaved on one
+  // connection. Model 1's service is held, so nothing of it can complete.
+  auto svc1 = Service(1);
+  svc1->PauseDispatch();
+  constexpr uint64_t kRounds = 8;
+  for (uint64_t i = 0; i < kRounds; ++i) {
     const bool first = i % 2 == 0;
     ASSERT_TRUE(client
                     .Send(Request(first ? 1 : 2, serve::DecodeKind::kViterbi,
-                                  first ? &obs1 : &obs2,
-                                  static_cast<uint64_t>(i)))
+                                  first ? &obs1 : &obs2, i))
                     .ok());
   }
-  for (int i = 0; i < kRounds; ++i) {
+  // Responses come back in completion order, matched by id: all of model
+  // 2's arrive first, then model 1's once its service resumes.
+  std::vector<uint64_t> arrival;
+  for (uint64_t i = 0; i < kRounds; ++i) {
+    if (i == kRounds / 2) svc1->ResumeDispatch();
     serve::DecodeResponse resp;
     ASSERT_TRUE(client.Receive(&resp).ok());
-    // One connection: responses come back in submission order.
-    ASSERT_EQ(resp.request_id, static_cast<uint64_t>(i));
     ASSERT_TRUE(resp.status.ok());
-    const OfflineRef& ref = i % 2 == 0 ? ref1 : ref2;
-    EXPECT_EQ(resp.path, ref.viterbi.path);
-    EXPECT_EQ(resp.value, ref.viterbi.log_joint);
+    const OfflineRef& ref = resp.request_id % 2 == 0 ? ref1 : ref2;
+    EXPECT_EQ(resp.path, ref.viterbi.path) << resp.request_id;
+    EXPECT_EQ(resp.value, ref.viterbi.log_joint) << resp.request_id;
+    arrival.push_back(resp.request_id);
+  }
+  // FIFO per model: each model's ids arrive in submission order.
+  EXPECT_EQ(arrival, (std::vector<uint64_t>{1, 3, 5, 7, 0, 2, 4, 6}));
+}
+
+TEST_F(FrontEndTest, PipelinedWindowsNeverWaitForThePollTick) {
+  // Completions from two services race the IO thread's own wake-up
+  // handling. A lost wake-up would leave a response in the done ring until
+  // the next poll tick; with the tick at a minute and the client's receive
+  // deadline at a few seconds, that fails the test instead of only
+  // slowing it down.
+  auto m1 = MakeModel(20, 85);
+  auto m2 = MakeModel(20, 86);
+  ASSERT_TRUE(registry_.Register(1, m1).ok());
+  ASSERT_TRUE(registry_.Register(2, m2).ok());
+  serve::FrontEndOptions opts;
+  opts.poll_timeout_ms = 60'000;
+  StartFrontEnd(opts);
+  serve::WireClientOptions copts;
+  copts.receive_timeout_ms = 5'000;
+  serve::WireClient client(copts);
+  ASSERT_TRUE(client.Connect(frontend_->port()).ok());
+  const std::vector<double> obs = MakeObs(*m1, 32, 87);
+  constexpr int kWindows = 1000;
+  constexpr uint64_t kWindow = 32;
+  uint64_t id = 0;
+  for (int w = 0; w < kWindows; ++w) {
+    for (uint64_t i = 0; i < kWindow; ++i, ++id) {
+      ASSERT_TRUE(client
+                      .Send(Request(1 + id % 2, serve::DecodeKind::kViterbi,
+                                    &obs, id))
+                      .ok());
+    }
+    for (uint64_t i = 0; i < kWindow; ++i) {
+      serve::DecodeResponse resp;
+      const Status st = client.Receive(&resp);
+      ASSERT_TRUE(st.ok()) << "window " << w << ": " << st.ToString();
+      ASSERT_TRUE(resp.status.ok());
+    }
   }
 }
 
@@ -395,14 +450,15 @@ TEST_F(FrontEndTest, ExpiredDeadlineIsTypedDeadlineExceeded) {
   ASSERT_TRUE(client.Connect(frontend_->port()).ok());
   const std::vector<double> obs = {0.5, 1.5, 2.5};
 
-  // Hold the dispatcher so the deadline provably expires while queued.
-  frontend_->PauseDispatch();
+  // Hold the service so the deadline provably expires while queued.
+  auto svc = Service(1);
+  svc->PauseDispatch();
   serve::DecodeRequest<double> req =
       Request(1, serve::DecodeKind::kViterbi, &obs, 11);
   req.deadline_micros = 1;
   ASSERT_TRUE(client.Send(req).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  frontend_->ResumeDispatch();
+  svc->ResumeDispatch();
 
   serve::DecodeResponse resp;
   ASSERT_TRUE(client.Receive(&resp).ok());
@@ -426,9 +482,10 @@ TEST_F(FrontEndTest, FullQueueShedsWithTypedUnavailable) {
   ASSERT_TRUE(client.Connect(frontend_->port()).ok());
   const std::vector<double> obs = {0.5, 1.5, 2.5};
 
-  // With the dispatcher held, only queue_capacity requests fit; the rest
-  // must be shed immediately with Unavailable.
-  frontend_->PauseDispatch();
+  // With the service held, only queue_capacity requests fit in flight;
+  // the rest must be shed immediately with Unavailable.
+  auto svc = Service(1);
+  svc->PauseDispatch();
   constexpr uint64_t kTotal = 6;
   for (uint64_t i = 0; i < kTotal; ++i) {
     ASSERT_TRUE(
@@ -440,7 +497,7 @@ TEST_F(FrontEndTest, FullQueueShedsWithTypedUnavailable) {
        ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  frontend_->ResumeDispatch();
+  svc->ResumeDispatch();
 
   size_t ok = 0, shed = 0;
   for (uint64_t i = 0; i < kTotal; ++i) {
@@ -606,7 +663,7 @@ TEST_F(FrontEndTest, SessionPushRoundTripsOverTheWire) {
 
   // Reference: the single-stream decoder over the same math, same lag.
   const std::vector<double> obs = MakeObs(*model, 8, 142);
-  serve::StreamingOptions sopts;
+  serve::StreamingDecoderOptions sopts;
   sopts.lag = 2;
   serve::StreamingDecoder<double> ref(model, sopts);
   std::vector<int> want_labels;
@@ -670,6 +727,83 @@ TEST_F(FrontEndTest, SessionPushWithoutSessionsEnabledIsTypedError) {
   EXPECT_EQ(fut.Wait().status.code(), StatusCode::kInvalidArgument);
 }
 
+TEST_F(FrontEndTest, ClosingAConnectionDestroysItsSession) {
+  auto model = MakeModel(3, 145);
+  ASSERT_TRUE(registry_.Register(1, model).ok());
+  serve::SessionManager<double> sessions(model);
+  frontend_ = std::make_unique<serve::FrontEnd<double>>(&registry_);
+  frontend_->EnableSessions(&sessions, 1);
+  ASSERT_TRUE(frontend_->Start().ok());
+  const std::vector<double> obs = MakeObs(*model, 5, 146);
+  {
+    serve::WireClient client;
+    ASSERT_TRUE(client.Connect(frontend_->port()).ok());
+    serve::DecodeResponse resp;
+    ASSERT_TRUE(
+        client.Call(Request(1, serve::DecodeKind::kSessionPush, &obs, 65),
+                    &resp)
+            .ok());
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    EXPECT_EQ(sessions.live_sessions(), 1u);
+  }  // the client disconnects
+  // The IO thread sees the EOF and tears the session down with the
+  // connection, not when some later connection reuses the slot.
+  for (int spin = 0; spin < 2000 && sessions.live_sessions() != 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(sessions.live_sessions(), 0u);
+  frontend_.reset();  // the manager must outlive the front-end
+}
+
+// ------------------------------------------------------ drain on Stop() ---
+
+TEST_F(FrontEndTest, StopDrainsRequestsHeldInAPausedService) {
+  ASSERT_TRUE(registry_.Register(1, MakeModel(3, 147)).ok());
+  StartFrontEnd();
+  serve::WireClient client;
+  ASSERT_TRUE(client.Connect(frontend_->port()).ok());
+  const std::vector<double> obs = {0.5, 1.5, 2.5};
+
+  auto svc = Service(1);
+  svc->PauseDispatch();
+  constexpr uint64_t kHeld = 8;
+  for (uint64_t i = 0; i < kHeld; ++i) {
+    ASSERT_TRUE(
+        client.Send(Request(1, serve::DecodeKind::kViterbi, &obs, i)).ok());
+  }
+  // Wait until the IO thread has submitted every request: the in-flight
+  // gauge counts them.
+  const auto inflight = [] {
+    return obs::Registry::Global()
+        .TakeSnapshot("frontend.")
+        .ValueOf("frontend.req_ring_occupancy");
+  };
+  for (int spin = 0; spin < 2000 && inflight() != kHeld; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(inflight(), static_cast<double>(kHeld));
+
+  // Stop() must wait for every hook: the service resumes from another
+  // thread while Stop() is already blocked on the drain.
+  std::thread resumer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    svc->ResumeDispatch();
+  });
+  frontend_->Stop();
+  resumer.join();
+  EXPECT_EQ(frontend_->requests_served(), kHeld);
+
+  // The drained responses went out before the connection closed.
+  for (uint64_t i = 0; i < kHeld; ++i) {
+    serve::DecodeResponse resp;
+    ASSERT_TRUE(client.Receive(&resp).ok()) << i;
+    EXPECT_TRUE(resp.status.ok());
+    EXPECT_EQ(resp.request_id, i);
+  }
+  serve::DecodeResponse resp;
+  EXPECT_FALSE(client.Receive(&resp).ok());  // then the server closed
+}
+
 // --------------------------------------------- WireClient receive deadline ---
 
 TEST_F(FrontEndTest, ReceiveDeadlineExpiresAndConnectionRecovers) {
@@ -681,8 +815,9 @@ TEST_F(FrontEndTest, ReceiveDeadlineExpiresAndConnectionRecovers) {
   ASSERT_TRUE(client.Connect(frontend_->port()).ok());
   const std::vector<double> obs = {0.5, 1.5, 2.5};
 
-  // Hold the dispatcher: the response cannot arrive inside the deadline.
-  frontend_->PauseDispatch();
+  // Hold the service: the response cannot arrive inside the deadline.
+  auto svc = Service(1);
+  svc->PauseDispatch();
   ASSERT_TRUE(
       client.Send(Request(1, serve::DecodeKind::kViterbi, &obs, 81)).ok());
   serve::DecodeResponse resp;
@@ -690,7 +825,7 @@ TEST_F(FrontEndTest, ReceiveDeadlineExpiresAndConnectionRecovers) {
 
   // The connection was left intact: once the server catches up, the late
   // frame is still readable by a later Receive.
-  frontend_->ResumeDispatch();
+  svc->ResumeDispatch();
   Status st = Status::DeadlineExceeded("retry");
   for (int attempt = 0; attempt < 50 && !st.ok(); ++attempt) {
     st = client.Receive(&resp);
@@ -704,6 +839,64 @@ TEST_F(FrontEndTest, ReceiveDeadlineExpiresAndConnectionRecovers) {
   bad.receive_timeout_ms = -1;
   EXPECT_EQ(bad.Validate().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(serve::WireClientOptions{}.Validate().ok());
+}
+
+TEST(WireClientReceiveTest, MidFrameDeadlineKeepsTheFrameForTheNextReceive) {
+  // A raw loopback listener plays the server, so the test controls exactly
+  // how much of a response frame has arrived when the deadline fires.
+  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  socklen_t alen = sizeof(addr);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen), 0);
+  serve::WireClientOptions copts;
+  copts.receive_timeout_ms = 30;
+  serve::WireClient client(copts);
+  ASSERT_TRUE(client.Connect(ntohs(addr.sin_port)).ok());
+  const int sfd = ::accept(lfd, nullptr, nullptr);
+  ASSERT_GE(sfd, 0);
+
+  serve::DecodeResponse sent;
+  sent.request_id = 77;
+  sent.path = {0, 2, 1, 1};
+  sent.value = -3.25;
+  sent.model_version = 4;
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(wire::EncodeResponse(sent, /*model=*/9, &frame).ok());
+  const auto write_bytes = [&](size_t from, size_t to) {
+    ASSERT_EQ(::send(sfd, frame.data() + from, to - from, MSG_NOSIGNAL),
+              static_cast<ssize_t>(to - from));
+  };
+
+  // Half a header, then the deadline; the rest of the header and half the
+  // payload, then the deadline again; then the rest. Each Receive resumes
+  // the same frame.
+  const size_t half_header = wire::kHeaderSize / 2;
+  const size_t half_payload = (wire::kHeaderSize + frame.size()) / 2;
+  serve::DecodeResponse resp;
+  write_bytes(0, half_header);
+  EXPECT_EQ(client.Receive(&resp).code(), StatusCode::kDeadlineExceeded);
+  write_bytes(half_header, half_payload);
+  EXPECT_EQ(client.Receive(&resp).code(), StatusCode::kDeadlineExceeded);
+  write_bytes(half_payload, frame.size());
+  wire::FrameHeader h;
+  const Status st = client.Receive(&resp, &h);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(resp.request_id, 77u);
+  EXPECT_EQ(resp.path, sent.path);
+  EXPECT_EQ(resp.value, sent.value);
+  EXPECT_EQ(h.model, 9u);
+
+  // The next frame starts clean.
+  write_bytes(0, frame.size());
+  ASSERT_TRUE(client.Receive(&resp).ok());
+  EXPECT_EQ(resp.request_id, 77u);
+  ::close(sfd);
+  ::close(lfd);
 }
 
 // ------------------------------------------------- registry LRU edge cases ---
@@ -791,9 +984,6 @@ TEST_F(FrontEndTest, OptionsValidateRejectsNonsense) {
   EXPECT_FALSE(opts.Validate().ok());
   opts = {};
   opts.poll_timeout_ms = 0;
-  EXPECT_FALSE(opts.Validate().ok());
-  opts = {};
-  opts.max_inflight_batch = 0;
   EXPECT_FALSE(opts.Validate().ok());
   EXPECT_TRUE(serve::FrontEndOptions{}.Validate().ok());
   serve::ModelRegistryOptions ropts;

@@ -6,6 +6,9 @@
 //  - RCU model hot-swap: in-flight batches finish on their snapshot, new
 //    requests see the new model; ReloadModel round-trips SaveHmmToFile
 //    checkpoints and keeps serving the old model on failure,
+//  - every request completes through its CompletionHook, in slot order;
+//    an expired deadline is answered at batch cut without decode work,
+//    and destruction drains a paused service,
 //  - steady-state requests at a fixed shape make zero heap allocations
 //    (instrumented operator new),
 //  - StreamingDecoder's running log-likelihood matches offline
@@ -13,12 +16,16 @@
 //    its labels match offline PosteriorDecode exactly; pushes are
 //    allocation-free after warm-up.
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -109,7 +116,7 @@ TEST(DecodeServiceTest, BitwiseMatchesOfflineForEveryWorkerAndBatchSize) {
 
   for (int threads : {1, 2, 4}) {
     for (size_t max_batch : {size_t{1}, size_t{3}, size_t{64}}) {
-      serve::ServeOptions opts;
+      serve::DecodeServiceOptions opts;
       opts.num_threads = threads;
       opts.max_batch = max_batch;
       serve::DecodeService<double> service(model, opts);
@@ -150,7 +157,7 @@ TEST(DecodeServiceTest, HotSwapOldSnapshotFinishesNewRequestsSeeNewModel) {
   auto model_b = MakeModel(4, 22);
   hmm::Dataset<double> data = MakeData(*model_a, 8, 15, 23);
 
-  serve::ServeOptions opts;
+  serve::DecodeServiceOptions opts;
   opts.num_threads = 4;
   opts.max_batch = 2;
   serve::DecodeService<double> service(model_a, opts);
@@ -198,7 +205,7 @@ TEST(DecodeServiceTest, MidStreamSwapServesEveryRequestConsistently) {
   auto model_b = MakeModel(3, 32);
   hmm::Dataset<double> data = MakeData(*model_a, 24, 12, 33);
 
-  serve::ServeOptions opts;
+  serve::DecodeServiceOptions opts;
   opts.num_threads = 2;
   opts.max_batch = 4;
   serve::DecodeService<double> service(model_a, opts);
@@ -369,7 +376,7 @@ TEST(DecodeServiceTest, UnderflowedForwardMassRejectedNotAborted) {
 TEST(DecodeServiceTest, SteadyStateRequestsAreAllocationFree) {
   auto model = MakeModel(8, 61);
   hmm::Dataset<double> data = MakeData(*model, 16, 24, 62);
-  serve::ServeOptions opts;
+  serve::DecodeServiceOptions opts;
   opts.num_threads = 1;  // deterministic single-workspace path
   opts.max_batch = 8;
   serve::DecodeService<double> service(model, opts);
@@ -406,6 +413,115 @@ TEST(DecodeServiceTest, SteadyStateRequestsAreAllocationFree) {
   EXPECT_NE(sink, 0.0);
 }
 
+// Collects the responses handed to a CompletionHook, in call order.
+struct HookLog {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<serve::DecodeResponse> responses;  // guarded by mu
+
+  static void Record(void* ctx, const serve::DecodeResponse& resp) {
+    auto* log = static_cast<HookLog*>(ctx);
+    // Notify under the lock: the waiter may destroy the log once it sees
+    // the last response.
+    std::lock_guard<std::mutex> lock(log->mu);
+    log->responses.push_back(resp);
+    log->cv.notify_all();
+  }
+  serve::CompletionHook Hook() { return {&HookLog::Record, this}; }
+  void WaitFor(size_t n) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return responses.size() >= n; });
+  }
+};
+
+TEST(DecodeServiceTest, HookFormCompletesInSlotOrderBitwise) {
+  auto model = MakeModel(4, 63);
+  hmm::Dataset<double> data = MakeData(*model, 10, 12, 64);
+  serve::DecodeServiceOptions opts;
+  opts.num_threads = 2;
+  opts.max_batch = 4;
+  serve::DecodeService<double> service(model, opts);
+  HookLog log;
+  // Two rounds: the second runs on slots the first recycled (a slot that
+  // never came back would trip the destructor's outstanding-slot check).
+  for (int round = 0; round < 2; ++round) {
+    service.PauseDispatch();  // queue everything, then cut several batches
+    for (size_t s = 0; s < data.size(); ++s) {
+      serve::DecodeRequest<double> req;
+      req.request_id = round * 100 + s;
+      req.obs = &data[s].obs;
+      service.Submit(req, log.Hook());
+    }
+    service.ResumeDispatch();
+    log.WaitFor((round + 1) * data.size());
+  }
+  ASSERT_EQ(log.responses.size(), 2 * data.size());
+  for (size_t i = 0; i < log.responses.size(); ++i) {
+    const serve::DecodeResponse& r = log.responses[i];
+    const size_t s = i % data.size();
+    EXPECT_EQ(r.request_id, (i / data.size()) * 100 + s);  // FIFO
+    ASSERT_TRUE(r.status.ok());
+    const OfflineRef ref = Offline(*model, data[s].obs);
+    EXPECT_EQ(r.path, ref.viterbi.path);
+    EXPECT_EQ(r.value, ref.viterbi.log_joint);
+  }
+  EXPECT_EQ(service.requests_served(), 2 * data.size());
+}
+
+TEST(DecodeServiceTest, ExpiredDeadlineAnsweredAtBatchCutWithoutDecoding) {
+  auto model = MakeModel(3, 65);
+  hmm::Dataset<double> data = MakeData(*model, 1, 9, 66);
+  serve::DecodeService<double> service(model, {});
+  service.PauseDispatch();
+  // An empty sequence would be InvalidArgument if it were decoded, so a
+  // DeadlineExceeded answer proves no decode work ran.
+  const std::vector<double> empty;
+  serve::DecodeRequest<double> late;
+  late.obs = &empty;
+  late.deadline_micros = 1;
+  serve::DecodeFuture<double> expired = service.Submit(late);
+  serve::DecodeRequest<double> ample;
+  ample.obs = &data[0].obs;
+  ample.deadline_micros = 60'000'000;
+  serve::DecodeFuture<double> on_time = service.Submit(ample);
+  // A wire deadline is unchecked input: an absurd one means no deadline,
+  // and must not overflow the clock arithmetic (UBSan flags 2^62 us).
+  serve::DecodeRequest<double> absurd = ample;
+  absurd.deadline_micros = uint64_t{1} << 62;
+  serve::DecodeFuture<double> unbounded = service.Submit(absurd);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  service.ResumeDispatch();
+
+  EXPECT_EQ(expired.Wait().status.code(), StatusCode::kDeadlineExceeded);
+  const serve::DecodeResult& r = on_time.Wait();
+  ASSERT_TRUE(r.status.ok());
+  const OfflineRef ref = Offline(*model, data[0].obs);
+  EXPECT_EQ(r.path, ref.viterbi.path);
+  EXPECT_EQ(r.value, ref.viterbi.log_joint);
+  EXPECT_TRUE(unbounded.Wait().status.ok());
+}
+
+TEST(DecodeServiceTest, DestructionDrainsAPausedServiceThroughItsHooks) {
+  auto model = MakeModel(3, 67);
+  hmm::Dataset<double> data = MakeData(*model, 3, 7, 68);
+  HookLog log;
+  {
+    serve::DecodeService<double> service(model, {});
+    service.PauseDispatch();
+    for (size_t s = 0; s < data.size(); ++s) {
+      serve::DecodeRequest<double> req;
+      req.request_id = s;
+      req.obs = &data[s].obs;
+      service.Submit(req, log.Hook());
+    }
+  }  // destruction overrides the pause and drains
+  ASSERT_EQ(log.responses.size(), data.size());
+  for (size_t s = 0; s < data.size(); ++s) {
+    EXPECT_EQ(log.responses[s].request_id, s);
+    EXPECT_TRUE(log.responses[s].status.ok());
+  }
+}
+
 // -------------------------------------------------------- StreamingDecoder ---
 
 TEST(StreamingDecoderTest, PrefixLogLikelihoodMatchesOfflineBitwise) {
@@ -413,7 +529,7 @@ TEST(StreamingDecoderTest, PrefixLogLikelihoodMatchesOfflineBitwise) {
   hmm::Dataset<double> data = MakeData(*model, 1, 20, 72);
   const std::vector<double>& obs = data[0].obs;
 
-  serve::StreamingOptions opts;
+  serve::StreamingDecoderOptions opts;
   opts.lag = 3;
   serve::StreamingDecoder<double> dec(model, opts);
   for (size_t t = 0; t < obs.size(); ++t) {
@@ -431,7 +547,7 @@ TEST(StreamingDecoderTest, FullLagFinishMatchesOfflinePosteriorDecode) {
   for (size_t len : {1, 2, 7, 16}) {
     hmm::Dataset<double> data = MakeData(*model, 1, len, 82 + len);
     const std::vector<double>& obs = data[0].obs;
-    serve::StreamingOptions opts;
+    serve::StreamingDecoderOptions opts;
     opts.lag = obs.size();  // > T - 1: nothing emitted until Finish
     serve::StreamingDecoder<double> dec(model, opts);
     for (double y : obs) EXPECT_FALSE(dec.Push(y));
@@ -447,7 +563,7 @@ TEST(StreamingDecoderTest, FixedLagEmitsOnTimeAndFinishFlushesTheRest) {
   auto model = MakeModel(4, 91);
   hmm::Dataset<double> data = MakeData(*model, 1, 12, 92);
   const std::vector<double>& obs = data[0].obs;
-  serve::StreamingOptions opts;
+  serve::StreamingDecoderOptions opts;
   opts.lag = 4;
   serve::StreamingDecoder<double> dec(model, opts);
   std::vector<int> labels;
@@ -478,7 +594,7 @@ TEST(StreamingDecoderTest, ZeroLagIsFilteringAndEmitsImmediately) {
   auto model = MakeModel(3, 101);
   hmm::Dataset<double> data = MakeData(*model, 1, 6, 102);
   const std::vector<double>& obs = data[0].obs;
-  serve::StreamingOptions opts;
+  serve::StreamingDecoderOptions opts;
   opts.lag = 0;
   serve::StreamingDecoder<double> dec(model, opts);
   for (size_t t = 0; t < obs.size(); ++t) {
@@ -500,7 +616,7 @@ TEST(StreamingDecoderTest, ZeroLagIsFilteringAndEmitsImmediately) {
 TEST(StreamingDecoderTest, PushIsAllocationFreeAfterWarmup) {
   auto model = MakeModel(6, 111);
   hmm::Dataset<double> data = MakeData(*model, 1, 64, 112);
-  serve::StreamingOptions opts;
+  serve::StreamingDecoderOptions opts;
   opts.lag = 8;
   serve::StreamingDecoder<double> dec(model, opts);
   // Two warm pushes: the cached transition transpose is first built by the
@@ -517,7 +633,7 @@ TEST(StreamingDecoderTest, ResetReusesWarmBuffersWithoutAllocating) {
   auto model_a = MakeModel(6, 115);
   auto model_b = MakeModel(6, 116);  // same state count: same buffer shape
   hmm::Dataset<double> data = MakeData(*model_a, 1, 32, 117);
-  serve::StreamingOptions opts;
+  serve::StreamingDecoderOptions opts;
   opts.lag = 8;
   serve::StreamingDecoder<double> dec(model_a, opts);
   for (size_t t = 0; t < 16; ++t) dec.Push(data[0].obs[t]);
@@ -544,7 +660,7 @@ TEST(StreamingDecoderTest, ImpossibleObservationPoisonsStreamNotProcess) {
       linalg::Vector{0.5, 0.5}, linalg::Matrix{{0.5, 0.5}, {0.5, 0.5}},
       std::make_unique<prob::CategoricalEmission>(
           linalg::Matrix{{0.5, 0.5, 0.0}, {0.25, 0.75, 0.0}}));
-  serve::StreamingOptions opts;
+  serve::StreamingDecoderOptions opts;
   opts.lag = 0;
   serve::StreamingDecoder<int> dec(model, opts);
   EXPECT_TRUE(dec.Push(0));
@@ -568,7 +684,7 @@ TEST(StreamingDecoderTest, ResetSwapsModelAndRestartsTheStream) {
   hmm::Dataset<double> data = MakeData(*model_a, 1, 10, 123);
   const std::vector<double>& obs = data[0].obs;
 
-  serve::StreamingOptions opts;
+  serve::StreamingDecoderOptions opts;
   opts.lag = 2;
   serve::StreamingDecoder<double> dec(model_a, opts);
   for (double y : obs) dec.Push(y);
