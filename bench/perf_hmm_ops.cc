@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -354,19 +355,23 @@ BENCHMARK(BM_LogLikelihoodOnly)->Args({15, 24})->Args({26, 8});
 
 // ----------------------------------------------- per-ISA dispatch benches ---
 //
-// One ForwardBackward series per compiled-and-runnable kernel ISA, at the
-// two shapes the dispatch layer is gated on: k = 8 (largest fixed-k
-// instantiation) and k = 50 (variable-length vector path). The speedup
-// bars — avx* >= 1.5x scalar at k = 8 and >= 2.5x at k = 50 — are read off
-// these series. The benchmark forces the process-wide tables to the
+// One ForwardBackward and one Viterbi series per compiled-and-runnable
+// kernel ISA, at the two shapes the dispatch layer is gated on: k = 8
+// (largest fixed-k cell) and k = 50 (variable-length vector path). The FB
+// speedup bars — avx* >= 1.5x scalar at k = 8 and >= 2.5x at k = 50 — are
+// read off these series; the Viterbi series report each ISA's number with
+// no bar. The benchmark forces the process-wide tables to the
 // requested ISA for its duration (documented test/bench-only hook) and
 // restores the startup resolution afterwards; Google Benchmark runs
 // benchmarks sequentially, so nothing else observes the swap.
 
 namespace klib = dhmm::linalg::kernels;
 
-void BM_ForwardBackwardIsa(benchmark::State& state, klib::Isa isa, size_t k,
-                           size_t t) {
+// Times `decode(chain, &ws)` (which returns the value to keep alive) with
+// the process-wide tables forced to `isa`.
+template <typename Decode>
+void BM_UnderIsa(benchmark::State& state, klib::Isa isa, size_t k, size_t t,
+                 Decode decode) {
   Chain c = MakeChain(k, t);
   const klib::Isa restore = klib::ActiveIsa();
   if (!klib::internal::ForceIsaForTestOnly(isa)) {
@@ -374,11 +379,7 @@ void BM_ForwardBackwardIsa(benchmark::State& state, klib::Isa isa, size_t k,
     return;
   }
   hmm::InferenceWorkspace ws;
-  hmm::ForwardBackwardResult fb;
-  for (auto _ : state) {
-    hmm::ForwardBackward(c.pi, c.a, c.log_b, &ws, &fb);
-    benchmark::DoNotOptimize(fb.log_likelihood);
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(decode(c, &ws));
   klib::internal::ForceIsaForTestOnly(restore);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(t));
@@ -388,13 +389,29 @@ int RegisterPerIsaBenches() {
   for (klib::Isa isa : klib::CompiledIsas()) {
     if (!klib::IsaAvailable(isa)) continue;
     for (size_t k : {size_t{8}, size_t{50}}) {
-      const std::string name = std::string("BM_ForwardBackwardIsa/") +
-                               klib::IsaName(isa) + "/k:" +
-                               std::to_string(k) + "/T:100";
+      const std::string shape = std::string("/") + klib::IsaName(isa) +
+                                "/k:" + std::to_string(k) + "/T:100";
       benchmark::RegisterBenchmark(
-          name.c_str(),
+          ("BM_ForwardBackwardIsa" + shape).c_str(),
           [isa, k](benchmark::State& state) {
-            BM_ForwardBackwardIsa(state, isa, k, 100);
+            hmm::ForwardBackwardResult fb;
+            BM_UnderIsa(state, isa, k, 100,
+                        [&fb](const Chain& c, hmm::InferenceWorkspace* ws) {
+                          hmm::ForwardBackward(c.pi, c.a, c.log_b, ws, &fb);
+                          return fb.log_likelihood;
+                        });
+          });
+      // Viterbi output is bitwise identical under every ISA, so these
+      // series differ in time only.
+      benchmark::RegisterBenchmark(
+          ("BM_ViterbiIsa" + shape).c_str(),
+          [isa, k](benchmark::State& state) {
+            hmm::ViterbiResult res;
+            BM_UnderIsa(state, isa, k, 100,
+                        [&res](const Chain& c, hmm::InferenceWorkspace* ws) {
+                          hmm::Viterbi(c.pi, c.a, c.log_b, ws, &res);
+                          return res.log_joint;
+                        });
           });
     }
   }
@@ -405,32 +422,55 @@ int RegisterPerIsaBenches() {
 //
 // Before anything is timed, every compiled ISA's tables (generic and
 // fixed-k) are compared against the scalar oracle on randomized data over
-// the shapes the engine uses — abort on any divergence beyond 1e-12, so a
-// broken variant can never produce a plausible-looking benchmark number.
+// the shapes the engine uses — abort on any divergence beyond 1e-12, and
+// on any bit of difference in viterbi_step (whose contract is bitwise), so
+// a broken variant can never produce a plausible-looking benchmark number.
 
 void CheckDispatchParityOrDie() {
   prob::Rng rng(20160516);
-  std::vector<double> x, y, w, a, s0, s1, v0, v1;
+  std::vector<double> x, y, w, a, log_a, s0, s1, v0, v1;
+  std::vector<int> psi0, psi1;
   for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
-                   size_t{6}, size_t{7}, size_t{8}, size_t{20}, size_t{50}}) {
+                   size_t{6}, size_t{7}, size_t{8}, size_t{20}, size_t{26},
+                   size_t{50}}) {
     x.resize(n);
     y.resize(n);
     w.resize(n);
     a.resize(n * n);
+    log_a.resize(n * n);
     s0.assign(n, 0.0);
     s1.assign(n, 0.0);
     v0.resize(n);
     v1.resize(n);
+    psi0.resize(n);
+    psi1.resize(n);
     for (size_t i = 0; i < n; ++i) {
       x[i] = 2.0 * rng.Uniform() - 1.0;
       y[i] = 2.0 * rng.Uniform() - 1.0;
       w[i] = rng.Uniform();
     }
-    for (size_t i = 0; i < n * n; ++i) a[i] = rng.Uniform();
+    for (size_t i = 0; i < n * n; ++i) {
+      a[i] = rng.Uniform();
+      // Quantized, with zeros: exact ties and -inf candidates.
+      const double q = std::floor(4.0 * a[i]) / 4.0;
+      log_a[i] = q > 0.0 ? std::log(q) : kNegInf;
+    }
     const klib::KernelTable& sc = klib::TableFor(klib::Isa::kScalar, n);
     for (klib::Isa isa : klib::CompiledIsas()) {
       if (isa == klib::Isa::kScalar || !klib::IsaAvailable(isa)) continue;
       const klib::KernelTable& kt = klib::TableFor(isa, n);
+      kt.viterbi_step(x.data(), log_a.data(), y.data(), n, v0.data(),
+                      psi0.data());
+      sc.viterbi_step(x.data(), log_a.data(), y.data(), n, v1.data(),
+                      psi1.data());
+      if (std::memcmp(v0.data(), v1.data(), n * sizeof(double)) != 0 ||
+          psi0 != psi1) {
+        std::fprintf(stderr,
+                     "kernel dispatch parity failure: %s viterbi_step is not "
+                     "bitwise equal to scalar at n=%zu\n",
+                     kt.name, n);
+        std::abort();
+      }
       double worst = 0.0;
       auto note = [&](double d) { worst = std::max(worst, std::fabs(d)); };
       note(kt.sum_row(x.data(), n) - sc.sum_row(x.data(), n));

@@ -44,7 +44,7 @@ void OptimizedHmm::Fit(const hmm::Dataset<prob::BinaryObs>& data) {
   double best_acc = -1.0;
   // One workspace for the whole grid search: the emission table and Viterbi
   // tables are recomputed per (pseudo, w, sequence) but never reallocated,
-  // and the workspace's TransitionCache rebuilds log(A)^T once per candidate
+  // and the workspace's TransitionCache rebuilds log(A) once per candidate
   // (A is fixed across the w sweep and the validation set).
   hmm::InferenceWorkspace ws;
   hmm::ViterbiResult decoded;

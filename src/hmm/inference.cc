@@ -14,8 +14,8 @@ namespace dhmm::hmm {
 namespace klib = linalg::kernels;
 
 // Every Try* entry point fetches its kernel table once via klib::ForK(k)
-// — outside all per-frame loops — and calls the reduction/axpy/fused
-// kernels through it. The cheap inline scans (ArgMax*, ScaleRow,
+// — outside all per-frame loops — and calls the reduction/axpy/fused/
+// Viterbi kernels through it. The cheap inline scans (ArgMaxRow, ScaleRow,
 // MulRowInto) stay direct calls: they are branchy or trivially cheap and
 // identical across variants.
 
@@ -40,19 +40,19 @@ const linalg::Matrix& TransitionCache::Transpose(const linalg::Matrix& a) {
   return a_t_;
 }
 
-const linalg::Matrix& TransitionCache::LogTranspose(const linalg::Matrix& a) {
+const linalg::Matrix& TransitionCache::Log(const linalg::Matrix& a) {
   Sync(a);
   if (!log_valid_) {
-    const size_t k = a_t_.rows();
-    log_a_t_.Resize(k, k);
-    const double* src = a_t_.data();
-    double* dst = log_a_t_.data();
+    const size_t k = a.rows();
+    log_a_.Resize(k, k);
+    const double* src = a.data();
+    double* dst = log_a_.data();
     for (size_t i = 0; i < k * k; ++i) {
       dst[i] = src[i] > 0.0 ? std::log(src[i]) : prob::kNegInf;
     }
     log_valid_ = true;
   }
-  return log_a_t_;
+  return log_a_;
 }
 
 namespace internal {
@@ -537,41 +537,33 @@ Status TryViterbi(const linalg::Vector& pi, const linalg::Matrix& a,
   for (size_t i = 0; i < k; ++i) {
     ws->log_pi[i] = pi[i] > 0.0 ? std::log(pi[i]) : prob::kNegInf;
   }
-  // The recursion maxes over predecessors i of log_a(i, j) for fixed j — a
-  // column of log A. Dot against rows of the cached log-transpose instead;
-  // like the forward transpose it is rebuilt only when A changes.
-  const linalg::Matrix& log_a_t = ws->transition.LogTranspose(a);
+  // Row-major log A, rebuilt only when A changes (like the transpose).
+  const linalg::Matrix& log_a = ws->transition.Log(a);
+  const klib::KernelTable& kt = klib::ForK(k);
 
   ws->delta.Resize(big_t, k);
   // Backpointers as one flat row-major T*k buffer: psi[t * k + j] is the
-  // best predecessor of state j at frame t. The seed code used a
-  // vector<vector<int>> (T separate heap allocations per decode).
+  // best predecessor of state j at frame t.
   ws->psi.resize(big_t * k);
   linalg::Matrix& delta = ws->delta;
   std::vector<int>& psi = ws->psi;
 
   for (size_t i = 0; i < k; ++i) delta(0, i) = ws->log_pi[i] + log_b(0, i);
   for (size_t t = 1; t < big_t; ++t) {
-    int* psi_row = psi.data() + t * k;
-    const double* prev = delta.row_data(t - 1);
-    const double* lb_row = log_b.row_data(t);
-    double* delta_row = delta.row_data(t);
-    for (size_t j = 0; j < k; ++j) {
-      // ArgMaxSumRow uses strict >, keeping the lowest-index predecessor on
-      // ties (pinned by tests/engine_test.cc).
-      double best = prob::kNegInf;
-      psi_row[j] = static_cast<int>(
-          klib::ArgMaxSumRow(prev, log_a_t.row_data(j), k, &best));
-      delta_row[j] = best + lb_row[j];
-    }
+    // Ascending predecessors with a strict > keep the lowest-index
+    // predecessor on ties (pinned by tests/engine_test.cc).
+    kt.viterbi_step(delta.row_data(t - 1), log_a.data(), log_b.row_data(t), k,
+                    delta.row_data(t), psi.data() + t * k);
   }
 
   out->path.resize(big_t);
   const double* last = delta.row_data(big_t - 1);
   const size_t arg = klib::ArgMaxRow(last, k);
-  if (last[arg] == prob::kNegInf) {
+  // -inf: no state path has positive probability. NaN (a NaN emission
+  // row) or +inf: the score is meaningless. Either way, no answer.
+  if (!std::isfinite(last[arg])) {
     return Status::InvalidArgument(
-        "no state path has positive probability for the sequence");
+        "no state path has a finite score for the sequence");
   }
   out->log_joint = last[arg];
   out->path[big_t - 1] = static_cast<int>(arg);

@@ -20,11 +20,12 @@
 // The inner loops run on the deterministic micro-kernels in linalg/kernels.h
 // (restrict pointers, fixed 4-way accumulation order, 64-byte-aligned
 // storage): results are bitwise reproducible for a given input regardless of
-// workspace reuse or thread count. Transition-matrix derivatives (the
-// transpose used by the forward pass and the log-transpose used by Viterbi)
-// are cached in the workspace keyed by the matrix contents, so they are
-// rebuilt once per EM iteration instead of re-read column-wise T times per
-// sequence.
+// workspace reuse or thread count. Viterbi goes further: its per-frame
+// kernel has no reduction, so delta, backpointers, path and score are
+// bitwise identical under every kernel ISA. Transition-matrix derivatives
+// (the transpose used by the forward pass and the row-major log A used by
+// Viterbi) are cached in the workspace keyed by the matrix contents, so
+// they are rebuilt once per EM iteration instead of once per sequence.
 #ifndef DHMM_HMM_INFERENCE_H_
 #define DHMM_HMM_INFERENCE_H_
 
@@ -49,20 +50,21 @@ std::string FrameError(const char* what, size_t t);
 /// \brief Content-keyed cache of derived views of a transition matrix.
 ///
 /// The forward recursion consumes A column-wise (alpha_t = A^T alpha_{t-1})
-/// and Viterbi consumes log A column-wise; both want a contiguous row to dot
-/// against. The cache stores A^T (and lazily log A^T) and revalidates by
-/// bitwise comparison against a snapshot of A, so the rebuild happens once
-/// per EM iteration (when the M-step writes a new A) rather than per
-/// sequence. Rebuilds are in-place for a fixed k: no steady-state heap
-/// allocations.
+/// and wants a contiguous row to dot against, so the cache stores A^T.
+/// Viterbi broadcasts each predecessor over a contiguous row of log A, so
+/// the cache also stores log A, row-major, built lazily with k^2 logs.
+/// Both revalidate by bitwise comparison against a snapshot of A, so the
+/// rebuild happens once per EM iteration (when the M-step writes a new A)
+/// rather than per sequence. Rebuilds are in-place for a fixed k: no
+/// steady-state heap allocations.
 class TransitionCache {
  public:
   /// Returns A^T, rebuilding iff `a` differs bitwise from the snapshot.
   const linalg::Matrix& Transpose(const linalg::Matrix& a);
 
-  /// Returns elementwise log(A)^T with log(0) = -inf, rebuilding on the
-  /// same staleness condition (and lazily on first use).
-  const linalg::Matrix& LogTranspose(const linalg::Matrix& a);
+  /// Returns elementwise log(A), row-major, with log(0) = -inf, rebuilding
+  /// on the same staleness condition (and lazily on first use).
+  const linalg::Matrix& Log(const linalg::Matrix& a);
 
   /// Bumped every time the snapshot is refreshed; tests use this to assert
   /// the cache rebuilds exactly when A changes.
@@ -74,7 +76,7 @@ class TransitionCache {
 
   linalg::Matrix a_copy_;    // bitwise snapshot of A for staleness detection
   linalg::Matrix a_t_;       // A^T
-  linalg::Matrix log_a_t_;   // log(A)^T, built lazily for Viterbi
+  linalg::Matrix log_a_;     // log(A), built lazily for Viterbi
   bool log_valid_ = false;
   uint64_t version_ = 0;
 };
@@ -95,7 +97,7 @@ struct InferenceWorkspace {
   linalg::Vector frame_u;    ///< k hoisted backward frame product
                              ///< btilde(t+1,.) * beta_hat(t+1,.) / c_{t+1}
 
-  // Cached transition-matrix derivatives (transpose / log-transpose).
+  // Cached transition-matrix derivatives (transpose / log A).
   TransitionCache transition;
 
   // Viterbi scratch.
@@ -290,15 +292,18 @@ struct ViterbiResult {
 };
 
 /// \brief Most-likely state sequence via the Viterbi recursion (log
-/// domain) — canonical non-aborting form. A sequence with no finite-score
-/// state path returns InvalidArgument (see TryForwardBackward).
+/// domain) — canonical non-aborting form. A sequence whose best final
+/// score is not finite (no positive-probability path, or a NaN emission
+/// row) returns InvalidArgument (see TryForwardBackward).
 ///
 /// Tie-breaking contract: when several predecessors (or final states) attain
 /// the same score, the lowest state index wins. Tests pin this so storage
-/// rewrites cannot silently change decoded paths. Backpointers live in the
+/// rewrites cannot silently change decoded paths. Each frame is one
+/// `viterbi_step` of the kernel table for k (linalg/kernels_dispatch.h),
+/// bitwise identical under every ISA. Backpointers live in the
 /// workspace's flat row-major `psi` buffer (one allocation for the whole
-/// table, reused across calls) and the log-transition matrix comes from the
-/// workspace's TransitionCache (rebuilt only when A changes).
+/// table, reused across calls) and log A comes from the workspace's
+/// TransitionCache (rebuilt only when A changes).
 Status TryViterbi(const linalg::Vector& pi, const linalg::Matrix& a,
                   const linalg::Matrix& log_b, InferenceWorkspace* ws,
                   ViterbiResult* out);

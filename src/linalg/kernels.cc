@@ -101,6 +101,25 @@ void BackwardFused(const double* DHMM_RESTRICT a, const double* DHMM_RESTRICT u,
   }
 }
 
+void ViterbiStep(const double* DHMM_RESTRICT prev,
+                 const double* DHMM_RESTRICT log_a,
+                 const double* DHMM_RESTRICT log_b_row, std::size_t k,
+                 double* DHMM_RESTRICT delta_out, int* DHMM_RESTRICT psi_out) {
+  for (std::size_t j = 0; j < k; ++j) {
+    double best = prev[0] + log_a[j];
+    int arg = 0;
+    for (std::size_t i = 1; i < k; ++i) {
+      const double v = prev[i] + log_a[i * k + j];
+      if (v > best) {
+        best = v;
+        arg = static_cast<int>(i);
+      }
+    }
+    delta_out[j] = best + log_b_row[j];
+    psi_out[j] = arg;
+  }
+}
+
 double ExpShiftRow(const double* DHMM_RESTRICT x, std::size_t n,
                    double* DHMM_RESTRICT out) {
   const double m = MaxRow(x, n);

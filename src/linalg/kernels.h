@@ -64,25 +64,6 @@ inline std::size_t ArgMaxRow(const double* DHMM_RESTRICT x, std::size_t n) {
   return arg;
 }
 
-/// \brief Index maximizing x[i] + y[i]; lowest index wins ties, the winning
-/// value is written to *best. n > 0. This is one Viterbi transition step
-/// against a row of the cached transposed log-transition matrix.
-inline std::size_t ArgMaxSumRow(const double* DHMM_RESTRICT x,
-                                const double* DHMM_RESTRICT y, std::size_t n,
-                                double* DHMM_RESTRICT best) {
-  std::size_t arg = 0;
-  double b = x[0] + y[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    const double v = x[i] + y[i];
-    if (v > b) {
-      b = v;
-      arg = i;
-    }
-  }
-  *best = b;
-  return arg;
-}
-
 /// \brief In-place x *= s.
 inline void ScaleRow(double* DHMM_RESTRICT x, std::size_t n, double s) {
   for (std::size_t i = 0; i < n; ++i) x[i] *= s;
@@ -173,6 +154,24 @@ void MatVecColMul(const double* DHMM_RESTRICT a,
 void BackwardFused(const double* DHMM_RESTRICT a, const double* DHMM_RESTRICT u,
                    const double* DHMM_RESTRICT s, std::size_t m, std::size_t n,
                    double* DHMM_RESTRICT beta_out, double* DHMM_RESTRICT xi);
+
+/// \brief One Viterbi frame over row-major log A (k x k):
+/// delta_out[j] = max_i (prev[i] + log_a[i][j]) + log_b_row[j] and
+/// psi_out[j] = the maximizing i. For each successor j, predecessor i = 0
+/// seeds the best and each later i, ascending, replaces it only on a strict
+/// >, so the lowest index wins ties and a NaN candidate never wins. This
+/// oracle runs that scan successor by successor, down a column of log A
+/// with the running best in a register (a scalar row sweep measured slower:
+/// its read-modify-write of delta_out serializes). The vector variants run
+/// it in row-broadcast form, adding prev[i] to the contiguous row
+/// log_a[i][.] for a block of successors at once. Every candidate is one
+/// IEEE add of the same two doubles and the max is exact, so every ISA's
+/// variant is bitwise equal to this loop. delta_out and psi_out must not
+/// alias the inputs.
+void ViterbiStep(const double* DHMM_RESTRICT prev,
+                 const double* DHMM_RESTRICT log_a,
+                 const double* DHMM_RESTRICT log_b_row, std::size_t k,
+                 double* DHMM_RESTRICT delta_out, int* DHMM_RESTRICT psi_out);
 
 /// \brief Shifted exponentiation of one emission row: returns
 /// m = max_i x[i] and writes out[i] = exp(x[i] - m), so at least one output

@@ -38,6 +38,14 @@
 //  - ExpShiftRow is the MaxRow contract followed by the shared PolyExp
 //    per element (vector lanes and scalar tail evaluate the identical
 //    operation sequence; see kernels_poly_exp.h).
+//  - ViterbiStep has no reduction: successor states j are the lanes, up
+//    to four 4-lane blocks (16 states) per chunk stay in registers for
+//    the whole predecessor loop, the last block lane-masked. Predecessor
+//    0 seeds best = prev[0] + log_a[0][j]; each later i ascending forms
+//    prev[i] + log_a[i][j] and takes it, with index i, where it is
+//    strictly greater than best (a NaN candidate never wins). That is the
+//    scalar oracle's per-element expression and order, so the result is
+//    bitwise equal to it.
 //
 // NaN semantics of MaxRow match the scalar oracle: a NaN candidate never
 // replaces the running max (vmaxpd(x, acc) keeps acc when x is NaN).
@@ -392,6 +400,137 @@ double ExpShiftRowAvx2(const double* DHMM_RESTRICT x, std::size_t n,
   return m;
 }
 
+// The same tail-mask table as 32-bit lanes, for the backpointer stores.
+alignas(32) constexpr int kTailMask32[8] = {-1, -1, -1, -1, 0, 0, 0, 0};
+
+// Running best and argmax of one block of 4 successor states. The index
+// lanes are held as doubles (a predecessor index is exact in a double), so
+// they blend under the same compare mask as best; the store converts them
+// once with cvttpd.
+struct ViterbiBlock256 {
+  __m256d best;
+  __m256d arg;
+};
+
+template <bool kMasked>
+inline __m256d LoadBlock256(const double* DHMM_RESTRICT p, __m256i tm) {
+  return kMasked ? _mm256_maskload_pd(p, tm) : _mm256_loadu_pd(p);
+}
+
+// Predecessor 0 seeds the block: best = prev[0] + log_a[0][j], arg = 0.
+template <bool kMasked>
+inline void SeedBlock256(__m256d p0, const double* DHMM_RESTRICT row,
+                         __m256i tm, ViterbiBlock256* blk) {
+  blk->best = _mm256_add_pd(p0, LoadBlock256<kMasked>(row, tm));
+  blk->arg = _mm256_setzero_pd();
+}
+
+// Predecessor i: where cand = prev[i] + log_a[i][j] is strictly greater
+// than best (ordered compare: a NaN candidate never wins), take cand and
+// i. vmaxpd(cand, best) returns cand exactly when cand > best (a NaN on
+// either side, or equality, keeps best), so it is that strict-> select
+// with best off the compare's latency chain; arg blends under the mask.
+template <bool kMasked>
+inline void UpdateBlock256(__m256d pv, __m256d iv,
+                           const double* DHMM_RESTRICT row, __m256i tm,
+                           ViterbiBlock256* blk) {
+  const __m256d cand = _mm256_add_pd(pv, LoadBlock256<kMasked>(row, tm));
+  const __m256d gt = _mm256_cmp_pd(cand, blk->best, _CMP_GT_OQ);
+  blk->best = _mm256_max_pd(cand, blk->best);
+  blk->arg = _mm256_blendv_pd(blk->arg, iv, gt);
+}
+
+// delta = best + log_b and the converted backpointers for the block; with
+// kMasked only its low `lanes` lanes are written.
+template <bool kMasked>
+inline void StoreBlock256(const ViterbiBlock256& blk,
+                          const double* DHMM_RESTRICT log_b_row,
+                          std::size_t lanes, double* DHMM_RESTRICT delta_out,
+                          int* DHMM_RESTRICT psi_out) {
+  const __m128i idx = _mm256_cvttpd_epi32(blk.arg);
+  if (kMasked) {
+    const __m256i tm = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(kTailMask + (4 - lanes)));
+    const __m128i tm32 = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(kTailMask32 + (4 - lanes)));
+    _mm256_maskstore_pd(
+        delta_out, tm,
+        _mm256_add_pd(blk.best, _mm256_maskload_pd(log_b_row, tm)));
+    _mm_maskstore_epi32(psi_out, tm32, idx);
+  } else {
+    _mm256_storeu_pd(delta_out,
+                     _mm256_add_pd(blk.best, _mm256_loadu_pd(log_b_row)));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(psi_out), idx);
+  }
+}
+
+// Row-broadcast Viterbi over NB <= 4 blocks of 4 successor states starting
+// at column j0, each block's best and arg held in registers across the
+// whole predecessor loop (named locals, not an array, so they stay out of
+// memory). With kTail the last block keeps only its low `lanes` (1..4)
+// lanes, through vmaskmovpd.
+template <int NB, bool kTail>
+void ViterbiBlocksAvx2(const double* DHMM_RESTRICT prev,
+                       const double* DHMM_RESTRICT log_a,
+                       const double* DHMM_RESTRICT log_b_row, std::size_t k,
+                       std::size_t j0, std::size_t lanes,
+                       double* DHMM_RESTRICT delta_out,
+                       int* DHMM_RESTRICT psi_out) {
+  constexpr bool kMask0 = kTail && NB == 1;
+  constexpr bool kMask1 = kTail && NB == 2;
+  constexpr bool kMask2 = kTail && NB == 3;
+  const __m256i tm = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kTailMask + (4 - lanes)));
+  [[maybe_unused]] ViterbiBlock256 b0{}, b1{}, b2{}, b3{};
+  const __m256d p0 = _mm256_set1_pd(prev[0]);
+  const double* DHMM_RESTRICT row0 = log_a + j0;
+  SeedBlock256<kMask0>(p0, row0, tm, &b0);
+  if constexpr (NB > 1) SeedBlock256<kMask1>(p0, row0 + 4, tm, &b1);
+  if constexpr (NB > 2) SeedBlock256<kMask2>(p0, row0 + 8, tm, &b2);
+  if constexpr (NB > 3) SeedBlock256<kTail>(p0, row0 + 12, tm, &b3);
+  for (std::size_t i = 1; i < k; ++i) {
+    const __m256d pv = _mm256_set1_pd(prev[i]);
+    const __m256d iv = _mm256_set1_pd(static_cast<double>(i));
+    const double* DHMM_RESTRICT row = log_a + i * k + j0;
+    UpdateBlock256<kMask0>(pv, iv, row, tm, &b0);
+    if constexpr (NB > 1) UpdateBlock256<kMask1>(pv, iv, row + 4, tm, &b1);
+    if constexpr (NB > 2) UpdateBlock256<kMask2>(pv, iv, row + 8, tm, &b2);
+    if constexpr (NB > 3) UpdateBlock256<kTail>(pv, iv, row + 12, tm, &b3);
+  }
+  const double* DHMM_RESTRICT lb = log_b_row + j0;
+  double* DHMM_RESTRICT d = delta_out + j0;
+  int* DHMM_RESTRICT p = psi_out + j0;
+  StoreBlock256<kMask0>(b0, lb, lanes, d, p);
+  if constexpr (NB > 1) StoreBlock256<kMask1>(b1, lb + 4, lanes, d + 4, p + 4);
+  if constexpr (NB > 2) StoreBlock256<kMask2>(b2, lb + 8, lanes, d + 8, p + 8);
+  if constexpr (NB > 3) {
+    StoreBlock256<kTail>(b3, lb + 12, lanes, d + 12, p + 12);
+  }
+}
+
+// Full 16-state chunks, then one chunk of the remaining 1..4 blocks with a
+// masked last block.
+void ViterbiStepAvx2(const double* DHMM_RESTRICT prev,
+                     const double* DHMM_RESTRICT log_a,
+                     const double* DHMM_RESTRICT log_b_row, std::size_t k,
+                     double* DHMM_RESTRICT delta_out,
+                     int* DHMM_RESTRICT psi_out) {
+  using Chunk = void (*)(const double*, const double*, const double*,
+                         std::size_t, std::size_t, std::size_t, double*, int*);
+  constexpr Chunk kTailChunks[4] = {
+      &ViterbiBlocksAvx2<1, true>, &ViterbiBlocksAvx2<2, true>,
+      &ViterbiBlocksAvx2<3, true>, &ViterbiBlocksAvx2<4, true>};
+  std::size_t j0 = 0;
+  for (; j0 + 16 <= k; j0 += 16) {
+    ViterbiBlocksAvx2<4, false>(prev, log_a, log_b_row, k, j0, 4, delta_out,
+                                psi_out);
+  }
+  if (j0 == k) return;
+  const std::size_t rem = k - j0;
+  kTailChunks[(rem - 1) / 4](prev, log_a, log_b_row, k, j0, (rem - 1) % 4 + 1,
+                             delta_out, psi_out);
+}
+
 // All tables below are constant-initialized (no dynamic initializers), so
 // dispatch resolution is safe even from another TU's static initializer.
 constexpr KernelTable kAvx2Generic = {
@@ -407,6 +546,7 @@ constexpr KernelTable kAvx2Generic = {
     &MatVecColMulAvx2,
     &BackwardFusedAvx2,
     &ExpShiftRowAvx2,
+    &ViterbiStepAvx2,
     Isa::kAvx2,
     "avx2",
     0};
@@ -422,6 +562,7 @@ template <std::size_t K>
 constexpr KernelTable MakeFixed() {
   KernelTable t =
       fixed_k::MakeFixedTable<K>(Isa::kAvx2, fixed_k::kAvx2FixedNames[K]);
+  t.viterbi_step = &ViterbiStepAvx2;
   if (K >= 4) {
     t.mul_row_scaled_into = &MulRowScaledIntoAvx2;
     t.axpy_mul_row = &AxpyMulRowAvx2;

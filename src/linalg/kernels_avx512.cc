@@ -34,6 +34,11 @@
 //    mask, sharing each row's loads with the beta dot.
 //  - ExpShiftRow is MaxRow followed by the shared PolyExp per element
 //    (lanes and tail evaluate the identical operation sequence).
+//  - ViterbiStep is the avx2 row-broadcast contract at 8 lanes per block:
+//    up to four blocks (32 successor states) per chunk, last block
+//    lane-masked, candidates prev[i] + log_a[i][j], strict-> select of
+//    best and of the (64-bit) index lanes — bitwise equal to the scalar
+//    oracle.
 //
 // NaN semantics of MaxRow match the scalar oracle (vmaxpd keeps the
 // accumulator when the data operand is NaN). Loads/stores are
@@ -386,6 +391,125 @@ double ExpShiftRowAvx512(const double* DHMM_RESTRICT x, std::size_t n,
   return m;
 }
 
+// Running best and argmax of one block of 8 successor states. The index
+// lanes are 64-bit so they blend under the compare's __mmask8 directly
+// (a 32-bit blend would need a 16-bit mask, which costs a round trip
+// through a general register per block without AVX-512DQ); the store
+// narrows them with vpmovqd.
+struct ViterbiBlock512 {
+  __m512d best;
+  __m512i arg;
+};
+
+template <bool kMasked>
+inline __m512d LoadBlock512(const double* DHMM_RESTRICT p, __mmask8 tm) {
+  return kMasked ? _mm512_maskz_loadu_pd(tm, p) : _mm512_loadu_pd(p);
+}
+
+// Predecessor 0 seeds the block: best = prev[0] + log_a[0][j], arg = 0.
+template <bool kMasked>
+inline void SeedBlock512(__m512d p0, const double* DHMM_RESTRICT row,
+                         __mmask8 tm, ViterbiBlock512* blk) {
+  blk->best = _mm512_add_pd(p0, LoadBlock512<kMasked>(row, tm));
+  blk->arg = _mm512_setzero_si512();
+}
+
+// Predecessor i: where cand = prev[i] + log_a[i][j] is strictly greater
+// than best (ordered compare: a NaN candidate never wins), take cand and
+// i. vmaxpd(cand, best) returns cand exactly when cand > best (a NaN on
+// either side, or equality, keeps best), so it is that strict-> select
+// with best off the compare's latency chain; arg blends under the mask.
+template <bool kMasked>
+inline void UpdateBlock512(__m512d pv, __m512i iv,
+                           const double* DHMM_RESTRICT row, __mmask8 tm,
+                           ViterbiBlock512* blk) {
+  const __m512d cand = _mm512_add_pd(pv, LoadBlock512<kMasked>(row, tm));
+  const __mmask8 gt = _mm512_cmp_pd_mask(cand, blk->best, _CMP_GT_OQ);
+  blk->best = _mm512_max_pd(cand, blk->best);
+  blk->arg = _mm512_mask_blend_epi64(gt, blk->arg, iv);
+}
+
+// delta = best + log_b and the narrowed backpointers for the block.
+template <bool kMasked>
+inline void StoreBlock512(const ViterbiBlock512& blk,
+                          const double* DHMM_RESTRICT log_b_row, __mmask8 tm,
+                          double* DHMM_RESTRICT delta_out,
+                          int* DHMM_RESTRICT psi_out) {
+  const __m512d d =
+      _mm512_add_pd(blk.best, LoadBlock512<kMasked>(log_b_row, tm));
+  if (kMasked) {
+    _mm512_mask_storeu_pd(delta_out, tm, d);
+    _mm512_mask_cvtepi64_storeu_epi32(psi_out, tm, blk.arg);
+  } else {
+    _mm512_storeu_pd(delta_out, d);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(psi_out),
+                        _mm512_cvtepi64_epi32(blk.arg));
+  }
+}
+
+// Row-broadcast Viterbi over NB <= 4 blocks of 8 successor states starting
+// at column j0, each block's best and arg held in registers across the
+// whole predecessor loop (named locals, not an array, so they stay out of
+// memory). With kTail the last block is loaded and stored through `tm`.
+template <int NB, bool kTail>
+void ViterbiBlocksAvx512(const double* DHMM_RESTRICT prev,
+                         const double* DHMM_RESTRICT log_a,
+                         const double* DHMM_RESTRICT log_b_row, std::size_t k,
+                         std::size_t j0, __mmask8 tm,
+                         double* DHMM_RESTRICT delta_out,
+                         int* DHMM_RESTRICT psi_out) {
+  constexpr bool kMask0 = kTail && NB == 1;
+  constexpr bool kMask1 = kTail && NB == 2;
+  constexpr bool kMask2 = kTail && NB == 3;
+  [[maybe_unused]] ViterbiBlock512 b0{}, b1{}, b2{}, b3{};
+  const __m512d p0 = _mm512_set1_pd(prev[0]);
+  const double* DHMM_RESTRICT row0 = log_a + j0;
+  SeedBlock512<kMask0>(p0, row0, tm, &b0);
+  if constexpr (NB > 1) SeedBlock512<kMask1>(p0, row0 + 8, tm, &b1);
+  if constexpr (NB > 2) SeedBlock512<kMask2>(p0, row0 + 16, tm, &b2);
+  if constexpr (NB > 3) SeedBlock512<kTail>(p0, row0 + 24, tm, &b3);
+  for (std::size_t i = 1; i < k; ++i) {
+    const __m512d pv = _mm512_set1_pd(prev[i]);
+    const __m512i iv = _mm512_set1_epi64(static_cast<long long>(i));
+    const double* DHMM_RESTRICT row = log_a + i * k + j0;
+    UpdateBlock512<kMask0>(pv, iv, row, tm, &b0);
+    if constexpr (NB > 1) UpdateBlock512<kMask1>(pv, iv, row + 8, tm, &b1);
+    if constexpr (NB > 2) UpdateBlock512<kMask2>(pv, iv, row + 16, tm, &b2);
+    if constexpr (NB > 3) UpdateBlock512<kTail>(pv, iv, row + 24, tm, &b3);
+  }
+  const double* DHMM_RESTRICT lb = log_b_row + j0;
+  double* DHMM_RESTRICT d = delta_out + j0;
+  int* DHMM_RESTRICT p = psi_out + j0;
+  StoreBlock512<kMask0>(b0, lb, tm, d, p);
+  if constexpr (NB > 1) StoreBlock512<kMask1>(b1, lb + 8, tm, d + 8, p + 8);
+  if constexpr (NB > 2) StoreBlock512<kMask2>(b2, lb + 16, tm, d + 16, p + 16);
+  if constexpr (NB > 3) StoreBlock512<kTail>(b3, lb + 24, tm, d + 24, p + 24);
+}
+
+// Full 32-state chunks, then one chunk of the remaining 1..4 blocks with
+// a masked last block (k = 25..31 is a lone four-block chunk).
+void ViterbiStepAvx512(const double* DHMM_RESTRICT prev,
+                       const double* DHMM_RESTRICT log_a,
+                       const double* DHMM_RESTRICT log_b_row, std::size_t k,
+                       double* DHMM_RESTRICT delta_out,
+                       int* DHMM_RESTRICT psi_out) {
+  using Chunk = void (*)(const double*, const double*, const double*,
+                         std::size_t, std::size_t, __mmask8, double*, int*);
+  constexpr Chunk kTailChunks[4] = {
+      &ViterbiBlocksAvx512<1, true>, &ViterbiBlocksAvx512<2, true>,
+      &ViterbiBlocksAvx512<3, true>, &ViterbiBlocksAvx512<4, true>};
+  std::size_t j0 = 0;
+  for (; j0 + 32 <= k; j0 += 32) {
+    ViterbiBlocksAvx512<4, false>(prev, log_a, log_b_row, k, j0, 0xFF,
+                                  delta_out, psi_out);
+  }
+  if (j0 == k) return;
+  const std::size_t rem = k - j0;
+  const __mmask8 tm = static_cast<__mmask8>((1u << ((rem - 1) % 8 + 1)) - 1);
+  kTailChunks[(rem - 1) / 8](prev, log_a, log_b_row, k, j0, tm, delta_out,
+                             psi_out);
+}
+
 // Constant-initialized (no dynamic initializers): dispatch resolution is
 // safe even from another TU's static initializer.
 constexpr KernelTable kAvx512Generic = {
@@ -401,6 +525,7 @@ constexpr KernelTable kAvx512Generic = {
     &MatVecColMulAvx512,
     &BackwardFusedAvx512,
     &ExpShiftRowAvx512,
+    &ViterbiStepAvx512,
     Isa::kAvx512,
     "avx512",
     0};
@@ -416,6 +541,7 @@ template <std::size_t K>
 constexpr KernelTable MakeFixed() {
   KernelTable t =
       fixed_k::MakeFixedTable<K>(Isa::kAvx512, fixed_k::kAvx512FixedNames[K]);
+  t.viterbi_step = &ViterbiStepAvx512;
   if (K >= 8) {
     t.mul_row_scaled_into = &MulRowScaledIntoAvx512;
     t.axpy_mul_row = &AxpyMulRowAvx512;

@@ -29,6 +29,7 @@ constexpr KernelTable kScalarTable = {&SumRow,
                                       &MatVecColMul,
                                       &BackwardFused,
                                       &ExpShiftRow,
+                                      &ViterbiStep,
                                       Isa::kScalar,
                                       "scalar",
                                       0};

@@ -27,6 +27,12 @@
 //    thread counts, and buffer reuse within a selected ISA. Cross-ISA
 //    parity versus the scalar oracle is <= 1e-12 (tests/kernels_test.cc
 //    grid, plus the startup check in bench/perf_hmm_ops).
+//  - viterbi_step is the exception that is stronger: it has no reduction
+//    (one add per candidate, exact max, strict-> select in ascending
+//    predecessor order), so every variant is *bitwise* equal to the scalar
+//    oracle, and Viterbi paths, scores and backpointers are identical
+//    under every ISA (pinned by tests/kernels_test.cc and the same
+//    startup check).
 //
 // On non-x86 hosts (or toolchains without the -m flags) the variant TUs
 // compile to stubs and dispatch resolves to scalar — the portable build
@@ -87,6 +93,11 @@ struct KernelTable {
                          double* DHMM_RESTRICT xi);
   double (*exp_shift_row)(const double* DHMM_RESTRICT x, std::size_t n,
                           double* DHMM_RESTRICT out);
+  void (*viterbi_step)(const double* DHMM_RESTRICT prev,
+                       const double* DHMM_RESTRICT log_a,
+                       const double* DHMM_RESTRICT log_b_row, std::size_t k,
+                       double* DHMM_RESTRICT delta_out,
+                       int* DHMM_RESTRICT psi_out);
 
   Isa isa = Isa::kScalar;
   const char* name = "scalar";  ///< e.g. "avx2", "avx512/k4"

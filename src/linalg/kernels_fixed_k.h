@@ -191,7 +191,9 @@ struct FixedK {
 /// Builds the (isa, K) table entry; `name` must outlive the table.
 /// constexpr so the per-ISA tables are constant-initialized (no static
 /// initialization order hazards when dispatch resolves during another
-/// TU's static initializer).
+/// TU's static initializer). viterbi_step is left for the including TU to
+/// point at its generic vector entry: one or two masked vector blocks
+/// cover a k <= 8 row, and a fixed-K instantiation measured no faster.
 template <std::size_t K>
 constexpr KernelTable MakeFixedTable(Isa isa, const char* name) {
   KernelTable t{};

@@ -124,6 +124,33 @@ TEST(ViterbiTest, TieBreakWithPartialTies) {
   EXPECT_EQ(vit.path[0], 1);
 }
 
+TEST(ViterbiTest, NonFiniteScoreRejectedNotReturnedOk) {
+  // A NaN observation makes a NaN emission row, so every delta from that
+  // frame on is NaN. Viterbi must reject the sequence like the forward
+  // paths do, never answer OK with a NaN log joint.
+  linalg::Vector mu{0.0, 2.0};
+  prob::GaussianEmission emission(mu, linalg::Vector(2, 1.0));
+  const linalg::Vector pi{0.5, 0.5};
+  const linalg::Matrix a{{0.9, 0.1}, {0.1, 0.9}};
+  const linalg::Matrix log_b =
+      emission.LogProbTable({0.1, std::nan(""), 1.9});
+  InferenceWorkspace ws;
+  ViterbiResult vit;
+  const Status st = TryViterbi(pi, a, log_b, &ws, &vit);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.message();
+  ForwardBackwardResult fb;
+  std::vector<int> path;
+  EXPECT_EQ(TryPosteriorDecode(pi, a, log_b, &ws, &fb, &path).code(),
+            StatusCode::kInvalidArgument);
+  double ll = 0.0;
+  EXPECT_EQ(TryLogLikelihood(pi, a, log_b, &ws, &ll).code(),
+            StatusCode::kInvalidArgument);
+  // The same workspace still decodes a finite sequence.
+  const linalg::Matrix good = emission.LogProbTable({0.1, 1.0, 1.9});
+  ASSERT_TRUE(TryViterbi(pi, a, good, &ws, &vit).ok());
+  EXPECT_TRUE(std::isfinite(vit.log_joint));
+}
+
 TEST(WorkspaceTest, MatchesAllocatingFormAcrossShapes) {
   prob::Rng rng(91);
   InferenceWorkspace ws;  // deliberately reused dirty across all shapes

@@ -13,6 +13,8 @@
 //    drains every in-flight request before freeing anything,
 //  - steady-state wire round trips at a fixed shape make zero heap
 //    allocations (instrumented operator new).
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -107,8 +109,12 @@ OfflineRef Offline(const hmm::HmmModel<double>& m,
   return ref;
 }
 
+// Per-process names: ctest runs this binary twice at once (default and
+// scalar dispatch), and the two must not rewrite each other's checkpoints.
 std::string TempPath(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  return (std::filesystem::temp_directory_path() /
+          ("dhmm_" + std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 // --------------------------------------------------------- ModelRegistry ---

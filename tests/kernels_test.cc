@@ -14,13 +14,19 @@
 //    binary under the override), a cross-variant parity grid of every
 //    KernelTable member against the scalar oracle at <= 1e-12, bitwise
 //    self-reproducibility of every variant across repeated calls and
-//    thread counts, and engine-level scalar-vs-vector agreement.
+//    thread counts, and engine-level scalar-vs-vector agreement,
+//  - Viterbi is bitwise equal across ISAs: every available ISA's
+//    viterbi_step, and TryViterbi's delta, psi, path and log joint under
+//    each ISA, match a test-local column-form reference by memcmp for
+//    every k in 1..70, including exact ties, -inf and NaN candidates.
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <string>
 #include <thread>
@@ -179,11 +185,24 @@ TEST(KernelsTest, ExpShiftRowLeavesAUnitEntry) {
 TEST(KernelsTest, ArgMaxBreaksTiesToLowestIndex) {
   const double row[] = {1.0, 3.0, 3.0, 0.5};
   EXPECT_EQ(klib::ArgMaxRow(row, 4), 1u);
-  const double x[] = {1.0, 2.0, 0.0};
-  const double y[] = {2.0, 1.0, 3.0};  // sums: 3, 3, 3 — all tie
-  double best = 0.0;
-  EXPECT_EQ(klib::ArgMaxSumRow(x, y, 3, &best), 0u);
-  EXPECT_DOUBLE_EQ(best, 3.0);
+  // One Viterbi frame, candidates prev[i] + log_a[i][j]: every predecessor
+  // ties (at 3) for successor 0, predecessors 1 and 2 tie (at 4) for
+  // successor 1, predecessors 0 and 1 tie (at 1) for successor 2. The
+  // lowest index wins each.
+  const double prev[] = {1.0, 2.0, 0.0};
+  const double log_a[] = {2.0, 0.0, 0.0,   //
+                          1.0, 2.0, -1.0,  //
+                          3.0, 4.0, -2.0};
+  const double log_b_row[] = {0.5, 0.25, 0.0};
+  double delta[3];
+  int psi[3];
+  klib::ViterbiStep(prev, log_a, log_b_row, 3, delta, psi);
+  EXPECT_EQ(psi[0], 0);
+  EXPECT_EQ(psi[1], 1);
+  EXPECT_EQ(psi[2], 0);
+  EXPECT_EQ(delta[0], 3.5);
+  EXPECT_EQ(delta[1], 4.25);
+  EXPECT_EQ(delta[2], 1.0);
 }
 
 TEST(AlignedStorageTest, BuffersStartOnCacheLines) {
@@ -349,10 +368,19 @@ TEST(TransitionCacheTest, RebuildsExactlyWhenAChanges) {
   for (size_t i = 0; i < k; ++i) {
     for (size_t j = 0; j < k; ++j) EXPECT_EQ(at2(j, i), a(i, j));
   }
-  // Log view follows the same staleness key.
-  const linalg::Matrix& lat = cache.LogTranspose(a);
-  EXPECT_DOUBLE_EQ(lat(2, 1), std::log(a(1, 2)));
+  // The row-major log A view follows the same staleness key: built from
+  // the current A, without bumping the version.
+  const linalg::Matrix& la = cache.Log(a);
   EXPECT_EQ(cache.version(), v1 + 1);
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = 0; j < k; ++j) EXPECT_EQ(la(i, j), std::log(a(i, j)));
+  }
+  // Mutating A again invalidates the log view with the transpose.
+  a(0, 0) = 0.0;
+  const linalg::Matrix& la2 = cache.Log(a);
+  EXPECT_EQ(cache.version(), v1 + 2);
+  EXPECT_EQ(la2(0, 0), prob::kNegInf);
+  EXPECT_EQ(la2(1, 2), std::log(a(1, 2)));
 }
 
 TEST(TransitionCacheTest, InferenceSeesMutatedAThroughAReusedWorkspace) {
@@ -475,6 +503,13 @@ std::vector<double> ApplyAllKernels(const klib::KernelTable& kt, size_t n,
   push(xi);
   out.push_back(kt.exp_shift_row(logrow.data(), n, v.data()));
   push(v);
+  std::vector<double> log_a(n * n);
+  for (size_t i = 0; i < n * n; ++i) log_a[i] = std::log(a[i]);
+  std::vector<int> psi(n);
+  kt.viterbi_step(x.data(), log_a.data(), logrow.data(), n, v.data(),
+                  psi.data());
+  push(v);
+  out.insert(out.end(), psi.begin(), psi.end());
   return out;
 }
 
@@ -578,6 +613,191 @@ TEST(DispatchTest, VariantsAreBitwiseReproducibleAcrossCallsAndThreads) {
       }
     }
   }
+}
+
+// --------------------------------------------- bitwise Viterbi grid ---
+
+// Test-local column-form reference: the recursion TryViterbi ran before
+// the row-broadcast kernel. For each successor j it scans the predecessors
+// against row j of log(A)^T, seeded with i = 0, replacing the best only on
+// a strict > — the same candidate adds in the same order, so every ISA's
+// viterbi_step must reproduce it bit for bit.
+void ColumnViterbiStep(const double* prev, const double* log_a_t,
+                       const double* log_b_row, size_t k, double* delta_out,
+                       int* psi_out) {
+  for (size_t j = 0; j < k; ++j) {
+    const double* col = log_a_t + j * k;
+    size_t arg = 0;
+    double best = prev[0] + col[0];
+    for (size_t i = 1; i < k; ++i) {
+      const double v = prev[i] + col[i];
+      if (v > best) {
+        best = v;
+        arg = i;
+      }
+    }
+    delta_out[j] = best + log_b_row[j];
+    psi_out[j] = static_cast<int>(arg);
+  }
+}
+
+struct ColumnViterbiRef {
+  linalg::Matrix delta;
+  std::vector<int> psi;
+  std::vector<int> path;
+  double log_joint = 0.0;
+  bool ok = false;
+};
+
+ColumnViterbiRef ColumnViterbi(const linalg::Vector& pi,
+                               const linalg::Matrix& a,
+                               const linalg::Matrix& log_b) {
+  const size_t k = pi.size();
+  const size_t big_t = log_b.rows();
+  std::vector<double> log_a_t(k * k);
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = 0; j < k; ++j) {
+      log_a_t[j * k + i] = a(i, j) > 0.0 ? std::log(a(i, j)) : prob::kNegInf;
+    }
+  }
+  ColumnViterbiRef r;
+  r.delta = linalg::Matrix(big_t, k);
+  r.psi.assign(big_t * k, 0);
+  for (size_t i = 0; i < k; ++i) {
+    r.delta(0, i) =
+        (pi[i] > 0.0 ? std::log(pi[i]) : prob::kNegInf) + log_b(0, i);
+  }
+  for (size_t t = 1; t < big_t; ++t) {
+    ColumnViterbiStep(r.delta.row_data(t - 1), log_a_t.data(),
+                      log_b.row_data(t), k, r.delta.row_data(t),
+                      r.psi.data() + t * k);
+  }
+  const double* last = r.delta.row_data(big_t - 1);
+  const size_t arg = klib::ArgMaxRow(last, k);
+  r.ok = std::isfinite(last[arg]);
+  r.log_joint = last[arg];
+  r.path.assign(big_t, 0);
+  r.path[big_t - 1] = static_cast<int>(arg);
+  for (size_t t = big_t - 1; t-- > 0;) {
+    r.path[t] = r.psi[(t + 1) * k + static_cast<size_t>(r.path[t + 1])];
+  }
+  return r;
+}
+
+// Chains for the grid. kTies quantizes A, pi and the emissions to a few
+// dyadic levels (zeros included), so many candidates tie exactly and
+// many are -inf; kSmooth is a continuous random chain.
+enum class GridFlavor { kSmooth, kTies };
+
+Chain MakeGridChain(size_t k, size_t big_t, GridFlavor flavor,
+                    uint64_t seed) {
+  if (flavor == GridFlavor::kSmooth) return MakeChain(k, big_t, seed);
+  prob::Rng rng(seed);
+  static const double kLevels[] = {0.0, 0.125, 0.25, 0.25, 0.5};
+  auto level = [&] { return kLevels[rng.UniformInt(5)]; };
+  Chain c;
+  c.pi = linalg::Vector(k);
+  c.a = linalg::Matrix(k, k);
+  for (size_t i = 0; i < k; ++i) c.pi[i] = level();
+  c.pi[rng.UniformInt(k)] = 0.5;  // keep at least one live start state
+  for (size_t i = 0; i < k * k; ++i) c.a.data()[i] = level();
+  c.log_b = linalg::Matrix(big_t, k);
+  for (size_t t = 0; t < big_t; ++t) {
+    for (size_t i = 0; i < k; ++i) {
+      c.log_b(t, i) = -0.5 * static_cast<double>(rng.UniformInt(3));
+    }
+  }
+  return c;
+}
+
+std::vector<klib::Isa> AvailableIsas() {
+  std::vector<klib::Isa> out;
+  for (klib::Isa isa : klib::CompiledIsas()) {
+    if (klib::IsaAvailable(isa)) out.push_back(isa);
+  }
+  return out;
+}
+
+bool SameBits(const double* x, const double* y, size_t n) {
+  return std::memcmp(x, y, n * sizeof(double)) == 0;
+}
+
+// Every k from 1 to 70 covers each ISA's fixed-k cells, every chunk count
+// and every masked-lane count of the last block (k = 25..31 is AVX-512's
+// lone four-block chunk with a masked tail).
+constexpr size_t kGridMaxK = 70;
+
+TEST(ViterbiBitwiseGridTest, StepEqualsColumnFormUnderEveryIsa) {
+  for (size_t k = 1; k <= kGridMaxK; ++k) {
+    for (GridFlavor flavor : {GridFlavor::kSmooth, GridFlavor::kTies}) {
+      const Chain c = MakeGridChain(k, 2, flavor, 5100 + k);
+      std::vector<double> log_a(k * k), log_a_t(k * k);
+      for (size_t i = 0; i < k; ++i) {
+        for (size_t j = 0; j < k; ++j) {
+          const double v = c.a(i, j) > 0.0 ? std::log(c.a(i, j))
+                                           : prob::kNegInf;
+          log_a[i * k + j] = v;
+          log_a_t[j * k + i] = v;
+        }
+      }
+      // prev: the first emission row, with -inf entries and (for k > 2) a
+      // NaN predecessor, which must never win a successor.
+      std::vector<double> prev(c.log_b.row_data(0), c.log_b.row_data(0) + k);
+      if (k > 1) prev[k / 2] = prob::kNegInf;
+      if (k > 2) prev[k - 1] = std::numeric_limits<double>::quiet_NaN();
+      const double* log_b_row = c.log_b.row_data(1);
+      std::vector<double> ref_delta(k), delta(k);
+      std::vector<int> ref_psi(k), psi(k);
+      ColumnViterbiStep(prev.data(), log_a_t.data(), log_b_row, k,
+                        ref_delta.data(), ref_psi.data());
+      for (klib::Isa isa : AvailableIsas()) {
+        for (const klib::KernelTable* kt :
+             {&klib::TableFor(isa, k), &klib::TableFor(isa)}) {
+          std::fill(delta.begin(), delta.end(), 7.0);
+          std::fill(psi.begin(), psi.end(), -1);
+          kt->viterbi_step(prev.data(), log_a.data(), log_b_row, k,
+                           delta.data(), psi.data());
+          EXPECT_TRUE(SameBits(delta.data(), ref_delta.data(), k))
+              << kt->name << " k=" << k;
+          EXPECT_EQ(psi, ref_psi) << kt->name << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(ViterbiBitwiseGridTest, TryViterbiEqualsColumnFormUnderEveryIsa) {
+  const klib::Isa active = klib::ActiveIsa();
+  for (klib::Isa isa : AvailableIsas()) {
+    ASSERT_TRUE(klib::internal::ForceIsaForTestOnly(isa));
+    hmm::InferenceWorkspace ws;  // reused dirty across every shape
+    hmm::ViterbiResult vit;
+    for (size_t k = 1; k <= kGridMaxK; ++k) {
+      for (size_t big_t : {size_t{1}, size_t{2}, size_t{37}}) {
+        for (GridFlavor flavor : {GridFlavor::kSmooth, GridFlavor::kTies}) {
+          const Chain c = MakeGridChain(k, big_t, flavor, 6100 + k + big_t);
+          const ColumnViterbiRef ref = ColumnViterbi(c.pi, c.a, c.log_b);
+          const Status st = hmm::TryViterbi(c.pi, c.a, c.log_b, &ws, &vit);
+          const std::string where = std::string(klib::IsaName(isa)) +
+                                    " k=" + std::to_string(k) +
+                                    " T=" + std::to_string(big_t);
+          EXPECT_TRUE(SameBits(ws.delta.data(), ref.delta.data(), big_t * k))
+              << where;
+          for (size_t t = 1; t < big_t; ++t) {
+            EXPECT_EQ(0, std::memcmp(ws.psi.data() + t * k,
+                                     ref.psi.data() + t * k,
+                                     k * sizeof(int)))
+                << where << " psi row " << t;
+          }
+          ASSERT_EQ(st.ok(), ref.ok) << where << ": " << st.message();
+          if (!ref.ok) continue;
+          EXPECT_EQ(vit.path, ref.path) << where;
+          EXPECT_TRUE(SameBits(&vit.log_joint, &ref.log_joint, 1)) << where;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(klib::internal::ForceIsaForTestOnly(active));
 }
 
 TEST(DispatchTest, EngineAgreesAcrossIsasEndToEnd) {

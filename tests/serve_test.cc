@@ -6,6 +6,9 @@
 //  - RCU model hot-swap: in-flight batches finish on their snapshot, new
 //    requests see the new model; ReloadModel round-trips SaveHmmToFile
 //    checkpoints and keeps serving the old model on failure,
+//  - impossible, unreachable, underflowed and non-finite (NaN) inputs
+//    are per-request InvalidArgument errors that leave the service
+//    serving,
 //  - every request completes through its CompletionHook, in slot order;
 //    an expired deadline is answered at batch cut without decode work,
 //    and destruction drains a paused service,
@@ -15,8 +18,11 @@
 //    LogLikelihood bitwise on every prefix, and with a full-sequence lag
 //    its labels match offline PosteriorDecode exactly; pushes are
 //    allocation-free after warm-up.
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
@@ -233,8 +239,12 @@ TEST(DecodeServiceTest, MidStreamSwapServesEveryRequestConsistently) {
 
 TEST(DecodeServiceTest, ReloadModelHotSwapsCheckpointAtomically) {
   namespace fs = std::filesystem;
+  // Per-process name: ctest runs this binary twice at once (default and
+  // scalar dispatch).
   const std::string path =
-      (fs::temp_directory_path() / "dhmm_serve_reload.txt").string();
+      (fs::temp_directory_path() /
+       ("dhmm_serve_reload_" + std::to_string(::getpid()) + ".txt"))
+          .string();
   auto model_a = MakeModel(4, 41);
   auto model_b = MakeModel(4, 42);
   hmm::Dataset<double> data = MakeData(*model_a, 4, 10, 43);
@@ -371,6 +381,34 @@ TEST(DecodeServiceTest, UnderflowedForwardMassRejectedNotAborted) {
   serve::DecodeFuture<double> v =
       service.Submit(serve::DecodeKind::kViterbi, outlier);
   EXPECT_TRUE(v.Wait().status.ok());
+}
+
+TEST(DecodeServiceTest, NonFiniteObservationRejectedPerRequest) {
+  // A NaN observation gives a NaN emission row: the forward paths see the
+  // forward message vanish, and Viterbi sees a NaN best score. Every kind
+  // must answer InvalidArgument (never OK with a NaN value), and the
+  // service keeps serving.
+  linalg::Vector mu(2);
+  mu[0] = 0.0;
+  mu[1] = 2.0;
+  auto model = std::make_shared<const hmm::HmmModel<double>>(
+      linalg::Vector{0.5, 0.5}, linalg::Matrix{{0.9, 0.1}, {0.1, 0.9}},
+      std::make_unique<prob::GaussianEmission>(mu, linalg::Vector(2, 1.0)));
+  serve::DecodeService<double> service(model, {});
+  const std::vector<double> poisoned = {0.1, std::nan(""), 1.9};
+  const std::vector<double> fine = {0.1, 1.0, 1.9};
+  for (auto kind : {serve::DecodeKind::kViterbi, serve::DecodeKind::kPosterior,
+                    serve::DecodeKind::kLogLikelihood}) {
+    serve::DecodeFuture<double> bad = service.Submit(kind, poisoned);
+    const serve::DecodeResult& r = bad.Wait();
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+        << static_cast<int>(kind) << ": " << r.status.message();
+    bad.Release();
+    serve::DecodeFuture<double> good = service.Submit(kind, fine);
+    const serve::DecodeResult& g = good.Wait();
+    EXPECT_TRUE(g.status.ok()) << g.status.message();
+    EXPECT_TRUE(std::isfinite(g.value));
+  }
 }
 
 TEST(DecodeServiceTest, SteadyStateRequestsAreAllocationFree) {
