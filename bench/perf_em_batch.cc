@@ -6,6 +6,10 @@
 // engine is a no-op win on a single-core box). Thread counts only change
 // wall-clock time, never results — tests/engine_test.cc pins bitwise
 // equality across counts.
+//
+// BM_BatchEStepPosShape is the shape of a paper-scale PoS fit — many short
+// categorical sentences at k = 15 — where the fixed costs per sequence and
+// per frame matter more than the k^2 kernels.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -15,6 +19,7 @@
 #include "hmm/model.h"
 #include "hmm/sampler.h"
 #include "hmm/sequence.h"
+#include "prob/categorical_emission.h"
 #include "prob/gaussian_emission.h"
 #include "prob/rng.h"
 
@@ -94,6 +99,35 @@ BENCHMARK(BM_BatchEStepWithEmission)
     ->Args({20, 1})
     ->Args({20, 4})
     ->UseRealTime();
+
+// The PoS tagging fit's E-step: k = 15 tags, 3828 categorical sentences of
+// 5-40 frames over a 10000-word vocabulary, emission accumulation on, one
+// thread.
+void BM_BatchEStepPosShape(benchmark::State& state) {
+  constexpr size_t kTags = 15;
+  constexpr size_t kVocab = 10000;
+  prob::Rng rng(3828);
+  hmm::HmmModel<int> model(
+      rng.DirichletSymmetric(kTags, 1.0),
+      rng.RandomStochasticMatrix(kTags, kTags, 1.0),
+      std::make_unique<prob::CategoricalEmission>(
+          prob::CategoricalEmission::RandomInit(kTags, kVocab, rng)));
+  hmm::Dataset<int> data;
+  for (size_t s = 0; s < 3828; ++s) {
+    data.push_back(hmm::SampleSequence(model, 5 + rng.UniformInt(36), rng));
+  }
+  hmm::BatchEmEngine<int> engine(hmm::BatchOptions{/*num_threads=*/1});
+  for (auto _ : state) {
+    hmm::EStepStats stats = engine.EStep(model, data, model.emission.get());
+    // Discard the accumulated statistics without an M-step so every
+    // iteration sees identical parameters.
+    model.emission->BeginAccumulate();
+    benchmark::DoNotOptimize(stats.log_likelihood);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(hmm::TotalFrames(data)));
+}
+BENCHMARK(BM_BatchEStepPosShape)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -6,8 +6,7 @@
 // The acceptance bar is >= 2x throughput over the naive loop at k = 20
 // with >= 4 workers (on hardware with >= 4 cores): the service wins on
 // both axes — worker parallelism across a coalesced batch, and pooled
-// allocation-free workspaces per worker. A StreamingDecoder sweep tracks
-// per-frame fixed-lag labeling cost.
+// allocation-free workspaces per worker.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -21,7 +20,6 @@
 #include "prob/gaussian_emission.h"
 #include "prob/rng.h"
 #include "serve/decode_service.h"
-#include "serve/streaming_decoder.h"
 
 namespace {
 
@@ -107,36 +105,6 @@ BENCHMARK(BM_DecodeService)
     ->Args({20, 4})
     ->Args({50, 1})
     ->Args({50, 4})
-    ->UseRealTime();
-
-void BM_StreamingDecoderPush(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
-  const size_t lag = static_cast<size_t>(state.range(1));
-  Workload w = MakeWorkload(k);
-  serve::StreamingDecoderOptions opts;
-  opts.lag = lag;
-  serve::StreamingDecoder<double> dec(w.model, opts);
-  size_t frames = 0;
-  for (auto _ : state) {
-    dec.Reset();
-    int sink = 0;
-    for (const auto& seq : w.data) {
-      for (double y : seq.obs) {
-        if (dec.Push(y)) sink += dec.last_label();
-      }
-      frames += seq.obs.size();
-      dec.Reset();
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(frames));
-  state.counters["lag"] = static_cast<double>(lag);
-}
-BENCHMARK(BM_StreamingDecoderPush)
-    ->ArgNames({"k", "lag"})
-    ->Args({20, 0})
-    ->Args({20, 4})
-    ->Args({20, 16})
     ->UseRealTime();
 
 }  // namespace

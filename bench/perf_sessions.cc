@@ -8,7 +8,8 @@
 // per-session-heap design fails this bar on cache misses alone). The
 // strided walk defeats the best case where one hot session stays in L1.
 // A second benchmark tracks the create/destroy churn path, which must
-// stay allocation-free off the slot and arena free lists.
+// stay allocation-free off the slot and arena free lists, and a third the
+// per-frame fixed-lag labeling cost of one session as the lag grows.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -18,6 +19,7 @@
 
 #include "hmm/model.h"
 #include "hmm/sampler.h"
+#include "hmm/sequence.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 #include "prob/gaussian_emission.h"
@@ -136,6 +138,44 @@ BENCHMARK(BM_SessionCreateDestroyChurn)
     ->ArgNames({"sessions"})
     ->Args({1000})
     ->Args({100000})
+    ->UseRealTime();
+
+// One session, one stream at a time: per-frame labeling cost at k = 20 as
+// the smoothing lag grows (each push re-runs an O(lag * k^2) backward
+// sweep). 96 sequences of 32 frames, ResetSession between sequences.
+void BM_SessionPushLag(benchmark::State& state) {
+  const size_t k = static_cast<size_t>(state.range(0));
+  const size_t lag = static_cast<size_t>(state.range(1));
+  auto model = MakeModel(k);
+  prob::Rng rng(k * 6151);
+  const hmm::Dataset<double> data =
+      hmm::SampleDataset(*model, /*num_sequences=*/96, /*length=*/32, rng);
+  serve::SessionManagerOptions opts;
+  opts.lag = lag;
+  serve::SessionManager<double> mgr(model, opts);
+  const serve::SessionHandle h = mgr.CreateSession().value();
+  size_t frames = 0;
+  for (auto _ : state) {
+    int sink = 0;
+    for (const auto& seq : data) {
+      for (double y : seq.obs) {
+        int label = -1;
+        mgr.Push(h, y, &label);
+        sink += label;
+      }
+      frames += seq.obs.size();
+      mgr.ResetSession(h);
+    }
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(frames));
+  state.counters["lag"] = static_cast<double>(lag);
+}
+BENCHMARK(BM_SessionPushLag)
+    ->ArgNames({"k", "lag"})
+    ->Args({20, 0})
+    ->Args({20, 4})
+    ->Args({20, 16})
     ->UseRealTime();
 
 }  // namespace

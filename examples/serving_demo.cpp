@@ -1,7 +1,7 @@
 // The serve layer end to end: train a model, stand up a DecodeService,
 // submit a burst of mixed decode requests, hot-swap to a better checkpoint
 // via the atomic save + reload path while the service keeps running, and
-// label a live stream with the fixed-lag StreamingDecoder.
+// label a live stream with a fixed-lag SessionManager session.
 //
 // Flags: --requests=<int> (default 64)  --threads=<int> (default 2)
 //        --lag=<int> (default 4)  --path=<file> (checkpoint path)
@@ -15,7 +15,7 @@
 #include "hmm/serialization.h"
 #include "hmm/trainer.h"
 #include "serve/decode_service.h"
-#include "serve/streaming_decoder.h"
+#include "serve/session_manager.h"
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
@@ -123,20 +123,33 @@ int main(int argc, char** argv) {
               path.c_str(), avg_v2, avg_v2 > avg_v1 ? "yes" : "no");
 
   // 4. Online labeling: fixed-lag smoothing over a live stream.
-  serve::StreamingDecoderOptions stream_opts;
+  serve::SessionManagerOptions stream_opts;
   stream_opts.lag = lag;
-  serve::StreamingDecoder<double> stream(service.ModelSnapshot(),
+  serve::SessionManager<double> sessions(service.ModelSnapshot(),
                                          stream_opts);
+  const serve::SessionHandle stream = sessions.CreateSession().value();
   const std::vector<double>& live = requests[0].obs;
   std::printf("streaming %zu frames at lag %zu:", live.size(), lag);
   std::vector<int> labels;
   for (double y : live) {
-    if (stream.Push(y)) labels.push_back(stream.last_label());
+    int label = -1;
+    st = sessions.Push(stream, y, &label);
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
+    }
+    if (label >= 0) labels.push_back(label);
   }
-  stream.Finish(&labels);
+  st = sessions.Finish(stream, &labels);
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    return 1;
+  }
   for (int label : labels) std::printf(" %d", label);
-  std::printf("\n  prefix loglik %.3f over %zu frames, %zu labels\n",
-              stream.log_likelihood(), stream.frames_pushed(),
-              stream.labels_emitted());
+  std::printf("\n  prefix loglik %.3f over %llu frames, %zu labels\n",
+              sessions.LogLikelihood(stream).value(),
+              static_cast<unsigned long long>(
+                  sessions.FramesPushed(stream).value()),
+              labels.size());
   return 0;
 }

@@ -36,10 +36,11 @@ struct BatchOptions {
   /// Results are identical for every value.
   int num_threads = 1;
 
-  /// Sequences at least this many frames long run the checkpointed
-  /// forward-backward (hmm/inference.h): O(sqrt(T) * k) workspace instead
-  /// of O(T * k), bitwise-identical statistics, ~2.5x the frame work.
-  /// 0 disables checkpointing (every sequence takes the full path).
+  /// Sequences at least this many frames long run the forward-backward
+  /// sweep (hmm/inference.h) with ceil(sqrt(T))-frame panels, streaming
+  /// gamma into the accumulators: O(sqrt(T) * k) workspace instead of
+  /// O(T * k), bitwise-identical statistics, ~2.5x the frame work. Shorter
+  /// sequences run it with one panel. 0 keeps one panel for every length.
   size_t checkpoint_threshold_frames = kDefaultCheckpointThresholdFrames;
 };
 

@@ -67,29 +67,36 @@ using internal::FrameError;
 
 namespace {
 
-// Fills ws->btilde / ws->shift with the shifted emissions for every frame:
-// btilde(t, i) = exp(log_b(t, i) - m_t) with m_t = max_i log_b(t, i), so at
-// least one entry per row is exactly 1. Computed once per sequence and shared
-// by the forward and the fused backward/xi loops (the seed code recomputed
-// the same row up to three times per frame). Fails on a frame with zero
-// emission probability in every state.
-Status PrecomputeShiftedEmissions(const linalg::Matrix& log_b,
-                                  const klib::KernelTable& kt,
-                                  InferenceWorkspace* ws) {
-  const size_t big_t = log_b.rows();
-  const size_t k = log_b.cols();
-  ws->btilde.Resize(big_t, k);
-  ws->shift.Resize(big_t);
-  for (size_t t = 0; t < big_t; ++t) {
-    const double m =
-        kt.exp_shift_row(log_b.row_data(t), k, ws->btilde.row_data(t));
-    if (m == prob::kNegInf) {
-      return Status::InvalidArgument(
-          FrameError("zero emission probability in every state", t));
-    }
-    ws->shift[t] = m;
+Status ImpossibleFrame(size_t t) {
+  return Status::InvalidArgument(
+      FrameError("zero emission probability in every state", t));
+}
+
+Status ForwardVanished(size_t t) {
+  return Status::InvalidArgument(FrameError("forward message vanished", t));
+}
+
+Status PosteriorVanished(size_t t) {
+  return Status::InvalidArgument(FrameError("posterior mass vanished", t));
+}
+
+// One scaled forward frame into `cur`: (A^T alpha_{t-1}) .* btilde_t, or
+// pi .* btilde_t at t = 0, normalized by its sum c_t, which is returned
+// (not positive when the forward mass vanished; `cur` is then left
+// unnormalized). The first pass and every replay run exactly this kernel
+// sequence — the bitwise equality of replayed rows depends on it.
+double ForwardFrame(const klib::KernelTable& kt, const linalg::Vector& pi,
+                    const linalg::Matrix& a_t, size_t t, const double* prev,
+                    const double* btilde, double* cur) {
+  const size_t k = pi.size();
+  if (t == 0) {
+    klib::MulRowInto(pi.data(), btilde, k, cur);
+  } else {
+    kt.mat_vec_col_mul(a_t.data(), prev, btilde, k, k, cur);
   }
-  return Status::OK();
+  const double c = kt.sum_row(cur, k);
+  if (c > 0.0) klib::ScaleRow(cur, k, 1.0 / c);
+  return c;
 }
 
 // gamma(t, .) = normalized alpha_hat(t, .) * beta_hat(t, .), with the
@@ -118,89 +125,7 @@ Status TryForwardBackward(const linalg::Vector& pi, const linalg::Matrix& a,
                           const linalg::Matrix& log_b,
                           InferenceWorkspace* ws,
                           ForwardBackwardResult* out) {
-  const size_t k = pi.size();
-  const size_t big_t = log_b.rows();
-  DHMM_CHECK(ws != nullptr && out != nullptr);
-  DHMM_CHECK(a.rows() == k && a.cols() == k);
-  DHMM_CHECK(log_b.cols() == k);
-  DHMM_CHECK_MSG(big_t > 0, "empty sequence");
-
-  out->gamma.Resize(big_t, k);
-  out->xi_sum.Resize(k, k);
-  out->xi_sum.Fill(0.0);
-
-  const klib::KernelTable& kt = klib::ForK(k);
-  DHMM_RETURN_NOT_OK(PrecomputeShiftedEmissions(log_b, kt, ws));
-  ws->alpha_hat.Resize(big_t, k);
-  ws->beta_hat.Resize(big_t, k);
-  ws->scale.Resize(big_t);
-  ws->frame_u.Resize(k);
-  linalg::Matrix& alpha_hat = ws->alpha_hat;
-  linalg::Matrix& beta_hat = ws->beta_hat;
-  const linalg::Matrix& btilde = ws->btilde;
-  linalg::Vector& scale = ws->scale;
-  // Forward recursion reads A column-wise; dot against rows of the cached
-  // transpose instead (rebuilt only when A changes, once per EM iteration).
-  const linalg::Matrix& a_t = ws->transition.Transpose(a);
-
-  // Forward pass with per-step normalization (scale c_t) and per-frame
-  // emission shifts m_t: log P(Y) = sum_t (log c_t + m_t).
-  double loglik = 0.0;
-  double* alpha0 = alpha_hat.row_data(0);
-  klib::MulRowInto(pi.data(), btilde.row_data(0), k, alpha0);
-  double c = kt.sum_row(alpha0, k);
-  if (!(c > 0.0)) {
-    return Status::InvalidArgument(
-        FrameError("forward message vanished", 0));
-  }
-  klib::ScaleRow(alpha0, k, 1.0 / c);
-  scale[0] = c;
-  loglik += std::log(c) + ws->shift[0];
-
-  for (size_t t = 1; t < big_t; ++t) {
-    double* cur = alpha_hat.row_data(t);
-    // Fused step: cur[j] = dot(a_t row j, alpha_{t-1}) * btilde(t, j).
-    kt.mat_vec_col_mul(a_t.data(), alpha_hat.row_data(t - 1),
-                       btilde.row_data(t), k, k, cur);
-    c = kt.sum_row(cur, k);
-    if (!(c > 0.0)) {
-      return Status::InvalidArgument(
-          FrameError("forward message vanished", t));
-    }
-    klib::ScaleRow(cur, k, 1.0 / c);
-    scale[t] = c;
-    loglik += std::log(c) + ws->shift[t];
-  }
-  out->log_likelihood = loglik;
-
-  // Fused backward / gamma / xi sweep. At step t the frame product
-  // u = btilde(t+1,.) * beta_hat(t+1,.) / c_{t+1} is computed once (the seed
-  // recomputed it k times and divided inside the innermost loop) and reused
-  // by both the backward row-dots and the xi row-axpys while it is hot.
-  double* beta_last = beta_hat.row_data(big_t - 1);
-  for (size_t i = 0; i < k; ++i) beta_last[i] = 1.0;
-  if (!GammaRow(kt, alpha_hat.row_data(big_t - 1), beta_last, k,
-                out->gamma.row_data(big_t - 1))) {
-    return Status::InvalidArgument(
-        FrameError("posterior mass vanished", big_t - 1));
-  }
-  double* u = ws->frame_u.data();
-  for (size_t t = big_t - 1; t-- > 0;) {
-    kt.mul_row_scaled_into(btilde.row_data(t + 1), beta_hat.row_data(t + 1),
-                           1.0 / scale[t + 1], k, u);
-    const double* alpha_row = alpha_hat.row_data(t);
-    double* beta_row = beta_hat.row_data(t);
-    // beta(t) = A u and the frame's xi accumulation in one pass over A
-    // (bitwise = mat_vec_col then axpy_mul_mat; A is read once, not
-    // twice — the win that matters once k x k falls out of L1).
-    kt.backward_fused(a.data(), u, alpha_row, k, k, beta_row,
-                      out->xi_sum.data());
-    if (!GammaRow(kt, alpha_row, beta_row, k, out->gamma.row_data(t))) {
-      return Status::InvalidArgument(
-          FrameError("posterior mass vanished", t));
-    }
-  }
-  return Status::OK();
+  return TryForwardBackwardCheckpointed(pi, a, log_b, log_b.rows(), ws, out);
 }
 
 void ForwardBackward(const linalg::Vector& pi, const linalg::Matrix& a,
@@ -241,142 +166,153 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
   const size_t k = pi.size();
   const size_t big_t = log_b.frames;
   DHMM_CHECK(ws != nullptr && xi_sum != nullptr && log_likelihood != nullptr);
-  DHMM_CHECK(log_b.row != nullptr && sinks.on_gamma != nullptr);
+  DHMM_CHECK(log_b.row != nullptr);
   DHMM_CHECK(a.rows() == k && a.cols() == k && log_b.states == k);
   DHMM_CHECK_MSG(big_t > 0, "empty sequence");
 
   size_t panel = panel_frames == 0 ? CeilSqrt(big_t) : panel_frames;
   if (panel > big_t) panel = big_t;
   const size_t num_panels = (big_t + panel - 1) / panel;
+  const size_t last_t0 = (num_panels - 1) * panel;
+  // With one panel nothing is ever replayed, so there are no checkpoints
+  // and no frames outside the panel buffers.
+  const bool replays = num_panels > 1;
 
   xi_sum->Resize(k, k);
   xi_sum->Fill(0.0);
-  ws->cp_alpha.Resize(num_panels, k);
   ws->panel_alpha.Resize(panel, k);
   ws->panel_btilde.Resize(panel + 1, k);
   ws->cp_scale.Resize(big_t);
   ws->frame_u.Resize(k);
   ws->cp_beta_next.Resize(k);
   ws->cp_beta_cur.Resize(k);
-  ws->cp_gamma.Resize(k);
-  ws->alpha.Resize(k);
-  ws->alpha_next.Resize(k);
-  ws->frame.Resize(k);
+  if (replays) {
+    ws->cp_alpha.Resize(num_panels, k);
+    ws->alpha.Resize(k);
+    ws->alpha_next.Resize(k);
+    ws->frame.Resize(k);
+  }
   linalg::Vector& scale = ws->cp_scale;
   const linalg::Matrix& a_t = ws->transition.Transpose(a);
   const klib::KernelTable& kt = klib::ForK(k);
 
-  // ---- Pass 1: forward, keeping one scaled alpha row per panel plus all T
-  // scale factors. The kernel-call sequence per frame is exactly the full
-  // path's forward loop; only the destinations differ (ping-pong k-vectors
-  // instead of a T x k table), so every retained row is bitwise equal to
-  // the full path's corresponding alpha_hat row.
+  // ---- Pass 1: forward over every frame, keeping all T scale factors and
+  // (when panels replay) one scaled alpha row per panel start; log P(Y) =
+  // sum_t (log c_t + m_t). The last panel's alpha rows and shifted
+  // emissions are written straight into the panel buffers, so pass 2
+  // starts on a resident panel; earlier frames ping-pong through two
+  // k-vectors.
   {
     double loglik = 0.0;
-    double* prev = ws->alpha.data();
-    double* cur = ws->alpha_next.data();
-    double* bt = ws->frame.data();
+    double* ping[2] = {ws->alpha.data(), ws->alpha_next.data()};
+    const double* prev = nullptr;
+    size_t next_checkpoint = replays ? 0 : big_t;
     for (size_t t = 0; t < big_t; ++t) {
+      const bool resident = t >= last_t0;
+      double* bt = resident ? ws->panel_btilde.row_data(t - last_t0)
+                            : ws->frame.data();
+      double* cur =
+          resident ? ws->panel_alpha.row_data(t - last_t0) : ping[t & 1];
       const double m = kt.exp_shift_row(log_b.row(log_b.ctx, t), k, bt);
-      if (m == prob::kNegInf) {
-        return Status::InvalidArgument(
-            FrameError("zero emission probability in every state", t));
-      }
-      if (t == 0) {
-        klib::MulRowInto(pi.data(), bt, k, cur);
-      } else {
-        kt.mat_vec_col_mul(a_t.data(), prev, bt, k, k, cur);
-      }
-      const double c = kt.sum_row(cur, k);
-      if (!(c > 0.0)) {
-        return Status::InvalidArgument(
-            FrameError("forward message vanished", t));
-      }
-      klib::ScaleRow(cur, k, 1.0 / c);
+      if (m == prob::kNegInf) return ImpossibleFrame(t);
+      const double c = ForwardFrame(kt, pi, a_t, t, prev, bt, cur);
+      if (!(c > 0.0)) return ForwardVanished(t);
       scale[t] = c;
       loglik += std::log(c) + m;
-      if (t % panel == 0) {
+      if (t == next_checkpoint) {
         std::memcpy(ws->cp_alpha.row_data(t / panel), cur,
                     k * sizeof(double));
+        next_checkpoint += panel;
       }
-      std::swap(prev, cur);
+      prev = cur;
     }
     *log_likelihood = loglik;
   }
 
-  // Refills panel_btilde for frames [t0, hi] (inclusive — a panel's backward
-  // step also reads btilde(t1)) and replays the panel's alpha rows [t0, t1)
-  // from the stored checkpoint. Recomputation feeds the identical input bits
-  // through the identical deterministic kernels, so the replayed rows equal
-  // the full path's bit for bit. Pass 1 already vetted every frame, but the
-  // emissions come back through the provider, so the checks stay.
-  auto replay_panel = [&](size_t p, size_t t0, size_t t1,
-                          size_t hi) -> Status {
+  // Makes panel p (frames [t0, t1)) resident: refills panel_btilde for
+  // frames [t0, hi] (inclusive — a panel's backward step also reads
+  // btilde(t1)) and replays the alpha rows from the stored checkpoint. A
+  // no-op for the panel already in the buffers, so the last panel is never
+  // replayed and a one-panel sweep replays nothing. Pass 1 already vetted
+  // every frame, but the emissions come back through the provider, so the
+  // checks stay.
+  size_t resident_panel = num_panels - 1;
+  auto load_panel = [&](size_t p, size_t t0, size_t t1,
+                        size_t hi) -> Status {
+    if (p == resident_panel) return Status::OK();
+    resident_panel = p;
     for (size_t t = t0; t <= hi; ++t) {
       const double m = kt.exp_shift_row(log_b.row(log_b.ctx, t), k,
                                         ws->panel_btilde.row_data(t - t0));
-      if (m == prob::kNegInf) {
-        return Status::InvalidArgument(
-            FrameError("zero emission probability in every state", t));
-      }
+      if (m == prob::kNegInf) return ImpossibleFrame(t);
     }
     std::memcpy(ws->panel_alpha.row_data(0), ws->cp_alpha.row_data(p),
                 k * sizeof(double));
     for (size_t t = t0 + 1; t < t1; ++t) {
-      double* row = ws->panel_alpha.row_data(t - t0);
-      kt.mat_vec_col_mul(a_t.data(), ws->panel_alpha.row_data(t - 1 - t0),
-                         ws->panel_btilde.row_data(t - t0), k, k, row);
-      const double c = kt.sum_row(row, k);
-      if (!(c > 0.0)) {
-        return Status::InvalidArgument(
-            FrameError("forward message vanished", t));
-      }
-      klib::ScaleRow(row, k, 1.0 / c);
+      const double c = ForwardFrame(
+          kt, pi, a_t, t, ws->panel_alpha.row_data(t - 1 - t0),
+          ws->panel_btilde.row_data(t - t0), ws->panel_alpha.row_data(t - t0));
+      if (!(c > 0.0)) return ForwardVanished(t);
     }
     return Status::OK();
   };
 
+  // Gamma rows land in the caller's matrix when there is one, else in one
+  // k-row of scratch that on_gamma reads before the next frame.
+  linalg::Matrix* gamma_out = sinks.gamma_out;
+  if (gamma_out != nullptr) {
+    gamma_out->Resize(big_t, k);
+  } else {
+    ws->cp_gamma.Resize(k);
+  }
+  auto gamma_dst = [&](size_t t) {
+    return gamma_out != nullptr ? gamma_out->row_data(t) : ws->cp_gamma.data();
+  };
+
   // ---- Pass 2: fused backward / gamma / xi sweep over panels in
-  // descending order. Per frame this runs the exact kernel calls of the
-  // full path's fused sweep — u = btilde(t+1) * beta(t+1) / c_{t+1}, then
-  // the row-dots and xi row-axpys — and xi accumulates in the same globally
-  // descending t order, so xi_sum matches the full path bitwise.
+  // descending order. At frame f the product u = btilde(f+1) * beta(f+1) /
+  // c_{f+1} is formed once and reused by both the backward row-dots and the
+  // xi row-axpys while it is hot; xi accumulates in globally descending f.
   const bool want_ascending = sinks.on_gamma_ascending != nullptr;
   if (want_ascending) ws->cp_beta.Resize(num_panels, k);
   double* beta_next = ws->cp_beta_next.data();  // beta_hat(f + 1) carry
   double* beta_cur = ws->cp_beta_cur.data();
-  double* gamma_row = ws->cp_gamma.data();
   double* u = ws->frame_u.data();
   for (size_t p = num_panels; p-- > 0;) {
     const size_t t0 = p * panel;
     const size_t t1 = std::min(big_t, t0 + panel);
     const size_t hi = std::min(t1, big_t - 1);
-    DHMM_RETURN_NOT_OK(replay_panel(p, t0, t1, hi));
+    DHMM_RETURN_NOT_OK(load_panel(p, t0, t1, hi));
     size_t f = t1;  // next frame processed by the descent is f - 1
     if (p + 1 == num_panels) {
-      // Backward base case, exactly as the full path: beta(T-1) = 1.
+      // Backward base case: beta(T-1) = 1.
       for (size_t i = 0; i < k; ++i) beta_next[i] = 1.0;
+      double* gamma_row = gamma_dst(big_t - 1);
       if (!GammaRow(kt, ws->panel_alpha.row_data(big_t - 1 - t0), beta_next,
                     k, gamma_row)) {
-        return Status::InvalidArgument(
-            FrameError("posterior mass vanished", big_t - 1));
+        return PosteriorVanished(big_t - 1);
       }
-      sinks.on_gamma(sinks.gamma_ctx, big_t - 1, gamma_row);
+      if (sinks.on_gamma != nullptr) {
+        sinks.on_gamma(sinks.gamma_ctx, big_t - 1, gamma_row);
+      }
       f = big_t - 1;
     }
     while (f-- > t0) {
       kt.mul_row_scaled_into(ws->panel_btilde.row_data(f + 1 - t0),
                              beta_next, 1.0 / scale[f + 1], k, u);
       const double* alpha_row = ws->panel_alpha.row_data(f - t0);
-      // Same fused backward frame as the full path's sweep — bitwise
-      // equality frame by frame depends on it.
+      // beta(f) = A u and the frame's xi accumulation in one pass over A
+      // (bitwise = mat_vec_col then axpy_mul_mat; A is read once, not
+      // twice — the win that matters once k x k falls out of L1).
       kt.backward_fused(a.data(), u, alpha_row, k, k, beta_cur,
                         xi_sum->data());
+      double* gamma_row = gamma_dst(f);
       if (!GammaRow(kt, alpha_row, beta_cur, k, gamma_row)) {
-        return Status::InvalidArgument(
-            FrameError("posterior mass vanished", f));
+        return PosteriorVanished(f);
       }
-      sinks.on_gamma(sinks.gamma_ctx, f, gamma_row);
+      if (sinks.on_gamma != nullptr) {
+        sinks.on_gamma(sinks.gamma_ctx, f, gamma_row);
+      }
       std::swap(beta_cur, beta_next);  // beta_next now holds beta_hat(f)
     }
     // beta_next left holding beta_hat(t0): the seed row the ascending
@@ -397,7 +333,7 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
       const size_t t0 = p * panel;
       const size_t t1 = std::min(big_t, t0 + panel);
       const size_t hi = std::min(t1, big_t - 1);
-      DHMM_RETURN_NOT_OK(replay_panel(p, t0, t1, hi));
+      DHMM_RETURN_NOT_OK(load_panel(p, t0, t1, hi));
       size_t f = t1;
       const double* seed = nullptr;  // beta_hat(t1) for non-final panels
       if (p + 1 == num_panels) {
@@ -415,10 +351,10 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
         kt.mat_vec_col(a.data(), u, k, k, ws->panel_beta.row_data(f - t0));
       }
       for (size_t t = t0; t < t1; ++t) {
+        double* gamma_row = gamma_dst(t);
         if (!GammaRow(kt, ws->panel_alpha.row_data(t - t0),
                       ws->panel_beta.row_data(t - t0), k, gamma_row)) {
-          return Status::InvalidArgument(
-              FrameError("posterior mass vanished", t));
+          return PosteriorVanished(t);
         }
         sinks.on_gamma_ascending(sinks.ascending_ctx, t, gamma_row);
       }
@@ -434,13 +370,8 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
                                       InferenceWorkspace* ws,
                                       ForwardBackwardResult* out) {
   DHMM_CHECK(out != nullptr);
-  out->gamma.Resize(log_b.rows(), log_b.cols());
   CheckpointedGammaSinks sinks;
-  sinks.on_gamma = [](void* ctx, size_t t, const double* row) {
-    auto* gamma = static_cast<linalg::Matrix*>(ctx);
-    std::memcpy(gamma->row_data(t), row, gamma->cols() * sizeof(double));
-  };
-  sinks.gamma_ctx = &out->gamma;
+  sinks.gamma_out = &out->gamma;
   return TryForwardBackwardCheckpointed(pi, a, MatrixLogBRows(log_b),
                                         panel_frames, ws, sinks,
                                         &out->xi_sum, &out->log_likelihood);
@@ -465,45 +396,20 @@ Status TryLogLikelihoodRows(const linalg::Vector& pi, const linalg::Matrix& a,
   ws->alpha.Resize(k);
   ws->alpha_next.Resize(k);
   ws->frame.Resize(k);
-  double* alpha = ws->alpha.data();
-  double* next = ws->alpha_next.data();
-  double* btilde = ws->frame.data();
   const linalg::Matrix& a_t = ws->transition.Transpose(a);
   const klib::KernelTable& kt = klib::ForK(k);
 
-  // One frame of shifted emissions at a time: the forward-only pass never
-  // revisits a frame, so a full T x k cache would be wasted work.
-  auto shifted = [&](size_t t) {
-    return kt.exp_shift_row(log_b.row(log_b.ctx, t), k, btilde);
-  };
-
+  // Pass 1 of the forward-backward sweep with nothing kept: one frame of
+  // shifted emissions at a time, alpha ping-ponging between two k-vectors.
+  double* ping[2] = {ws->alpha.data(), ws->alpha_next.data()};
+  double* btilde = ws->frame.data();
   double loglik = 0.0;
-  double m = shifted(0);
-  if (m == prob::kNegInf) {
-    return Status::InvalidArgument(
-        FrameError("zero emission probability in every state", 0));
-  }
-  klib::MulRowInto(pi.data(), btilde, k, alpha);
-  double c = kt.sum_row(alpha, k);
-  if (!(c > 0.0)) {
-    return Status::InvalidArgument(
-        FrameError("forward message vanished", 0));
-  }
-  klib::ScaleRow(alpha, k, 1.0 / c);
-  loglik += std::log(c) + m;
-  for (size_t t = 1; t < big_t; ++t) {
-    m = shifted(t);
-    if (m == prob::kNegInf) {
-      return Status::InvalidArgument(
-          FrameError("zero emission probability in every state", t));
-    }
-    kt.mat_vec_col_mul(a_t.data(), alpha, btilde, k, k, next);
-    c = kt.sum_row(next, k);
-    if (!(c > 0.0)) {
-      return Status::InvalidArgument(
-          FrameError("forward message vanished", t));
-    }
-    klib::ScaleRowInto(next, 1.0 / c, k, alpha);
+  for (size_t t = 0; t < big_t; ++t) {
+    const double m = kt.exp_shift_row(log_b.row(log_b.ctx, t), k, btilde);
+    if (m == prob::kNegInf) return ImpossibleFrame(t);
+    const double c =
+        ForwardFrame(kt, pi, a_t, t, ping[(t + 1) & 1], btilde, ping[t & 1]);
+    if (!(c > 0.0)) return ForwardVanished(t);
     loglik += std::log(c) + m;
   }
   *out = loglik;

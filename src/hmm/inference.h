@@ -1,9 +1,20 @@
 // Observation-type-agnostic HMM inference: scaled forward-backward (E-step,
 // paper Eqs. 9-10) and Viterbi decoding.
 //
-// All routines operate on a per-sequence table of emission log-probabilities
-// (T x k), which decouples the chain algebra from the emission family and
-// makes the recursions testable against brute-force enumeration.
+// All routines operate on per-frame emission log-probabilities — a T x k
+// table, or a LogBRows provider that yields one row at a time — which
+// decouples the chain algebra from the emission family and makes the
+// recursions testable against brute-force enumeration.
+//
+// There is one forward-backward sweep: TryForwardBackwardCheckpointed, the
+// checkpoint-and-recompute scheme of Binder, Murphy & Russell ("Space-
+// efficient inference in dynamic probabilistic networks", IJCAI 1997). It
+// cuts the sequence into S-frame panels, keeps one alpha checkpoint per
+// panel, and replays a panel's alpha rows when the backward sweep reaches
+// it. Run with one panel (S = T) nothing is ever replayed and it is the
+// classic full-table pass, which is all TryForwardBackward is; with S =
+// ceil(sqrt(T)) its memory is O(sqrt(T) * k). Either way the per-frame
+// kernel calls are the same, so every panel width gives the same bits.
 //
 // The canonical entry points are the Status-returning Try* forms
 // (TryForwardBackward / TryLogLikelihood / TryViterbi): they take an
@@ -42,7 +53,7 @@ namespace dhmm::hmm {
 
 namespace internal {
 /// Formats "<what> at frame <t>" — the shared shape of per-frame Status
-/// messages from the Try* inference forms and the streaming decoder
+/// messages from the Try* inference forms and the session pushes
 /// (serve tests grep for the "frame <t>" suffix).
 std::string FrameError(const char* what, size_t t);
 }  // namespace internal
@@ -88,15 +99,6 @@ class TransitionCache {
 /// again. Workspaces are cheap to default-construct and must not be shared
 /// across threads concurrently (the batched engine keeps one per worker).
 struct InferenceWorkspace {
-  // Forward-backward scratch.
-  linalg::Matrix alpha_hat;  ///< T x k scaled forward messages
-  linalg::Matrix beta_hat;   ///< T x k scaled backward messages
-  linalg::Matrix btilde;     ///< T x k cached shifted emissions exp(logb - m_t)
-  linalg::Vector shift;      ///< T per-frame emission shifts m_t
-  linalg::Vector scale;      ///< T forward normalizers c_t
-  linalg::Vector frame_u;    ///< k hoisted backward frame product
-                             ///< btilde(t+1,.) * beta_hat(t+1,.) / c_{t+1}
-
   // Cached transition-matrix derivatives (transpose / log A).
   TransitionCache transition;
 
@@ -105,7 +107,8 @@ struct InferenceWorkspace {
   std::vector<int> psi;      ///< flat row-major T*k backpointers
   linalg::Vector log_pi;     ///< k log initial distribution
 
-  // Forward-only scratch (LogLikelihood).
+  // Forward-only scratch (LogLikelihood, and the forward-backward frames
+  // before the last panel).
   linalg::Vector alpha;      ///< k current forward message
   linalg::Vector alpha_next; ///< k next forward message
   linalg::Vector frame;      ///< k one frame of shifted emissions
@@ -114,27 +117,30 @@ struct InferenceWorkspace {
   // emission model (e.g. the batched EM engine via LogProbTableInto).
   linalg::Matrix log_b;      ///< T x k
 
-  // Checkpointed forward-backward scratch (TryForwardBackwardCheckpointed):
-  // everything here is O(sqrt(T) * k) or O(T) scalars, never O(T * k).
+  // Forward-backward scratch for S-frame panels (S = T for the full-table
+  // sweep, ceil(sqrt(T)) checkpointed): O(S * k + (T / S) * k) doubles plus
+  // T scale factors. Only two beta rows are ever live.
   linalg::Matrix cp_alpha;      ///< ceil(T/S) x k alpha checkpoints
   linalg::Matrix cp_beta;       ///< ceil(T/S) x k beta rows at panel starts
-  linalg::Matrix panel_alpha;   ///< S x k replayed alpha panel
+  linalg::Matrix panel_alpha;   ///< S x k scaled alpha panel
   linalg::Matrix panel_beta;    ///< S x k replayed beta panel
-  linalg::Matrix panel_btilde;  ///< (S+1) x k shifted-emission panel
+  linalg::Matrix panel_btilde;  ///< (S+1) x k shifted emissions exp(logb - m_t)
   linalg::Vector cp_scale;      ///< T forward normalizers c_t
+  linalg::Vector frame_u;       ///< k hoisted backward frame product
+                                ///< btilde(t+1,.) * beta(t+1,.) / c_{t+1}
   linalg::Vector cp_beta_next;  ///< k carried beta row across panels
   linalg::Vector cp_beta_cur;   ///< k beta row under construction
-  linalg::Vector cp_gamma;      ///< k gamma staging row for the sinks
+  linalg::Vector cp_gamma;      ///< k gamma row when the sinks own no matrix
   linalg::Matrix cp_xi;         ///< k x k xi staging (rows-based decode)
   linalg::Vector log_b_row;     ///< k emission-row staging for LogBRows
 };
 
 /// \brief Sequence length at which callers that auto-select (the EM engine,
-/// the decode service, FitEm) switch from the full-matrix forward-backward
-/// to the checkpointed one. Below this a full T x k workspace is at most a
-/// few MB and the full path's single sweep is cheaper; above it the
-/// checkpointed path caps workspace memory at O(sqrt(T) * k) for ~2x the
-/// frame work. 0 disables checkpointing entirely.
+/// the decode service, FitEm) narrow the forward-backward panel from T to
+/// ceil(sqrt(T)) frames. Below this a T x k workspace is at most a few MB
+/// and the one-panel sweep, which never replays, is cheaper; above it the
+/// sqrt(T) panels cap workspace memory at O(sqrt(T) * k) for ~2x the frame
+/// work. 0 keeps one panel for every length.
 inline constexpr size_t kDefaultCheckpointThresholdFrames = 65536;
 
 /// \brief Row provider for emission log-probabilities: the checkpointed
@@ -155,19 +161,22 @@ struct LogBRows {
 /// interface (zero-copy: rows come straight out of the matrix).
 LogBRows MatrixLogBRows(const linalg::Matrix& log_b);
 
-/// \brief Gamma-row consumers for the checkpointed sweep. The checkpointed
-/// pass cannot hand back a T x k gamma matrix without defeating its own
-/// memory bound, so posteriors stream out row by row instead.
+/// \brief Where the forward-backward sweep delivers gamma rows. Every
+/// member is optional.
 ///
-/// `on_gamma` is required and fires once per frame in DESCENDING t order —
-/// the natural order of the backward sweep (this matches the full path's
-/// fill order of out->gamma, so any per-frame consumer sees identical bits).
+/// `gamma_out`, when set, is resized to T x k and each gamma row is
+/// normalized straight into row t of it — the full-table result, with no
+/// staging copy. Long sequences leave it null so no T x k matrix exists.
+/// `on_gamma` fires once per frame in DESCENDING t order — the natural
+/// order of the backward sweep — with the row just written (into
+/// `gamma_out`, or else a k-row of workspace scratch).
 /// `on_gamma_ascending`, when set, triggers a third pass that replays both
 /// message panels and fires once per frame in ASCENDING t order — for
 /// consumers whose accumulation order matters bitwise (the E-step's
 /// emission sufficient statistics accumulate ascending). Rows passed to the
 /// callbacks are valid only for the duration of the call.
 struct CheckpointedGammaSinks {
+  linalg::Matrix* gamma_out = nullptr;
   void (*on_gamma)(void* ctx, size_t t, const double* gamma_row) = nullptr;
   void* gamma_ctx = nullptr;
   void (*on_gamma_ascending)(void* ctx, size_t t,
@@ -187,7 +196,8 @@ struct ForwardBackwardResult {
 };
 
 /// \brief Runs the scaled forward-backward recursions — the canonical,
-/// non-aborting form.
+/// non-aborting form. One call of the sweep below with a single panel
+/// spanning the sequence: the full-table pass.
 ///
 /// \param pi     initial state distribution (k).
 /// \param a      row-stochastic transition matrix (k x k).
@@ -195,19 +205,10 @@ struct ForwardBackwardResult {
 ///
 /// A sequence with zero probability under the model — an all-impossible
 /// frame, a chain-unreachable frame, or scaled-emission underflow that
-/// vanishes the forward mass — returns InvalidArgument naming the frame
-/// ("... at frame <t>"), never a process abort; `*out` is unspecified on
-/// error. Reuses `ws` buffers (allocation-free after warm-up) and resizes
-/// out->gamma / out->xi_sum in place.
-///
-/// Scaling: each frame's emissions are shifted by their max before
-/// exponentiation and the forward messages renormalized per step, so the pass
-/// is stable for arbitrarily peaked emissions (e.g. 128-pixel Bernoulli
-/// products at log-prob ~ -90). The shifted emissions are computed exactly
-/// once per frame into the workspace's cached table and shared by the
-/// forward and the fused backward/xi loops; the backward pass and the
-/// xi-accumulation run as a single sweep over t that reuses the per-frame
-/// product btilde(t+1,.) * beta_hat(t+1,.) / c_{t+1} while it is hot.
+/// vanishes the forward mass — returns InvalidArgument naming the first
+/// failing frame ("... at frame <t>"), never a process abort; `*out` is
+/// unspecified on error. Reuses `ws` buffers (allocation-free after
+/// warm-up) and resizes out->gamma / out->xi_sum in place.
 Status TryForwardBackward(const linalg::Vector& pi, const linalg::Matrix& a,
                           const linalg::Matrix& log_b,
                           InferenceWorkspace* ws,
@@ -227,23 +228,31 @@ ForwardBackwardResult ForwardBackward(const linalg::Vector& pi,
                                       const linalg::Matrix& a,
                                       const linalg::Matrix& log_b);
 
-/// \brief Checkpointed forward-backward: identical math and **bitwise
-/// identical results** to TryForwardBackward, with workspace memory
-/// O(sqrt(T) * k + T) instead of O(T * k).
+/// \brief The forward-backward sweep over S-frame panels (S =
+/// `panel_frames`, ceil(sqrt(T)) when 0, at most T). Workspace memory is
+/// O(S * k + (T / S) * k + T): O(sqrt(T) * k) at the default width.
 ///
-/// The forward pass stores only every S-th scaled alpha row (S =
-/// `panel_frames`, defaulting to ceil(sqrt(T)) when 0) plus the T scale
-/// factors; the backward/gamma/xi sweep then walks panels in descending
-/// order, replaying each panel's alpha rows from its checkpoint through the
-/// exact kernel-call sequence of the full path — recomputation from
-/// identical input bits through identical deterministic kernels yields
-/// identical output bits, so gamma, xi_sum and the log-likelihood match the
-/// full path exactly. xi accumulates in descending t order, same as the
-/// full path's fused sweep. Error contract of TryForwardBackward
-/// (InvalidArgument naming the frame).
+/// Scaling: each frame's emissions are shifted by their max before
+/// exponentiation and the forward messages renormalized per step, so the
+/// pass is stable for arbitrarily peaked emissions (e.g. 128-pixel
+/// Bernoulli products at log-prob ~ -90).
 ///
-/// Costs ~2x the frame work of the full path (forward runs twice), plus
-/// another ~1.5x when `sinks.on_gamma_ascending` is set (betas replay too).
+/// Pass 1 runs the forward recursion over every frame, keeping the T scale
+/// factors, one scaled alpha row per panel start (when there are several),
+/// and the whole last panel (its alpha rows and shifted emissions) in the
+/// panel buffers. Pass 2 is the fused backward / gamma / xi sweep over
+/// panels in descending order: per frame it forms u = btilde(t+1,.) *
+/// beta(t+1,.) / c_{t+1} once, then beta(t) = A u and the frame's xi
+/// accumulation in one pass over A. Each panel but the last is first
+/// replayed from its checkpoint through the same forward kernel calls —
+/// identical input bits through identical deterministic kernels give
+/// identical output bits — so every panel width, one panel included,
+/// yields the same gamma, xi_sum (accumulated in descending t) and
+/// log-likelihood. Error contract of TryForwardBackward.
+///
+/// Each extra panel costs one replay of its forward frames (~2x the frame
+/// work at the default width), plus another ~1.5x when
+/// `sinks.on_gamma_ascending` is set (betas replay too).
 Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
                                       const linalg::Matrix& a,
                                       const LogBRows& log_b,
@@ -253,10 +262,9 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
                                       linalg::Matrix* xi_sum,
                                       double* log_likelihood);
 
-/// \brief Materializing convenience over the checkpointed core: fills a
-/// full ForwardBackwardResult (gamma included) from a T x k matrix. Only
-/// sensible for tests and small T — it reintroduces the O(T * k) gamma —
-/// but it is the workhorse of the bitwise-equality grid.
+/// \brief Materializing form of the sweep: fills a full
+/// ForwardBackwardResult (gamma included, through `gamma_out`) from a
+/// T x k matrix. TryForwardBackward is this with `panel_frames` = T.
 Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
                                       const linalg::Matrix& a,
                                       const linalg::Matrix& log_b,

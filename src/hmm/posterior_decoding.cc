@@ -45,26 +45,6 @@ Status TryPosteriorDecodeRows(const linalg::Vector& pi,
                                         sinks, &ws->cp_xi, log_lik);
 }
 
-Status TryPosteriorDecode(const linalg::Vector& pi, const linalg::Matrix& a,
-                          const linalg::Matrix& log_b,
-                          size_t checkpoint_threshold_frames,
-                          InferenceWorkspace* ws, ForwardBackwardResult* fb,
-                          std::vector<int>* path) {
-  const size_t big_t = log_b.rows();
-  if (checkpoint_threshold_frames == 0 ||
-      big_t < checkpoint_threshold_frames) {
-    return TryPosteriorDecode(pi, a, log_b, ws, fb, path);
-  }
-  double log_lik = 0.0;
-  DHMM_RETURN_NOT_OK(TryPosteriorDecodeRows(pi, a, MatrixLogBRows(log_b),
-                                            /*panel_frames=*/0, ws, &log_lik,
-                                            path));
-  fb->log_likelihood = log_lik;
-  fb->xi_sum = ws->cp_xi;
-  fb->gamma.Resize(0, 0);
-  return Status::OK();
-}
-
 void PosteriorDecode(const linalg::Vector& pi, const linalg::Matrix& a,
                      const linalg::Matrix& log_b, InferenceWorkspace* ws,
                      ForwardBackwardResult* fb, std::vector<int>* path) {

@@ -25,29 +25,17 @@ Status TryPosteriorDecode(const linalg::Vector& pi, const linalg::Matrix& a,
                           InferenceWorkspace* ws, ForwardBackwardResult* fb,
                           std::vector<int>* path);
 
-/// \brief Checkpointed posterior decode over a LogBRows provider: bitwise
-/// identical paths to TryPosteriorDecode with O(sqrt(T) * k) workspace.
-/// Each gamma row is argmaxed the moment the backward sweep produces it
-/// (ties to the lowest state index, same contract as the full path), so no
-/// T x k gamma matrix ever exists; the log-likelihood lands in *log_lik.
-/// xi lands in ws->cp_xi (computed anyway by the fused sweep, same as the
-/// full path's ForwardBackwardResult).
+/// \brief Posterior decode over a LogBRows provider with `panel_frames`-wide
+/// panels (0 = ceil(sqrt(T)), O(sqrt(T) * k) workspace): bitwise identical
+/// paths to TryPosteriorDecode. Each gamma row is argmaxed the moment the
+/// backward sweep produces it (ties to the lowest state index, same
+/// contract as TryPosteriorDecode), so no T x k gamma matrix ever exists;
+/// the log-likelihood lands in *log_lik. xi lands in ws->cp_xi (computed
+/// anyway by the fused sweep).
 Status TryPosteriorDecodeRows(const linalg::Vector& pi,
                               const linalg::Matrix& a, const LogBRows& log_b,
                               size_t panel_frames, InferenceWorkspace* ws,
                               double* log_lik, std::vector<int>* path);
-
-/// \brief Threshold-aware TryPosteriorDecode: sequences of at least
-/// `checkpoint_threshold_frames` frames (0 = never) run the checkpointed
-/// sweep — fb->log_likelihood and fb->xi_sum are filled but fb->gamma is
-/// left 0 x 0 (materializing it would defeat the memory bound); shorter
-/// sequences take the full path and fill fb completely. Paths and
-/// log-likelihoods are bitwise identical either way.
-Status TryPosteriorDecode(const linalg::Vector& pi, const linalg::Matrix& a,
-                          const linalg::Matrix& log_b,
-                          size_t checkpoint_threshold_frames,
-                          InferenceWorkspace* ws, ForwardBackwardResult* fb,
-                          std::vector<int>* path);
 
 /// \brief Aborting wrapper over TryPosteriorDecode for trusted inputs.
 /// Internal/test convenience — request-facing code uses the Try form.

@@ -12,16 +12,11 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdio>
 #include <fstream>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 #include <istream>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <string>
 
 #include "hmm/model.h"
@@ -176,21 +171,9 @@ Result<HmmModel<Obs>> LoadHmm(std::istream& is) {
                        std::move(emission).value());
 }
 
-namespace internal {
-
-/// fsyncs a path (file or directory) so the rename-based save below is
-/// durable across power loss, not just process crashes. Thin alias for
-/// util::SyncPathToDisk (util/fsio.h), the helper shared with the binary
-/// model store's writer; kept for source compatibility.
-inline Status SyncPathToDisk(const std::string& path) {
-  return util::SyncPathToDisk(path);
-}
-
-}  // namespace internal
-
-/// \brief Crash-consistent file save: writes to `path + ".tmp"`, flushes
-/// and fsyncs it, and atomically renames over `path` (fsyncing the parent
-/// directory afterwards).
+/// \brief Crash-consistent file save: serializes with SaveHmm, then
+/// replaces `path` through util::AtomicWriteFile (write `path + ".tmp"`,
+/// flush + fsync, rename over `path`, fsync the parent directory).
 ///
 /// A process crash, power loss, full disk, or write error therefore never
 /// leaves a truncated checkpoint at `path` — a concurrent reader (e.g. the
@@ -200,36 +183,10 @@ inline Status SyncPathToDisk(const std::string& path) {
 /// (last rename wins).
 template <typename Obs>
 Status SaveHmmToFile(const HmmModel<Obs>& model, const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  Status st;
-  {
-    std::ofstream os(tmp, std::ios::out | std::ios::trunc);
-    if (!os) return Status::IOError("cannot open for write: " + tmp);
-    st = SaveHmm(model, os);
-    if (st.ok()) {
-      os.flush();
-      if (!os) st = Status::IOError("flush failed: " + tmp);
-    }
-    os.close();
-    if (st.ok() && os.fail()) st = Status::IOError("close failed: " + tmp);
-  }
-  if (st.ok()) st = internal::SyncPathToDisk(tmp);
-  if (!st.ok()) {
-    std::remove(tmp.c_str());
-    return st;
-  }
-  // POSIX rename semantics (atomic replace of an existing destination) are
-  // assumed, matching the Linux targets this system builds for.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot rename " + tmp + " over " + path);
-  }
-  // Make the rename itself durable: sync the containing directory. Best
-  // effort only — the checkpoint is already complete at `path`, and some
-  // filesystems (FUSE/network mounts) reject directory fsync; failing the
-  // whole save here would report a written checkpoint as missing.
-  util::SyncParentDir(path);
-  return Status::OK();
+  std::ostringstream os;
+  DHMM_RETURN_NOT_OK(SaveHmm(model, os));
+  const std::string bytes = os.str();
+  return util::AtomicWriteFile(path, bytes.data(), bytes.size());
 }
 
 template <typename Obs>

@@ -1,20 +1,25 @@
-// The many-stream refactor of serve::StreamingDecoder: a slab-allocated
-// pool of fixed-lag smoothing sessions over one hot-swappable model.
+// Online sequential labeling: a slab-allocated pool of fixed-lag smoothing
+// sessions over one hot-swappable model.
 //
-// A SessionManager holds 1e5+ resident streams. Session bookkeeping lives
-// in dense slabs of Slot records (grow-only, pointer-stable) addressed by
-// generation-stamped handles — a handle packs {index, generation}, and a
-// destroyed slot bumps its generation, so a stale handle resolves to
-// NotFound instead of someone else's stream. Every session's numeric
-// working set (the same ring-buffer layout StreamingDecoder uses, see
+// A session consumes one observation per Push and emits the smoothed
+// posterior-argmax label for the frame `lag` steps behind the stream head:
+// label(t - lag) = argmax_i q(X_{t-lag} = i | y_0..y_t). Finish flushes the
+// labels still inside the lag window. One session is the whole single-
+// stream decoder; a SessionManager holds 1e5+ of them.
+//
+// Session bookkeeping lives in dense slabs of Slot records (grow-only,
+// pointer-stable) addressed by generation-stamped handles — a handle packs
+// {index, generation}, and a destroyed slot bumps its generation, so a
+// stale handle resolves to NotFound instead of someone else's stream.
+// Every session's numeric working set (the ring-buffer layout of
 // serve/stream_math.h) is carved out of one 64-byte-aligned block from a
 // grow-only per-shape util::SlabArena, so CreateSession / DestroySession
 // are O(1) free-list operations and — once the pool has reached its
 // high-water mark — allocation-free, as is every steady-state Push
 // (tests/session_test.cc pins both with the instrumented allocator).
 //
-// The math is shared with StreamingDecoder (serve/stream_math.h), so the
-// single-stream bitwise contracts carry over verbatim: per-session
+// The math (serve/stream_math.h) is the offline kernel-call sequence over
+// ring buffers, so the bitwise contracts hold by construction: per-session
 // log-likelihood is bitwise equal to offline hmm::LogLikelihood on every
 // prefix, and full-lag decodes are bitwise equal to offline
 // hmm::PosteriorDecode.
@@ -23,8 +28,7 @@
 // ResetSession serialize on one mutex; Push and Finish take the mutex only
 // to resolve the handle and stamp activity, then run the numeric work
 // outside it, so pushes on distinct sessions proceed in parallel. One
-// session has one pusher (the StreamingDecoder thread-compatibility
-// contract, per stream). An in-flight push holds a per-slot counter that
+// session has one pusher. An in-flight push holds a per-slot counter that
 // eviction respects: EvictIdle never touches a session whose push is still
 // running.
 //
@@ -70,8 +74,14 @@ inline constexpr SessionHandle kInvalidSessionHandle = 0;
 /// Options for the session pool. Validate()-checked POD like every serve
 /// options struct.
 struct SessionManagerOptions {
-  /// Smoothing lag shared by all sessions (see StreamingDecoderOptions::
-  /// lag — same semantics, same kMaxLag bound).
+  /// Smoothing lag L shared by all sessions: the label for frame t is
+  /// emitted after seeing frame t + L. 0 emits filtered (forward-only)
+  /// labels immediately; larger lags trade latency — and compute: exact
+  /// fixed-lag smoothing re-runs the backward sweep over the window,
+  /// O(L * k^2) per pushed frame — for accuracy. A lag >= T - 1 reproduces
+  /// offline posterior decoding exactly (labels then all come from
+  /// Finish, one O(T * k^2) sweep). Ring storage is (L + 1) x k doubles
+  /// per session, so the lag is bounded by kMaxLag.
   size_t lag = 8;
   /// Slot records per pool slab: larger slabs mean fewer pool growth
   /// events on the way to the high-water mark.
@@ -163,12 +173,14 @@ class SessionManager {
     return Status::OK();
   }
 
-  /// \brief Consumes one observation on a session — StreamingDecoder::Push
-  /// semantics, addressed by handle. On return *label_out is the smoothed
-  /// label for frame t - lag, or -1 while the frame is still inside the
-  /// lag window. A rejected frame is not consumed and poisons only this
-  /// session (further pushes return its status until ResetSession).
-  /// Steady-state OK-path pushes are allocation-free.
+  /// \brief Consumes one observation on a session. On return *label_out
+  /// is the smoothed label for frame t - lag, or -1 while the frame is
+  /// still inside the lag window. A rejected frame (zero probability in
+  /// every state, or a vanished forward message) is InvalidArgument, is
+  /// not consumed, and poisons only this session: further pushes return
+  /// its status until ResetSession. One bad frame on a live stream must
+  /// never abort the serving process. Steady-state OK-path pushes are
+  /// allocation-free.
   Status Push(SessionHandle h, const Obs& y, int* label_out) {
     DHMM_CHECK(label_out != nullptr);
     *label_out = -1;
@@ -195,10 +207,11 @@ class SessionManager {
     return st;
   }
 
-  /// \brief StreamingDecoder::Finish for one session: flushes the lag
-  /// window's remaining labels (appended to *tail in stream order) and
-  /// marks the session finished until ResetSession. Returns the session's
-  /// poisoned status when the flush fails or the stream was already bad.
+  /// \brief Flushes the lag window's remaining labels (smoothed against the
+  /// final frame, appended to *tail in stream order, one O(lag * k^2)
+  /// backward sweep) and marks the session finished until ResetSession.
+  /// Returns the session's poisoned status, appending nothing, when the
+  /// flush fails or the stream was already bad.
   Status Finish(SessionHandle h, std::vector<int>* tail) {
     DHMM_CHECK(tail != nullptr);
     Slot* s;
@@ -219,7 +232,8 @@ class SessionManager {
   /// \brief Restarts a session's stream in place: keeps the slot and its
   /// warm ring block, clears frames/likelihood/error/finish state, and
   /// adopts the manager's current model snapshot (allocation-free when
-  /// the shape is unchanged — the StreamingDecoder::Reset contract).
+  /// the shape is unchanged), so a finished or poisoned stream is reused
+  /// without reconstruction.
   Status ResetSession(SessionHandle h) {
     std::lock_guard<std::mutex> lock(mu_);
     Slot* s = ResolveLocked(h);
@@ -351,8 +365,8 @@ class SessionManager {
       "unknown or evicted session handle";
 
   // Immutable per-model-snapshot context shared by every session bound to
-  // it: the model, its transition transpose (built once per swap, like
-  // StreamingDecoder's Reset(model)), and the derived ring shape.
+  // it: the model, its transition transpose (built once per swap), and the
+  // derived ring shape.
   struct ModelContext {
     std::shared_ptr<const hmm::HmmModel<Obs>> model;
     hmm::TransitionCache transition;
@@ -466,8 +480,9 @@ class SessionManager {
   }
 
   // The numeric body of Push, run with the in-flight guard held but the
-  // pool mutex released — the exact StreamingDecoder::Push sequence over
-  // the shared math layer.
+  // pool mutex released. Smoothing runs before the frame is committed, so
+  // every rejection path leaves the stream exactly as it was (the ring rows
+  // written by the forward step belong to an already-retired frame).
   Status PushHeld(Slot* s, const Obs& y, int* label_out,
                   core::IncrementalEmTrainer<Obs>* trainer) {
     const ModelContext& ctx = *s->ctx;
@@ -478,9 +493,8 @@ class SessionManager {
     const stream::StepOutcome fwd = stream::ForwardStep(
         *ctx.model, *ctx.a_t, ctx.window, t, rings, y, &loglik_inc);
     if (fwd == stream::StepOutcome::kImpossibleObservation) {
-      s->status = Status::InvalidArgument(
-          "observation has zero probability in every state at frame " +
-          std::to_string(t));
+      s->status = Status::InvalidArgument(hmm::internal::FrameError(
+          "zero emission probability in every state", t));
       return s->status;
     }
     if (fwd == stream::StepOutcome::kForwardVanished) {

@@ -1,21 +1,20 @@
-// The fixed-lag smoothing math shared by StreamingDecoder and
-// SessionManager, over raw ring-buffer views.
+// The fixed-lag smoothing math of serve::SessionManager, over raw
+// ring-buffer views.
 //
-// Both stream front-ends run the exact same kernel call sequence — the
-// scaled forward step and the fused backward/gamma sweep of the offline
-// inference path — so factoring the math over raw pointers is what makes
-// the bitwise contracts composable: StreamingDecoder's labels and
-// SessionManager's labels are bitwise-identical to offline
-// hmm::PosteriorDecode at full lag *by construction*, because they are the
-// same instructions over the same layout. The wrappers own layout, state
-// machines, and error policy; this header owns only arithmetic.
+// Each call runs the exact kernel sequence of the offline inference path —
+// the scaled forward frame and the fused backward/gamma sweep of
+// hmm::TryForwardBackward — over the same per-frame layout, so a session's
+// labels at full lag are bitwise-identical to offline hmm::PosteriorDecode
+// and its running log-likelihood to offline hmm::LogLikelihood *by
+// construction*: they are the same instructions on the same bits. The
+// session pool owns layout, state machines, and error policy; this header
+// owns only arithmetic.
 //
 // A stream's working set is a StreamRings view: two window x k row-major
 // rings (shifted emissions, scaled forward messages), a window-length
 // scale ring, and five k-length scratch rows. RingDoubles() gives the
-// total footprint so callers can carve a whole stream out of one
-// contiguous 64-byte-aligned block (util::SlabArena) or point the view at
-// separately owned linalg buffers — the math cannot tell the difference.
+// total footprint so a caller can carve a whole stream out of one
+// contiguous 64-byte-aligned block (util::SlabArena).
 #ifndef DHMM_SERVE_STREAM_MATH_H_
 #define DHMM_SERVE_STREAM_MATH_H_
 
@@ -32,9 +31,9 @@
 namespace dhmm::serve {
 
 /// Largest accepted smoothing lag (the ring holds lag + 1 frames). Bounds
-/// both stream front-ends' options so a config error (e.g. a negative
-/// flag cast to size_t) cannot overflow the window arithmetic or request
-/// an absurd allocation.
+/// SessionManagerOptions::lag so a config error (e.g. a negative flag cast
+/// to size_t) cannot overflow the window arithmetic or request an absurd
+/// allocation.
 inline constexpr size_t kMaxLag = size_t{1} << 24;
 
 }  // namespace dhmm::serve

@@ -2,16 +2,14 @@
 // allocating kernels bitwise, pinned pre-refactor values must survive the
 // cached-shifted-emissions and flat-backpointer rewrites, and every
 // batched reduction must be invariant to the thread count.
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "core/dhmm_trainer.h"
 #include "data/toy.h"
 #include "hmm/engine.h"
@@ -20,34 +18,6 @@
 #include "hmm/trainer.h"
 #include "prob/gaussian_emission.h"
 #include "prob/rng.h"
-
-// ----------------------------------------------------- allocation counter ---
-
-// Byte-counting operator new instrumentation (the serve_test pattern, with
-// sizes instead of counts): the checkpointed-sweep memory test pins how
-// many bytes an E-step over a million-frame sequence actually allocates.
-namespace {
-std::atomic<long long> g_alloc_bytes{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_bytes.fetch_add(static_cast<long long>(size),
-                          std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_bytes.fetch_add(static_cast<long long>(size),
-                          std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dhmm::hmm {
 namespace {
@@ -386,7 +356,6 @@ TEST(CheckpointedFbTest, PosteriorDecodePathsBitwiseIdentical) {
   prob::Rng rng(4244);
   InferenceWorkspace ws;
   ForwardBackwardResult fb_full;
-  ForwardBackwardResult fb_cp;
   std::vector<int> path_full;
   std::vector<int> path_cp;
   for (size_t big_t : {size_t{1}, size_t{300}, size_t{1001}}) {
@@ -396,15 +365,17 @@ TEST(CheckpointedFbTest, PosteriorDecodePathsBitwiseIdentical) {
     linalg::Matrix log_b = RandomLogB(big_t, k, rng);
     ASSERT_TRUE(
         TryPosteriorDecode(pi, a, log_b, &ws, &fb_full, &path_full).ok());
-    // threshold 1 forces every sequence through the checkpointed sweep.
-    ASSERT_TRUE(TryPosteriorDecode(pi, a, log_b, /*threshold=*/1, &ws,
-                                   &fb_cp, &path_cp)
+    // panel_frames 0: ceil(sqrt(T)) panels, gamma argmaxed row by row.
+    double log_lik_cp = 0.0;
+    ASSERT_TRUE(TryPosteriorDecodeRows(pi, a, MatrixLogBRows(log_b),
+                                       /*panel_frames=*/0, &ws, &log_lik_cp,
+                                       &path_cp)
                     .ok());
     EXPECT_EQ(path_cp, path_full) << big_t;
-    EXPECT_EQ(fb_cp.log_likelihood, fb_full.log_likelihood) << big_t;
+    EXPECT_EQ(log_lik_cp, fb_full.log_likelihood) << big_t;
     for (size_t i = 0; i < k; ++i) {
       for (size_t j = 0; j < k; ++j) {
-        ASSERT_EQ(fb_cp.xi_sum(i, j), fb_full.xi_sum(i, j)) << big_t;
+        ASSERT_EQ(ws.cp_xi(i, j), fb_full.xi_sum(i, j)) << big_t;
       }
     }
   }
@@ -493,10 +464,9 @@ TEST(CheckpointedMemoryTest, MillionFrameEStepStaysSubTableMemory) {
   EStepStats stats;
   stats.Reset(k);
 
-  const long long before = g_alloc_bytes.load(std::memory_order_relaxed);
+  const long long before = alloc_counter::Bytes();
   engine.AccumulateEStep(model, data, &stats, em_acc.get());
-  const long long delta =
-      g_alloc_bytes.load(std::memory_order_relaxed) - before;
+  const long long delta = alloc_counter::Bytes() - before;
 
   EXPECT_EQ(stats.frames, frames);
   EXPECT_GT(stats.sequences, 0u);

@@ -18,11 +18,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <new>
 #include <string>
 #include <thread>
 #include <utility>
@@ -30,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "hmm/inference.h"
 #include "hmm/model.h"
 #include "hmm/posterior_decoding.h"
@@ -43,33 +42,7 @@
 #include "serve/frontend.h"
 #include "serve/model_registry.h"
 #include "serve/session_manager.h"
-#include "serve/streaming_decoder.h"
 #include "serve/wire_client.h"
-
-// ----------------------------------------------------- allocation counter ---
-
-// Global operator new instrumentation, the serve_test/kernels_test pattern:
-// a zero delta across a call proves the call is allocation-free.
-namespace {
-std::atomic<long> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dhmm {
 namespace {
@@ -615,10 +588,10 @@ TEST_F(FrontEndTest, SteadyStateWireRoundTripIsAllocationFree) {
   serve::DecodeResponse resp;
   for (uint64_t i = 0; i < 50; ++i) ASSERT_TRUE(round(i, &resp));  // warm-up
 
-  const long before = g_alloc_count.load(std::memory_order_relaxed);
+  const long before = alloc_counter::Count();
   bool all_ok = true;
   for (uint64_t i = 0; i < 20; ++i) all_ok = all_ok && round(100 + i, &resp);
-  const long after = g_alloc_count.load(std::memory_order_relaxed);
+  const long after = alloc_counter::Count();
   EXPECT_TRUE(all_ok);
   EXPECT_EQ(after - before, 0)
       << "steady-state wire round trips must not allocate";
@@ -667,16 +640,19 @@ TEST_F(FrontEndTest, SessionPushRoundTripsOverTheWire) {
   serve::WireClient client;
   ASSERT_TRUE(client.Connect(frontend_->port()).ok());
 
-  // Reference: the single-stream decoder over the same math, same lag.
+  // Reference: a separate in-process session with the same lag.
   const std::vector<double> obs = MakeObs(*model, 8, 142);
-  serve::StreamingDecoderOptions sopts;
-  sopts.lag = 2;
-  serve::StreamingDecoder<double> ref(model, sopts);
+  serve::SessionManager<double> ref(model, mopts);
+  auto ref_session = ref.CreateSession();
+  ASSERT_TRUE(ref_session.ok());
   std::vector<int> want_labels;
   for (const double y : obs) {
-    if (ref.Push(y)) want_labels.push_back(ref.last_label());
+    int label = -1;
+    ASSERT_TRUE(ref.Push(ref_session.value(), y, &label).ok());
+    if (label >= 0) want_labels.push_back(label);
   }
-  ASSERT_TRUE(ref.ok());
+  auto want_loglik = ref.LogLikelihood(ref_session.value());
+  ASSERT_TRUE(want_loglik.ok());
 
   // First push: 6 frames in, lag 2 => labels for frames 0..3 come back.
   const std::vector<double> first(obs.begin(), obs.begin() + 6);
@@ -701,7 +677,7 @@ TEST_F(FrontEndTest, SessionPushRoundTripsOverTheWire) {
   ASSERT_TRUE(resp.status.ok());
   EXPECT_EQ(resp.path,
             std::vector<int>(want_labels.begin() + 4, want_labels.end()));
-  EXPECT_EQ(resp.value, ref.log_likelihood());  // bitwise
+  EXPECT_EQ(resp.value, want_loglik.value());  // bitwise
   EXPECT_EQ(resp.model_version, 1u);
   EXPECT_EQ(sessions.live_sessions(), 1u);
 

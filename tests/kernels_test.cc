@@ -20,20 +20,19 @@
 //    each ISA, match a test-local column-form reference by memcmp for
 //    every k in 1..70, including exact ties, -inf and NaN candidates.
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "hmm/inference.h"
 #include "linalg/aligned.h"
 #include "linalg/kernels.h"
@@ -42,34 +41,6 @@
 #include "linalg/vector.h"
 #include "prob/logsumexp.h"
 #include "prob/rng.h"
-
-// ----------------------------------------------------- allocation counter ---
-
-// Global operator new instrumentation: every heap allocation made anywhere
-// in this binary bumps the counter, so a zero delta across a call proves the
-// call is allocation-free. linalg::AlignedAllocator routes through this
-// plain operator new on purpose (see linalg/aligned.h), so aligned buffers
-// are counted too.
-namespace {
-std::atomic<long> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dhmm {
 namespace {
@@ -426,11 +397,11 @@ TEST(InferenceAllocationTest, SteadyStateInferenceAllocatesNothing) {
   hmm::LogLikelihood(c.pi, c.a, c.log_b, &ws);
   hmm::Viterbi(c.pi, c.a, c.log_b, &ws, &vit);
 
-  long before = g_alloc_count.load(std::memory_order_relaxed);
+  long before = alloc_counter::Count();
   hmm::ForwardBackward(c.pi, c.a, c.log_b, &ws, &fb);
   hmm::LogLikelihood(c.pi, c.a, c.log_b, &ws);
   hmm::Viterbi(c.pi, c.a, c.log_b, &ws, &vit);
-  long after = g_alloc_count.load(std::memory_order_relaxed);
+  long after = alloc_counter::Count();
   EXPECT_EQ(after - before, 0)
       << "steady-state inference made " << (after - before)
       << " heap allocations";
@@ -448,11 +419,11 @@ TEST(InferenceAllocationTest, TransposeRebuildAtFixedKIsInPlace) {
   // An M-step rewrites A; the cache must refresh without allocating.
   prob::Rng rng(42);
   linalg::Matrix a2 = rng.RandomStochasticMatrix(k, k, 2.0);
-  long before = g_alloc_count.load(std::memory_order_relaxed);
+  long before = alloc_counter::Count();
   for (size_t i = 0; i < k * k; ++i) c.a.data()[i] = a2.data()[i];
   hmm::ForwardBackward(c.pi, c.a, c.log_b, &ws, &fb);
   hmm::Viterbi(c.pi, c.a, c.log_b, &ws, &vit);
-  long after = g_alloc_count.load(std::memory_order_relaxed);
+  long after = alloc_counter::Count();
   EXPECT_EQ(after - before, 0)
       << "in-place transpose rebuild made " << (after - before)
       << " heap allocations";

@@ -14,45 +14,18 @@
 //    form; the JSON form must always parse, non-finite values included),
 //  - the unified startup line has the pinned "[dhmm] startup: kernels "
 //    prefix and LogStartup() exports the resolved ISA gauge.
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "linalg/kernels_dispatch.h"
 #include "obs/metrics.h"
 #include "obs/startup.h"
-
-// ----------------------------------------------------- allocation counter ---
-
-// Global operator new instrumentation, the serve_test/frontend_test
-// pattern: a zero delta across a call proves the call is allocation-free.
-namespace {
-std::atomic<long> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dhmm {
 namespace {
@@ -175,7 +148,7 @@ TEST(ObsAllocationTest, RecordingIsAllocationFree) {
   c->Add();
   g->Set(1.0);
   h->Record(1);
-  const long before = g_alloc_count.load(std::memory_order_relaxed);
+  const long before = alloc_counter::Count();
   for (int i = 0; i < 10000; ++i) {
     c->Add(2);
     g->Set(static_cast<double>(i));
@@ -185,7 +158,7 @@ TEST(ObsAllocationTest, RecordingIsAllocationFree) {
   (void)c->Value();
   (void)g->Value();
   (void)h->Count();
-  const long after = g_alloc_count.load(std::memory_order_relaxed);
+  const long after = alloc_counter::Count();
   EXPECT_EQ(after - before, 0) << "metric recording touched the allocator";
 }
 

@@ -13,23 +13,17 @@
 //    an expired deadline is answered at batch cut without decode work,
 //    and destruction drains a paused service,
 //  - steady-state requests at a fixed shape make zero heap allocations
-//    (instrumented operator new),
-//  - StreamingDecoder's running log-likelihood matches offline
-//    LogLikelihood bitwise on every prefix, and with a full-sequence lag
-//    its labels match offline PosteriorDecode exactly; pushes are
-//    allocation-free after warm-up.
+//    (instrumented operator new).
+// The stream front end's contracts live in session_test.cc.
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <string>
 #include <thread>
 #include <utility>
@@ -37,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "hmm/inference.h"
 #include "hmm/model.h"
 #include "hmm/posterior_decoding.h"
@@ -47,33 +42,6 @@
 #include "prob/gaussian_emission.h"
 #include "prob/rng.h"
 #include "serve/decode_service.h"
-#include "serve/streaming_decoder.h"
-
-// ----------------------------------------------------- allocation counter ---
-
-// Global operator new instrumentation: every heap allocation made anywhere
-// in this binary bumps the counter, so a zero delta across a call proves
-// the call is allocation-free (see kernels_test.cc for the same pattern).
-namespace {
-std::atomic<long> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dhmm {
 namespace {
@@ -439,14 +407,14 @@ TEST(DecodeServiceTest, SteadyStateRequestsAreAllocationFree) {
 
   std::vector<serve::DecodeFuture<double>> futures;
   futures.reserve(data.size());
-  const long before = g_alloc_count.load(std::memory_order_relaxed);
+  const long before = alloc_counter::Count();
   for (size_t s = 0; s < data.size(); ++s) {
     futures.push_back(service.Submit(kinds[s % 3], data[s].obs));
   }
   double sink = 0.0;
   for (auto& f : futures) sink += f.Wait().value;
   for (auto& f : futures) f.Release();
-  const long after = g_alloc_count.load(std::memory_order_relaxed);
+  const long after = alloc_counter::Count();
   EXPECT_EQ(after - before, 0) << "steady-state requests allocated";
   EXPECT_NE(sink, 0.0);
 }
@@ -558,181 +526,6 @@ TEST(DecodeServiceTest, DestructionDrainsAPausedServiceThroughItsHooks) {
     EXPECT_EQ(log.responses[s].request_id, s);
     EXPECT_TRUE(log.responses[s].status.ok());
   }
-}
-
-// -------------------------------------------------------- StreamingDecoder ---
-
-TEST(StreamingDecoderTest, PrefixLogLikelihoodMatchesOfflineBitwise) {
-  auto model = MakeModel(5, 71);
-  hmm::Dataset<double> data = MakeData(*model, 1, 20, 72);
-  const std::vector<double>& obs = data[0].obs;
-
-  serve::StreamingDecoderOptions opts;
-  opts.lag = 3;
-  serve::StreamingDecoder<double> dec(model, opts);
-  for (size_t t = 0; t < obs.size(); ++t) {
-    dec.Push(obs[t]);
-    std::vector<double> prefix(obs.begin(), obs.begin() + t + 1);
-    linalg::Matrix log_b = model->emission->LogProbTable(prefix);
-    EXPECT_EQ(dec.log_likelihood(),
-              hmm::LogLikelihood(model->pi, model->a, log_b))
-        << "prefix length " << t + 1;
-  }
-}
-
-TEST(StreamingDecoderTest, FullLagFinishMatchesOfflinePosteriorDecode) {
-  auto model = MakeModel(4, 81);
-  for (size_t len : {1, 2, 7, 16}) {
-    hmm::Dataset<double> data = MakeData(*model, 1, len, 82 + len);
-    const std::vector<double>& obs = data[0].obs;
-    serve::StreamingDecoderOptions opts;
-    opts.lag = obs.size();  // > T - 1: nothing emitted until Finish
-    serve::StreamingDecoder<double> dec(model, opts);
-    for (double y : obs) EXPECT_FALSE(dec.Push(y));
-    std::vector<int> labels;
-    dec.Finish(&labels);
-    linalg::Matrix log_b = model->emission->LogProbTable(obs);
-    EXPECT_EQ(labels, hmm::PosteriorDecode(model->pi, model->a, log_b))
-        << "length " << len;
-  }
-}
-
-TEST(StreamingDecoderTest, FixedLagEmitsOnTimeAndFinishFlushesTheRest) {
-  auto model = MakeModel(4, 91);
-  hmm::Dataset<double> data = MakeData(*model, 1, 12, 92);
-  const std::vector<double>& obs = data[0].obs;
-  serve::StreamingDecoderOptions opts;
-  opts.lag = 4;
-  serve::StreamingDecoder<double> dec(model, opts);
-  std::vector<int> labels;
-  for (size_t t = 0; t < obs.size(); ++t) {
-    const bool emitted = dec.Push(obs[t]);
-    EXPECT_EQ(emitted, t >= opts.lag);
-    if (emitted) labels.push_back(dec.last_label());
-  }
-  EXPECT_EQ(labels.size(), obs.size() - opts.lag);
-  dec.Finish(&labels);
-  ASSERT_EQ(labels.size(), obs.size());
-  // The final `lag` frames are smoothed against the true end of the
-  // sequence, so they agree exactly with offline posterior decoding.
-  linalg::Matrix log_b = model->emission->LogProbTable(obs);
-  std::vector<int> offline = hmm::PosteriorDecode(model->pi, model->a, log_b);
-  for (size_t t = obs.size() - opts.lag; t < obs.size(); ++t) {
-    EXPECT_EQ(labels[t], offline[t]) << "frame " << t;
-  }
-  for (int label : labels) {
-    EXPECT_GE(label, 0);
-    EXPECT_LT(label, 4);
-  }
-}
-
-TEST(StreamingDecoderTest, ZeroLagIsFilteringAndEmitsImmediately) {
-  // lag = 0 is the aliasing-prone shape (one live frame in the ring): the
-  // forward recursion must still match offline bitwise at every prefix.
-  auto model = MakeModel(3, 101);
-  hmm::Dataset<double> data = MakeData(*model, 1, 6, 102);
-  const std::vector<double>& obs = data[0].obs;
-  serve::StreamingDecoderOptions opts;
-  opts.lag = 0;
-  serve::StreamingDecoder<double> dec(model, opts);
-  for (size_t t = 0; t < obs.size(); ++t) {
-    EXPECT_TRUE(dec.Push(obs[t]));
-    std::vector<double> prefix(obs.begin(), obs.begin() + t + 1);
-    linalg::Matrix log_b = model->emission->LogProbTable(prefix);
-    EXPECT_EQ(dec.log_likelihood(),
-              hmm::LogLikelihood(model->pi, model->a, log_b))
-        << "prefix length " << t + 1;
-  }
-  EXPECT_EQ(dec.labels_emitted(), obs.size());
-  // The final filtered label coincides with offline posterior decoding's
-  // final frame (beta = 1 there in both).
-  linalg::Matrix log_b = model->emission->LogProbTable(obs);
-  std::vector<int> offline = hmm::PosteriorDecode(model->pi, model->a, log_b);
-  EXPECT_EQ(dec.last_label(), offline.back());
-}
-
-TEST(StreamingDecoderTest, PushIsAllocationFreeAfterWarmup) {
-  auto model = MakeModel(6, 111);
-  hmm::Dataset<double> data = MakeData(*model, 1, 64, 112);
-  serve::StreamingDecoderOptions opts;
-  opts.lag = 8;
-  serve::StreamingDecoder<double> dec(model, opts);
-  // Two warm pushes: the cached transition transpose is first built by the
-  // t = 1 forward step.
-  dec.Push(data[0].obs[0]);
-  dec.Push(data[0].obs[1]);
-  const long before = g_alloc_count.load(std::memory_order_relaxed);
-  for (size_t t = 2; t < data[0].obs.size(); ++t) dec.Push(data[0].obs[t]);
-  const long after = g_alloc_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0) << "streaming pushes allocated";
-}
-
-TEST(StreamingDecoderTest, ResetReusesWarmBuffersWithoutAllocating) {
-  auto model_a = MakeModel(6, 115);
-  auto model_b = MakeModel(6, 116);  // same state count: same buffer shape
-  hmm::Dataset<double> data = MakeData(*model_a, 1, 32, 117);
-  serve::StreamingDecoderOptions opts;
-  opts.lag = 8;
-  serve::StreamingDecoder<double> dec(model_a, opts);
-  for (size_t t = 0; t < 16; ++t) dec.Push(data[0].obs[t]);
-
-  const long before = g_alloc_count.load(std::memory_order_relaxed);
-  // Plain Reset: restart the stream on the same model.
-  dec.Reset();
-  for (size_t t = 0; t < 16; ++t) dec.Push(data[0].obs[t]);
-  // Hot-swap Reset: a same-shape model rebuilds the transpose and stream
-  // state entirely inside the warm grow-only buffers.
-  dec.Reset(model_b);
-  for (size_t t = 0; t < 16; ++t) dec.Push(data[0].obs[t]);
-  const long after = g_alloc_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0) << "Reset or post-Reset pushes allocated";
-  EXPECT_TRUE(dec.ok());
-  EXPECT_EQ(dec.frames_pushed(), 16u);
-}
-
-TEST(StreamingDecoderTest, ImpossibleObservationPoisonsStreamNotProcess) {
-  // Same contract as the batched service: a zero-probability frame is a
-  // stream-level error, never a process abort. The bad frame is not
-  // consumed, further pushes are refused, and Reset() recovers.
-  auto model = std::make_shared<const hmm::HmmModel<int>>(
-      linalg::Vector{0.5, 0.5}, linalg::Matrix{{0.5, 0.5}, {0.5, 0.5}},
-      std::make_unique<prob::CategoricalEmission>(
-          linalg::Matrix{{0.5, 0.5, 0.0}, {0.25, 0.75, 0.0}}));
-  serve::StreamingDecoderOptions opts;
-  opts.lag = 0;
-  serve::StreamingDecoder<int> dec(model, opts);
-  EXPECT_TRUE(dec.Push(0));
-  ASSERT_TRUE(dec.ok());
-  EXPECT_FALSE(dec.Push(2));  // symbol 2: zero mass in every state
-  ASSERT_FALSE(dec.ok());
-  EXPECT_EQ(dec.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(dec.frames_pushed(), 1u);  // the bad frame was not consumed
-  EXPECT_FALSE(dec.Push(1));  // poisoned until Reset
-  std::vector<int> tail;
-  dec.Finish(&tail);
-  EXPECT_TRUE(tail.empty());
-  dec.Reset();
-  EXPECT_TRUE(dec.ok());
-  EXPECT_TRUE(dec.Push(1));
-}
-
-TEST(StreamingDecoderTest, ResetSwapsModelAndRestartsTheStream) {
-  auto model_a = MakeModel(4, 121);
-  auto model_b = MakeModel(4, 122);
-  hmm::Dataset<double> data = MakeData(*model_a, 1, 10, 123);
-  const std::vector<double>& obs = data[0].obs;
-
-  serve::StreamingDecoderOptions opts;
-  opts.lag = 2;
-  serve::StreamingDecoder<double> dec(model_a, opts);
-  for (double y : obs) dec.Push(y);
-  dec.Reset(model_b);
-  EXPECT_EQ(dec.frames_pushed(), 0u);
-  EXPECT_EQ(dec.log_likelihood(), 0.0);
-  for (double y : obs) dec.Push(y);
-  linalg::Matrix log_b = model_b->emission->LogProbTable(obs);
-  EXPECT_EQ(dec.log_likelihood(),
-            hmm::LogLikelihood(model_b->pi, model_b->a, log_b));
 }
 
 }  // namespace

@@ -6,22 +6,26 @@
 //    the DPP-diversified transition update, for every thread count,
 //  - SessionManager full-lag decodes and running log-likelihoods are
 //    bitwise equal to offline PosteriorDecode / LogLikelihood for every
-//    pusher-thread count,
-//  - steady-state Push and a warm CreateSession / DestroySession cycle
-//    make zero heap allocations (instrumented operator new),
+//    pusher-thread count and stream length,
+//  - a session's running log-likelihood is bitwise equal to offline
+//    LogLikelihood after every push; fixed-lag labels arrive on time and
+//    Finish flushes the rest; lag 0 is exact filtering,
+//  - steady-state Push, a warm CreateSession / DestroySession cycle, and
+//    ResetSession (also after a same-shape UpdateModel) make zero heap
+//    allocations (instrumented operator new),
+//  - an impossible observation poisons only its session until
+//    ResetSession, and UpdateModel + ResetSession restarts the stream on
+//    the new model,
 //  - generation-stamped handles: a destroyed session's handle resolves
 //    NotFound everywhere, and EvictIdle never touches a session whose
 //    push is still in flight,
 //  - the closed loop: live session posteriors feed the trainer, Step()
 //    improves the dataset log-likelihood, and the snapshot hot-swaps into
 //    the manager.
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -30,6 +34,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "core/incremental_em.h"
 #include "core/transition_update.h"
 #include "hmm/inference.h"
@@ -38,35 +43,10 @@
 #include "hmm/sampler.h"
 #include "hmm/sequence.h"
 #include "hmm/trainer.h"
+#include "prob/categorical_emission.h"
 #include "prob/gaussian_emission.h"
 #include "prob/rng.h"
 #include "serve/session_manager.h"
-
-// ----------------------------------------------------- allocation counter ---
-
-// Global operator new instrumentation: every heap allocation made anywhere
-// in this binary bumps the counter, so a zero delta across a call proves
-// the call is allocation-free (see serve_test.cc for the same pattern).
-namespace {
-std::atomic<long> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dhmm {
 namespace {
@@ -196,6 +176,10 @@ TEST(SessionManagerTest, FullLagDecodesMatchOfflineBitwiseForEveryPusherCount) {
   auto model = MakeModel(4, 91);
   const size_t kLen = 14;
   hmm::Dataset<double> data = MakeData(*model, 8, kLen, 92);
+  // The shortest streams: Finish flushes one frame, or two.
+  for (size_t len : {1, 2}) {
+    data.push_back(MakeData(*model, 1, len, 92 + len)[0]);
+  }
 
   std::vector<std::vector<int>> want_paths;
   std::vector<double> want_loglik;
@@ -254,7 +238,7 @@ TEST(SessionManagerTest, FullLagDecodesMatchOfflineBitwiseForEveryPusherCount) {
       EXPECT_EQ(ll.value(), want_loglik[s]);  // bitwise
       auto frames = mgr.FramesPushed(handles[s]);
       ASSERT_TRUE(frames.ok());
-      EXPECT_EQ(frames.value(), kLen);
+      EXPECT_EQ(frames.value(), data[s].obs.size());
     }
   }
 }
@@ -289,6 +273,159 @@ TEST(SessionManagerTest, ResetSessionRestartsAStreamInPlace) {
   }
 }
 
+// Offline log P(y_0..y_{n-1}) of a stream prefix.
+double PrefixLogLikelihood(const hmm::HmmModel<double>& model,
+                           const std::vector<double>& obs, size_t n) {
+  const std::vector<double> prefix(obs.begin(), obs.begin() + n);
+  const linalg::Matrix log_b = model.emission->LogProbTable(prefix);
+  hmm::InferenceWorkspace ws;
+  double ll = 0.0;
+  EXPECT_TRUE(hmm::TryLogLikelihood(model.pi, model.a, log_b, &ws, &ll).ok());
+  return ll;
+}
+
+TEST(SessionManagerTest, PrefixLogLikelihoodMatchesOfflineBitwise) {
+  auto model = MakeModel(5, 71);
+  hmm::Dataset<double> data = MakeData(*model, 1, 20, 72);
+  const std::vector<double>& obs = data[0].obs;
+  serve::SessionManagerOptions opts;
+  opts.lag = 3;
+  serve::SessionManager<double> mgr(model, opts);
+  const serve::SessionHandle h = mgr.CreateSession().value();
+  for (size_t t = 0; t < obs.size(); ++t) {
+    int label;
+    ASSERT_TRUE(mgr.Push(h, obs[t], &label).ok());
+    EXPECT_EQ(mgr.LogLikelihood(h).value(),
+              PrefixLogLikelihood(*model, obs, t + 1))
+        << "prefix length " << t + 1;
+  }
+}
+
+TEST(SessionManagerTest, FixedLagEmitsOnTimeAndFinishFlushesTheRest) {
+  auto model = MakeModel(4, 91);
+  hmm::Dataset<double> data = MakeData(*model, 1, 12, 92);
+  const std::vector<double>& obs = data[0].obs;
+  serve::SessionManagerOptions opts;
+  opts.lag = 4;
+  serve::SessionManager<double> mgr(model, opts);
+  const serve::SessionHandle h = mgr.CreateSession().value();
+  std::vector<int> labels;
+  for (size_t t = 0; t < obs.size(); ++t) {
+    int label;
+    ASSERT_TRUE(mgr.Push(h, obs[t], &label).ok());
+    // A label comes back from the (lag + 1)-th push on.
+    EXPECT_EQ(label >= 0, t >= opts.lag) << "push " << t;
+    if (label >= 0) labels.push_back(label);
+  }
+  EXPECT_EQ(labels.size(), obs.size() - opts.lag);
+  ASSERT_TRUE(mgr.Finish(h, &labels).ok());
+  ASSERT_EQ(labels.size(), obs.size());
+  // The final `lag` frames are smoothed against the true end of the
+  // sequence, so they agree exactly with offline posterior decoding.
+  const linalg::Matrix log_b = model->emission->LogProbTable(obs);
+  const std::vector<int> offline =
+      hmm::PosteriorDecode(model->pi, model->a, log_b);
+  for (size_t t = obs.size() - opts.lag; t < obs.size(); ++t) {
+    EXPECT_EQ(labels[t], offline[t]) << "frame " << t;
+  }
+  for (int label : labels) {
+    EXPECT_GE(label, 0);
+    EXPECT_LT(label, 4);
+  }
+}
+
+TEST(SessionManagerTest, ZeroLagIsFilteringAndEmitsImmediately) {
+  // lag = 0 is the aliasing-prone shape (one live frame in the ring): the
+  // forward recursion must still match offline bitwise at every prefix.
+  auto model = MakeModel(3, 101);
+  hmm::Dataset<double> data = MakeData(*model, 1, 6, 102);
+  const std::vector<double>& obs = data[0].obs;
+  serve::SessionManagerOptions opts;
+  opts.lag = 0;
+  serve::SessionManager<double> mgr(model, opts);
+  const serve::SessionHandle h = mgr.CreateSession().value();
+  int label = -1;
+  for (size_t t = 0; t < obs.size(); ++t) {
+    ASSERT_TRUE(mgr.Push(h, obs[t], &label).ok());
+    EXPECT_GE(label, 0) << "push " << t;
+    EXPECT_EQ(mgr.LogLikelihood(h).value(),
+              PrefixLogLikelihood(*model, obs, t + 1))
+        << "prefix length " << t + 1;
+  }
+  // The final filtered label coincides with offline posterior decoding's
+  // final frame (beta = 1 there in both).
+  const linalg::Matrix log_b = model->emission->LogProbTable(obs);
+  EXPECT_EQ(label, hmm::PosteriorDecode(model->pi, model->a, log_b).back());
+}
+
+TEST(SessionManagerTest, ImpossibleObservationPoisonsSessionNotProcess) {
+  // A zero-probability frame is a session-level error, never a process
+  // abort. The bad frame is not consumed, further pushes are refused, and
+  // ResetSession recovers.
+  auto model = std::make_shared<const hmm::HmmModel<int>>(
+      linalg::Vector{0.5, 0.5}, linalg::Matrix{{0.5, 0.5}, {0.5, 0.5}},
+      std::make_unique<prob::CategoricalEmission>(
+          linalg::Matrix{{0.5, 0.5, 0.0}, {0.25, 0.75, 0.0}}));
+  serve::SessionManagerOptions opts;
+  opts.lag = 0;
+  serve::SessionManager<int> mgr(model, opts);
+  const serve::SessionHandle h = mgr.CreateSession().value();
+  int label = -1;
+  ASSERT_TRUE(mgr.Push(h, 0, &label).ok());
+  EXPECT_GE(label, 0);
+
+  const Status bad = mgr.Push(h, 2, &label);  // symbol 2: zero mass anywhere
+  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.message(),
+            "zero emission probability in every state at frame 1");
+  EXPECT_EQ(label, -1);
+  EXPECT_EQ(mgr.FramesPushed(h).value(), 1u);  // not consumed
+  EXPECT_EQ(mgr.Push(h, 1, &label).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(mgr.SessionStatus(h).code(), StatusCode::kInvalidArgument);
+  std::vector<int> tail;
+  EXPECT_EQ(mgr.Finish(h, &tail).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(tail.empty());
+
+  ASSERT_TRUE(mgr.ResetSession(h).ok());
+  EXPECT_TRUE(mgr.SessionStatus(h).ok());
+  ASSERT_TRUE(mgr.Push(h, 1, &label).ok());
+  EXPECT_GE(label, 0);
+}
+
+TEST(SessionManagerTest, UpdateModelAndResetRestartTheStreamOnTheNewModel) {
+  auto model_a = MakeModel(4, 121);
+  auto model_b = MakeModel(4, 122);
+  hmm::Dataset<double> data = MakeData(*model_a, 1, 10, 123);
+  const std::vector<double>& obs = data[0].obs;
+  serve::SessionManagerOptions opts;
+  opts.lag = 2;
+  serve::SessionManager<double> mgr(model_a, opts);
+  const serve::SessionHandle h = mgr.CreateSession().value();
+  int label;
+  for (const double y : obs) ASSERT_TRUE(mgr.Push(h, y, &label).ok());
+
+  mgr.UpdateModel(model_b);
+  ASSERT_TRUE(mgr.ResetSession(h).ok());
+  EXPECT_EQ(mgr.FramesPushed(h).value(), 0u);
+  EXPECT_EQ(mgr.LogLikelihood(h).value(), 0.0);
+
+  std::vector<int> labels;
+  for (const double y : obs) {
+    ASSERT_TRUE(mgr.Push(h, y, &label).ok());
+    if (label >= 0) labels.push_back(label);
+  }
+  ASSERT_TRUE(mgr.Finish(h, &labels).ok());
+  ASSERT_EQ(labels.size(), obs.size());
+  EXPECT_EQ(mgr.LogLikelihood(h).value(),
+            PrefixLogLikelihood(*model_b, obs, obs.size()));
+  const linalg::Matrix log_b = model_b->emission->LogProbTable(obs);
+  const std::vector<int> offline =
+      hmm::PosteriorDecode(model_b->pi, model_b->a, log_b);
+  for (size_t t = obs.size() - opts.lag; t < obs.size(); ++t) {
+    EXPECT_EQ(labels[t], offline[t]) << "frame " << t;
+  }
+}
+
 // ------------------------------------------------------- allocation-free ----
 
 TEST(SessionManagerTest, SteadyStatePushAndCreateDestroyAreAllocationFree) {
@@ -313,7 +450,7 @@ TEST(SessionManagerTest, SteadyStatePushAndCreateDestroyAreAllocationFree) {
   }
   ASSERT_TRUE(mgr.DestroySession(b.value()).ok());  // seeds the free list
 
-  const long before = g_alloc_count.load(std::memory_order_relaxed);
+  const long before = alloc_counter::Count();
 
   // Steady-state pushes on a warm session.
   Status push_st = Status::OK();
@@ -333,10 +470,50 @@ TEST(SessionManagerTest, SteadyStatePushAndCreateDestroyAreAllocationFree) {
     if (!st.ok()) cycle_st = st;
   }
 
-  const long after = g_alloc_count.load(std::memory_order_relaxed);
+  const long after = alloc_counter::Count();
   EXPECT_TRUE(push_st.ok()) << push_st.message();
   EXPECT_TRUE(cycle_st.ok()) << cycle_st.message();
   EXPECT_EQ(after - before, 0) << "steady-state session traffic allocated";
+}
+
+TEST(SessionManagerTest, ResetSessionReusesWarmBuffersWithoutAllocating) {
+  auto model_a = MakeModel(6, 115);
+  auto model_b = MakeModel(6, 116);  // same state count: same ring shape
+  hmm::Dataset<double> data = MakeData(*model_a, 1, 32, 117);
+  serve::SessionManagerOptions opts;
+  opts.lag = 8;
+  serve::SessionManager<double> mgr(model_a, opts);
+  const serve::SessionHandle h = mgr.CreateSession().value();
+  int label;
+  Status st = Status::OK();
+  auto push16 = [&] {
+    for (size_t t = 0; t < 16; ++t) {
+      const Status push = mgr.Push(h, data[0].obs[t], &label);
+      if (!push.ok()) st = push;
+    }
+  };
+  push16();
+
+  // Plain reset: restart the stream on the same model.
+  long before = alloc_counter::Count();
+  const Status reset_a = mgr.ResetSession(h);
+  push16();
+  long allocated = alloc_counter::Count() - before;
+
+  // Hot swap: UpdateModel builds a new context (allocates, so it stays
+  // outside the measured window); the reset rebinds the session to it
+  // inside its warm ring block.
+  mgr.UpdateModel(model_b);
+  before = alloc_counter::Count();
+  const Status reset_b = mgr.ResetSession(h);
+  push16();
+  allocated += alloc_counter::Count() - before;
+
+  EXPECT_TRUE(reset_a.ok()) << reset_a.message();
+  EXPECT_TRUE(reset_b.ok()) << reset_b.message();
+  EXPECT_TRUE(st.ok()) << st.message();
+  EXPECT_EQ(allocated, 0) << "ResetSession or post-reset pushes allocated";
+  EXPECT_EQ(mgr.FramesPushed(h).value(), 16u);
 }
 
 // ----------------------------------------------- handles, eviction, races ---
