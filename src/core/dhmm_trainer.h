@@ -4,13 +4,12 @@
 // of the hidden states); the M-step for the transition matrix maximizes the
 // expected complete-data log-likelihood plus alpha * log det K~_A via
 // projected gradient ascent (Algorithm 1). pi and B keep their closed-form
-// updates.
+// updates. The fit is one hmm::FitEm run with that transition M-step
+// (DiversifiedMStep) injected.
 #ifndef DHMM_CORE_DHMM_TRAINER_H_
 #define DHMM_CORE_DHMM_TRAINER_H_
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -57,26 +56,52 @@ struct DiversifiedFitResult {
   double final_map_objective = 0.0;
 };
 
-/// \brief The outer-loop convergence test: relative |gain| below tol.
-///
-/// The inner ascent is inexact, so at the fixed point the MAP objective can
-/// land a hair *below* the previous value on every remaining iteration. The
-/// earlier criterion additionally required gain >= 0, which such a negative
-/// wobble never satisfies — convergence silently never fired and every fit
-/// ran all max_iters. Exposed for direct testing.
-inline bool MapObjectiveConverged(double prev, double current, double tol) {
-  double denom = std::max(1.0, std::fabs(prev));
-  return std::fabs(current - prev) / denom < tol;
-}
+/// The stopping rule of the one EM loop (see hmm::MapObjectiveConverged).
+using hmm::MapObjectiveConverged;
 
-/// \brief Fits a diversified HMM by MAP-EM.
+/// \brief The paper's transition M-step (Algorithm 1) over a persistent
+/// workspace: A is updated by projected gradient ascent on
+///   sum_ij xi_ij log A_ij + alpha log det K~_A   (Eq. 13),
+/// and the step returns its log prior alpha log det K~_A at the new A —
+/// exactly 0 at alpha = 0, where a singular kernel (log det = -inf) would
+/// otherwise make it NaN. Pass it to hmm::EmOptions::transition_m_step as
+/// std::ref(step), so the callback holds no copy and allocates nothing.
+class DiversifiedMStep {
+ public:
+  /// `options` is any options struct with the fields alpha, rho, ascent and
+  /// row_floor (DiversifiedEmOptions, IncrementalEmOptions). `ws` must
+  /// outlive the step; after its first call at a given k, every update
+  /// runs allocation-free.
+  template <typename Options>
+  DiversifiedMStep(const Options& options, TransitionUpdateWorkspace* ws)
+      : ws_(ws) {
+    update_.alpha = options.alpha;
+    update_.rho = options.rho;
+    update_.ascent = options.ascent;
+    update_.row_floor = options.row_floor;
+  }
+  DiversifiedMStep(const DiversifiedMStep&) = delete;
+  DiversifiedMStep& operator=(const DiversifiedMStep&) = delete;
+
+  double operator()(const linalg::Matrix& counts, linalg::Matrix* a) {
+    UpdateTransitions(*a, counts, update_, ws_, &result_);
+    std::swap(*a, result_.a);
+    return update_.alpha == 0.0 ? 0.0 : update_.alpha * result_.log_det;
+  }
+
+ private:
+  TransitionUpdateOptions update_;
+  TransitionUpdateWorkspace* ws_;
+  TransitionUpdateResult result_;
+};
+
+/// \brief Fits a diversified HMM by MAP-EM: one hmm::FitEm with the
+/// Algorithm-1 transition M-step.
 ///
-/// Each outer iteration runs one exact E-step over the dataset and one M-step
-/// in which A is updated by projected gradient ascent on
-///   sum_ij xi_ij log A_ij + alpha log det K~_A   (Eq. 13).
-/// The recorded objective is the true marginal MAP objective of Eq. 7,
-/// re-evaluated with the *updated* parameters, so monotonicity is observable
-/// (§3.5.3).
+/// Each iteration runs one M-step and one exact E-step over the dataset;
+/// the recorded objective is the true marginal MAP objective of Eq. 7 for
+/// the parameters the M-step produced — the next E-step's log-likelihood
+/// plus the M-step's log prior — so monotonicity is observable (§3.5.3).
 ///
 /// \param m_step_ws optional persistent M-step workspace (one per worker
 ///        thread when fits fan out across a core::BatchMStepDriver); nullptr
@@ -90,58 +115,31 @@ DiversifiedFitResult FitDiversifiedHmm(
   DHMM_CHECK(options.alpha >= 0.0);
   DHMM_CHECK(options.max_iters > 0);
 
-  TransitionUpdateOptions update_opts;
-  update_opts.alpha = options.alpha;
-  update_opts.rho = options.rho;
-  update_opts.ascent = options.ascent;
-  update_opts.row_floor = options.row_floor;
-
-  // One workspace and result slot for the whole outer loop (mirroring the
-  // persistent E-step engine below): after the first outer iteration every
-  // transition update runs allocation-free.
   TransitionUpdateWorkspace local_ws;
   TransitionUpdateWorkspace* ws = m_step_ws != nullptr ? m_step_ws : &local_ws;
-  TransitionUpdateResult m_result;
-
+  DiversifiedMStep m_step(options, ws);
   hmm::EmOptions em;
-  em.max_iters = 1;
+  em.max_iters = options.max_iters;
+  em.tol = options.tol;
   em.update_pi = options.update_pi;
   em.update_emission = options.update_emission;
+  em.transition_m_step = std::ref(m_step);
   em.num_threads = options.num_threads;
   em.checkpoint_threshold_frames = options.checkpoint_threshold_frames;
-  em.transition_m_step = [&](const linalg::Matrix& counts,
-                             linalg::Matrix* a) {
-    UpdateTransitions(*a, counts, update_opts, ws, &m_result);
-    std::swap(*a, m_result.a);
-  };
-
-  // One engine for the whole outer loop: its worker pool and per-thread
-  // workspaces persist across the max_iters single-step FitEm calls, so the
-  // E-step stays allocation-free after the first outer iteration.
-  hmm::BatchEmEngine<Obs> engine(
-      hmm::BatchOptions{em.num_threads, em.checkpoint_threshold_frames});
+  const hmm::EmResult fit = hmm::FitEm(model, data, em);
 
   DiversifiedFitResult result;
-  double prev = -std::numeric_limits<double>::infinity();
-  for (int iter = 0; iter < options.max_iters; ++iter) {
-    hmm::EmResult one = hmm::FitEm(model, data, em, &engine);
-    double log_det =
-        dpp::LogDetNormalizedKernel(model->a, options.rho, &ws->kernel);
-    double map_obj = one.final_loglik + options.alpha * log_det;
-    result.loglik_history.push_back(one.final_loglik);
-    result.map_objective_history.push_back(map_obj);
-    ++result.iterations;
-
-    if (iter > 0 && MapObjectiveConverged(prev, map_obj, options.tol)) {
-      result.converged = true;
-      prev = map_obj;
-      break;
-    }
-    prev = map_obj;
-  }
+  result.map_objective_history = fit.objective_history;
+  // ll(theta_1 .. theta_n): the log-likelihoods the M-steps after the
+  // first started from, then the returned parameters'.
+  result.loglik_history.assign(fit.loglik_history.begin() + 1,
+                               fit.loglik_history.end());
+  result.loglik_history.push_back(fit.final_loglik);
+  result.iterations = fit.iterations;
+  result.converged = fit.converged;
   result.final_log_det =
       dpp::LogDetNormalizedKernel(model->a, options.rho, &ws->kernel);
-  result.final_map_objective = prev;
+  result.final_map_objective = fit.objective_history.back();
   return result;
 }
 

@@ -37,6 +37,7 @@ linalg::Matrix DirichletMapTransitions(const linalg::Matrix& expected_counts,
 hmm::TransitionMStep MakeDirichletMStep(double beta) {
   return [beta](const linalg::Matrix& counts, linalg::Matrix* a) {
     *a = DirichletMapTransitions(counts, beta);
+    return 0.0;
   };
 }
 

@@ -23,6 +23,8 @@ linalg::Matrix DirichletMapTransitions(const linalg::Matrix& expected_counts,
                                        double beta);
 
 /// \brief Wraps DirichletMapTransitions as an hmm::TransitionMStep callback.
+/// It reports a log prior of 0, so a fit with it tracks the data
+/// log-likelihood.
 hmm::TransitionMStep MakeDirichletMStep(double beta);
 
 }  // namespace dhmm::core

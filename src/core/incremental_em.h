@@ -6,9 +6,9 @@
 // AccumulateBatch() runs exact mini-batch E-steps on the batched engine,
 // and the AccumulateStream* entry points ingest live fixed-lag posteriors
 // straight out of serve::SessionManager — and Step() turns whatever has
-// accumulated into one M-step: the closed-form pi / emission updates plus
+// accumulated into one M-step: hmm::MStep, the one hmm::FitEm runs, with
 // the paper's DPP-diversified transition update through the persistent
-// core::TransitionUpdateWorkspace (alpha = 0 degrades to the exact
+// core::TransitionUpdateWorkspace when alpha > 0 (alpha = 0 keeps the
 // maximum-likelihood row normalization of hmm::FitEm). Each Step()
 // publishes a fresh immutable snapshot for RCU hot-swap into
 // serve::DecodeService / serve::ModelRegistry / serve::SessionManager —
@@ -18,7 +18,7 @@
 // Contract (tests/session_test.cc): one AccumulateBatch over the full
 // dataset followed by Step() reproduces one hmm::FitEm iteration
 // **bitwise** — same accumulator type, same reduction order, same M-step
-// expression — for both the ML and the DPP-diversified transition update,
+// function — for both the ML and the DPP-diversified transition update,
 // and for every engine thread count. N such rounds reproduce N FitEm
 // iterations.
 //
@@ -29,15 +29,18 @@
 #define DHMM_CORE_INCREMENTAL_EM_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <utility>
 
+#include "core/dhmm_trainer.h"
 #include "core/transition_update.h"
 #include "hmm/engine.h"
 #include "hmm/estep_accumulator.h"
 #include "hmm/model.h"
 #include "hmm/sequence.h"
+#include "hmm/trainer.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/status.h"
@@ -103,10 +106,12 @@ class IncrementalEmTrainer {
     const Status opt_st = options.Validate();
     DHMM_CHECK_MSG(opt_st.ok(), opt_st.message().c_str());
     model_.Validate();
-    update_opts_.alpha = options_.alpha;
-    update_opts_.rho = options_.rho;
-    update_opts_.ascent = options_.ascent;
-    update_opts_.row_floor = options_.row_floor;
+    m_step_.update_pi = options_.update_pi;
+    m_step_.update_transitions = options_.update_transitions;
+    m_step_.update_emission = options_.update_emission;
+    if (options_.alpha > 0.0) {
+      m_step_.transition_m_step = std::ref(diversified_);
+    }
     acc_.Reset(model_.num_states());
     qrow_.Resize(model_.num_states());
     obs::Registry& reg = obs::Registry::Global();
@@ -197,33 +202,11 @@ class IncrementalEmTrainer {
   std::shared_ptr<const hmm::HmmModel<Obs>> Step() {
     std::lock_guard<std::mutex> lock(mu_);
     if (acc_.frames == 0) return snapshot_;
-    // The exact FitEm M-step order: pi, transitions, emission. Statistics
-    // a round never touched keep their previous parameters: a stream-only
-    // round in which no new stream started has no initial-state evidence
-    // (pi accumulates only from first frames), and a lag-0 round has no
-    // transition posteriors — updating from an all-zero accumulator would
-    // be a division by zero, not an estimate.
-    if (options_.update_pi && acc_.sequences > 0) {
-      acc_.pi_acc.NormalizeToSimplex();
-      model_.pi = acc_.pi_acc;
-    }
-    if (options_.update_transitions && HasMass(acc_.trans_acc)) {
-      if (options_.alpha > 0.0) {
-        // The paper's DPP-diversified update (Algorithm 1) through the
-        // persistent workspace — allocation-free after the first Step at
-        // a given k, exactly like FitDiversifiedHmm's injected M-step.
-        UpdateTransitions(model_.a, acc_.trans_acc, update_opts_, &ws_,
-                          &m_result_);
-        std::swap(model_.a, m_result_.a);
-      } else {
-        a_ml_ = acc_.trans_acc;
-        a_ml_.NormalizeRows();
-        model_.a = a_ml_;
-      }
-    }
-    if (options_.update_emission && round_open_) {
-      model_.emission->FinishAccumulate();
-    }
+    // FitEm's own M-step. Its guards keep what a round never touched: a
+    // stream-only round in which no new stream started has no
+    // initial-state evidence (pi accumulates only from first frames), and
+    // a lag-0 round has no transition posteriors.
+    hmm::MStep(m_step_, &acc_, &model_);
     round_open_ = false;
     // The round's batch log-likelihood, exported before the accumulator
     // reset wipes it (stream frames do not contribute; see
@@ -244,17 +227,6 @@ class IncrementalEmTrainer {
   }
 
  private:
-  // True when any expected-count cell is positive — an all-zero matrix
-  // means the round produced no posteriors of this kind.
-  static bool HasMass(const linalg::Matrix& counts) {
-    for (size_t i = 0; i < counts.rows(); ++i) {
-      for (size_t j = 0; j < counts.cols(); ++j) {
-        if (counts(i, j) > 0.0) return true;
-      }
-    }
-    return false;
-  }
-
   // Opens an EM round on first accumulation after a Step: emission
   // sufficient statistics live inside the emission model between
   // BeginAccumulate / FinishAccumulate, bracketed once per round so batch
@@ -266,7 +238,9 @@ class IncrementalEmTrainer {
   }
 
   const IncrementalEmOptions options_;
-  TransitionUpdateOptions update_opts_;
+  // The M-step's flags and transition step (FitEm's options; the loop
+  // fields go unused).
+  hmm::EmOptions m_step_;
 
   mutable std::mutex mu_;
   hmm::BatchEmEngine<Obs> engine_;
@@ -274,9 +248,9 @@ class IncrementalEmTrainer {
   std::shared_ptr<const hmm::HmmModel<Obs>> snapshot_;
   hmm::HmmModel<Obs> model_;  // mutable working copy the M-step updates
   TransitionUpdateWorkspace ws_;
-  TransitionUpdateResult m_result_;
-  linalg::Matrix a_ml_;    // scratch for the ML row normalization
-  linalg::Vector qrow_;    // scratch posterior row for stream frames
+  // The Algorithm-1 transition step over ws_, used when alpha > 0.
+  DiversifiedMStep diversified_{options_, &ws_};
+  linalg::Vector qrow_;  // scratch posterior row for stream frames
   bool round_open_ = false;
   uint64_t steps_ = 0;
 

@@ -108,8 +108,8 @@ StateSelectionResult SelectStateCount(
       DiversifiedEmOptions opts;
       opts.alpha = options.alpha;
       opts.max_iters = options.em_iters;
-      FitDiversifiedHmm(&model, data, opts, &ws);
-      unit_loglik[unit] = hmm::DatasetLogLikelihood(model, data);
+      unit_loglik[unit] =
+          FitDiversifiedHmm(&model, data, opts, &ws).loglik_history.back();
     }
   });
 

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -267,6 +268,38 @@ TEST(DiversifiedTrainerTest, ConvergenceCriterionAcceptsNegativeWobble) {
   // objective magnitude.
   EXPECT_TRUE(MapObjectiveConverged(-1e4, -1e4 - 1e-4, 1e-6));
   EXPECT_FALSE(MapObjectiveConverged(-1.0, -1.0 - 1e-4, 1e-6));
+}
+
+TEST(DiversifiedTrainerTest, AlphaZeroObjectiveIsTheLogLikelihood) {
+  // Identical emission rows leave the states indistinguishable, so the
+  // update gives A two identical rows and log det K~_A = -inf. At
+  // alpha = 0 the objective must still be the log-likelihood, bitwise —
+  // not 0 * -inf = NaN.
+  const linalg::Matrix b{{0.2, 0.3, 0.5}, {0.2, 0.3, 0.5}};
+  auto make = [&b](const linalg::Matrix& a) {
+    return hmm::HmmModel<int>(linalg::Vector{0.5, 0.5}, a,
+                              std::make_unique<prob::CategoricalEmission>(b));
+  };
+  const linalg::Matrix tied{{0.6, 0.4}, {0.6, 0.4}};
+  prob::Rng rng(5);
+  const hmm::Dataset<int> data = hmm::SampleDataset(make(tied), 20, 8, rng);
+  for (const linalg::Matrix& a0 : {tied, linalg::Matrix(2, 2, 0.5)}) {
+    hmm::HmmModel<int> model = make(a0);
+    DiversifiedEmOptions opts;
+    opts.alpha = 0.0;
+    opts.max_iters = 6;
+    const DiversifiedFitResult r = FitDiversifiedHmm(&model, data, opts);
+    ASSERT_EQ(r.map_objective_history.size(), r.loglik_history.size());
+    for (size_t i = 0; i < r.loglik_history.size(); ++i) {
+      EXPECT_EQ(std::memcmp(&r.map_objective_history[i], &r.loglik_history[i],
+                            sizeof(double)),
+                0)
+          << i << ": " << r.map_objective_history[i];
+    }
+    EXPECT_EQ(std::memcmp(&r.final_map_objective, &r.loglik_history.back(),
+                          sizeof(double)),
+              0);
+  }
 }
 
 TEST(DiversifiedTrainerTest, RefitFromConvergedModelStopsImmediately) {

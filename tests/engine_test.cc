@@ -1,8 +1,10 @@
 // The batched inference engine: workspace kernels must reproduce the
 // allocating kernels bitwise, pinned pre-refactor values must survive the
-// cached-shifted-emissions and flat-backpointer rewrites, and every
-// batched reduction must be invariant to the thread count.
+// cached-shifted-emissions and flat-backpointer rewrites, every batched
+// reduction must be invariant to the thread count, and MAP-EM through the
+// one EM loop must equal a loop with a separate likelihood pass bitwise.
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -11,7 +13,9 @@
 
 #include "alloc_counter.h"
 #include "core/dhmm_trainer.h"
+#include "core/transition_update.h"
 #include "data/toy.h"
+#include "dpp/logdet.h"
 #include "hmm/engine.h"
 #include "hmm/inference.h"
 #include "hmm/posterior_decoding.h"
@@ -207,9 +211,24 @@ TEST(BatchEStepTest, EngineReuseAcrossIterationsIsStable) {
     EStepStats again = engine.EStep(model, data);
     EXPECT_DOUBLE_EQ(again.log_likelihood, first.log_likelihood);
   }
-  EXPECT_DOUBLE_EQ(engine.LogLikelihood(model, data),
-                   DatasetLogLikelihood(model, data));
-  EXPECT_EQ(engine.Decode(model, data), DecodeDataset(model, data));
+  // Independent reference: one Try* call per sequence, log-likelihoods
+  // summed in sequence order.
+  InferenceWorkspace ws;
+  double ll = 0.0;
+  std::vector<std::vector<int>> paths;
+  for (const auto& seq : data) {
+    const linalg::Matrix log_b = model.emission->LogProbTable(seq.obs);
+    double seq_ll = 0.0;
+    ASSERT_TRUE(TryLogLikelihood(model.pi, model.a, log_b, &ws, &seq_ll).ok());
+    ll += seq_ll;
+    ViterbiResult vit;
+    ASSERT_TRUE(TryViterbi(model.pi, model.a, log_b, &ws, &vit).ok());
+    paths.push_back(vit.path);
+  }
+  EXPECT_EQ(engine.LogLikelihood(model, data), ll);
+  EXPECT_EQ(DatasetLogLikelihood(model, data), ll);
+  EXPECT_EQ(engine.Decode(model, data), paths);
+  EXPECT_EQ(DecodeDataset(model, data), paths);
 }
 
 TEST(BatchEStepTest, ZeroThreadsResolvesToHardware) {
@@ -278,6 +297,190 @@ TEST(EmDeterminismTest, FitDiversifiedLoglikHistoryBitwiseInvariant) {
     }
     EXPECT_EQ(rn.final_map_objective, r1.final_map_objective) << threads;
   }
+}
+
+// ------------------------------------------------------- the one EM loop ---
+
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+void ExpectSameBits(const std::vector<double>& x, const std::vector<double>& y,
+                    const char* what) {
+  ASSERT_EQ(x.size(), y.size()) << what;
+  for (size_t i = 0; i < x.size(); ++i) {
+    EXPECT_TRUE(SameBits(x[i], y[i])) << what << "[" << i << "]";
+  }
+}
+
+void ExpectModelsSameBits(const HmmModel<double>& x, const HmmModel<double>& y,
+                          const std::vector<double>& probe) {
+  const size_t k = x.num_states();
+  ASSERT_EQ(y.num_states(), k);
+  for (size_t i = 0; i < k; ++i) {
+    EXPECT_TRUE(SameBits(x.pi[i], y.pi[i])) << "pi " << i;
+    for (size_t j = 0; j < k; ++j) {
+      EXPECT_TRUE(SameBits(x.a(i, j), y.a(i, j))) << "a " << i << j;
+    }
+  }
+  const linalg::Matrix bx = x.emission->LogProbTable(probe);
+  const linalg::Matrix by = y.emission->LogProbTable(probe);
+  for (size_t t = 0; t < probe.size(); ++t) {
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_TRUE(SameBits(bx(t, i), by(t, i))) << "log b " << t << i;
+    }
+  }
+}
+
+Dataset<double> LoopData() {
+  prob::Rng rng(101);
+  return data::GenerateToyDataset(/*sigma=*/0.4, /*num_sequences=*/30,
+                                  /*length=*/12, rng);
+}
+
+HmmModel<double> LoopInit() {
+  prob::Rng rng(201);
+  return data::ToyRandomInit(rng);
+}
+
+// Reference MAP-EM with a separate likelihood pass per iteration: E-step,
+// M-step, a full-data LogLikelihood of the updated parameters, then their
+// log det. FitDiversifiedHmm takes the same objective from the next E-step.
+core::DiversifiedFitResult SeparatePassMapEm(
+    HmmModel<double>* model, const Dataset<double>& data,
+    const core::DiversifiedEmOptions& o) {
+  core::TransitionUpdateOptions update;
+  update.alpha = o.alpha;
+  update.rho = o.rho;
+  update.ascent = o.ascent;
+  update.row_floor = o.row_floor;
+  core::TransitionUpdateWorkspace ws;
+  core::TransitionUpdateResult m_result;
+  BatchEmEngine<double> engine(
+      BatchOptions{o.num_threads, o.checkpoint_threshold_frames});
+  core::DiversifiedFitResult r;
+  for (int iter = 0; iter < o.max_iters; ++iter) {
+    EStepStats stats = engine.EStep(*model, data, model->emission.get());
+    stats.pi_acc.NormalizeToSimplex();
+    model->pi = stats.pi_acc;
+    core::UpdateTransitions(model->a, stats.trans_acc, update, &ws,
+                            &m_result);
+    std::swap(model->a, m_result.a);
+    model->emission->FinishAccumulate();
+    const double ll = engine.LogLikelihood(*model, data);
+    const double log_det =
+        dpp::LogDetNormalizedKernel(model->a, o.rho, &ws.kernel);
+    r.loglik_history.push_back(ll);
+    r.map_objective_history.push_back(ll + o.alpha * log_det);
+    ++r.iterations;
+    if (iter > 0 && core::MapObjectiveConverged(
+                        r.map_objective_history[iter - 1],
+                        r.map_objective_history[iter], o.tol)) {
+      r.converged = true;
+      break;
+    }
+  }
+  r.final_log_det = dpp::LogDetNormalizedKernel(model->a, o.rho, &ws.kernel);
+  r.final_map_objective = r.map_objective_history.back();
+  return r;
+}
+
+TEST(OneEmLoopTest, MapFitBitwiseEqualsSeparatePassReference) {
+  const Dataset<double> data = LoopData();
+  const HmmModel<double> init = LoopInit();
+  int early_stops = 0;
+  for (double alpha : {0.0, 0.5, 2.0}) {
+    for (double tol : {0.0, 1e-4}) {
+      for (size_t threshold : {size_t{0}, size_t{5}}) {
+        for (int threads : {1, 3}) {
+          SCOPED_TRACE(testing::Message()
+                       << "alpha=" << alpha << " tol=" << tol
+                       << " threshold=" << threshold
+                       << " threads=" << threads);
+          core::DiversifiedEmOptions o;
+          o.alpha = alpha;
+          o.tol = tol;
+          o.max_iters = 40;
+          o.checkpoint_threshold_frames = threshold;
+          o.num_threads = threads;
+          HmmModel<double> want_model = init;
+          const core::DiversifiedFitResult want =
+              SeparatePassMapEm(&want_model, data, o);
+          HmmModel<double> got_model = init;
+          const core::DiversifiedFitResult got =
+              core::FitDiversifiedHmm(&got_model, data, o);
+          ExpectSameBits(got.map_objective_history,
+                         want.map_objective_history, "map_objective_history");
+          ExpectSameBits(got.loglik_history, want.loglik_history,
+                         "loglik_history");
+          EXPECT_EQ(got.iterations, want.iterations);
+          EXPECT_EQ(got.converged, want.converged);
+          EXPECT_TRUE(SameBits(got.final_log_det, want.final_log_det));
+          EXPECT_TRUE(
+              SameBits(got.final_map_objective, want.final_map_objective));
+          ExpectModelsSameBits(got_model, want_model, data[0].obs);
+          if (got.converged && got.iterations < o.max_iters) ++early_stops;
+        }
+      }
+    }
+  }
+  // The grid must reach the stop-before-the-M-step path, not only max_iters.
+  EXPECT_GT(early_stops, 0);
+}
+
+TEST(OneEmLoopTest, EStepLogLikelihoodIsTheForwardPassBitwise) {
+  const Dataset<double> data = LoopData();
+  for (const HmmModel<double>& model :
+       {LoopInit(), data::ToyGroundTruthModel(0.4)}) {
+    for (size_t threshold : {size_t{0}, size_t{5}}) {
+      for (int threads : {1, 3}) {
+        BatchEmEngine<double> engine(BatchOptions{threads, threshold});
+        const double estep = engine.EStep(model, data).log_likelihood;
+        const double forward = engine.LogLikelihood(model, data);
+        EXPECT_TRUE(SameBits(estep, forward))
+            << "threshold=" << threshold << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(OneEmLoopTest, MaximumLikelihoodFitStopsOnTheMeasuredParameters) {
+  const Dataset<double> data = LoopData();
+  HmmModel<double> model = LoopInit();
+  int calls = 0;
+  EmOptions options;
+  options.max_iters = 200;
+  options.tol = 1e-5;
+  options.transition_m_step = [&](const linalg::Matrix& counts,
+                                  linalg::Matrix* a) {
+    ++calls;
+    *a = counts;
+    a->NormalizeRows();
+    return 0.0;
+  };
+  const EmResult r = FitEm(&model, data, options);
+  ASSERT_TRUE(r.converged);
+  ASSERT_LT(r.iterations, options.max_iters);
+  EXPECT_EQ(calls, r.iterations);
+
+  // One objective per M-step, each measured by the E-step that follows it.
+  const std::vector<double>& obj = r.objective_history;
+  ASSERT_EQ(obj.size(), static_cast<size_t>(r.iterations));
+  ASSERT_EQ(r.loglik_history.size(), obj.size());
+  for (size_t i = 0; i + 1 < obj.size(); ++i) {
+    EXPECT_TRUE(SameBits(obj[i], r.loglik_history[i + 1])) << i;
+  }
+  // The fit stops at the first pair that passes the rule.
+  const size_t n = obj.size();
+  ASSERT_GE(n, 2u);
+  EXPECT_TRUE(core::MapObjectiveConverged(obj[n - 2], obj[n - 1], options.tol));
+  for (size_t i = 1; i + 1 < n; ++i) {
+    EXPECT_FALSE(core::MapObjectiveConverged(obj[i - 1], obj[i], options.tol))
+        << i;
+  }
+  // It returns the parameters that last E-step measured.
+  EXPECT_TRUE(SameBits(r.final_loglik, obj[n - 1]));
+  EXPECT_TRUE(SameBits(r.final_loglik, DatasetLogLikelihood(model, data)));
 }
 
 // -------------------------------------------- checkpointed sweep bitwise ---

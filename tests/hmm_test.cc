@@ -416,6 +416,7 @@ TEST(EmTest, CustomTransitionMStepIsUsed) {
     ++calls;
     *a = counts;
     a->NormalizeRows();
+    return 0.0;
   };
   FitEm(&model, data, opts);
   EXPECT_EQ(calls, 4);

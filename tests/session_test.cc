@@ -119,6 +119,7 @@ TEST(IncrementalEmTest, MiniBatchRoundsReproduceFitEmBitwise) {
                                    linalg::Matrix* a) {
           core::UpdateTransitions(*a, counts, uo, &ws, &res);
           std::swap(*a, res.a);
+          return 0.0;
         };
       }
       hmm::HmmModel<double> ref(*init);
