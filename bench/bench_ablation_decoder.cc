@@ -1,9 +1,11 @@
 // Ablation: Viterbi (max joint path, the paper's decoder) vs posterior
 // max-marginal decoding, for both HMM and dHMM on the toy and OCR tasks.
 #include <cstdio>
+#include <vector>
 
 #include "common.h"
 #include "hmm/posterior_decoding.h"
+#include "util/check.h"
 #include "util/string_util.h"
 
 int main() {
@@ -40,11 +42,20 @@ int main() {
   for (double alpha : {0.0, 10.0}) {
     bench::OcrRun run = bench::RunOcrFold(train, test, alpha, 1e5);
     eval::LabelSequences viterbi, posterior;
+    hmm::InferenceWorkspace ws;
+    hmm::ViterbiResult vit;
+    hmm::ForwardBackwardResult fb;
+    std::vector<int> path;
     for (const auto& seq : test) {
-      linalg::Matrix log_b = run.model.emission->LogProbTable(seq.obs);
-      viterbi.push_back(hmm::Viterbi(run.model.pi, run.model.a, log_b).path);
-      posterior.push_back(
-          hmm::PosteriorDecode(run.model.pi, run.model.a, log_b));
+      run.model.emission->LogProbTableInto(seq.obs, &ws.log_b);
+      Status st = hmm::TryViterbi(run.model.pi, run.model.a, ws.log_b, &ws,
+                                  &vit);
+      DHMM_CHECK_MSG(st.ok(), st.message().c_str());
+      viterbi.push_back(vit.path);
+      st = hmm::TryPosteriorDecode(run.model.pi, run.model.a, ws.log_b, &ws,
+                                   &fb, &path);
+      DHMM_CHECK_MSG(st.ok(), st.message().c_str());
+      posterior.push_back(path);
     }
     table.AddRow({"OCR", alpha == 0.0 ? "HMM" : "dHMM",
                   StrFormat("%.4f", eval::FrameAccuracy(viterbi, ocr_gold)),

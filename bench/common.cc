@@ -5,8 +5,10 @@
 
 #include "core/batch_mstep.h"
 #include "dpp/logdet.h"
+#include "hmm/inference.h"
 #include "hmm/sampler.h"
 #include "prob/categorical_emission.h"
+#include "util/check.h"
 
 namespace dhmm::bench {
 
@@ -131,11 +133,15 @@ OcrRun RunOcrFold(const hmm::Dataset<prob::BinaryObs>& train,
                                              /*diagnostics=*/nullptr, ws);
 
   eval::LabelSequences gold, pred;
+  hmm::InferenceWorkspace decode_ws;
+  hmm::ViterbiResult decoded;
   for (const auto& seq : test) {
     gold.push_back(seq.labels);
-    pred.push_back(hmm::Viterbi(run.model.pi, run.model.a,
-                                run.model.emission->LogProbTable(seq.obs))
-                       .path);
+    run.model.emission->LogProbTableInto(seq.obs, &decode_ws.log_b);
+    const Status st = hmm::TryViterbi(run.model.pi, run.model.a,
+                                      decode_ws.log_b, &decode_ws, &decoded);
+    DHMM_CHECK_MSG(st.ok(), st.message().c_str());
+    pred.push_back(decoded.path);
   }
   run.accuracy = eval::FrameAccuracy(pred, gold);
   return run;

@@ -47,16 +47,19 @@ Workload MakeWorkload(size_t k) {
   return w;
 }
 
-// The pre-serve baseline: one offline convenience call per request, fresh
-// allocations every time, no batching, no parallelism.
+// The pre-serve baseline: one offline call per request with a fresh
+// workspace and table every time, no batching, no parallelism.
 void BM_NaivePerRequestLoop(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   Workload w = MakeWorkload(k);
   for (auto _ : state) {
     double sink = 0.0;
     for (const auto& seq : w.data) {
-      linalg::Matrix log_b = w.model->emission->LogProbTable(seq.obs);
-      sink += hmm::Viterbi(w.model->pi, w.model->a, log_b).log_joint;
+      hmm::InferenceWorkspace ws;
+      hmm::ViterbiResult res;
+      w.model->emission->LogProbTableInto(seq.obs, &ws.log_b);
+      hmm::TryViterbi(w.model->pi, w.model->a, ws.log_b, &ws, &res);
+      sink += res.log_joint;
     }
     benchmark::DoNotOptimize(sink);
   }

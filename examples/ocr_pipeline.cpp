@@ -61,12 +61,17 @@ int main(int argc, char** argv) {
   // 3. Decode test words; per-letter and per-word accuracy.
   eval::LabelSequences gold, pred;
   size_t words_exact = 0;
+  hmm::InferenceWorkspace ws;
+  hmm::ViterbiResult decoded;
   for (const auto& seq : test) {
-    auto path = hmm::Viterbi(model.pi, model.a,
-                             model.emission->LogProbTable(seq.obs))
-                    .path;
-    words_exact += path == seq.labels;
-    pred.push_back(path);
+    model.emission->LogProbTableInto(seq.obs, &ws.log_b);
+    st = hmm::TryViterbi(model.pi, model.a, ws.log_b, &ws, &decoded);
+    if (!st.ok()) {
+      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+      return 1;
+    }
+    words_exact += decoded.path == seq.labels;
+    pred.push_back(decoded.path);
     gold.push_back(seq.labels);
   }
   std::printf("letter accuracy: %.4f   exact-word rate: %.4f\n",

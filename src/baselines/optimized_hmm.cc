@@ -56,7 +56,9 @@ void OptimizedHmm::Fit(const hmm::Dataset<prob::BinaryObs>& data) {
       for (const auto& seq : val) {
         candidate.emission->LogProbTableInto(seq.obs, &ws.log_b);
         ws.log_b *= w;
-        hmm::Viterbi(candidate.pi, candidate.a, ws.log_b, &ws, &decoded);
+        const Status st =
+            hmm::TryViterbi(candidate.pi, candidate.a, ws.log_b, &ws, &decoded);
+        DHMM_CHECK_MSG(st.ok(), st.message().c_str());
         pred.push_back(decoded.path);
         gold.push_back(seq.labels);
       }
@@ -78,7 +80,9 @@ std::vector<int> OptimizedHmm::Decode(
   model_.emission->LogProbTableInto(obs, &ws.log_b);
   ws.log_b *= emission_weight_;
   hmm::ViterbiResult decoded;
-  hmm::Viterbi(model_.pi, model_.a, ws.log_b, &ws, &decoded);
+  const Status st =
+      hmm::TryViterbi(model_.pi, model_.a, ws.log_b, &ws, &decoded);
+  DHMM_CHECK_MSG(st.ok(), st.message().c_str());
   return std::move(decoded.path);
 }
 

@@ -103,7 +103,9 @@ class BatchEmEngine {
       DHMM_CHECK_MSG(seq.length() > 0, "dataset contains an empty sequence");
       if (Checkpointed(seq.length())) return;
       model.emission->LogProbTableInto(seq.obs, &ws.log_b);
-      ForwardBackward(model.pi, model.a, ws.log_b, &ws, &per_seq_[s]);
+      const Status st =
+          TryForwardBackward(model.pi, model.a, ws.log_b, &ws, &per_seq_[s]);
+      DHMM_CHECK_MSG(st.ok(), st.message().c_str());
     });
 
     qrow_.Resize(model.num_states());
@@ -122,20 +124,20 @@ class BatchEmEngine {
     seq_loglik_.resize(data.size());
     pool_.ParallelFor(data.size(), [&](int worker, size_t s) {
       InferenceWorkspace& ws = workspaces_[static_cast<size_t>(worker)];
+      Status st;
       if (Checkpointed(data[s].length())) {
         // Same kernel sequence as the materialized path, one emission row
         // at a time: bitwise-equal log-likelihood, O(k) workspace.
         EmissionLogBRows<Obs> rows{model.emission.get(), &data[s].obs,
                                    &ws.log_b_row};
-        double ll = 0.0;
-        Status st =
-            TryLogLikelihoodRows(model.pi, model.a, rows.View(), &ws, &ll);
-        DHMM_CHECK_MSG(st.ok(), st.message().c_str());
-        seq_loglik_[s] = ll;
+        st = TryLogLikelihoodRows(model.pi, model.a, rows.View(), &ws,
+                                  &seq_loglik_[s]);
       } else {
         model.emission->LogProbTableInto(data[s].obs, &ws.log_b);
-        seq_loglik_[s] = hmm::LogLikelihood(model.pi, model.a, ws.log_b, &ws);
+        st = TryLogLikelihood(model.pi, model.a, ws.log_b, &ws,
+                              &seq_loglik_[s]);
       }
+      DHMM_CHECK_MSG(st.ok(), st.message().c_str());
     });
     double total = 0.0;
     for (double ll : seq_loglik_) total += ll;
@@ -150,7 +152,8 @@ class BatchEmEngine {
       InferenceWorkspace& ws = workspaces_[static_cast<size_t>(worker)];
       model.emission->LogProbTableInto(data[s].obs, &ws.log_b);
       ViterbiResult res;
-      Viterbi(model.pi, model.a, ws.log_b, &ws, &res);
+      const Status st = TryViterbi(model.pi, model.a, ws.log_b, &ws, &res);
+      DHMM_CHECK_MSG(st.ok(), st.message().c_str());
       paths[s] = std::move(res.path);
     });
     return paths;
@@ -218,15 +221,6 @@ class BatchEmEngine {
   linalg::Matrix cp_xi_;      // xi capture for checkpointed sequences
   size_t checkpoint_threshold_frames_ = kDefaultCheckpointThresholdFrames;
 };
-
-/// \brief One-shot convenience wrapper when no engine is being reused.
-template <typename Obs>
-EStepStats BatchEStep(const HmmModel<Obs>& model, const Dataset<Obs>& data,
-                      const BatchOptions& options = {},
-                      prob::EmissionModel<Obs>* emission_acc = nullptr) {
-  BatchEmEngine<Obs> engine(options);
-  return engine.EStep(model, data, emission_acc);
-}
 
 }  // namespace dhmm::hmm
 

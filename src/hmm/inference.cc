@@ -4,6 +4,7 @@
 #include <cstring>
 #include <string>
 
+#include "hmm/chain_steps.h"
 #include "linalg/kernels.h"
 #include "linalg/kernels_dispatch.h"
 #include "prob/logsumexp.h"
@@ -14,8 +15,9 @@ namespace dhmm::hmm {
 namespace klib = linalg::kernels;
 
 // Every Try* entry point fetches its kernel table once via klib::ForK(k)
-// — outside all per-frame loops — and calls the reduction/axpy/fused/
-// Viterbi kernels through it. The cheap inline scans (ArgMaxRow, ScaleRow,
+// — outside all per-frame loops — and passes it to the shared per-frame
+// steps (hmm/chain_steps.h) or calls the fused backward and Viterbi
+// kernels through it. The cheap inline scans (ArgMaxRow, ScaleRow,
 // MulRowInto) stay direct calls: they are branchy or trivially cheap and
 // identical across variants.
 
@@ -57,59 +59,37 @@ const linalg::Matrix& TransitionCache::Log(const linalg::Matrix& a) {
 
 namespace internal {
 
-std::string FrameError(const char* what, size_t t) {
-  return std::string(what) + " at frame " + std::to_string(t);
+namespace {
+
+Status FrameError(const char* what, size_t t) {
+  return Status::InvalidArgument(std::string(what) + " at frame " +
+                                 std::to_string(t));
+}
+
+}  // namespace
+
+Status ImpossibleFrame(size_t t) {
+  return FrameError("zero emission probability in every state", t);
+}
+
+Status ForwardVanished(size_t t) {
+  return FrameError("forward message vanished", t);
+}
+
+Status PosteriorVanished(size_t t) {
+  return FrameError("posterior mass vanished", t);
 }
 
 }  // namespace internal
 
-using internal::FrameError;
+using internal::BetaStep;
+using internal::ForwardFrame;
+using internal::ForwardVanished;
+using internal::GammaRow;
+using internal::ImpossibleFrame;
+using internal::PosteriorVanished;
 
 namespace {
-
-Status ImpossibleFrame(size_t t) {
-  return Status::InvalidArgument(
-      FrameError("zero emission probability in every state", t));
-}
-
-Status ForwardVanished(size_t t) {
-  return Status::InvalidArgument(FrameError("forward message vanished", t));
-}
-
-Status PosteriorVanished(size_t t) {
-  return Status::InvalidArgument(FrameError("posterior mass vanished", t));
-}
-
-// One scaled forward frame into `cur`: (A^T alpha_{t-1}) .* btilde_t, or
-// pi .* btilde_t at t = 0, normalized by its sum c_t, which is returned
-// (not positive when the forward mass vanished; `cur` is then left
-// unnormalized). The first pass and every replay run exactly this kernel
-// sequence — the bitwise equality of replayed rows depends on it.
-double ForwardFrame(const klib::KernelTable& kt, const linalg::Vector& pi,
-                    const linalg::Matrix& a_t, size_t t, const double* prev,
-                    const double* btilde, double* cur) {
-  const size_t k = pi.size();
-  if (t == 0) {
-    klib::MulRowInto(pi.data(), btilde, k, cur);
-  } else {
-    kt.mat_vec_col_mul(a_t.data(), prev, btilde, k, k, cur);
-  }
-  const double c = kt.sum_row(cur, k);
-  if (c > 0.0) klib::ScaleRow(cur, k, 1.0 / c);
-  return c;
-}
-
-// gamma(t, .) = normalized alpha_hat(t, .) * beta_hat(t, .), with the
-// division replaced by one hoisted reciprocal multiply. False when the
-// posterior mass vanished (numerically impossible frame).
-bool GammaRow(const klib::KernelTable& kt, const double* alpha_row,
-              const double* beta_row, size_t k, double* gamma_row) {
-  klib::MulRowInto(alpha_row, beta_row, k, gamma_row);
-  const double norm = kt.sum_row(gamma_row, k);
-  if (!(norm > 0.0)) return false;
-  klib::ScaleRow(gamma_row, k, 1.0 / norm);
-  return true;
-}
 
 // Smallest s with s * s >= n (panel width for the checkpointed sweep).
 size_t CeilSqrt(size_t n) {
@@ -126,22 +106,6 @@ Status TryForwardBackward(const linalg::Vector& pi, const linalg::Matrix& a,
                           InferenceWorkspace* ws,
                           ForwardBackwardResult* out) {
   return TryForwardBackwardCheckpointed(pi, a, log_b, log_b.rows(), ws, out);
-}
-
-void ForwardBackward(const linalg::Vector& pi, const linalg::Matrix& a,
-                     const linalg::Matrix& log_b, InferenceWorkspace* ws,
-                     ForwardBackwardResult* out) {
-  Status st = TryForwardBackward(pi, a, log_b, ws, out);
-  DHMM_CHECK_MSG(st.ok(), st.message().c_str());
-}
-
-ForwardBackwardResult ForwardBackward(const linalg::Vector& pi,
-                                      const linalg::Matrix& a,
-                                      const linalg::Matrix& log_b) {
-  InferenceWorkspace ws;
-  ForwardBackwardResult out;
-  ForwardBackward(pi, a, log_b, &ws, &out);
-  return out;
 }
 
 LogBRows MatrixLogBRows(const linalg::Matrix& log_b) {
@@ -302,7 +266,7 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
                              beta_next, 1.0 / scale[f + 1], k, u);
       const double* alpha_row = ws->panel_alpha.row_data(f - t0);
       // beta(f) = A u and the frame's xi accumulation in one pass over A
-      // (bitwise = mat_vec_col then axpy_mul_mat; A is read once, not
+      // (beta bitwise = mat_vec_col, as in BetaStep; A is read once, not
       // twice — the win that matters once k x k falls out of L1).
       kt.backward_fused(a.data(), u, alpha_row, k, k, beta_cur,
                         xi_sum->data());
@@ -325,8 +289,9 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
   // ---- Pass 3 (optional): ascending gamma replay for consumers whose
   // accumulation order matters bitwise (the E-step feeds emission
   // sufficient statistics in ascending frame order). Both message panels
-  // replay from their stored seed rows through the pass-2 kernel calls, so
-  // the gamma rows equal the descending pass bit for bit.
+  // replay from their stored seed rows; BetaStep's beta equals pass 2's
+  // backward_fused beta bitwise, so the gamma rows equal the descending
+  // pass bit for bit.
   if (want_ascending) {
     ws->panel_beta.Resize(panel, k);
     for (size_t p = 0; p < num_panels; ++p) {
@@ -346,9 +311,8 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
       while (f-- > t0) {
         const double* beta_up =
             (f + 1 == t1) ? seed : ws->panel_beta.row_data(f + 1 - t0);
-        kt.mul_row_scaled_into(ws->panel_btilde.row_data(f + 1 - t0),
-                               beta_up, 1.0 / scale[f + 1], k, u);
-        kt.mat_vec_col(a.data(), u, k, k, ws->panel_beta.row_data(f - t0));
+        BetaStep(kt, a, ws->panel_btilde.row_data(f + 1 - t0), beta_up,
+                 scale[f + 1], u, ws->panel_beta.row_data(f - t0));
       }
       for (size_t t = t0; t < t1; ++t) {
         double* gamma_row = gamma_dst(t);
@@ -416,20 +380,6 @@ Status TryLogLikelihoodRows(const linalg::Vector& pi, const linalg::Matrix& a,
   return Status::OK();
 }
 
-double LogLikelihood(const linalg::Vector& pi, const linalg::Matrix& a,
-                     const linalg::Matrix& log_b, InferenceWorkspace* ws) {
-  double out = 0.0;
-  Status st = TryLogLikelihood(pi, a, log_b, ws, &out);
-  DHMM_CHECK_MSG(st.ok(), st.message().c_str());
-  return out;
-}
-
-double LogLikelihood(const linalg::Vector& pi, const linalg::Matrix& a,
-                     const linalg::Matrix& log_b) {
-  InferenceWorkspace ws;
-  return LogLikelihood(pi, a, log_b, &ws);
-}
-
 Status TryViterbi(const linalg::Vector& pi, const linalg::Matrix& a,
                   const linalg::Matrix& log_b, InferenceWorkspace* ws,
                   ViterbiResult* out) {
@@ -477,21 +427,6 @@ Status TryViterbi(const linalg::Vector& pi, const linalg::Matrix& a,
     out->path[t] = psi[(t + 1) * k + out->path[t + 1]];
   }
   return Status::OK();
-}
-
-void Viterbi(const linalg::Vector& pi, const linalg::Matrix& a,
-             const linalg::Matrix& log_b, InferenceWorkspace* ws,
-             ViterbiResult* out) {
-  Status st = TryViterbi(pi, a, log_b, ws, out);
-  DHMM_CHECK_MSG(st.ok(), st.message().c_str());
-}
-
-ViterbiResult Viterbi(const linalg::Vector& pi, const linalg::Matrix& a,
-                      const linalg::Matrix& log_b) {
-  InferenceWorkspace ws;
-  ViterbiResult out;
-  Viterbi(pi, a, log_b, &ws, &out);
-  return out;
 }
 
 }  // namespace dhmm::hmm

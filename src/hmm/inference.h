@@ -16,17 +16,17 @@
 // ceil(sqrt(T)) its memory is O(sqrt(T) * k). Either way the per-frame
 // kernel calls are the same, so every panel width gives the same bits.
 //
-// The canonical entry points are the Status-returning Try* forms
-// (TryForwardBackward / TryLogLikelihood / TryViterbi): they take an
+// The entry points are the Status-returning Try* forms (TryForwardBackward
+// / TryLogLikelihood / TryViterbi), one per operation: they take an
 // InferenceWorkspace whose buffers are reused across calls (zero heap
 // traffic after warm-up) and report an impossible sequence as an
 // InvalidArgument instead of killing the process — the contract every
-// request-facing layer builds on. The aborting conveniences (ForwardBackward
-// et al.) are thin wrappers over Try* that DHMM_CHECK the status; they exist
-// for training loops and tests whose inputs are trusted by construction, and
-// new request-facing code must not use them. The batched EM engine
-// (hmm/engine.h) keeps one workspace per worker thread and runs entire
-// training jobs without touching the allocator after warm-up.
+// request-facing layer builds on. Callers whose inputs are trusted by
+// construction (training loops) check the Status themselves. The batched
+// EM engine (hmm/engine.h) keeps one workspace per worker thread and runs
+// entire training jobs without touching the allocator after warm-up. The
+// per-frame steps the sweeps share with the session rings live in
+// hmm/chain_steps.h.
 //
 // The inner loops run on the deterministic micro-kernels in linalg/kernels.h
 // (restrict pointers, fixed 4-way accumulation order, 64-byte-aligned
@@ -42,7 +42,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -50,13 +49,6 @@
 #include "util/status.h"
 
 namespace dhmm::hmm {
-
-namespace internal {
-/// Formats "<what> at frame <t>" — the shared shape of per-frame Status
-/// messages from the Try* inference forms and the session pushes
-/// (serve tests grep for the "frame <t>" suffix).
-std::string FrameError(const char* what, size_t t);
-}  // namespace internal
 
 /// \brief Content-keyed cache of derived views of a transition matrix.
 ///
@@ -195,8 +187,8 @@ struct ForwardBackwardResult {
   double log_likelihood = 0.0;
 };
 
-/// \brief Runs the scaled forward-backward recursions — the canonical,
-/// non-aborting form. One call of the sweep below with a single panel
+/// \brief Runs the scaled forward-backward recursions, never aborting on
+/// an impossible sequence. One call of the sweep below with a single panel
 /// spanning the sequence: the full-table pass.
 ///
 /// \param pi     initial state distribution (k).
@@ -213,20 +205,6 @@ Status TryForwardBackward(const linalg::Vector& pi, const linalg::Matrix& a,
                           const linalg::Matrix& log_b,
                           InferenceWorkspace* ws,
                           ForwardBackwardResult* out);
-
-/// \brief Aborting wrapper over TryForwardBackward for trusted inputs
-/// (training loops, tests): DHMM_CHECKs the status. Bitwise-identical
-/// results on the OK path. Internal/test convenience — request-facing code
-/// uses TryForwardBackward.
-void ForwardBackward(const linalg::Vector& pi, const linalg::Matrix& a,
-                     const linalg::Matrix& log_b, InferenceWorkspace* ws,
-                     ForwardBackwardResult* out);
-
-/// \brief Aborting convenience that also allocates its own scratch — for
-/// one-off calls in tests and offline analysis only.
-ForwardBackwardResult ForwardBackward(const linalg::Vector& pi,
-                                      const linalg::Matrix& a,
-                                      const linalg::Matrix& log_b);
 
 /// \brief The forward-backward sweep over S-frame panels (S =
 /// `panel_frames`, ceil(sqrt(T)) when 0, at most T). Workspace memory is
@@ -278,20 +256,11 @@ Status TryLogLikelihoodRows(const linalg::Vector& pi, const linalg::Matrix& a,
                             const LogBRows& log_b, InferenceWorkspace* ws,
                             double* out);
 
-/// \brief log P(Y | lambda) only (forward pass) — canonical non-aborting
-/// form; error contract of TryForwardBackward.
+/// \brief log P(Y | lambda) only (forward pass); error contract of
+/// TryForwardBackward.
 Status TryLogLikelihood(const linalg::Vector& pi, const linalg::Matrix& a,
                         const linalg::Matrix& log_b, InferenceWorkspace* ws,
                         double* out);
-
-/// \brief Aborting wrapper over TryLogLikelihood for trusted inputs
-/// (allocation-free after warm-up). Internal/test convenience.
-double LogLikelihood(const linalg::Vector& pi, const linalg::Matrix& a,
-                     const linalg::Matrix& log_b, InferenceWorkspace* ws);
-
-/// \brief Aborting convenience with its own scratch — one-off calls only.
-double LogLikelihood(const linalg::Vector& pi, const linalg::Matrix& a,
-                     const linalg::Matrix& log_b);
 
 /// \brief Result of Viterbi decoding.
 struct ViterbiResult {
@@ -300,9 +269,9 @@ struct ViterbiResult {
 };
 
 /// \brief Most-likely state sequence via the Viterbi recursion (log
-/// domain) — canonical non-aborting form. A sequence whose best final
-/// score is not finite (no positive-probability path, or a NaN emission
-/// row) returns InvalidArgument (see TryForwardBackward).
+/// domain). A sequence whose best final score is not finite (no
+/// positive-probability path, or a NaN emission row) returns
+/// InvalidArgument (see TryForwardBackward).
 ///
 /// Tie-breaking contract: when several predecessors (or final states) attain
 /// the same score, the lowest state index wins. Tests pin this so storage
@@ -315,16 +284,6 @@ struct ViterbiResult {
 Status TryViterbi(const linalg::Vector& pi, const linalg::Matrix& a,
                   const linalg::Matrix& log_b, InferenceWorkspace* ws,
                   ViterbiResult* out);
-
-/// \brief Aborting wrapper over TryViterbi for trusted inputs.
-/// Internal/test convenience — request-facing code uses TryViterbi.
-void Viterbi(const linalg::Vector& pi, const linalg::Matrix& a,
-             const linalg::Matrix& log_b, InferenceWorkspace* ws,
-             ViterbiResult* out);
-
-/// \brief Aborting convenience with its own scratch — one-off calls only.
-ViterbiResult Viterbi(const linalg::Vector& pi, const linalg::Matrix& a,
-                      const linalg::Matrix& log_b);
 
 }  // namespace dhmm::hmm
 

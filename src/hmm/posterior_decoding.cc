@@ -45,21 +45,4 @@ Status TryPosteriorDecodeRows(const linalg::Vector& pi,
                                         sinks, &ws->cp_xi, log_lik);
 }
 
-void PosteriorDecode(const linalg::Vector& pi, const linalg::Matrix& a,
-                     const linalg::Matrix& log_b, InferenceWorkspace* ws,
-                     ForwardBackwardResult* fb, std::vector<int>* path) {
-  Status st = TryPosteriorDecode(pi, a, log_b, ws, fb, path);
-  DHMM_CHECK_MSG(st.ok(), st.message().c_str());
-}
-
-std::vector<int> PosteriorDecode(const linalg::Vector& pi,
-                                 const linalg::Matrix& a,
-                                 const linalg::Matrix& log_b) {
-  InferenceWorkspace ws;
-  ForwardBackwardResult fb;
-  std::vector<int> path;
-  PosteriorDecode(pi, a, log_b, &ws, &fb, &path);
-  return path;
-}
-
 }  // namespace dhmm::hmm

@@ -12,14 +12,15 @@
 #include "hmm/inference.h"
 #include "hmm/model.h"
 #include "hmm/sequence.h"
+#include "util/check.h"
 
 namespace dhmm::hmm {
 
-/// \brief Per-frame argmax of the posterior marginals gamma — canonical
-/// non-aborting form. Runs forward-backward through `ws`, leaves the
-/// marginals in `*fb`, and writes the per-frame argmax into `*path` (lowest
-/// state index on ties, matching Vector::argmax). An impossible sequence
-/// returns InvalidArgument (see TryForwardBackward), never a process abort.
+/// \brief Per-frame argmax of the posterior marginals gamma. Runs
+/// forward-backward through `ws`, leaves the marginals in `*fb`, and writes
+/// the per-frame argmax into `*path` (lowest state index on ties, matching
+/// Vector::argmax). An impossible sequence returns InvalidArgument (see
+/// TryForwardBackward), never a process abort.
 Status TryPosteriorDecode(const linalg::Vector& pi, const linalg::Matrix& a,
                           const linalg::Matrix& log_b,
                           InferenceWorkspace* ws, ForwardBackwardResult* fb,
@@ -37,18 +38,8 @@ Status TryPosteriorDecodeRows(const linalg::Vector& pi,
                               size_t panel_frames, InferenceWorkspace* ws,
                               double* log_lik, std::vector<int>* path);
 
-/// \brief Aborting wrapper over TryPosteriorDecode for trusted inputs.
-/// Internal/test convenience — request-facing code uses the Try form.
-void PosteriorDecode(const linalg::Vector& pi, const linalg::Matrix& a,
-                     const linalg::Matrix& log_b, InferenceWorkspace* ws,
-                     ForwardBackwardResult* fb, std::vector<int>* path);
-
-/// \brief Aborting convenience with its own scratch — one-off calls only.
-std::vector<int> PosteriorDecode(const linalg::Vector& pi,
-                                 const linalg::Matrix& a,
-                                 const linalg::Matrix& log_b);
-
-/// \brief Posterior-decodes every sequence in a dataset.
+/// \brief Posterior-decodes every sequence in a dataset; aborts with the
+/// Status message on a sequence the model cannot explain.
 template <typename Obs>
 std::vector<std::vector<int>> PosteriorDecodeDataset(
     const HmmModel<Obs>& model, const Dataset<Obs>& data) {
@@ -57,7 +48,9 @@ std::vector<std::vector<int>> PosteriorDecodeDataset(
   std::vector<std::vector<int>> paths(data.size());
   for (size_t s = 0; s < data.size(); ++s) {
     model.emission->LogProbTableInto(data[s].obs, &ws.log_b);
-    PosteriorDecode(model.pi, model.a, ws.log_b, &ws, &fb, &paths[s]);
+    const Status st =
+        TryPosteriorDecode(model.pi, model.a, ws.log_b, &ws, &fb, &paths[s]);
+    DHMM_CHECK_MSG(st.ok(), st.message().c_str());
   }
   return paths;
 }

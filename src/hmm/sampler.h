@@ -19,7 +19,7 @@ Sequence<Obs> SampleSequence(const HmmModel<Obs>& model, size_t length,
   seq.labels.reserve(length);
   size_t state = rng.Categorical(model.pi);
   for (size_t t = 0; t < length; ++t) {
-    if (t > 0) state = rng.Categorical(model.a.Row(state));
+    if (t > 0) state = rng.Categorical(model.a.row_data(state), model.a.cols());
     seq.labels.push_back(static_cast<int>(state));
     seq.obs.push_back(model.emission->Sample(state, rng));
   }

@@ -59,22 +59,6 @@ void AxpyMulRow(double s, const double* DHMM_RESTRICT x,
   for (std::size_t i = 0; i < n; ++i) out[i] += s * x[i] * y[i];
 }
 
-void AxpyMulMat(const double* DHMM_RESTRICT s, const double* DHMM_RESTRICT a,
-                const double* DHMM_RESTRICT y, std::size_t m, std::size_t n,
-                double* DHMM_RESTRICT out) {
-  for (std::size_t i = 0; i < m; ++i) {
-    if (s[i] != 0.0) AxpyMulRow(s[i], a + i * n, y, n, out + i * n);
-  }
-}
-
-void MatVecRow(const double* DHMM_RESTRICT x, const double* DHMM_RESTRICT a,
-               std::size_t m, std::size_t n, double* DHMM_RESTRICT out) {
-  for (std::size_t j = 0; j < n; ++j) out[j] = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    AxpyRow(x[i], a + i * n, n, out);
-  }
-}
-
 void MatVecCol(const double* DHMM_RESTRICT a, const double* DHMM_RESTRICT x,
                std::size_t m, std::size_t n, double* DHMM_RESTRICT out) {
   for (std::size_t i = 0; i < m; ++i) {

@@ -99,33 +99,6 @@ void AxpyMulRow(double s, const double* DHMM_RESTRICT x,
                 const double* DHMM_RESTRICT y, std::size_t n,
                 double* DHMM_RESTRICT out);
 
-/// \brief Batched AxpyMulRow over the rows of row-major A (m x n):
-/// out(i,.) += s[i] * a(i,.) .* y for every i with s[i] != 0, i ascending.
-/// The whole frame's xi accumulation xi += diag(alpha_hat(t,.)) A diag(u)
-/// in one call. Rows with s[i] == 0 are skipped entirely — same zero-skip
-/// the callers used to do (computing them anyway could turn 0 * inf into
-/// NaN). Bitwise identical to the equivalent per-row AxpyMulRow loop on
-/// every ISA: the batched form changes the call structure, never the
-/// per-element expression or row order.
-void AxpyMulMat(const double* DHMM_RESTRICT s, const double* DHMM_RESTRICT a,
-                const double* DHMM_RESTRICT y, std::size_t m, std::size_t n,
-                double* DHMM_RESTRICT out);
-
-/// \brief out = x^T A for row-major A (m x n): contiguous axpy over the rows
-/// of A, never touching a column stride. out must not alias x or A.
-///
-/// This is the axpy-formulation counterpart of MatVecCol for callers that
-/// need x^T A but cannot afford to build/cache a transpose (one-shot
-/// products over large rectangular A). The in-tree chain recursions all go
-/// through the cached transpose instead, so no inference loop calls this —
-/// but it is a full member of the kernels_dispatch.h tables (every ISA
-/// ships a variant, covered by the cross-variant parity grid) so a future
-/// caller gets the vectorized form for free. Matrix::MatMul keeps its own
-/// zero-skip loop because skipping changes 0 * inf semantics; its inner
-/// axpy does route through the dispatch table.
-void MatVecRow(const double* DHMM_RESTRICT x, const double* DHMM_RESTRICT a,
-               std::size_t m, std::size_t n, double* DHMM_RESTRICT out);
-
 /// \brief out = A x for row-major A (m x n): one 4-way dot per row. To
 /// compute x^T A with dot-style accumulation instead of axpy, pass the
 /// cached transpose of A (see hmm::TransitionCache). out must not alias.
@@ -140,17 +113,15 @@ void MatVecColMul(const double* DHMM_RESTRICT a,
                   const double* DHMM_RESTRICT w, std::size_t m, std::size_t n,
                   double* DHMM_RESTRICT out);
 
-/// \brief The fused backward frame: out = A u (exactly MatVecCol) and
-/// xi(i,.) += s[i] * a(i,.) .* u for every i with s[i] != 0 (exactly
-/// AxpyMulMat), in one pass over A. The backward recursion's per-frame
-/// pair beta(t) = A u, xi += diag(alpha_hat(t,.)) A diag(u) touches the
-/// k x k transition matrix twice when issued as two kernels; at k where A
-/// falls out of L1 that second read is pure memory traffic, so the vector
-/// variants fuse the two while a(i,.) is in registers. Bitwise identical
-/// to the MatVecCol-then-AxpyMulMat composition on every ISA — fusion
-/// changes when values are computed, never the per-row accumulation order
-/// or element expressions — which is why stream BetaStep can keep calling
-/// plain MatVecCol (it needs no xi) and still match offline beta bitwise.
+/// \brief The fused backward frame, in one pass over A: beta_out = A u,
+/// and xi(i,.) += s[i] * a(i,.) .* u (the AxpyMulRow expression) for every
+/// i with s[i] != 0, i ascending (a zero row is skipped: computing it could
+/// turn 0 * inf into NaN). Issued as two kernels the pair would read the
+/// k x k matrix twice, which costs once A falls out of L1. On every ISA
+/// beta_out is bitwise equal to MatVecCol(a, u): fusion never changes a
+/// row's accumulation order. The sweep's ascending replay and the session
+/// rings compute beta with plain MatVecCol (hmm/chain_steps.h BetaStep)
+/// and depend on that equality.
 void BackwardFused(const double* DHMM_RESTRICT a, const double* DHMM_RESTRICT u,
                    const double* DHMM_RESTRICT s, std::size_t m, std::size_t n,
                    double* DHMM_RESTRICT beta_out, double* DHMM_RESTRICT xi);

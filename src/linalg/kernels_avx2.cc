@@ -7,24 +7,22 @@
 // order that makes them bitwise reproducible across calls, thread counts,
 // and buffer reuse):
 //
-//  - Reductions (SumRow, Dot, MaxRow) stream two 4-lane accumulators over
-//    stride-8 blocks: acc0 takes elements [8b, 8b+4), acc1 takes
-//    [8b+4, 8b+8). A remaining >= 4 chunk folds into acc0. The
-//    accumulators combine as acc0 (+) acc1 lanewise, then a butterfly:
-//    (l0 + l2) + (l1 + l3). The scalar tail (< 4 elements) then folds
-//    into that total in ascending order, one fused multiply-add per
-//    element for Dot (plain add for SumRow, running strict-> max for
-//    MaxRow).
+//  - Reductions (SumRow, Dot, and the MaxRow scan that starts ExpShiftRow)
+//    stream two 4-lane accumulators over stride-8 blocks: acc0 takes
+//    elements [8b, 8b+4), acc1 takes [8b+4, 8b+8). A remaining >= 4 chunk
+//    folds into acc0. The accumulators combine as acc0 (+) acc1 lanewise,
+//    then a butterfly: (l0 + l2) + (l1 + l3). The scalar tail (< 4
+//    elements) then folds into that total in ascending order, one fused
+//    multiply-add per element for Dot (plain add for SumRow, running
+//    strict-> max for MaxRow).
 //  - Dot lanes accumulate with FMA (one rounding per element); this is the
 //    FMA use the -ffp-contract=off build contract allows: explicit in the
 //    source with the order documented here, never compiler contraction.
 //  - Elementwise kernels are per-element fixed sequences: AxpyRow
-//    out[i] = fma(s, x[i], out[i]); AxpyMulRow
-//    out[i] = fma(s * x[i], y[i], out[i]); MulRowScaledInto
+//    out[i] = fma(s, x[i], out[i]); MulRowScaledInto
 //    out[i] = (x[i] * y[i]) * s (no FMA — bitwise equal to the scalar
 //    oracle). Vector body and scalar tail apply the same per-element ops.
-//  - MatVecRow iterates rows ascending over the AxpyRow contract.
-//    MatVecCol / MatVecColMul / BackwardFused iterate rows ascending with
+//  - MatVecCol / MatVecColMul / BackwardFused iterate rows ascending with
 //    a *single* 4-lane accumulator per row over stride-4 blocks (not
 //    Dot's two-accumulator stream: one chain per row lets four
 //    interleaved rows hide FMA latency), the final partial block loaded
@@ -32,8 +30,9 @@
 //    0 * 0 — no scalar tail chain), then one butterfly reduce
 //    (l0 + l2) + (l1 + l3). Rows are processed in groups of four sharing
 //    the loads of x; grouping never changes a row's accumulation order,
-//    so results are independent of m. BackwardFused's xi update applies
-//    the AxpyMulRow element expression under the same mask, sharing each
+//    so results are independent of m. BackwardFused's beta is therefore
+//    bitwise equal to MatVecCol's; its xi update applies
+//    xi[j] = fma(s * a[j], u[j], xi[j]) under the same mask, sharing each
 //    row's loads with the beta dot.
 //  - ExpShiftRow is the MaxRow contract followed by the shared PolyExp
 //    per element (vector lanes and scalar tail evaluate the identical
@@ -168,40 +167,6 @@ void AxpyRowAvx2(double s, const double* DHMM_RESTRICT x, std::size_t n,
   for (; i < n; ++i) out[i] = std::fma(s, x[i], out[i]);
 }
 
-void AxpyMulRowAvx2(double s, const double* DHMM_RESTRICT x,
-                    const double* DHMM_RESTRICT y, std::size_t n,
-                    double* DHMM_RESTRICT out) {
-  const __m256d sv = _mm256_set1_pd(s);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d sx = _mm256_mul_pd(sv, _mm256_loadu_pd(x + i));
-    _mm256_storeu_pd(
-        out + i,
-        _mm256_fmadd_pd(sx, _mm256_loadu_pd(y + i), _mm256_loadu_pd(out + i)));
-  }
-  for (; i < n; ++i) out[i] = std::fma(s * x[i], y[i], out[i]);
-}
-
-// Rows ascending, each row the exact AxpyMulRowAvx2 body (direct call, so
-// it inlines) — bitwise identical to the per-row loop the callers used to
-// run, minus m indirect calls per frame. Rows with s[i] == 0 skipped.
-void AxpyMulMatAvx2(const double* DHMM_RESTRICT s,
-                    const double* DHMM_RESTRICT a,
-                    const double* DHMM_RESTRICT y, std::size_t m,
-                    std::size_t n, double* DHMM_RESTRICT out) {
-  for (std::size_t i = 0; i < m; ++i) {
-    if (s[i] != 0.0) AxpyMulRowAvx2(s[i], a + i * n, y, n, out + i * n);
-  }
-}
-
-void MatVecRowAvx2(const double* DHMM_RESTRICT x, const double* DHMM_RESTRICT a,
-                   std::size_t m, std::size_t n, double* DHMM_RESTRICT out) {
-  for (std::size_t j = 0; j < n; ++j) out[j] = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    AxpyRowAvx2(x[i], a + i * n, n, out);
-  }
-}
-
 // Lane-mask table for the final partial block of the mat-vec family:
 // kTailMask + (4 - rem) keeps the low rem lanes under vmaskmovpd, so the
 // tail rides the vector accumulator (a masked lane contributes an exact
@@ -305,9 +270,9 @@ void MatVecColMulAvx2(const double* DHMM_RESTRICT a,
 
 // One pass over A for the backward frame pair (see kernels.h): each row's
 // beta dot accumulates exactly as MatRowDotAvx2 (single accumulator,
-// stride-4, masked final block) and each xi update applies the
-// AxpyMulRowAvx2 element expression with the same masked final block,
-// sharing the loads of a(i,.) between the two.
+// stride-4, masked final block), so beta equals MatVecColAvx2 bitwise, and
+// each xi update applies fma(s * a, u, xi) with the same masked final
+// block, sharing the loads of a(i,.) between the two.
 void BackwardFusedAvx2(const double* DHMM_RESTRICT a,
                        const double* DHMM_RESTRICT u,
                        const double* DHMM_RESTRICT s, std::size_t m,
@@ -536,12 +501,8 @@ void ViterbiStepAvx2(const double* DHMM_RESTRICT prev,
 constexpr KernelTable kAvx2Generic = {
     &SumRowAvx2,
     &DotAvx2,
-    &MaxRowAvx2,
     &MulRowScaledIntoAvx2,
     &AxpyRowAvx2,
-    &AxpyMulRowAvx2,
-    &AxpyMulMatAvx2,
-    &MatVecRowAvx2,
     &MatVecColAvx2,
     &MatVecColMulAvx2,
     &BackwardFusedAvx2,
@@ -565,8 +526,6 @@ constexpr KernelTable MakeFixed() {
   t.viterbi_step = &ViterbiStepAvx2;
   if (K >= 4) {
     t.mul_row_scaled_into = &MulRowScaledIntoAvx2;
-    t.axpy_mul_row = &AxpyMulRowAvx2;
-    t.axpy_mul_mat = &AxpyMulMatAvx2;
     t.mat_vec_col = &MatVecColAvx2;
     t.mat_vec_col_mul = &MatVecColMulAvx2;
     t.backward_fused = &BackwardFusedAvx2;

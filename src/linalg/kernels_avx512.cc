@@ -7,31 +7,31 @@
 // Documented lane-accumulation contract of the avx512 variants — the
 // stride doubles but the shape mirrors the avx2 contract:
 //
-//  - Reductions (SumRow, Dot, MaxRow) stream two 8-lane accumulators over
-//    stride-16 blocks: acc0 takes elements [16b, 16b+8), acc1 takes
-//    [16b+8, 16b+16). A remaining >= 8 chunk folds into acc0. The
-//    accumulators combine as acc0 (+) acc1 lanewise, then a butterfly:
-//    the low and high 256-bit halves add lanewise, then (l0 + l2) +
-//    (l1 + l3). The scalar tail (< 8 elements) folds into that total in
-//    ascending order, one fused multiply-add per element for Dot (plain
-//    add for SumRow, running strict-> max for MaxRow).
+//  - Reductions (SumRow, Dot, and the MaxRow scan that starts ExpShiftRow)
+//    stream two 8-lane accumulators over stride-16 blocks: acc0 takes
+//    elements [16b, 16b+8), acc1 takes [16b+8, 16b+16). A remaining >= 8
+//    chunk folds into acc0. The accumulators combine as acc0 (+) acc1
+//    lanewise, then a butterfly: the low and high 256-bit halves add
+//    lanewise, then (l0 + l2) + (l1 + l3). The scalar tail (< 8 elements)
+//    folds into that total in ascending order, one fused multiply-add per
+//    element for Dot (plain add for SumRow, running strict-> max for
+//    MaxRow).
 //  - Dot lanes accumulate with FMA — explicit in the source with the
 //    order above, never compiler contraction (-ffp-contract=off stays).
 //  - Elementwise kernels are per-element fixed sequences identical to the
-//    avx2 contract: AxpyRow out[i] = fma(s, x[i], out[i]); AxpyMulRow
-//    out[i] = fma(s * x[i], y[i], out[i]); MulRowScaledInto
+//    avx2 contract: AxpyRow out[i] = fma(s, x[i], out[i]); MulRowScaledInto
 //    out[i] = (x[i] * y[i]) * s (no FMA — bitwise equal to the scalar
 //    oracle). Vector body and scalar tail apply the same per-element ops.
-//  - MatVecRow iterates rows ascending over the AxpyRow contract.
-//    MatVecCol / MatVecColMul / BackwardFused iterate rows ascending with
+//  - MatVecCol / MatVecColMul / BackwardFused iterate rows ascending with
 //    a *single* 8-lane accumulator per row over stride-8 blocks (one
 //    chain per row; four interleaved rows hide FMA latency), the final
 //    partial block loaded through a lane mask (a masked lane contributes
 //    an exact 0 * 0 — no scalar tail chain), then one 8-lane butterfly
 //    reduce. Rows are processed in groups of four sharing the loads of x;
 //    grouping never changes a row's accumulation order. BackwardFused's
-//    xi update applies the AxpyMulRow element expression under the same
-//    mask, sharing each row's loads with the beta dot.
+//    beta is therefore bitwise equal to MatVecCol's; its xi update applies
+//    xi[j] = fma(s * a[j], u[j], xi[j]) under the same mask, sharing each
+//    row's loads with the beta dot.
 //  - ExpShiftRow is MaxRow followed by the shared PolyExp per element
 //    (lanes and tail evaluate the identical operation sequence).
 //  - ViterbiStep is the avx2 row-broadcast contract at 8 lanes per block:
@@ -161,41 +161,6 @@ void AxpyRowAvx512(double s, const double* DHMM_RESTRICT x, std::size_t n,
   for (; i < n; ++i) out[i] = std::fma(s, x[i], out[i]);
 }
 
-void AxpyMulRowAvx512(double s, const double* DHMM_RESTRICT x,
-                      const double* DHMM_RESTRICT y, std::size_t n,
-                      double* DHMM_RESTRICT out) {
-  const __m512d sv = _mm512_set1_pd(s);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d sx = _mm512_mul_pd(sv, _mm512_loadu_pd(x + i));
-    _mm512_storeu_pd(
-        out + i,
-        _mm512_fmadd_pd(sx, _mm512_loadu_pd(y + i), _mm512_loadu_pd(out + i)));
-  }
-  for (; i < n; ++i) out[i] = std::fma(s * x[i], y[i], out[i]);
-}
-
-// Rows ascending, each row the exact AxpyMulRowAvx512 body (direct call,
-// so it inlines) — bitwise identical to the per-row loop the callers used
-// to run, minus m indirect calls per frame. Rows with s[i] == 0 skipped.
-void AxpyMulMatAvx512(const double* DHMM_RESTRICT s,
-                      const double* DHMM_RESTRICT a,
-                      const double* DHMM_RESTRICT y, std::size_t m,
-                      std::size_t n, double* DHMM_RESTRICT out) {
-  for (std::size_t i = 0; i < m; ++i) {
-    if (s[i] != 0.0) AxpyMulRowAvx512(s[i], a + i * n, y, n, out + i * n);
-  }
-}
-
-void MatVecRowAvx512(const double* DHMM_RESTRICT x,
-                     const double* DHMM_RESTRICT a, std::size_t m,
-                     std::size_t n, double* DHMM_RESTRICT out) {
-  for (std::size_t j = 0; j < n; ++j) out[j] = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    AxpyRowAvx512(x[i], a + i * n, n, out);
-  }
-}
-
 // Mask keeping the low n % 8 lanes (all-zero when 8 divides n). The
 // mat-vec family loads its final partial block through this mask so the
 // tail rides the vector accumulator (a masked lane contributes an exact
@@ -295,9 +260,9 @@ void MatVecColMulAvx512(const double* DHMM_RESTRICT a,
 
 // One pass over A for the backward frame pair (see kernels.h): each row's
 // beta dot accumulates exactly as MatRowDotAvx512 (single accumulator,
-// stride-8, masked final block) and each xi update applies the
-// AxpyMulRowAvx512 element expression with the same masked final block,
-// sharing the loads of a(i,.) between the two.
+// stride-8, masked final block), so beta equals MatVecColAvx512 bitwise,
+// and each xi update applies fma(s * a, u, xi) with the same masked final
+// block, sharing the loads of a(i,.) between the two.
 void BackwardFusedAvx512(const double* DHMM_RESTRICT a,
                          const double* DHMM_RESTRICT u,
                          const double* DHMM_RESTRICT s, std::size_t m,
@@ -515,12 +480,8 @@ void ViterbiStepAvx512(const double* DHMM_RESTRICT prev,
 constexpr KernelTable kAvx512Generic = {
     &SumRowAvx512,
     &DotAvx512,
-    &MaxRowAvx512,
     &MulRowScaledIntoAvx512,
     &AxpyRowAvx512,
-    &AxpyMulRowAvx512,
-    &AxpyMulMatAvx512,
-    &MatVecRowAvx512,
     &MatVecColAvx512,
     &MatVecColMulAvx512,
     &BackwardFusedAvx512,
@@ -544,8 +505,6 @@ constexpr KernelTable MakeFixed() {
   t.viterbi_step = &ViterbiStepAvx512;
   if (K >= 8) {
     t.mul_row_scaled_into = &MulRowScaledIntoAvx512;
-    t.axpy_mul_row = &AxpyMulRowAvx512;
-    t.axpy_mul_mat = &AxpyMulMatAvx512;
     t.mat_vec_col = &MatVecColAvx512;
     t.mat_vec_col_mul = &MatVecColMulAvx512;
     t.backward_fused = &BackwardFusedAvx512;

@@ -19,12 +19,8 @@ namespace {
 // pre-dispatch code paths exactly.
 constexpr KernelTable kScalarTable = {&SumRow,
                                       &Dot,
-                                      &MaxRow,
                                       &MulRowScaledInto,
                                       &AxpyRow,
-                                      &AxpyMulRow,
-                                      &AxpyMulMat,
-                                      &MatVecRow,
                                       &MatVecCol,
                                       &MatVecColMul,
                                       &BackwardFused,

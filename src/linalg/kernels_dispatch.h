@@ -56,29 +56,19 @@ enum class Isa : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 inline constexpr std::size_t kMaxFixedK = 8;
 
 /// \brief One resolved kernel variant: function pointers matching the
-/// kernels.h signatures. Tables are immutable after startup resolution;
-/// call sites fetch a table once per sequence/batch (outside all inner
-/// loops) and call through it.
+/// kernels.h signatures, one per kernel that library code calls through
+/// dispatch (the chain recursions, Matrix and Vector). Tables are
+/// immutable after startup resolution; call sites fetch a table once per
+/// sequence/batch (outside all inner loops) and call through it.
 struct KernelTable {
   double (*sum_row)(const double* DHMM_RESTRICT x, std::size_t n);
   double (*dot)(const double* DHMM_RESTRICT x, const double* DHMM_RESTRICT y,
                 std::size_t n);
-  double (*max_row)(const double* DHMM_RESTRICT x, std::size_t n);
   void (*mul_row_scaled_into)(const double* DHMM_RESTRICT x,
                               const double* DHMM_RESTRICT y, double s,
                               std::size_t n, double* DHMM_RESTRICT out);
   void (*axpy_row)(double s, const double* DHMM_RESTRICT x, std::size_t n,
                    double* DHMM_RESTRICT out);
-  void (*axpy_mul_row)(double s, const double* DHMM_RESTRICT x,
-                       const double* DHMM_RESTRICT y, std::size_t n,
-                       double* DHMM_RESTRICT out);
-  void (*axpy_mul_mat)(const double* DHMM_RESTRICT s,
-                       const double* DHMM_RESTRICT a,
-                       const double* DHMM_RESTRICT y, std::size_t m,
-                       std::size_t n, double* DHMM_RESTRICT out);
-  void (*mat_vec_row)(const double* DHMM_RESTRICT x,
-                      const double* DHMM_RESTRICT a, std::size_t m,
-                      std::size_t n, double* DHMM_RESTRICT out);
   void (*mat_vec_col)(const double* DHMM_RESTRICT a,
                       const double* DHMM_RESTRICT x, std::size_t m,
                       std::size_t n, double* DHMM_RESTRICT out);

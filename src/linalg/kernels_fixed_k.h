@@ -106,10 +106,6 @@ struct FixedK {
     return detail::Tree<K>::Dot(x, y);
   }
 
-  static double MaxRow(const double* DHMM_RESTRICT x, std::size_t) {
-    return detail::Tree<K>::Max(x);
-  }
-
   static void MulRowScaledInto(const double* DHMM_RESTRICT x,
                                const double* DHMM_RESTRICT y, double s,
                                std::size_t, double* DHMM_RESTRICT out) {
@@ -125,28 +121,6 @@ struct FixedK {
                          const double* DHMM_RESTRICT y, std::size_t,
                          double* DHMM_RESTRICT out) {
     for (std::size_t i = 0; i < K; ++i) out[i] += s * x[i] * y[i];
-  }
-
-  // m = n = K; rows with s[i] == 0 are skipped (see kernels.h AxpyMulMat).
-  static void AxpyMulMat(const double* DHMM_RESTRICT s,
-                         const double* DHMM_RESTRICT a,
-                         const double* DHMM_RESTRICT y, std::size_t,
-                         std::size_t, double* DHMM_RESTRICT out) {
-    for (std::size_t i = 0; i < K; ++i) {
-      if (s[i] != 0.0) AxpyMulRow(s[i], a + i * K, y, K, out + i * K);
-    }
-  }
-
-  // m = n = K: the inference call sites only use the square form.
-  static void MatVecRow(const double* DHMM_RESTRICT x,
-                        const double* DHMM_RESTRICT a, std::size_t,
-                        std::size_t, double* DHMM_RESTRICT out) {
-    for (std::size_t j = 0; j < K; ++j) out[j] = 0.0;
-    for (std::size_t i = 0; i < K; ++i) {
-      const double s = x[i];
-      const double* DHMM_RESTRICT row = a + i * K;
-      for (std::size_t j = 0; j < K; ++j) out[j] += s * row[j];
-    }
   }
 
   static void MatVecCol(const double* DHMM_RESTRICT a,
@@ -166,7 +140,8 @@ struct FixedK {
     }
   }
 
-  // m = n = K; bitwise = MatVecCol then AxpyMulMat (see kernels.h).
+  // m = n = K; beta is bitwise MatVecCol's, rows with s[i] == 0 skip the
+  // xi update (see kernels.h).
   static void BackwardFused(const double* DHMM_RESTRICT a,
                             const double* DHMM_RESTRICT u,
                             const double* DHMM_RESTRICT s, std::size_t,
@@ -199,12 +174,8 @@ constexpr KernelTable MakeFixedTable(Isa isa, const char* name) {
   KernelTable t{};
   t.sum_row = &FixedK<K>::SumRow;
   t.dot = &FixedK<K>::Dot;
-  t.max_row = &FixedK<K>::MaxRow;
   t.mul_row_scaled_into = &FixedK<K>::MulRowScaledInto;
   t.axpy_row = &FixedK<K>::AxpyRow;
-  t.axpy_mul_row = &FixedK<K>::AxpyMulRow;
-  t.axpy_mul_mat = &FixedK<K>::AxpyMulMat;
-  t.mat_vec_row = &FixedK<K>::MatVecRow;
   t.mat_vec_col = &FixedK<K>::MatVecCol;
   t.mat_vec_col_mul = &FixedK<K>::MatVecColMul;
   t.backward_fused = &FixedK<K>::BackwardFused;

@@ -42,7 +42,7 @@ double CategoricalEmission::LogProb(size_t state, const int& y) const {
 
 int CategoricalEmission::Sample(size_t state, Rng& rng) const {
   DHMM_DCHECK(state < b_.rows());
-  return static_cast<int>(rng.Categorical(b_.Row(state)));
+  return static_cast<int>(rng.Categorical(b_.row_data(state), b_.cols()));
 }
 
 void CategoricalEmission::BeginAccumulate() {

@@ -136,20 +136,24 @@ linalg::Vector Rng::DirichletSymmetric(size_t n, double concentration) {
 }
 
 size_t Rng::Categorical(const linalg::Vector& weights) {
-  DHMM_CHECK(!weights.empty());
+  return Categorical(weights.data(), weights.size());
+}
+
+size_t Rng::Categorical(const double* w, size_t n) {
+  DHMM_CHECK(n > 0);
   double total = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    DHMM_DCHECK(weights[i] >= 0.0);
-    total += weights[i];
+  for (size_t i = 0; i < n; ++i) {
+    DHMM_DCHECK(w[i] >= 0.0);
+    total += w[i];
   }
   DHMM_CHECK_MSG(total > 0.0, "categorical weights must have positive mass");
   double u = Uniform() * total;
   double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
+  for (size_t i = 0; i < n; ++i) {
+    acc += w[i];
     if (u < acc) return i;
   }
-  return weights.size() - 1;  // numerical edge: u == total
+  return n - 1;  // numerical edge: u == total
 }
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }

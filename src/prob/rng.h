@@ -54,6 +54,10 @@ class Rng {
   /// Categorical draw from (possibly unnormalized, non-negative) weights.
   size_t Categorical(const linalg::Vector& weights);
 
+  /// Categorical draw from weights w[0..n), read in place (e.g. a matrix
+  /// row); the same draw as the Vector form on equal weights.
+  size_t Categorical(const double* w, size_t n);
+
   /// Bernoulli draw with success probability p.
   bool Bernoulli(double p);
 

@@ -24,8 +24,8 @@
 // Determinism: every request is decoded by the deterministic kernel layer
 // with a per-request emission table and a content-keyed transition cache,
 // so results are bitwise-identical to the offline single-threaded
-// hmm::Viterbi / hmm::PosteriorDecode / hmm::LogLikelihood for every
-// worker count and batch size (tests/serve_test.cc pins this).
+// hmm::TryViterbi / hmm::TryPosteriorDecode / hmm::TryLogLikelihood for
+// every worker count and batch size (tests/serve_test.cc pins this).
 //
 // Allocation: request slots, the pending queue, batch scratch, and all
 // per-worker workspaces are pooled and grow-only. After warm-up at a fixed
@@ -560,6 +560,14 @@ class DecodeService {
         // inline without routing to any decode service.
         r.status = Status::InvalidArgument(
             "kStats is not a batch decode; the front-end serves it");
+        break;
+      default:
+        // Only in-process Submit can carry a kind byte beyond the enum
+        // (the wire decoder rejects it); the pooled slot's status from its
+        // previous request must not answer it.
+        r.status = Status::InvalidArgument(
+            "unknown decode kind " +
+            std::to_string(static_cast<int>(slot->kind)));
         break;
     }
     if (!r.status.ok()) r.path.clear();

@@ -18,11 +18,11 @@
 // high-water mark — allocation-free, as is every steady-state Push
 // (tests/session_test.cc pins both with the instrumented allocator).
 //
-// The math (serve/stream_math.h) is the offline kernel-call sequence over
-// ring buffers, so the bitwise contracts hold by construction: per-session
-// log-likelihood is bitwise equal to offline hmm::LogLikelihood on every
-// prefix, and full-lag decodes are bitwise equal to offline
-// hmm::PosteriorDecode.
+// The math (serve/stream_math.h) runs the offline sweep's own per-frame
+// steps (hmm/chain_steps.h) over ring buffers, so the bitwise contracts
+// hold by construction: per-session log-likelihood is bitwise equal to
+// offline hmm::TryLogLikelihood on every prefix, and full-lag decodes are
+// bitwise equal to offline hmm::TryPosteriorDecode.
 //
 // Concurrency: CreateSession / DestroySession / EvictIdle / UpdateModel /
 // ResetSession serialize on one mutex; Push and Finish take the mutex only
@@ -55,8 +55,10 @@
 #include <vector>
 
 #include "core/incremental_em.h"
+#include "hmm/chain_steps.h"
 #include "hmm/inference.h"
 #include "hmm/model.h"
+#include "linalg/kernels_dispatch.h"
 #include "linalg/matrix.h"
 #include "obs/metrics.h"
 #include "serve/stream_math.h"
@@ -309,7 +311,7 @@ class SessionManager {
   }
 
   /// Running log P(y_0..y_{t-1}) of a session — bitwise equal to offline
-  /// hmm::LogLikelihood on the same prefix.
+  /// hmm::TryLogLikelihood on the same prefix.
   Result<double> LogLikelihood(SessionHandle h) const {
     std::lock_guard<std::mutex> lock(mu_);
     const Slot* s = const_cast<SessionManager*>(this)->ResolveLocked(h);
@@ -488,18 +490,14 @@ class SessionManager {
     const ModelContext& ctx = *s->ctx;
     const stream::StreamRings rings =
         stream::CarveRings(s->block, ctx.window, ctx.k);
+    // The table the offline path fetches for this k, once per push.
+    const linalg::kernels::KernelTable& kt = linalg::kernels::ForK(ctx.k);
     const size_t t = s->frames_pushed;
     double loglik_inc = 0.0;
-    const stream::StepOutcome fwd = stream::ForwardStep(
-        *ctx.model, *ctx.a_t, ctx.window, t, rings, y, &loglik_inc);
-    if (fwd == stream::StepOutcome::kImpossibleObservation) {
-      s->status = Status::InvalidArgument(hmm::internal::FrameError(
-          "zero emission probability in every state", t));
-      return s->status;
-    }
-    if (fwd == stream::StepOutcome::kForwardVanished) {
-      s->status = Status::InvalidArgument(
-          hmm::internal::FrameError("forward message vanished", t));
+    Status fwd = stream::ForwardStep(kt, *ctx.model, *ctx.a_t, ctx.window, t,
+                                     rings, y, &loglik_inc);
+    if (!fwd.ok()) {
+      s->status = std::move(fwd);
       return s->status;
     }
     // The ring slot being overwritten held frame t - window, already
@@ -511,11 +509,10 @@ class SessionManager {
       return Status::OK();
     }
     const size_t frame = t - options_.lag;
-    const int label = stream::SmoothedLabel(ctx.model->a, ctx.k, ctx.window,
+    const int label = stream::SmoothedLabel(kt, ctx.model->a, ctx.k, ctx.window,
                                             rings, frame, /*newest=*/t);
     if (label < 0) {
-      s->status = Status::InvalidArgument(
-          hmm::internal::FrameError("posterior mass vanished", frame));
+      s->status = hmm::internal::PosteriorVanished(frame);
       return s->status;
     }
     s->log_likelihood += loglik_inc;
@@ -551,12 +548,11 @@ class SessionManager {
         stream::CarveRings(s->block, ctx.window, ctx.k);
     const size_t base = tail->size();
     tail->resize(base + (newest - first + 1));
-    const ptrdiff_t bad =
-        stream::FinishSweep(ctx.model->a, ctx.k, ctx.window, rings, first,
-                            newest, tail->data() + base);
+    const ptrdiff_t bad = stream::FinishSweep(
+        linalg::kernels::ForK(ctx.k), ctx.model->a, ctx.k, ctx.window, rings,
+        first, newest, tail->data() + base);
     if (bad >= 0) {
-      s->status = Status::InvalidArgument(hmm::internal::FrameError(
-          "posterior mass vanished", static_cast<size_t>(bad)));
+      s->status = hmm::internal::PosteriorVanished(static_cast<size_t>(bad));
       tail->resize(base);
       return s->status;
     }

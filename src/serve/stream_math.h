@@ -1,14 +1,14 @@
 // The fixed-lag smoothing math of serve::SessionManager, over raw
 // ring-buffer views.
 //
-// Each call runs the exact kernel sequence of the offline inference path —
-// the scaled forward frame and the fused backward/gamma sweep of
-// hmm::TryForwardBackward — over the same per-frame layout, so a session's
-// labels at full lag are bitwise-identical to offline hmm::PosteriorDecode
-// and its running log-likelihood to offline hmm::LogLikelihood *by
-// construction*: they are the same instructions on the same bits. The
-// session pool owns layout, state machines, and error policy; this header
-// owns only arithmetic.
+// Each call runs the offline sweep's own per-frame steps
+// (hmm/chain_steps.h: the scaled forward frame, the beta-only backward
+// step, the gamma normalization) over the same per-frame layout, so a
+// session's labels at full lag are bitwise-identical to offline
+// hmm::TryPosteriorDecode and its running log-likelihood to offline
+// hmm::TryLogLikelihood *by construction*: they are the same instructions
+// on the same bits. The session pool owns layout, state machines, and
+// error policy; this header owns only ring indexing and the emission row.
 //
 // A stream's working set is a StreamRings view: two window x k row-major
 // rings (shifted emissions, scaled forward messages), a window-length
@@ -22,11 +22,13 @@
 #include <cmath>
 #include <cstddef>
 
+#include "hmm/chain_steps.h"
 #include "hmm/model.h"
 #include "linalg/kernels.h"
 #include "linalg/kernels_dispatch.h"
 #include "linalg/matrix.h"
 #include "prob/logsumexp.h"
+#include "util/status.h"
 
 namespace dhmm::serve {
 
@@ -76,32 +78,19 @@ inline StreamRings CarveRings(double* base, size_t window, size_t k) {
   return r;
 }
 
-/// Outcome of one forward step — the caller maps these onto its error
-/// policy (poison the stream, typed Status) without the math layer ever
-/// constructing a Status (Status carries a string; this layer must stay
-/// allocation-free).
-enum class StepOutcome {
-  kOk = 0,
-  kImpossibleObservation,  ///< zero probability in every state
-  kForwardVanished,        ///< scaled forward message underflowed to 0
-};
-
 /// \brief Emission + scaled forward step for frame t, writing ring row
-/// t % window. On kOk, *loglik_inc holds log(c_t) + m_t, the stream
-/// log-likelihood increment. On failure nothing logical changed: the ring
-/// rows written belong to the already-retired frame t - window, so a
-/// rejected frame leaves the stream exactly as it was.
+/// t % window. On OK, *loglik_inc holds log(c_t) + m_t, the stream
+/// log-likelihood increment. An impossible observation or a vanished
+/// forward message is the offline sweep's InvalidArgument for frame t, and
+/// nothing logical changed: the ring rows written belong to the
+/// already-retired frame t - window, so a rejected frame leaves the stream
+/// exactly as it was. The OK path does not allocate.
 template <typename Obs>
-StepOutcome ForwardStep(const hmm::HmmModel<Obs>& model,
-                        const linalg::Matrix& a_t, size_t window, size_t t,
-                        const StreamRings& r, const Obs& y,
-                        double* loglik_inc) {
-  namespace klib = linalg::kernels;
+Status ForwardStep(const linalg::kernels::KernelTable& kt,
+                   const hmm::HmmModel<Obs>& model, const linalg::Matrix& a_t,
+                   size_t window, size_t t, const StreamRings& r, const Obs& y,
+                   double* loglik_inc) {
   const size_t k = model.num_states();
-  // ForK(k) resolves to the same (ISA, k-class) table the offline path
-  // fetched for this k — required for the bitwise stream-vs-offline
-  // contract, and free after the first call (one bounds test + index).
-  const klib::KernelTable& kt = klib::ForK(k);
   const size_t row = t % window;
   double* btilde_row = r.btilde + row * k;
   // Emission table row for this frame — the same per-frame shifted table
@@ -110,40 +99,14 @@ StepOutcome ForwardStep(const hmm::HmmModel<Obs>& model,
     r.logb[i] = model.emission->LogProb(i, y);
   }
   const double m = kt.exp_shift_row(r.logb, k, btilde_row);
-  if (m == prob::kNegInf) return StepOutcome::kImpossibleObservation;
-
-  // Scaled forward step — identical kernel sequence to the offline
-  // forward pass, so scales and messages match it bitwise.
-  double* alpha = r.alpha + row * k;
-  if (t == 0) {
-    klib::MulRowInto(model.pi.data(), btilde_row, k, alpha);
-  } else {
-    kt.mat_vec_col_mul(a_t.data(), r.alpha + ((t - 1) % window) * k,
-                       btilde_row, k, k, alpha);
-  }
-  const double c = kt.sum_row(alpha, k);
-  if (!(c > 0.0)) return StepOutcome::kForwardVanished;
-  klib::ScaleRow(alpha, k, 1.0 / c);
+  if (m == prob::kNegInf) return hmm::internal::ImpossibleFrame(t);
+  const double* prev = t == 0 ? nullptr : r.alpha + ((t - 1) % window) * k;
+  const double c = hmm::internal::ForwardFrame(kt, model.pi, a_t, t, prev,
+                                               btilde_row, r.alpha + row * k);
+  if (!(c > 0.0)) return hmm::internal::ForwardVanished(t);
   r.scale[row] = c;
   *loglik_inc = std::log(c) + m;
-  return StepOutcome::kOk;
-}
-
-/// \brief One backward step of the fixed-lag smoother: advances beta from
-/// the frame whose ring row is `next_row` to its predecessor, via the
-/// hoisted frame product — the exact kernel sequence of the offline fused
-/// backward pass. Leaves the product for `next_row` in r.frame_u.
-inline void BetaStep(const linalg::Matrix& a, size_t k, const StreamRings& r,
-                     size_t next_row, const double* beta, double* beta_next) {
-  namespace klib = linalg::kernels;
-  const klib::KernelTable& kt = klib::ForK(k);
-  kt.mul_row_scaled_into(r.btilde + next_row * k, beta,
-                         1.0 / r.scale[next_row], k, r.frame_u);
-  // One batched mat-vec, not k per-row dots: the offline backward sweep
-  // computes beta the same way, and the stream-vs-offline bitwise contract
-  // needs both sides to use the same kernel (mat_vec_col's per-row lane
-  // order is documented independently of dot's).
-  kt.mat_vec_col(a.data(), r.frame_u, k, k, beta_next);
+  return Status::OK();
 }
 
 /// \brief Gamma normalization and argmax at `frame` given its backward
@@ -151,14 +114,14 @@ inline void BetaStep(const linalg::Matrix& a, size_t k, const StreamRings& r,
 /// posterior mass vanished numerically (the caller poisons the stream).
 /// The normalized posterior is left in r.gamma for consumers that feed
 /// online E-step accumulators.
-inline int GammaArgmax(size_t k, size_t window, const StreamRings& r,
-                       size_t frame, const double* beta) {
-  namespace klib = linalg::kernels;
-  klib::MulRowInto(r.alpha + (frame % window) * k, beta, k, r.gamma);
-  const double norm = klib::ForK(k).sum_row(r.gamma, k);
-  if (!(norm > 0.0)) return -1;
-  klib::ScaleRow(r.gamma, k, 1.0 / norm);
-  return static_cast<int>(klib::ArgMaxRow(r.gamma, k));
+inline int GammaArgmax(const linalg::kernels::KernelTable& kt, size_t k,
+                       size_t window, const StreamRings& r, size_t frame,
+                       const double* beta) {
+  if (!hmm::internal::GammaRow(kt, r.alpha + (frame % window) * k, beta, k,
+                               r.gamma)) {
+    return -1;
+  }
+  return static_cast<int>(linalg::kernels::ArgMaxRow(r.gamma, k));
 }
 
 /// \brief Backward pass from `newest` down to `frame` over the ring
@@ -166,23 +129,27 @@ inline int GammaArgmax(size_t k, size_t window, const StreamRings& r,
 /// successful call with newest > frame, r.frame_u holds the hoisted
 /// product for frame + 1 — exactly the term an online xi accumulator
 /// needs (see hmm::EStepAccumulator::AddStreamTransition).
-inline int SmoothedLabel(const linalg::Matrix& a, size_t k, size_t window,
+inline int SmoothedLabel(const linalg::kernels::KernelTable& kt,
+                         const linalg::Matrix& a, size_t k, size_t window,
                          const StreamRings& r, size_t frame, size_t newest) {
   double* beta = r.beta_cur;
   double* beta_next = r.beta_next;
   for (size_t i = 0; i < k; ++i) beta[i] = 1.0;
   for (size_t t = newest; t-- > frame;) {
-    BetaStep(a, k, r, (t + 1) % window, beta, beta_next);
+    const size_t next_row = (t + 1) % window;
+    hmm::internal::BetaStep(kt, a, r.btilde + next_row * k, beta,
+                            r.scale[next_row], r.frame_u, beta_next);
     std::swap(beta, beta_next);
   }
-  return GammaArgmax(k, window, r, frame, beta);
+  return GammaArgmax(kt, k, window, r, frame, beta);
 }
 
 /// \brief Finish-time flush: one backward sweep labeling every frame in
 /// [first, newest], written to out[0 .. newest - first]. Returns -1 on
 /// success, or the frame whose posterior vanished (nothing useful was
 /// written; the caller poisons the stream and discards `out`).
-inline ptrdiff_t FinishSweep(const linalg::Matrix& a, size_t k, size_t window,
+inline ptrdiff_t FinishSweep(const linalg::kernels::KernelTable& kt,
+                             const linalg::Matrix& a, size_t k, size_t window,
                              const StreamRings& r, size_t first,
                              size_t newest, int* out) {
   double* beta = r.beta_cur;
@@ -190,10 +157,12 @@ inline ptrdiff_t FinishSweep(const linalg::Matrix& a, size_t k, size_t window,
   for (size_t i = 0; i < k; ++i) beta[i] = 1.0;
   for (size_t f = newest + 1; f-- > first;) {
     if (f != newest) {
-      BetaStep(a, k, r, (f + 1) % window, beta, beta_next);
+      const size_t next_row = (f + 1) % window;
+      hmm::internal::BetaStep(kt, a, r.btilde + next_row * k, beta,
+                              r.scale[next_row], r.frame_u, beta_next);
       std::swap(beta, beta_next);
     }
-    const int label = GammaArgmax(k, window, r, f, beta);
+    const int label = GammaArgmax(kt, k, window, r, f, beta);
     if (label < 0) return static_cast<ptrdiff_t>(f);
     out[f - first] = label;
   }

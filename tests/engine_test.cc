@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc_counter.h"
+#include "checked_inference.h"
 #include "core/dhmm_trainer.h"
 #include "core/transition_update.h"
 #include "data/toy.h"
@@ -41,7 +42,7 @@ struct PinnedChain {
 // the workspace refactor. The rewrite must reproduce them to 1e-12.
 TEST(EngineRegressionTest, ForwardBackwardPinnedValues) {
   PinnedChain c;
-  ForwardBackwardResult fb = ForwardBackward(c.pi, c.a, c.log_b);
+  ForwardBackwardResult fb = checked::ForwardBackward(c.pi, c.a, c.log_b);
   EXPECT_NEAR(fb.log_likelihood, -2.3606710163800129, 1e-12);
 
   const double gamma[4][3] = {
@@ -67,10 +68,11 @@ TEST(EngineRegressionTest, ForwardBackwardPinnedValues) {
 
 TEST(EngineRegressionTest, ViterbiAndLogLikelihoodPinnedValues) {
   PinnedChain c;
-  ViterbiResult vit = Viterbi(c.pi, c.a, c.log_b);
+  ViterbiResult vit = checked::Viterbi(c.pi, c.a, c.log_b);
   EXPECT_NEAR(vit.log_joint, -4.4942399697717628, 1e-12);
   EXPECT_EQ(vit.path, (std::vector<int>{0, 1, 1, 2}));
-  EXPECT_NEAR(LogLikelihood(c.pi, c.a, c.log_b), -2.3606710163800129, 1e-12);
+  EXPECT_NEAR(checked::LogLikelihood(c.pi, c.a, c.log_b), -2.3606710163800129,
+              1e-12);
 }
 
 // Equal delta scores must resolve to the lowest state index, so storage
@@ -80,7 +82,7 @@ TEST(ViterbiTest, TieBreaksToLowestStateIndex) {
   linalg::Vector pi(k, 1.0 / 3.0);
   linalg::Matrix a(k, k, 1.0 / 3.0);
   linalg::Matrix log_b(big_t, k, -1.25);  // every state ties at every frame
-  ViterbiResult vit = Viterbi(pi, a, log_b);
+  ViterbiResult vit = checked::Viterbi(pi, a, log_b);
   for (size_t t = 0; t < big_t; ++t) {
     EXPECT_EQ(vit.path[t], 0) << "t=" << t;
   }
@@ -91,7 +93,7 @@ TEST(ViterbiTest, TieBreakWithPartialTies) {
   linalg::Vector pi{0.0, 0.5, 0.5};
   linalg::Matrix a{{0.8, 0.1, 0.1}, {0.25, 0.5, 0.25}, {0.25, 0.25, 0.5}};
   linalg::Matrix log_b(3, 3, -0.5);
-  ViterbiResult vit = Viterbi(pi, a, log_b);
+  ViterbiResult vit = checked::Viterbi(pi, a, log_b);
   // pi ties states 1 and 2; both rows give the same transition scores into
   // their best successors, so the backtrack must consistently pick the
   // lower-numbered option.
@@ -140,8 +142,8 @@ TEST(WorkspaceTest, MatchesAllocatingFormAcrossShapes) {
       for (size_t i = 0; i < k; ++i) log_b(t, i) = -8.0 * rng.Uniform();
     }
 
-    ForwardBackwardResult fresh = ForwardBackward(pi, a, log_b);
-    ForwardBackward(pi, a, log_b, &ws, &batched);
+    ForwardBackwardResult fresh = checked::ForwardBackward(pi, a, log_b);
+    checked::Ok(hmm::TryForwardBackward(pi, a, log_b, &ws, &batched));
     EXPECT_DOUBLE_EQ(batched.log_likelihood, fresh.log_likelihood);
     ASSERT_EQ(batched.gamma.rows(), big_t);
     for (size_t t = 0; t < big_t; ++t) {
@@ -155,11 +157,11 @@ TEST(WorkspaceTest, MatchesAllocatingFormAcrossShapes) {
       }
     }
 
-    EXPECT_DOUBLE_EQ(LogLikelihood(pi, a, log_b, &ws),
-                     LogLikelihood(pi, a, log_b));
+    EXPECT_DOUBLE_EQ(checked::LogLikelihood(pi, a, log_b, &ws),
+                     checked::LogLikelihood(pi, a, log_b));
 
-    ViterbiResult vit_fresh = Viterbi(pi, a, log_b);
-    Viterbi(pi, a, log_b, &ws, &decoded);
+    ViterbiResult vit_fresh = checked::Viterbi(pi, a, log_b);
+    checked::Ok(hmm::TryViterbi(pi, a, log_b, &ws, &decoded));
     EXPECT_DOUBLE_EQ(decoded.log_joint, vit_fresh.log_joint);
     EXPECT_EQ(decoded.path, vit_fresh.path);
   }
@@ -184,14 +186,16 @@ TEST(BatchEStepTest, MatchesHandRolledSequentialEStep) {
   double loglik = 0.0;
   for (const auto& seq : data) {
     linalg::Matrix log_b = model.emission->LogProbTable(seq.obs);
-    ForwardBackwardResult fb = ForwardBackward(model.pi, model.a, log_b);
+    ForwardBackwardResult fb =
+        checked::ForwardBackward(model.pi, model.a, log_b);
     loglik += fb.log_likelihood;
     for (size_t i = 0; i < k; ++i) pi_acc[i] += fb.gamma(0, i);
     trans_acc += fb.xi_sum;
   }
 
   for (int threads : {1, 2, 4}) {
-    EStepStats stats = BatchEStep(model, data, BatchOptions{threads});
+    EStepStats stats =
+        BatchEmEngine<double>(BatchOptions{threads}).EStep(model, data);
     EXPECT_DOUBLE_EQ(stats.log_likelihood, loglik) << threads;
     for (size_t i = 0; i < k; ++i) {
       EXPECT_DOUBLE_EQ(stats.pi_acc[i], pi_acc[i]) << threads;

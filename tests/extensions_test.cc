@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checked_inference.h"
 #include "core/dirichlet_prior.h"
 #include "core/state_selection.h"
 #include "data/toy.h"
@@ -93,8 +94,8 @@ TEST(PosteriorDecodingTest, MatchesGammaArgmax) {
   linalg::Matrix log_b(10, 3);
   for (size_t t = 0; t < 10; ++t)
     for (size_t i = 0; i < 3; ++i) log_b(t, i) = -3.0 * rng.Uniform();
-  std::vector<int> path = hmm::PosteriorDecode(pi, a, log_b);
-  hmm::ForwardBackwardResult fb = hmm::ForwardBackward(pi, a, log_b);
+  std::vector<int> path = checked::PosteriorDecode(pi, a, log_b);
+  hmm::ForwardBackwardResult fb = checked::ForwardBackward(pi, a, log_b);
   for (size_t t = 0; t < 10; ++t) {
     EXPECT_EQ(path[t], static_cast<int>(fb.gamma.Row(t).argmax()));
   }

@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc_counter.h"
+#include "checked_inference.h"
 #include "hmm/inference.h"
 #include "hmm/model.h"
 #include "hmm/posterior_decoding.h"
@@ -76,9 +77,9 @@ OfflineRef Offline(const hmm::HmmModel<double>& m,
                    const std::vector<double>& obs) {
   OfflineRef ref;
   linalg::Matrix log_b = m.emission->LogProbTable(obs);
-  ref.viterbi = hmm::Viterbi(m.pi, m.a, log_b);
-  ref.posterior = hmm::PosteriorDecode(m.pi, m.a, log_b);
-  ref.log_likelihood = hmm::LogLikelihood(m.pi, m.a, log_b);
+  ref.viterbi = checked::Viterbi(m.pi, m.a, log_b);
+  ref.posterior = checked::PosteriorDecode(m.pi, m.a, log_b);
+  ref.log_likelihood = checked::LogLikelihood(m.pi, m.a, log_b);
   return ref;
 }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checked_inference.h"
 #include "hmm/diagnostics.h"
 #include "hmm/inference.h"
 #include "hmm/model.h"
@@ -112,7 +113,7 @@ TEST_P(ForwardBackwardBruteForceTest, MatchesEnumeration) {
   size_t k = 2 + static_cast<size_t>(param) % 3;       // 2..4 states
   size_t big_t = 2 + static_cast<size_t>(param) % 5;   // 2..6 frames
   RandomCase c = MakeRandomCase(k, big_t, static_cast<uint64_t>(param) + 1);
-  ForwardBackwardResult fb = ForwardBackward(c.pi, c.a, c.log_b);
+  ForwardBackwardResult fb = checked::ForwardBackward(c.pi, c.a, c.log_b);
   BruteForce ref = Enumerate(c.pi, c.a, c.log_b);
 
   EXPECT_NEAR(fb.log_likelihood, ref.log_likelihood, 1e-9);
@@ -134,7 +135,7 @@ INSTANTIATE_TEST_SUITE_P(SmallChains, ForwardBackwardBruteForceTest,
 
 TEST(ForwardBackwardTest, GammaRowsSumToOne) {
   RandomCase c = MakeRandomCase(5, 30, 99);
-  ForwardBackwardResult fb = ForwardBackward(c.pi, c.a, c.log_b);
+  ForwardBackwardResult fb = checked::ForwardBackward(c.pi, c.a, c.log_b);
   for (size_t t = 0; t < 30; ++t) {
     double s = 0.0;
     for (size_t i = 0; i < 5; ++i) s += fb.gamma(t, i);
@@ -144,14 +145,14 @@ TEST(ForwardBackwardTest, GammaRowsSumToOne) {
 
 TEST(ForwardBackwardTest, XiSumTotalIsTMinusOne) {
   RandomCase c = MakeRandomCase(4, 25, 100);
-  ForwardBackwardResult fb = ForwardBackward(c.pi, c.a, c.log_b);
+  ForwardBackwardResult fb = checked::ForwardBackward(c.pi, c.a, c.log_b);
   EXPECT_NEAR(fb.xi_sum.sum(), 24.0, 1e-9);
 }
 
 TEST(ForwardBackwardTest, XiMarginalsMatchGamma) {
   // sum_j xi_t(i, j) aggregated over t equals sum_{t<T} gamma_t(i).
   RandomCase c = MakeRandomCase(3, 12, 101);
-  ForwardBackwardResult fb = ForwardBackward(c.pi, c.a, c.log_b);
+  ForwardBackwardResult fb = checked::ForwardBackward(c.pi, c.a, c.log_b);
   for (size_t i = 0; i < 3; ++i) {
     double xi_row = 0.0;
     for (size_t j = 0; j < 3; ++j) xi_row += fb.xi_sum(i, j);
@@ -169,14 +170,14 @@ TEST(ForwardBackwardTest, StableUnderExtremeLogProbs) {
       c.log_b(t, i) = -90.0 - 10.0 * static_cast<double>(i);
     }
   }
-  ForwardBackwardResult fb = ForwardBackward(c.pi, c.a, c.log_b);
+  ForwardBackwardResult fb = checked::ForwardBackward(c.pi, c.a, c.log_b);
   EXPECT_TRUE(std::isfinite(fb.log_likelihood));
   EXPECT_LT(fb.log_likelihood, -4000.0);
 }
 
 TEST(ForwardBackwardTest, SingleFrameSequence) {
   RandomCase c = MakeRandomCase(3, 1, 103);
-  ForwardBackwardResult fb = ForwardBackward(c.pi, c.a, c.log_b);
+  ForwardBackwardResult fb = checked::ForwardBackward(c.pi, c.a, c.log_b);
   // gamma_0 proportional to pi * b.
   linalg::Vector expected(3);
   double z = 0.0;
@@ -202,7 +203,7 @@ TEST(ForwardBackwardTest, SingleStateDegenerateChain) {
     log_b(t, 0) = -0.3 * static_cast<double>(t + 1);
     expected += log_b(t, 0);
   }
-  ForwardBackwardResult fb = ForwardBackward(pi, a, log_b);
+  ForwardBackwardResult fb = checked::ForwardBackward(pi, a, log_b);
   EXPECT_NEAR(fb.log_likelihood, expected, 1e-12);
   for (size_t t = 0; t < 5; ++t) EXPECT_DOUBLE_EQ(fb.gamma(t, 0), 1.0);
   EXPECT_DOUBLE_EQ(fb.xi_sum(0, 0), 4.0);
@@ -210,7 +211,7 @@ TEST(ForwardBackwardTest, SingleStateDegenerateChain) {
 
 TEST(ViterbiTest, SingleFrameDecodesArgmaxOfPiTimesB) {
   RandomCase c = MakeRandomCase(4, 1, 105);
-  ViterbiResult v = Viterbi(c.pi, c.a, c.log_b);
+  ViterbiResult v = checked::Viterbi(c.pi, c.a, c.log_b);
   size_t best = 0;
   double best_v = prob::kNegInf;
   for (size_t i = 0; i < 4; ++i) {
@@ -227,8 +228,9 @@ TEST(ViterbiTest, SingleFrameDecodesArgmaxOfPiTimesB) {
 
 TEST(LogLikelihoodTest, AgreesWithForwardBackward) {
   RandomCase c = MakeRandomCase(4, 17, 104);
-  ForwardBackwardResult fb = ForwardBackward(c.pi, c.a, c.log_b);
-  EXPECT_NEAR(LogLikelihood(c.pi, c.a, c.log_b), fb.log_likelihood, 1e-10);
+  ForwardBackwardResult fb = checked::ForwardBackward(c.pi, c.a, c.log_b);
+  EXPECT_NEAR(checked::LogLikelihood(c.pi, c.a, c.log_b), fb.log_likelihood,
+              1e-10);
 }
 
 // ----------------------------------------------------------------- Viterbi ---
@@ -240,7 +242,7 @@ TEST_P(ViterbiBruteForceTest, MatchesEnumeration) {
   size_t k = 2 + static_cast<size_t>(param) % 3;
   size_t big_t = 2 + static_cast<size_t>(param) % 5;
   RandomCase c = MakeRandomCase(k, big_t, static_cast<uint64_t>(param) + 500);
-  ViterbiResult v = Viterbi(c.pi, c.a, c.log_b);
+  ViterbiResult v = checked::Viterbi(c.pi, c.a, c.log_b);
   BruteForce ref = Enumerate(c.pi, c.a, c.log_b);
   EXPECT_NEAR(v.log_joint, ref.viterbi_log_joint, 1e-10);
   // Paths can tie; verify our path achieves the optimal score.
@@ -267,15 +269,15 @@ TEST(ViterbiTest, RespectsZeroTransitions) {
     log_b(t, 0) = 0.0;
     log_b(t, 1) = -1.0;
   }
-  ViterbiResult v = Viterbi(pi, a, log_b);
+  ViterbiResult v = checked::Viterbi(pi, a, log_b);
   EXPECT_EQ(v.path, (std::vector<int>{0, 1, 0, 1}));
 }
 
 TEST(ViterbiTest, LogJointNeverExceedsLogLikelihood) {
   for (uint64_t seed = 0; seed < 10; ++seed) {
     RandomCase c = MakeRandomCase(3, 8, seed + 700);
-    ViterbiResult v = Viterbi(c.pi, c.a, c.log_b);
-    double ll = LogLikelihood(c.pi, c.a, c.log_b);
+    ViterbiResult v = checked::Viterbi(c.pi, c.a, c.log_b);
+    double ll = checked::LogLikelihood(c.pi, c.a, c.log_b);
     EXPECT_LE(v.log_joint, ll + 1e-10);
   }
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checked_inference.h"
 #include "core/dhmm_trainer.h"
 #include "core/supervised_diversified.h"
 #include "data/ocr.h"
@@ -205,9 +206,9 @@ TEST(OcrIntegrationTest, SupervisedDiversifiedMatchesOrBeatsCounting) {
   for (const auto& seq : test) {
     gold.push_back(seq.labels);
     pred0.push_back(
-        hmm::Viterbi(m0.pi, m0.a, m0.emission->LogProbTable(seq.obs)).path);
+        checked::Viterbi(m0.pi, m0.a, m0.emission->LogProbTable(seq.obs)).path);
     pred1.push_back(
-        hmm::Viterbi(m1.pi, m1.a, m1.emission->LogProbTable(seq.obs)).path);
+        checked::Viterbi(m1.pi, m1.a, m1.emission->LogProbTable(seq.obs)).path);
   }
   double acc0 = eval::FrameAccuracy(pred0, gold);
   double acc1 = eval::FrameAccuracy(pred1, gold);

@@ -33,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc_counter.h"
+#include "checked_inference.h"
 #include "hmm/inference.h"
 #include "linalg/aligned.h"
 #include "linalg/kernels.h"
@@ -86,20 +87,16 @@ TEST(KernelsTest, DotIsDeterministicAcrossRepeats) {
   }
 }
 
-TEST(KernelsTest, MatVecRowAndColAgreeWithEachOtherAndNaive) {
+TEST(KernelsTest, MatVecColOnTransposeMatchesNaive) {
   for (size_t m : {1u, 3u, 5u, 20u}) {
     for (size_t n : {1u, 4u, 7u, 50u}) {
       std::vector<double> a = RandomRow(m * n, m * 100 + n);
       std::vector<double> x = RandomRow(m, m + n);
-      std::vector<double> xt_a(n), naive(n, 0.0);
-      klib::MatVecRow(x.data(), a.data(), m, n, xt_a.data());
+      std::vector<double> naive(n, 0.0);
       for (size_t i = 0; i < m; ++i) {
         for (size_t j = 0; j < n; ++j) naive[j] += x[i] * a[i * n + j];
       }
-      for (size_t j = 0; j < n; ++j) {
-        EXPECT_NEAR(xt_a[j], naive[j], 1e-12) << m << "x" << n << " j=" << j;
-      }
-      // x^T A computed against the transpose via MatVecCol must agree.
+      // x^T A computed against the transpose via MatVecCol.
       std::vector<double> a_t(n * m), via_t(n);
       klib::TransposeInto(a.data(), m, n, a_t.data());
       klib::MatVecCol(a_t.data(), x.data(), n, m, via_t.data());
@@ -264,7 +261,7 @@ TEST(KernelPathBruteForceTest, ForwardBackwardMatchesEnumerationOnGrid) {
   for (size_t k : {1u, 2u, 3u, 5u}) {
     for (size_t big_t : {1u, 2u, 4u, 6u}) {
       Chain c = MakeChain(k, big_t, 7000 + 10 * k + big_t);
-      hmm::ForwardBackward(c.pi, c.a, c.log_b, &ws, &fb);
+      checked::Ok(hmm::TryForwardBackward(c.pi, c.a, c.log_b, &ws, &fb));
       double ll_ref;
       linalg::Matrix gamma_ref, xi_ref;
       EnumerateReference(c, &ll_ref, &gamma_ref, &xi_ref);
@@ -283,7 +280,8 @@ TEST(KernelPathBruteForceTest, ForwardBackwardMatchesEnumerationOnGrid) {
               << "k=" << k << " T=" << big_t;
         }
       }
-      EXPECT_NEAR(hmm::LogLikelihood(c.pi, c.a, c.log_b, &ws), ll_ref, 1e-9);
+      EXPECT_NEAR(checked::LogLikelihood(c.pi, c.a, c.log_b, &ws), ll_ref,
+                  1e-9);
     }
   }
 }
@@ -301,12 +299,12 @@ TEST(KernelPathBruteForceTest, SingleStateChainIsExact) {
     c.log_b(t, 0) = -1.5 - static_cast<double>(t);
     expected += c.log_b(t, 0);
   }
-  hmm::ForwardBackwardResult fb = hmm::ForwardBackward(c.pi, c.a, c.log_b);
+  hmm::ForwardBackwardResult fb = checked::ForwardBackward(c.pi, c.a, c.log_b);
   EXPECT_NEAR(fb.log_likelihood, expected, 1e-12);
   for (size_t t = 0; t < big_t; ++t) EXPECT_DOUBLE_EQ(fb.gamma(t, 0), 1.0);
   EXPECT_DOUBLE_EQ(fb.xi_sum(0, 0), static_cast<double>(big_t - 1));
 
-  hmm::ViterbiResult vit = hmm::Viterbi(c.pi, c.a, c.log_b);
+  hmm::ViterbiResult vit = checked::Viterbi(c.pi, c.a, c.log_b);
   EXPECT_NEAR(vit.log_joint, expected, 1e-12);
   for (int s : vit.path) EXPECT_EQ(s, 0);
 }
@@ -360,27 +358,28 @@ TEST(TransitionCacheTest, InferenceSeesMutatedAThroughAReusedWorkspace) {
   hmm::InferenceWorkspace ws;
   hmm::ForwardBackwardResult fb;
   hmm::ViterbiResult vit;
-  hmm::ForwardBackward(c.pi, c.a, c.log_b, &ws, &fb);
-  hmm::Viterbi(c.pi, c.a, c.log_b, &ws, &vit);
+  checked::Ok(hmm::TryForwardBackward(c.pi, c.a, c.log_b, &ws, &fb));
+  checked::Ok(hmm::TryViterbi(c.pi, c.a, c.log_b, &ws, &vit));
 
   // Mutate A between calls (the M-step shape) and require the reused
   // workspace to match a fresh one bitwise — a stale transpose would not.
   prob::Rng rng(22);
   c.a = rng.RandomStochasticMatrix(k, k, 0.7);
-  hmm::ForwardBackward(c.pi, c.a, c.log_b, &ws, &fb);
-  hmm::ForwardBackwardResult fresh = hmm::ForwardBackward(c.pi, c.a, c.log_b);
+  checked::Ok(hmm::TryForwardBackward(c.pi, c.a, c.log_b, &ws, &fb));
+  hmm::ForwardBackwardResult fresh =
+      checked::ForwardBackward(c.pi, c.a, c.log_b);
   EXPECT_EQ(fb.log_likelihood, fresh.log_likelihood);
   for (size_t t = 0; t < big_t; ++t) {
     for (size_t i = 0; i < k; ++i) {
       ASSERT_EQ(fb.gamma(t, i), fresh.gamma(t, i));
     }
   }
-  hmm::Viterbi(c.pi, c.a, c.log_b, &ws, &vit);
-  hmm::ViterbiResult vit_fresh = hmm::Viterbi(c.pi, c.a, c.log_b);
+  checked::Ok(hmm::TryViterbi(c.pi, c.a, c.log_b, &ws, &vit));
+  hmm::ViterbiResult vit_fresh = checked::Viterbi(c.pi, c.a, c.log_b);
   EXPECT_EQ(vit.log_joint, vit_fresh.log_joint);
   EXPECT_EQ(vit.path, vit_fresh.path);
-  EXPECT_EQ(hmm::LogLikelihood(c.pi, c.a, c.log_b, &ws),
-            hmm::LogLikelihood(c.pi, c.a, c.log_b));
+  EXPECT_EQ(checked::LogLikelihood(c.pi, c.a, c.log_b, &ws),
+            checked::LogLikelihood(c.pi, c.a, c.log_b));
 }
 
 // -------------------------------------------------------- allocation-free ---
@@ -393,14 +392,14 @@ TEST(InferenceAllocationTest, SteadyStateInferenceAllocatesNothing) {
   hmm::ViterbiResult vit;
   // Warm-up sizes every buffer, including the cached transpose and the
   // Viterbi log-transpose and backpointer table.
-  hmm::ForwardBackward(c.pi, c.a, c.log_b, &ws, &fb);
-  hmm::LogLikelihood(c.pi, c.a, c.log_b, &ws);
-  hmm::Viterbi(c.pi, c.a, c.log_b, &ws, &vit);
+  checked::Ok(hmm::TryForwardBackward(c.pi, c.a, c.log_b, &ws, &fb));
+  checked::LogLikelihood(c.pi, c.a, c.log_b, &ws);
+  checked::Ok(hmm::TryViterbi(c.pi, c.a, c.log_b, &ws, &vit));
 
   long before = alloc_counter::Count();
-  hmm::ForwardBackward(c.pi, c.a, c.log_b, &ws, &fb);
-  hmm::LogLikelihood(c.pi, c.a, c.log_b, &ws);
-  hmm::Viterbi(c.pi, c.a, c.log_b, &ws, &vit);
+  checked::Ok(hmm::TryForwardBackward(c.pi, c.a, c.log_b, &ws, &fb));
+  checked::LogLikelihood(c.pi, c.a, c.log_b, &ws);
+  checked::Ok(hmm::TryViterbi(c.pi, c.a, c.log_b, &ws, &vit));
   long after = alloc_counter::Count();
   EXPECT_EQ(after - before, 0)
       << "steady-state inference made " << (after - before)
@@ -413,16 +412,16 @@ TEST(InferenceAllocationTest, TransposeRebuildAtFixedKIsInPlace) {
   hmm::InferenceWorkspace ws;
   hmm::ForwardBackwardResult fb;
   hmm::ViterbiResult vit;
-  hmm::ForwardBackward(c.pi, c.a, c.log_b, &ws, &fb);
-  hmm::Viterbi(c.pi, c.a, c.log_b, &ws, &vit);
+  checked::Ok(hmm::TryForwardBackward(c.pi, c.a, c.log_b, &ws, &fb));
+  checked::Ok(hmm::TryViterbi(c.pi, c.a, c.log_b, &ws, &vit));
 
   // An M-step rewrites A; the cache must refresh without allocating.
   prob::Rng rng(42);
   linalg::Matrix a2 = rng.RandomStochasticMatrix(k, k, 2.0);
   long before = alloc_counter::Count();
   for (size_t i = 0; i < k * k; ++i) c.a.data()[i] = a2.data()[i];
-  hmm::ForwardBackward(c.pi, c.a, c.log_b, &ws, &fb);
-  hmm::Viterbi(c.pi, c.a, c.log_b, &ws, &vit);
+  checked::Ok(hmm::TryForwardBackward(c.pi, c.a, c.log_b, &ws, &fb));
+  checked::Ok(hmm::TryViterbi(c.pi, c.a, c.log_b, &ws, &vit));
   long after = alloc_counter::Count();
   EXPECT_EQ(after - before, 0)
       << "in-place transpose rebuild made " << (after - before)
@@ -450,19 +449,10 @@ std::vector<double> ApplyAllKernels(const klib::KernelTable& kt, size_t n,
   };
   out.push_back(kt.sum_row(x.data(), n));
   out.push_back(kt.dot(x.data(), y.data(), n));
-  out.push_back(kt.max_row(x.data(), n));
   kt.mul_row_scaled_into(x.data(), y.data(), 1.7, n, v.data());
   push(v);
   v.assign(n, 0.25);
   kt.axpy_row(0.6, x.data(), n, v.data());
-  push(v);
-  v.assign(n, 0.25);
-  kt.axpy_mul_row(0.6, x.data(), y.data(), n, v.data());
-  push(v);
-  xi.assign(n * n, 0.5);
-  kt.axpy_mul_mat(w.data(), a.data(), y.data(), n, n, xi.data());
-  push(xi);
-  kt.mat_vec_row(x.data(), a.data(), n, n, v.data());
   push(v);
   kt.mat_vec_col(a.data(), x.data(), n, n, v.data());
   push(v);
@@ -582,6 +572,33 @@ TEST(DispatchTest, VariantsAreBitwiseReproducibleAcrossCallsAndThreads) {
                                  first.size() * sizeof(double)))
             << kt.name << " n=" << n << " thread " << t;
       }
+    }
+  }
+}
+
+// ---------------------------------------- bitwise backward beta grid ---
+
+// The sweep's descent takes beta from backward_fused; its ascending replay
+// and the session rings take it from the beta-only step's mat_vec_col
+// (hmm/chain_steps.h). Every (ISA, k) table must give the same bits both
+// ways, with zeros in A (unreachable transitions) and in the xi scales
+// (skipped xi rows).
+TEST(BackwardBetaBitwiseTest, FusedBetaEqualsMatVecColEveryIsaAndK) {
+  for (klib::Isa isa : klib::CompiledIsas()) {
+    if (!klib::IsaAvailable(isa)) continue;
+    for (size_t k = 1; k <= 70; ++k) {
+      const klib::KernelTable& kt = klib::TableFor(isa, k);
+      std::vector<double> a = RandomRow(k * k, 7100 + k, 0.0, 1.0);
+      std::vector<double> u = RandomRow(k, 7200 + k);
+      std::vector<double> s = RandomRow(k, 7300 + k, 0.0, 1.0);
+      for (size_t i = 0; i < k * k; i += 3) a[i] = 0.0;
+      for (size_t i = 0; i < k; i += 2) s[i] = 0.0;
+      std::vector<double> fused(k), plain(k), xi(k * k, 0.5);
+      kt.backward_fused(a.data(), u.data(), s.data(), k, k, fused.data(),
+                        xi.data());
+      kt.mat_vec_col(a.data(), u.data(), k, k, plain.data());
+      EXPECT_EQ(0, std::memcmp(fused.data(), plain.data(), k * sizeof(double)))
+          << kt.name << " k=" << k;
     }
   }
 }
@@ -781,10 +798,10 @@ TEST(DispatchTest, EngineAgreesAcrossIsasEndToEnd) {
     const size_t big_t = 40;
     Chain c = MakeChain(k, big_t, 424200 + k);
     hmm::ForwardBackwardResult fb_active =
-        hmm::ForwardBackward(c.pi, c.a, c.log_b);
+        checked::ForwardBackward(c.pi, c.a, c.log_b);
     ASSERT_TRUE(klib::internal::ForceIsaForTestOnly(klib::Isa::kScalar));
     hmm::ForwardBackwardResult fb_scalar =
-        hmm::ForwardBackward(c.pi, c.a, c.log_b);
+        checked::ForwardBackward(c.pi, c.a, c.log_b);
     ASSERT_TRUE(klib::internal::ForceIsaForTestOnly(active));
     EXPECT_NEAR(fb_active.log_likelihood, fb_scalar.log_likelihood, 1e-9);
     for (size_t t = 0; t < big_t; ++t) {

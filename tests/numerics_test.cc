@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checked_inference.h"
 #include "dpp/logdet.h"
 #include "dpp/product_kernel.h"
 #include "hmm/inference.h"
@@ -157,13 +158,13 @@ TEST(NumericsTest, LikelihoodShiftsExactlyWithEmissionShift) {
   linalg::Matrix log_b(12, 4);
   for (size_t t = 0; t < 12; ++t)
     for (size_t i = 0; i < 4; ++i) log_b(t, i) = -4.0 * rng.Uniform();
-  hmm::ForwardBackwardResult base = hmm::ForwardBackward(pi, a, log_b);
+  hmm::ForwardBackwardResult base = checked::ForwardBackward(pi, a, log_b);
 
   const double c = -123.456;
   linalg::Matrix shifted = log_b;
   for (size_t t = 0; t < 12; ++t)
     for (size_t i = 0; i < 4; ++i) shifted(t, i) += c;
-  hmm::ForwardBackwardResult moved = hmm::ForwardBackward(pi, a, shifted);
+  hmm::ForwardBackwardResult moved = checked::ForwardBackward(pi, a, shifted);
 
   EXPECT_NEAR(moved.log_likelihood, base.log_likelihood + 12.0 * c, 1e-8);
   for (size_t t = 0; t < 12; ++t) {
@@ -180,11 +181,11 @@ TEST(NumericsTest, ViterbiPathInvariantToEmissionShift) {
   linalg::Matrix log_b(15, 3);
   for (size_t t = 0; t < 15; ++t)
     for (size_t i = 0; i < 3; ++i) log_b(t, i) = -6.0 * rng.Uniform();
-  auto base = hmm::Viterbi(pi, a, log_b);
+  auto base = checked::Viterbi(pi, a, log_b);
   linalg::Matrix shifted = log_b;
   for (size_t t = 0; t < 15; ++t)
     for (size_t i = 0; i < 3; ++i) shifted(t, i) += 77.0;
-  auto moved = hmm::Viterbi(pi, a, shifted);
+  auto moved = checked::Viterbi(pi, a, shifted);
   EXPECT_EQ(base.path, moved.path);
   EXPECT_NEAR(moved.log_joint, base.log_joint + 15.0 * 77.0, 1e-8);
 }
@@ -208,8 +209,8 @@ TEST(NumericsTest, ForwardBackwardPermutationEquivariance) {
     for (size_t j = 0; j < k; ++j) a_p(i, j) = a(perm[i], perm[j]);
     for (size_t t = 0; t < t_len; ++t) log_b_p(t, i) = log_b(t, perm[i]);
   }
-  auto base = hmm::ForwardBackward(pi, a, log_b);
-  auto permuted = hmm::ForwardBackward(pi_p, a_p, log_b_p);
+  auto base = checked::ForwardBackward(pi, a, log_b);
+  auto permuted = checked::ForwardBackward(pi_p, a_p, log_b_p);
   EXPECT_NEAR(base.log_likelihood, permuted.log_likelihood, 1e-10);
   for (size_t t = 0; t < t_len; ++t) {
     for (size_t i = 0; i < k; ++i) {

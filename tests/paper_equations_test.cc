@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checked_inference.h"
 #include "core/transition_update.h"
 #include "dpp/esp.h"
 #include "dpp/logdet.h"
@@ -38,7 +39,7 @@ TEST(PaperEquationsTest, IntroStaticMixtureFactorization) {
     obs.push_back(static_cast<int>(rng.UniformInt(v)));
   }
   linalg::Matrix log_b = emission.LogProbTable(obs);
-  double chain_ll = hmm::LogLikelihood(pi, a, log_b);
+  double chain_ll = checked::LogLikelihood(pi, a, log_b);
 
   // Product of independent mixture densities.
   double product_ll = 0.0;
@@ -92,8 +93,8 @@ TEST(PaperEquationsTest, PiUpdateIsAveragedFirstFramePosterior) {
   // Hand-accumulate gamma(0, .) under the *initial* parameters.
   linalg::Vector expected(k);
   for (const auto& seq : data) {
-    auto fb = hmm::ForwardBackward(model.pi, model.a,
-                                   model.emission->LogProbTable(seq.obs));
+    auto fb = checked::ForwardBackward(model.pi, model.a,
+                                       model.emission->LogProbTable(seq.obs));
     for (size_t i = 0; i < k; ++i) expected[i] += fb.gamma(0, i);
   }
   expected.NormalizeToSimplex();
@@ -142,8 +143,8 @@ TEST(PaperEquationsTest, Eq16TransitionMlUpdate) {
 
   linalg::Matrix xi(k, k);
   for (const auto& seq : data) {
-    auto fb = hmm::ForwardBackward(model.pi, model.a,
-                                   model.emission->LogProbTable(seq.obs));
+    auto fb = checked::ForwardBackward(model.pi, model.a,
+                                       model.emission->LogProbTable(seq.obs));
     xi += fb.xi_sum;
   }
   linalg::Matrix expected = xi;

@@ -128,6 +128,25 @@ TEST(RngTest, CategoricalIgnoresZeroWeights) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.Categorical(w), 1u);
 }
 
+TEST(RngTest, CategoricalDrawsFromAMatrixRowInPlace) {
+  // The samplers draw straight from a matrix row: same draws as the
+  // row-copying Vector form, pinned to values that form produced.
+  Rng init(2024);
+  const linalg::Matrix w = init.RandomStochasticMatrix(4, 37, 0.5);
+  const size_t row_draws[] = {2, 9, 29, 18, 36, 20, 29, 14, 36, 2};
+  Rng in_place(7), copied(7);
+  for (size_t want : row_draws) {
+    EXPECT_EQ(in_place.Categorical(w.row_data(2), w.cols()), want);
+    EXPECT_EQ(copied.Categorical(w.Row(2)), want);
+  }
+  const CategoricalEmission em(w);
+  const int emission_draws[] = {32, 24, 36, 30, 3, 19, 6, 1, 31, 7};
+  Rng rng(11);
+  for (size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(em.Sample(i % 4, rng), emission_draws[i]) << "draw " << i;
+  }
+}
+
 TEST(RngTest, PermutationIsPermutation) {
   Rng rng(14);
   auto p = rng.Permutation(50);

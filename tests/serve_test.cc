@@ -32,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc_counter.h"
+#include "checked_inference.h"
 #include "hmm/inference.h"
 #include "hmm/model.h"
 #include "hmm/posterior_decoding.h"
@@ -74,9 +75,9 @@ OfflineRef Offline(const hmm::HmmModel<double>& m,
                    const std::vector<double>& obs) {
   OfflineRef ref;
   linalg::Matrix log_b = m.emission->LogProbTable(obs);
-  ref.viterbi = hmm::Viterbi(m.pi, m.a, log_b);
-  ref.posterior = hmm::PosteriorDecode(m.pi, m.a, log_b);
-  ref.log_likelihood = hmm::LogLikelihood(m.pi, m.a, log_b);
+  ref.viterbi = checked::Viterbi(m.pi, m.a, log_b);
+  ref.posterior = checked::PosteriorDecode(m.pi, m.a, log_b);
+  ref.log_likelihood = checked::LogLikelihood(m.pi, m.a, log_b);
   return ref;
 }
 
@@ -256,6 +257,32 @@ TEST(DecodeServiceTest, EmptySequenceRejectedWithoutPoisoningService) {
   serve::DecodeFuture<double> good =
       service.Submit(serve::DecodeKind::kViterbi, data[0].obs);
   EXPECT_TRUE(good.Wait().status.ok());
+}
+
+TEST(DecodeServiceTest, UnknownKindRejectedNotAnsweredWithAStaleStatus) {
+  // A kind byte outside DecodeKind reaches the service only through
+  // in-process Submit (the wire decoder rejects it). Its pooled slot still
+  // holds the OK result of the Viterbi request it served before; the
+  // answer must be InvalidArgument naming the kind, not that stale OK.
+  auto model = MakeModel(3, 53);
+  hmm::Dataset<double> data = MakeData(*model, 1, 8, 54);
+  serve::DecodeServiceOptions opts;
+  opts.num_threads = 1;
+  serve::DecodeService<double> service(model, opts);
+  for (int round = 0; round < 2; ++round) {
+    serve::DecodeFuture<double> good =
+        service.Submit(serve::DecodeKind::kViterbi, data[0].obs);
+    ASSERT_TRUE(good.Wait().status.ok());
+    good.Release();
+    serve::DecodeFuture<double> bad =
+        service.Submit(static_cast<serve::DecodeKind>(9), data[0].obs);
+    const serve::DecodeResult& r = bad.Wait();
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status.message().find("decode kind 9"), std::string::npos)
+        << r.status.ToString();
+    EXPECT_TRUE(r.path.empty());
+    bad.Release();
+  }
 }
 
 TEST(DecodeServiceTest, ImpossibleObservationRejectedPerRequest) {

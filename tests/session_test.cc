@@ -35,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include "alloc_counter.h"
+#include "checked_inference.h"
 #include "core/incremental_em.h"
 #include "core/transition_update.h"
 #include "hmm/inference.h"
@@ -186,8 +187,8 @@ TEST(SessionManagerTest, FullLagDecodesMatchOfflineBitwiseForEveryPusherCount) {
   std::vector<double> want_loglik;
   for (const auto& seq : data) {
     const linalg::Matrix log_b = model->emission->LogProbTable(seq.obs);
-    want_paths.push_back(hmm::PosteriorDecode(model->pi, model->a, log_b));
-    want_loglik.push_back(hmm::LogLikelihood(model->pi, model->a, log_b));
+    want_paths.push_back(checked::PosteriorDecode(model->pi, model->a, log_b));
+    want_loglik.push_back(checked::LogLikelihood(model->pi, model->a, log_b));
   }
 
   for (int pushers : {1, 4}) {
@@ -256,7 +257,7 @@ TEST(SessionManagerTest, ResetSessionRestartsAStreamInPlace) {
 
   const linalg::Matrix log_b = model->emission->LogProbTable(data[0].obs);
   const std::vector<int> want =
-      hmm::PosteriorDecode(model->pi, model->a, log_b);
+      checked::PosteriorDecode(model->pi, model->a, log_b);
 
   for (int run = 0; run < 2; ++run) {
     int label;
@@ -325,7 +326,7 @@ TEST(SessionManagerTest, FixedLagEmitsOnTimeAndFinishFlushesTheRest) {
   // sequence, so they agree exactly with offline posterior decoding.
   const linalg::Matrix log_b = model->emission->LogProbTable(obs);
   const std::vector<int> offline =
-      hmm::PosteriorDecode(model->pi, model->a, log_b);
+      checked::PosteriorDecode(model->pi, model->a, log_b);
   for (size_t t = obs.size() - opts.lag; t < obs.size(); ++t) {
     EXPECT_EQ(labels[t], offline[t]) << "frame " << t;
   }
@@ -356,7 +357,7 @@ TEST(SessionManagerTest, ZeroLagIsFilteringAndEmitsImmediately) {
   // The final filtered label coincides with offline posterior decoding's
   // final frame (beta = 1 there in both).
   const linalg::Matrix log_b = model->emission->LogProbTable(obs);
-  EXPECT_EQ(label, hmm::PosteriorDecode(model->pi, model->a, log_b).back());
+  EXPECT_EQ(label, checked::PosteriorDecode(model->pi, model->a, log_b).back());
 }
 
 TEST(SessionManagerTest, ImpossibleObservationPoisonsSessionNotProcess) {
@@ -421,7 +422,7 @@ TEST(SessionManagerTest, UpdateModelAndResetRestartTheStreamOnTheNewModel) {
             PrefixLogLikelihood(*model_b, obs, obs.size()));
   const linalg::Matrix log_b = model_b->emission->LogProbTable(obs);
   const std::vector<int> offline =
-      hmm::PosteriorDecode(model_b->pi, model_b->a, log_b);
+      checked::PosteriorDecode(model_b->pi, model_b->a, log_b);
   for (size_t t = obs.size() - opts.lag; t < obs.size(); ++t) {
     EXPECT_EQ(labels[t], offline[t]) << "frame " << t;
   }
