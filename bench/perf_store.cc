@@ -1,14 +1,12 @@
-// Microbenchmark for the binary model store against the text serializer:
-// save, validate-open, full load, dual-slot publish, and the serve-layer
-// reload path.
+// Microbenchmark for the binary model store: save, validate-open, full
+// load, dual-slot publish, and the serve-layer reload path.
 //
 // The workload is a large-vocabulary categorical model (k = 50 states,
-// 20K symbols — 1M doubles of emission table), where the difference is
-// structural: the text loader runs istream extraction over every
-// parameter, the store validates in O(header) + one CRC pass and memcpys
-// payloads straight out of the mapped file. BM_StoreOpen in particular
-// should be independent of model size — that is the "no full parse on the
-// reload path" contract the serve layer relies on.
+// 20K symbols — 1M doubles of emission table). The store validates in
+// O(header) + one CRC pass and memcpys payloads straight out of the mapped
+// file. BM_StoreOpen in particular should be independent of model size —
+// that is the "no full parse on the reload path" contract the serve layer
+// relies on.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -17,7 +15,6 @@
 #include <string>
 
 #include "hmm/model.h"
-#include "hmm/serialization.h"
 #include "prob/categorical_emission.h"
 #include "prob/rng.h"
 #include "serve/decode_service.h"
@@ -45,16 +42,6 @@ std::string BenchPath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-void BM_TextSave(benchmark::State& state) {
-  const hmm::HmmModel<int> m = MakeModel();
-  const std::string path = BenchPath("dhmm_bench_store.txt");
-  for (auto _ : state) {
-    DHMM_CHECK(hmm::SaveHmmToFile(m, path).ok());
-  }
-  std::filesystem::remove(path);
-}
-BENCHMARK(BM_TextSave)->Unit(benchmark::kMillisecond)->UseRealTime();
-
 void BM_StoreWrite(benchmark::State& state) {
   const hmm::HmmModel<int> m = MakeModel();
   const std::string path = BenchPath("dhmm_bench_store.dhmms");
@@ -64,19 +51,6 @@ void BM_StoreWrite(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_StoreWrite)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_TextLoad(benchmark::State& state) {
-  const hmm::HmmModel<int> m = MakeModel();
-  const std::string path = BenchPath("dhmm_bench_store.txt");
-  DHMM_CHECK(hmm::SaveHmmToFile(m, path).ok());
-  for (auto _ : state) {
-    auto r = hmm::LoadHmmFromFile<int>(path);
-    DHMM_CHECK(r.ok());
-    benchmark::DoNotOptimize(r.value().pi.data());
-  }
-  std::filesystem::remove(path);
-}
-BENCHMARK(BM_TextLoad)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Open + header/manifest validation only — what a registry pays to decide
 // a checkpoint is worth swapping in. Should not scale with model size.
@@ -119,18 +93,12 @@ void BM_DualSlotPublish(benchmark::State& state) {
 }
 BENCHMARK(BM_DualSlotPublish)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Hot-reload latency through a live DecodeService, text vs. binary — the
-// serving thread pays this while requests keep flowing.
+// Hot-reload latency through a live DecodeService — the serving thread
+// pays this while requests keep flowing.
 void BM_ServiceReload(benchmark::State& state) {
-  const bool binary = state.range(0) != 0;
   const hmm::HmmModel<int> m = MakeModel();
-  const std::string path =
-      BenchPath(binary ? "dhmm_bench_reload.dhmms" : "dhmm_bench_reload.txt");
-  if (binary) {
-    DHMM_CHECK(store::WriteModel(m, 1, path).ok());
-  } else {
-    DHMM_CHECK(hmm::SaveHmmToFile(m, path).ok());
-  }
+  const std::string path = BenchPath("dhmm_bench_reload.dhmms");
+  DHMM_CHECK(store::WriteModel(m, 1, path).ok());
   serve::DecodeService<int> service(
       std::make_shared<const hmm::HmmModel<int>>(m));
   for (auto _ : state) {
@@ -140,12 +108,7 @@ void BM_ServiceReload(benchmark::State& state) {
       static_cast<double>(service.model_version());
   std::filesystem::remove(path);
 }
-BENCHMARK(BM_ServiceReload)
-    ->ArgNames({"binary"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_ServiceReload)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

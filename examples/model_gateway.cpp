@@ -17,12 +17,12 @@
 #include "hmm/model.h"
 #include "hmm/sampler.h"
 #include "hmm/sequence.h"
-#include "hmm/serialization.h"
 #include "prob/gaussian_emission.h"
 #include "prob/rng.h"
 #include "serve/frontend.h"
 #include "serve/model_registry.h"
 #include "serve/wire_client.h"
+#include "store/model_codec.h"
 #include "util/flags.h"
 
 namespace {
@@ -75,8 +75,8 @@ int main(int argc, char** argv) {
   for (size_t m = 0; m < num_models; ++m) {
     auto model = MakeModel(3 + m % 3, 100 + m);
     const std::string path =
-        "/tmp/dhmm_gateway_" + std::to_string(m + 1) + ".txt";
-    st = hmm::SaveHmmToFile(*model, path);
+        "/tmp/dhmm_gateway_" + std::to_string(m + 1) + ".dhmms";
+    st = store::WriteModel(*model, 1, path);
     if (!st.ok()) {
       std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
       return 1;

@@ -2,15 +2,15 @@
 // round trip preserves the model exactly, and resume training from the
 // loaded checkpoint.
 //
-// Flags: --path=<file> (default /tmp/dhmm_model.txt)
+// Flags: --path=<file> (default /tmp/dhmm_model.dhmms)
 #include <cstdio>
 #include <memory>
 
 #include "core/dhmm_trainer.h"
 #include "data/toy.h"
 #include "hmm/sampler.h"
-#include "hmm/serialization.h"
 #include "hmm/trainer.h"
+#include "store/model_codec.h"
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  const std::string path = flags.GetString("path", "/tmp/dhmm_model.txt");
+  const std::string path = flags.GetString("path", "/tmp/dhmm_model.dhmms");
   st = flags.VerifyAllRead();
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   std::printf("trained 10 iterations, loglik %.4f\n", ll_before);
 
   // 2. Save.
-  st = hmm::SaveHmmToFile(model, path);
+  st = store::WriteModel(model, 1, path);
   if (!st.ok()) {
     std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
     return 1;
@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
   std::printf("saved to %s\n", path.c_str());
 
   // 3. Load and verify.
-  Result<hmm::HmmModel<double>> loaded = hmm::LoadHmmFromFile<double>(path);
+  Result<hmm::HmmModel<double>> loaded =
+      store::ReadModelFromFile<double>(path);
   if (!loaded.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
                  loaded.status().ToString().c_str());

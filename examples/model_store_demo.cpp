@@ -45,22 +45,29 @@ int main(int argc, char** argv) {
   FitEm(&model, data, em);
 
   // 2. Publish both into the dual-slot store. Each publish writes the
-  // inactive slot atomically, then flips the manifest.
+  // inactive slot atomically, then flips the manifest. A store left by an
+  // earlier run continues its sequence, so print what the store reports.
   auto slots = store::DualSlotStore::Open(dir);
   if (!slots.ok()) {
     std::fprintf(stderr, "open failed: %s\n",
                  slots.status().ToString().c_str());
     return 1;
   }
-  if (!slots.value().Publish(v1).ok() || !slots.value().Publish(model).ok()) {
+  if (!slots.value().Publish(v1).ok()) {
     std::fprintf(stderr, "publish failed\n");
     return 1;
   }
-  std::printf("published seq 1 and 2; active slot file: %s\n",
-              slots.value().active_path().c_str());
+  const unsigned long long seq_v1 = slots.value().sequence_number();
+  if (!slots.value().Publish(model).ok()) {
+    std::fprintf(stderr, "publish failed\n");
+    return 1;
+  }
+  const unsigned long long seq_v2 = slots.value().sequence_number();
+  std::printf("published seq %llu and %llu; active slot file: %s\n", seq_v1,
+              seq_v2, slots.value().active_path().c_str());
 
   // 3. Serve from the store: ReloadModel routes a directory path to the
-  // dual-slot store (binary read, no text parse).
+  // dual-slot store.
   serve::DecodeService<double> service(
       std::make_shared<const hmm::HmmModel<double>>(v1));
   st = service.ReloadModel(dir);
@@ -70,7 +77,8 @@ int main(int argc, char** argv) {
   auto before = service.Submit(serve::DecodeKind::kPosterior, data[0].obs);
   const double value_before = before.Wait().value;
   before.Release();
-  std::printf("decode under seq-2 model: log-lik %.6f\n", value_before);
+  std::printf("decode under seq-%llu model: log-lik %.6f\n", seq_v2,
+              value_before);
 
   // 4. Corrupt the active slot on disk — flip one byte.
   {
@@ -96,9 +104,10 @@ int main(int argc, char** argv) {
                       : st.ToString().c_str());
   auto reopened = store::DualSlotStore::Open(dir);
   if (reopened.ok()) {
-    std::printf("store now serves seq %llu (was 2 before corruption)\n",
+    std::printf("store now serves seq %llu (was %llu before corruption)\n",
                 static_cast<unsigned long long>(
-                    reopened.value().sequence_number()));
+                    reopened.value().sequence_number()),
+                seq_v2);
   }
   auto after = service.Submit(serve::DecodeKind::kPosterior, data[0].obs);
   std::printf("decode still works: log-lik %.6f\n", after.Wait().value);

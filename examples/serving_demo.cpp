@@ -12,10 +12,10 @@
 #include "core/dhmm_trainer.h"
 #include "data/toy.h"
 #include "hmm/sampler.h"
-#include "hmm/serialization.h"
 #include "hmm/trainer.h"
 #include "serve/decode_service.h"
 #include "serve/session_manager.h"
+#include "store/model_codec.h"
 #include "util/flags.h"
 
 int main(int argc, char** argv) {
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const int threads = flags.GetInt("threads", 2);
   const int lag_flag = flags.GetInt("lag", 4);
   const std::string path =
-      flags.GetString("path", "/tmp/dhmm_serving_demo.txt");
+      flags.GetString("path", "/tmp/dhmm_serving_demo.dhmms");
   // Misspelled flags fail loudly instead of being silently ignored.
   st = flags.VerifyAllRead();
   if (!st.ok()) {
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   auto v1 = std::make_shared<const hmm::HmmModel<double>>(trained);
   opts.max_iters = 25;
   core::FitDiversifiedHmm(&trained, data, opts);
-  st = hmm::SaveHmmToFile(trained, path);  // atomic: write tmp, rename
+  st = store::WriteModel(trained, 1, path);  // atomic: write tmp, rename
   if (!st.ok()) {
     std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
     return 1;
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   double total_ll = 0.0;
   size_t ll_count = 0;
   for (auto& f : futures) {
-    const serve::DecodeResult& r = f.Wait();
+    const serve::DecodeResponse& r = f.Wait();
     if (r.kind == serve::DecodeKind::kLogLikelihood) {
       total_ll += r.value;
       ++ll_count;

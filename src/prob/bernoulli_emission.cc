@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 
 #include "util/check.h"
 
@@ -104,35 +102,6 @@ void BernoulliEmission::FinishAccumulate() {
 
 std::unique_ptr<EmissionModel<BinaryObs>> BernoulliEmission::Clone() const {
   return std::make_unique<BernoulliEmission>(*this);
-}
-
-Status BernoulliEmission::Save(std::ostream& os) const {
-  os << p_.rows() << " " << p_.cols() << " " << p_floor_ << "\n";
-  for (size_t i = 0; i < p_.rows(); ++i) {
-    for (size_t d = 0; d < p_.cols(); ++d) {
-      os << p_(i, d) << (d + 1 == p_.cols() ? "\n" : " ");
-    }
-  }
-  if (!os) return Status::IOError("failed writing BernoulliEmission");
-  return Status::OK();
-}
-
-Result<BernoulliEmission> BernoulliEmission::Load(std::istream& is) {
-  size_t k = 0, dims = 0;
-  double floor = 0.0;
-  if (!(is >> k >> dims >> floor) || k == 0 || dims == 0 || floor <= 0.0 ||
-      floor >= 0.5) {
-    return Status::IOError("bad BernoulliEmission header");
-  }
-  linalg::Matrix p(k, dims);
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t d = 0; d < dims; ++d) {
-      if (!(is >> p(i, d)) || p(i, d) < 0.0 || p(i, d) > 1.0) {
-        return Status::IOError("bad BernoulliEmission entry");
-      }
-    }
-  }
-  return BernoulliEmission(std::move(p), floor);
 }
 
 }  // namespace dhmm::prob

@@ -4,7 +4,6 @@
 #define DHMM_PROB_BERNOULLI_EMISSION_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -28,9 +27,6 @@ class BernoulliEmission : public EmissionModel<BinaryObs> {
   static BernoulliEmission RandomInit(size_t k, size_t dims, Rng& rng,
                                       double p_floor = 1e-3);
 
-  /// Loads from the text produced by Save().
-  static Result<BernoulliEmission> Load(std::istream& is);
-
   size_t num_states() const override { return p_.rows(); }
   size_t dims() const { return p_.cols(); }
 
@@ -42,8 +38,6 @@ class BernoulliEmission : public EmissionModel<BinaryObs> {
   void FinishAccumulate() override;
 
   std::unique_ptr<EmissionModel<BinaryObs>> Clone() const override;
-  std::string TypeName() const override { return "bernoulli"; }
-  Status Save(std::ostream& os) const override;
 
   /// Pixel-on probability table (k x D).
   const linalg::Matrix& p() const { return p_; }

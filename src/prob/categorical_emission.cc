@@ -1,8 +1,6 @@
 #include "prob/categorical_emission.h"
 
 #include <cmath>
-#include <istream>
-#include <ostream>
 
 #include "prob/logsumexp.h"
 #include "util/check.h"
@@ -67,39 +65,6 @@ void CategoricalEmission::FinishAccumulate() {
 
 std::unique_ptr<EmissionModel<int>> CategoricalEmission::Clone() const {
   return std::make_unique<CategoricalEmission>(*this);
-}
-
-Status CategoricalEmission::Save(std::ostream& os) const {
-  os << b_.rows() << " " << b_.cols() << " " << pseudo_count_ << "\n";
-  for (size_t i = 0; i < b_.rows(); ++i) {
-    for (size_t v = 0; v < b_.cols(); ++v) {
-      os << b_(i, v) << (v + 1 == b_.cols() ? "\n" : " ");
-    }
-  }
-  if (!os) return Status::IOError("failed writing CategoricalEmission");
-  return Status::OK();
-}
-
-Result<CategoricalEmission> CategoricalEmission::Load(std::istream& is) {
-  size_t k = 0, vocab = 0;
-  double pseudo = 0.0;
-  if (!(is >> k >> vocab >> pseudo) || k == 0 || vocab == 0 || pseudo < 0.0) {
-    return Status::IOError("bad CategoricalEmission header");
-  }
-  linalg::Matrix b(k, vocab);
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t v = 0; v < vocab; ++v) {
-      if (!(is >> b(i, v)) || b(i, v) < 0.0) {
-        return Status::IOError("bad CategoricalEmission entry");
-      }
-    }
-  }
-  // Validate here so a truncated/corrupt stream fails with a Status instead
-  // of tripping the constructor's DHMM_CHECK abort.
-  if (!b.IsRowStochastic(1e-6)) {
-    return Status::IOError("CategoricalEmission rows not stochastic");
-  }
-  return CategoricalEmission(std::move(b), pseudo);
 }
 
 }  // namespace dhmm::prob

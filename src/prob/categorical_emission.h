@@ -3,7 +3,6 @@
 #ifndef DHMM_PROB_CATEGORICAL_EMISSION_H_
 #define DHMM_PROB_CATEGORICAL_EMISSION_H_
 
-#include <iosfwd>
 #include <memory>
 
 #include "prob/emission.h"
@@ -25,9 +24,6 @@ class CategoricalEmission : public EmissionModel<int> {
                                         double concentration = 1.0,
                                         double pseudo_count = 0.0);
 
-  /// Loads from the text produced by Save().
-  static Result<CategoricalEmission> Load(std::istream& is);
-
   size_t num_states() const override { return b_.rows(); }
   size_t vocab_size() const { return b_.cols(); }
 
@@ -39,8 +35,6 @@ class CategoricalEmission : public EmissionModel<int> {
   void FinishAccumulate() override;
 
   std::unique_ptr<EmissionModel<int>> Clone() const override;
-  std::string TypeName() const override { return "categorical"; }
-  Status Save(std::ostream& os) const override;
 
   /// The k x V probability table.
   const linalg::Matrix& b() const { return b_; }

@@ -7,14 +7,12 @@
 #ifndef DHMM_PROB_EMISSION_H_
 #define DHMM_PROB_EMISSION_H_
 
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 #include "prob/rng.h"
-#include "util/status.h"
 
 namespace dhmm::prob {
 
@@ -49,12 +47,6 @@ class EmissionModel {
 
   /// Deep copy.
   virtual std::unique_ptr<EmissionModel<Obs>> Clone() const = 0;
-
-  /// Type tag used by model serialization.
-  virtual std::string TypeName() const = 0;
-
-  /// Writes parameters as text; paired with each concrete type's Load().
-  virtual Status Save(std::ostream& os) const = 0;
 
   /// Fills a T x k table of log p(y_t | X_t = i) for a whole sequence.
   linalg::Matrix LogProbTable(const std::vector<Obs>& seq) const {

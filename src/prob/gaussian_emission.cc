@@ -1,8 +1,6 @@
 #include "prob/gaussian_emission.h"
 
 #include <cmath>
-#include <istream>
-#include <ostream>
 
 #include "util/check.h"
 
@@ -75,30 +73,6 @@ void GaussianEmission::FinishAccumulate() {
 
 std::unique_ptr<EmissionModel<double>> GaussianEmission::Clone() const {
   return std::make_unique<GaussianEmission>(*this);
-}
-
-Status GaussianEmission::Save(std::ostream& os) const {
-  os << num_states() << " " << sigma_floor_ << "\n";
-  for (size_t i = 0; i < num_states(); ++i) {
-    os << mu_[i] << " " << sigma_[i] << "\n";
-  }
-  if (!os) return Status::IOError("failed writing GaussianEmission");
-  return Status::OK();
-}
-
-Result<GaussianEmission> GaussianEmission::Load(std::istream& is) {
-  size_t k = 0;
-  double floor = 0.0;
-  if (!(is >> k >> floor) || k == 0 || floor <= 0.0) {
-    return Status::IOError("bad GaussianEmission header");
-  }
-  linalg::Vector mu(k), sigma(k);
-  for (size_t i = 0; i < k; ++i) {
-    if (!(is >> mu[i] >> sigma[i]) || sigma[i] <= 0.0) {
-      return Status::IOError("bad GaussianEmission row");
-    }
-  }
-  return GaussianEmission(std::move(mu), std::move(sigma), floor);
 }
 
 }  // namespace dhmm::prob

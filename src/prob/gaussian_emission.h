@@ -2,7 +2,6 @@
 #ifndef DHMM_PROB_GAUSSIAN_EMISSION_H_
 #define DHMM_PROB_GAUSSIAN_EMISSION_H_
 
-#include <iosfwd>
 #include <memory>
 
 #include "prob/emission.h"
@@ -27,9 +26,6 @@ class GaussianEmission : public EmissionModel<double> {
                                      double mu_spread = 2.0,
                                      double sigma_scale = 0.5);
 
-  /// Loads from the text produced by Save().
-  static Result<GaussianEmission> Load(std::istream& is);
-
   size_t num_states() const override { return mu_.size(); }
   double LogProb(size_t state, const double& y) const override;
   double Sample(size_t state, Rng& rng) const override;
@@ -39,8 +35,6 @@ class GaussianEmission : public EmissionModel<double> {
   void FinishAccumulate() override;
 
   std::unique_ptr<EmissionModel<double>> Clone() const override;
-  std::string TypeName() const override { return "gaussian"; }
-  Status Save(std::ostream& os) const override;
 
   const linalg::Vector& mu() const { return mu_; }
   const linalg::Vector& sigma() const { return sigma_; }

@@ -1,8 +1,6 @@
 #include "prob/gmm_emission.h"
 
 #include <cmath>
-#include <istream>
-#include <ostream>
 
 #include "prob/logsumexp.h"
 #include "util/check.h"
@@ -124,43 +122,6 @@ void GmmEmission::FinishAccumulate() {
 
 std::unique_ptr<EmissionModel<double>> GmmEmission::Clone() const {
   return std::make_unique<GmmEmission>(*this);
-}
-
-Status GmmEmission::Save(std::ostream& os) const {
-  os << num_states() << " " << num_components() << " " << sigma_floor_
-     << "\n";
-  os.precision(17);
-  for (size_t i = 0; i < num_states(); ++i) {
-    for (size_t m = 0; m < num_components(); ++m) {
-      os << weights_(i, m) << " " << mu_(i, m) << " " << sigma_(i, m)
-         << (m + 1 == num_components() ? "\n" : "  ");
-    }
-  }
-  if (!os) return Status::IOError("failed writing GmmEmission");
-  return Status::OK();
-}
-
-Result<GmmEmission> GmmEmission::Load(std::istream& is) {
-  size_t k = 0, m_count = 0;
-  double floor = 0.0;
-  if (!(is >> k >> m_count >> floor) || k == 0 || m_count == 0 ||
-      floor <= 0.0) {
-    return Status::IOError("bad GmmEmission header");
-  }
-  linalg::Matrix weights(k, m_count), mu(k, m_count), sigma(k, m_count);
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t m = 0; m < m_count; ++m) {
-      if (!(is >> weights(i, m) >> mu(i, m) >> sigma(i, m)) ||
-          weights(i, m) < 0.0 || sigma(i, m) <= 0.0) {
-        return Status::IOError("bad GmmEmission row");
-      }
-    }
-  }
-  if (!weights.IsRowStochastic(1e-6)) {
-    return Status::IOError("GmmEmission weights not stochastic");
-  }
-  return GmmEmission(std::move(weights), std::move(mu), std::move(sigma),
-                     floor);
 }
 
 }  // namespace dhmm::prob

@@ -6,7 +6,6 @@
 #ifndef DHMM_PROB_GMM_EMISSION_H_
 #define DHMM_PROB_GMM_EMISSION_H_
 
-#include <iosfwd>
 #include <memory>
 
 #include "prob/emission.h"
@@ -26,9 +25,6 @@ class GmmEmission : public EmissionModel<double> {
   static GmmEmission RandomInit(size_t k, size_t components, Rng& rng,
                                 double mu_lo = 0.0, double mu_hi = 6.0);
 
-  /// Loads from the text produced by Save().
-  static Result<GmmEmission> Load(std::istream& is);
-
   size_t num_states() const override { return weights_.rows(); }
   size_t num_components() const { return weights_.cols(); }
 
@@ -40,8 +36,6 @@ class GmmEmission : public EmissionModel<double> {
   void FinishAccumulate() override;
 
   std::unique_ptr<EmissionModel<double>> Clone() const override;
-  std::string TypeName() const override { return "gmm"; }
-  Status Save(std::ostream& os) const override;
 
   const linalg::Matrix& weights() const { return weights_; }
   const linalg::Matrix& mu() const { return mu_; }

@@ -17,7 +17,7 @@
 // std::shared_ptr<const HmmModel<Obs>>, every batch snapshots that pointer
 // when it is cut, and UpdateModel()/ReloadModel() only swap the pointer —
 // in-flight batches finish on the snapshot they started with while new
-// batches pick up the new model. Combined with SaveHmmToFile's atomic
+// batches pick up the new model. Combined with store::WriteModel's atomic
 // rename, a checkpoint reload can never observe a torn file or race a
 // running decode.
 //
@@ -52,7 +52,6 @@
 #include "hmm/inference.h"
 #include "hmm/model.h"
 #include "hmm/posterior_decoding.h"
-#include "hmm/serialization.h"
 #include "obs/metrics.h"
 #include "obs/startup.h"
 #include "serve/request.h"
@@ -62,11 +61,6 @@
 #include "util/thread_pool.h"
 
 namespace dhmm::serve {
-
-/// The completed-request payload is the one response type of the serving
-/// API (serve/request.h). Valid until the owning DecodeFuture is
-/// released/destroyed; copy out anything needed longer.
-using DecodeResult = DecodeResponse;
 
 /// Options for the service. Designated-initializer-friendly POD with a
 /// Validate() checked at construction — the shared shape of every serve
@@ -116,7 +110,7 @@ struct RequestSlot {
   const std::vector<Obs>* obs = nullptr;  // borrowed until done
   std::chrono::steady_clock::time_point deadline;  // max() = none
   CompletionHook on_done;
-  DecodeResult result;
+  DecodeResponse result;
 
   // Future form only: on_done sets `done` and wakes the waiter.
   std::mutex mu;
@@ -156,7 +150,7 @@ class DecodeFuture {
 
   /// Blocks until the request completes; the reference stays valid until
   /// Release()/destruction. Safe to call repeatedly.
-  const DecodeResult& Wait() {
+  const DecodeResponse& Wait() {
     DHMM_CHECK_MSG(slot_ != nullptr, "Wait on a released DecodeFuture");
     std::unique_lock<std::mutex> lock(slot_->mu);
     slot_->cv.wait(lock, [&] { return slot_->done; });
@@ -283,10 +277,9 @@ class DecodeService {
     m_hot_swaps_->Add();
   }
 
-  /// \brief Loads a checkpoint and hot-swaps it in: a binary store file or
-  /// dual-slot directory (store/dual_slot.h) is CRC-verified and mmap-read
-  /// with no text parse; anything else falls back to the SaveHmmToFile
-  /// text format. On any failure — including a corrupt store slot — the
+  /// \brief Loads a checkpoint and hot-swaps it in: a `.dhmms` store file
+  /// or a dual-slot directory (store::LoadAnyModel), CRC-verified and
+  /// mmap-read. On any failure — including a corrupt store slot — the
   /// current model keeps serving, bitwise unchanged.
   Status ReloadModel(const std::string& path) {
     Result<hmm::HmmModel<Obs>> loaded = store::LoadAnyModel<Obs>(path);
@@ -484,7 +477,7 @@ class DecodeService {
     internal::RequestSlot<Obs>* slot = batch_[item];
     Worker& w = workers_[static_cast<size_t>(worker)];
     const hmm::HmmModel<Obs>& m = *batch_model_;
-    DecodeResult& r = slot->result;
+    DecodeResponse& r = slot->result;
     r.request_id = slot->request_id;
     r.kind = slot->kind;
     r.model_version = batch_version_;

@@ -16,11 +16,10 @@
 //
 // Hot-reload error contract: a failed load during ReloadModel leaves the
 // previous snapshot serving and surfaces the Status to the caller.
-// Checkpoint paths route through store::LoadAnyModel — a binary store file
-// or dual-slot directory is CRC-verified and mmap-read with no text parse;
-// anything else is the SaveHmmToFile text format. Combined with atomic
-// tmp+fsync+rename saves and per-section checksums, a torn, half-written,
-// or bit-flipped checkpoint can never replace a live model.
+// Checkpoint paths route through store::LoadAnyModel — a `.dhmms` store
+// file or a dual-slot directory, CRC-verified and mmap-read. Combined with
+// atomic tmp+fsync+rename saves and per-section checksums, a torn,
+// half-written, or bit-flipped checkpoint can never replace a live model.
 //
 // Acquire() is the request path: a mutex-guarded map lookup, an LRU tick
 // bump, and a shared_ptr copy — no allocation. Holders keep the service
@@ -37,7 +36,6 @@
 #include <vector>
 
 #include "hmm/model.h"
-#include "hmm/serialization.h"
 #include "obs/metrics.h"
 #include "serve/decode_service.h"
 #include "serve/request.h"
@@ -111,8 +109,8 @@ class ModelRegistry {
     return Status::OK();
   }
 
-  /// \brief Registers a model from a checkpoint — a binary store file,
-  /// dual-slot directory, or text save (store::LoadAnyModel routing). The
+  /// \brief Registers a model from a checkpoint — a `.dhmms` store file or
+  /// a dual-slot directory (store::LoadAnyModel routing). The
   /// path is remembered: ReloadModel(id) re-reads it, and an LRU-evicted
   /// model is transparently cold-loaded from it on the next Acquire.
   Status RegisterFromFile(ModelId id, const std::string& path,

@@ -76,15 +76,6 @@ bool IsDirectory(const std::string& path) {
 #endif
 }
 
-bool IsStoreFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
-  char magic[sizeof(kStoreMagic)];
-  is.read(magic, sizeof(magic));
-  return static_cast<size_t>(is.gcount()) == sizeof(magic) &&
-         std::memcmp(magic, kStoreMagic, sizeof(magic)) == 0;
-}
-
 Result<DualSlotStore> DualSlotStore::Open(const std::string& dir) {
   if (!IsDirectory(dir)) {
 #if defined(__unix__) || defined(__APPLE__)

@@ -24,7 +24,6 @@
 #include <string>
 
 #include "hmm/model.h"
-#include "hmm/serialization.h"
 #include "obs/metrics.h"
 #include "store/model_codec.h"
 #include "store/model_store.h"
@@ -102,12 +101,9 @@ class DualSlotStore {
 /// True when `path` names an existing directory.
 bool IsDirectory(const std::string& path);
 
-/// \brief The serve layer's one-string loader. Routes `path` by what is on
-/// disk: a directory opens as a dual-slot store, a file starting with the
-/// store magic reads as a binary store (full integrity verification, no
-/// text parse), anything else falls through to the text-format
-/// hmm::LoadHmmFromFile — so existing registry configs keep working
-/// unchanged next to binary deployments.
+/// \brief The serve layer's one-string loader: a directory opens as a
+/// dual-slot store, any other path reads as one store file with full
+/// integrity verification (ReadModelFromFile).
 template <typename Obs>
 Result<hmm::HmmModel<Obs>> LoadAnyModel(const std::string& path) {
   if (IsDirectory(path)) {
@@ -115,10 +111,7 @@ Result<hmm::HmmModel<Obs>> LoadAnyModel(const std::string& path) {
     if (!slots.ok()) return slots.status();
     return slots.value().template Load<Obs>();
   }
-  if (IsStoreFile(path)) {
-    return ReadModelFromFile<Obs>(path);
-  }
-  return hmm::LoadHmmFromFile<Obs>(path);
+  return ReadModelFromFile<Obs>(path);
 }
 
 }  // namespace dhmm::store

@@ -11,10 +11,10 @@
 //   tag 4 gmm        (Obs=double):     scalars=[sigma_floor],  E0=weights,
 //                                      E1=mu, E2=sigma (all k x M)
 //
-// ReadModel re-applies the text loader's validation (stochastic rows,
-// positive variances, sane floors) before any constructor can CHECK-abort:
-// a store file that passes every CRC can still be a hand-built hostile
-// file, so checksums gate corruption and validation gates semantics.
+// ReadModel validates every parameter (stochastic rows, positive
+// variances, sane floors) before any constructor can CHECK-abort: a store
+// file that passes every CRC can still be a hand-built hostile file, so
+// checksums gate corruption and validation gates semantics.
 #ifndef DHMM_STORE_MODEL_CODEC_H_
 #define DHMM_STORE_MODEL_CODEC_H_
 
@@ -45,7 +45,8 @@ enum class EmissionTag : uint32_t {
 
 namespace internal {
 
-/// Row-stochastic check matching hmm::kSerializationStochasticTol.
+/// Row-stochastic check: every entry is >= -1e-12 (NaN fails) and every
+/// row sums to 1 within HmmModel::Validate's 1e-6.
 inline bool RowsStochastic(const double* data, size_t rows, size_t cols) {
   for (size_t i = 0; i < rows; ++i) {
     double sum = 0.0;
@@ -71,8 +72,8 @@ inline linalg::Vector CopyRowVector(const SectionView& view) {
   return v;
 }
 
-/// Per-observation-type emission codec, mirroring the text loader's
-/// internal::EmissionLoader dispatch.
+/// Per-observation-type emission codec: Append lists a family's sections,
+/// Make validates them and builds the family.
 template <typename Obs>
 struct EmissionCodec;
 
@@ -84,8 +85,7 @@ struct EmissionCodec<int> {
     const auto* cat =
         dynamic_cast<const prob::CategoricalEmission*>(&emission);
     if (cat == nullptr) {
-      return Status::InvalidArgument("store: unsupported symbol emission: " +
-                                     emission.TypeName());
+      return Status::InvalidArgument("store: unsupported symbol emission");
     }
     *tag = static_cast<uint32_t>(EmissionTag::kCategorical);
     scalars[0] = cat->pseudo_count();
@@ -121,8 +121,7 @@ struct EmissionCodec<prob::BinaryObs> {
     const auto* ber =
         dynamic_cast<const prob::BernoulliEmission*>(&emission);
     if (ber == nullptr) {
-      return Status::InvalidArgument("store: unsupported binary emission: " +
-                                     emission.TypeName());
+      return Status::InvalidArgument("store: unsupported binary emission");
     }
     *tag = static_cast<uint32_t>(EmissionTag::kBernoulli);
     scalars[0] = ber->p_floor();
@@ -183,8 +182,7 @@ struct EmissionCodec<double> {
                            g->sigma().rows(), g->sigma().cols()});
       return Status::OK();
     }
-    return Status::InvalidArgument("store: unsupported scalar emission: " +
-                                   emission.TypeName());
+    return Status::InvalidArgument("store: unsupported scalar emission");
   }
 
   static Result<std::unique_ptr<prob::EmissionModel<double>>> Make(
@@ -259,9 +257,8 @@ Status WriteModel(const hmm::HmmModel<Obs>& model, uint64_t sequence_number,
 
 /// \brief Materializes a model from an opened reader. Copies parameter
 /// bytes into aligned linalg buffers (emission families also rebuild their
-/// cached log tables); the expensive part of a reload — the O(model) text
-/// parse — is what the store eliminates, and callers that only need
-/// validation stop at Open + VerifyAllSections without paying this copy.
+/// cached log tables); callers that only need validation stop at Open +
+/// VerifyAllSections without paying this copy.
 template <typename Obs>
 Result<hmm::HmmModel<Obs>> ReadModel(const ModelStoreReader& reader) {
   const size_t k = reader.num_states();
@@ -322,11 +319,6 @@ Result<hmm::HmmModel<Obs>> ReadModelFromFile(const std::string& path) {
   DHMM_RETURN_NOT_OK(reader.value().VerifyAllSections());
   return ReadModel<Obs>(reader.value());
 }
-
-/// \brief True when the file at `path` starts with the store magic — the
-/// cheap sniff the serve layer uses to route one `path` string to either
-/// the binary store or the text loader.
-bool IsStoreFile(const std::string& path);
 
 }  // namespace dhmm::store
 

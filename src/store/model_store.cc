@@ -156,6 +156,13 @@ Status ModelStoreWriter::BuildImage(uint64_t sequence_number,
   if (sections.empty() || sections.size() > kStoreMaxSections) {
     return Status::InvalidArgument("store: bad section count");
   }
+  for (size_t i = 0; i < sections.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (sections[j].id == sections[i].id) {
+        return Status::InvalidArgument("store: repeated section id");
+      }
+    }
+  }
 
   const size_t n = sections.size();
   const size_t manifest_bytes = n * kStoreManifestEntryBytes;
@@ -290,6 +297,14 @@ Result<ModelStoreReader> ModelStoreReader::Open(const std::string& path) {
       return Status::IOError("store: section " + std::to_string(entry.id) +
                              " out of bounds: " + path);
     }
+    // Section(id) answers the first entry with an id, so a repeat would
+    // hide the later entry's payload from every CRC check.
+    for (uint32_t j = 0; j < i; ++j) {
+      if (reader.entries_[j].id == entry.id) {
+        return Status::IOError("store: repeated section id " +
+                               std::to_string(entry.id) + ": " + path);
+      }
+    }
   }
   reader.verified_.assign(n, false);
   return reader;
@@ -319,8 +334,8 @@ Result<SectionView> ModelStoreReader::Section(SectionId id) const {
     view.cols = e.cols;
     return view;
   }
-  return Status::NotFound("store: no section with id " +
-                          std::to_string(static_cast<uint32_t>(id)));
+  return Status::IOError("store: no section with id " +
+                         std::to_string(static_cast<uint32_t>(id)));
 }
 
 Status ModelStoreReader::VerifyAllSections() const {

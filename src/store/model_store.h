@@ -1,15 +1,13 @@
 // The versioned binary model store: an mmap-able, checksummed container
-// for HMM parameters.
+// for HMM parameters, and the one format a model is saved and loaded in.
 //
-// Why not the text checkpoints of hmm/serialization.h? Two reasons the
-// ROADMAP calls out. (1) Reload cost: text parse is O(model) through
-// istream extraction — for a large-vocabulary emission that is tens of
-// millions of strtod calls on the serving thread's reload path. The store
-// is O(header) validation plus an mmap; parameter bytes are copied (not
-// parsed) only when the model object is materialized. (2) Integrity: a
-// torn or bit-flipped checkpoint must be *detected*, not served. Every
-// section carries a CRC-32C, the manifest and header carry their own, and
-// the dual-slot layer (store/dual_slot.h) turns detection into fallback.
+// Two properties matter on the serving thread's reload path. (1) Cost:
+// opening is O(header) validation plus an mmap; parameter bytes are copied
+// (never parsed) only when the model object is materialized. (2)
+// Integrity: a torn or bit-flipped checkpoint must be *detected*, not
+// served. Every section carries a CRC-32C, the manifest and header carry
+// their own, and the dual-slot layer (store/dual_slot.h) turns detection
+// into fallback.
 //
 // Layout (all integers little-endian; version 1):
 //
@@ -54,8 +52,8 @@ inline constexpr uint32_t kStoreFlagLittleEndian = 1u << 0;
 inline constexpr size_t kStoreHeaderBytes = 64;
 inline constexpr size_t kStoreManifestEntryBytes = 40;
 inline constexpr size_t kStoreSectionAlignment = 64;
-/// Mirrors hmm::kMaxSerializedStates: a corrupt header cannot request an
-/// absurd allocation before any checksum is verified.
+/// Real models here are tens of states; the bound keeps a hostile header
+/// from requesting an absurd allocation.
 inline constexpr uint32_t kStoreMaxStates = 4096;
 inline constexpr uint32_t kStoreMaxSections = 64;
 
@@ -110,9 +108,11 @@ class MappedFile {
 };
 
 /// \brief Writes one store file atomically (util::AtomicWriteFile: tmp +
-/// fsync + rename + parent-directory fsync — the SaveHmmToFile contract).
-/// The full image is assembled in memory first; models here are at most a
-/// few hundred MB and the assembly is one pass of memcpy + CRC.
+/// fsync + rename + parent-directory fsync), so a reader of `path` sees
+/// the previous complete file or the new one, never a torn one. The full
+/// image is assembled in memory first; models here are at most a few
+/// hundred MB and the assembly is one pass of memcpy + CRC. A section list
+/// that names one id twice is InvalidArgument.
 class ModelStoreWriter {
  public:
   static Status Write(const std::string& path, uint64_t sequence_number,
@@ -130,8 +130,9 @@ class ModelStoreWriter {
 /// \brief Zero-copy reader over one store file.
 ///
 /// Open() is O(header): it maps the file and validates magic, version,
-/// endianness, bounds, and the header + manifest CRCs — it does NOT touch
-/// section payloads, so opening a multi-GB store faults in one page.
+/// endianness, bounds, the header + manifest CRCs, and that no section id
+/// repeats — it does NOT touch section payloads, so opening a multi-GB
+/// store faults in one page.
 /// Section() returns a view after verifying that section's CRC exactly
 /// once (memoized per reader; a reader is single-threaded like every
 /// workspace in this codebase). Every corruption path is a typed IOError
@@ -152,7 +153,8 @@ class ModelStoreReader {
   /// True when the section exists in the manifest.
   bool HasSection(SectionId id) const;
 
-  /// View of one section; verifies its payload CRC on first access.
+  /// View of one section; verifies its payload CRC on first access. A
+  /// section the manifest does not list is an IOError too.
   Result<SectionView> Section(SectionId id) const;
 
   /// Verifies every section's payload CRC (reload paths call this once so

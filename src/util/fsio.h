@@ -1,10 +1,10 @@
 // Crash-consistent file IO helpers shared by every checkpoint writer.
 //
-// The text serializer (hmm/serialization.h) and the binary model store
-// (store/model_store.h) make the same durability promise: after a save
-// returns OK, a machine crash — not just a process crash — leaves either
-// the previous complete file or the new one at the destination, never a
-// torn or missing file. That takes three fsyncs (temp file contents, the
+// The model store (store/model_store.h) and its dual-slot manifest
+// (store/dual_slot.h) make one durability promise: after a save returns
+// OK, a machine crash — not just a process crash — leaves either the
+// previous complete file or the new one at the destination, never a torn
+// or missing file. That takes three fsyncs (temp file contents, the
 // atomic rename via the parent directory, and nothing else), and getting
 // the directory fsync wrong is the classic silent bug, so the sequence
 // lives here exactly once.
@@ -54,7 +54,7 @@ inline void SyncParentDir(const std::string& path) {
 /// write to `path + ".tmp"`, flush + fsync, rename over `path`, fsync the
 /// parent directory. The temp path is deterministic, so concurrent
 /// writers to the same path must be externally serialized (last rename
-/// wins) — the same contract as hmm::SaveHmmToFile.
+/// wins).
 inline Status AtomicWriteFile(const std::string& path, const void* data,
                               size_t size) {
   const std::string tmp = path + ".tmp";

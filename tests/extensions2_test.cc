@@ -2,7 +2,6 @@
 // diagnostics, and the Gaussian-mixture emission family.
 #include <cmath>
 #include <memory>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "hmm/diagnostics.h"
 #include "hmm/model.h"
 #include "hmm/sampler.h"
-#include "hmm/serialization.h"
 #include "hmm/trainer.h"
 #include "prob/gmm_emission.h"
 #include "prob/rng.h"
@@ -244,19 +242,6 @@ TEST(GmmEmissionTest, SampleMomentsMatch) {
   EXPECT_NEAR(sumsq / n, 4.25, 0.1);
 }
 
-TEST(GmmEmissionTest, SaveLoadRoundTrip) {
-  prob::GmmEmission gmm(linalg::Matrix{{0.25, 0.75}},
-                        linalg::Matrix{{1.0, 5.0}},
-                        linalg::Matrix{{0.3, 0.6}});
-  std::stringstream ss;
-  ASSERT_TRUE(gmm.Save(ss).ok());
-  auto r = prob::GmmEmission::Load(ss);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r.value().weights()(0, 1), 0.75, 1e-15);
-  EXPECT_NEAR(r.value().mu()(0, 1), 5.0, 1e-15);
-  EXPECT_NEAR(r.value().sigma()(0, 0), 0.3, 1e-15);
-}
-
 TEST(GmmEmissionTest, WorksInsideHmmEm) {
   // Full-stack: HMM whose states have bimodal emissions; EM with the GMM
   // family must improve the likelihood and run to convergence.
@@ -291,22 +276,6 @@ TEST(GmmEmissionTest, WorksInsideHmmEm) {
   // The best restart's likelihood should approach the truth's.
   double truth_ll = hmm::DatasetLogLikelihood(truth, data);
   EXPECT_GT(best_ll, truth_ll - 0.05 * std::fabs(truth_ll));
-}
-
-TEST(GmmEmissionTest, GmmModelSerializationRoundTrip) {
-  prob::Rng rng(15);
-  hmm::HmmModel<double> m(
-      rng.DirichletSymmetric(2, 2.0), rng.RandomStochasticMatrix(2, 2, 2.0),
-      std::make_unique<prob::GmmEmission>(
-          prob::GmmEmission::RandomInit(2, 3, rng)));
-  std::stringstream ss;
-  ASSERT_TRUE(hmm::SaveHmm(m, ss).ok());
-  auto r = hmm::LoadHmm<double>(ss);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().emission->TypeName(), "gmm");
-  hmm::Dataset<double> data = hmm::SampleDataset(m, 4, 5, rng);
-  EXPECT_NEAR(hmm::DatasetLogLikelihood(r.value(), data),
-              hmm::DatasetLogLikelihood(m, data), 1e-9);
 }
 
 }  // namespace

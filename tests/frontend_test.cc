@@ -35,7 +35,6 @@
 #include "hmm/posterior_decoding.h"
 #include "hmm/sampler.h"
 #include "hmm/sequence.h"
-#include "hmm/serialization.h"
 #include "prob/gaussian_emission.h"
 #include "prob/rng.h"
 #include "obs/metrics.h"
@@ -44,6 +43,7 @@
 #include "serve/model_registry.h"
 #include "serve/session_manager.h"
 #include "serve/wire_client.h"
+#include "store/model_codec.h"
 
 namespace dhmm {
 namespace {
@@ -122,15 +122,15 @@ TEST(ModelRegistryTest, RegisterAcquireVersionLifecycle) {
 }
 
 TEST(ModelRegistryTest, LruEvictsOldestUnpinnedAndColdReloads) {
-  const std::string p1 = TempPath("registry_lru_1.hmm");
-  const std::string p2 = TempPath("registry_lru_2.hmm");
-  const std::string p3 = TempPath("registry_lru_3.hmm");
+  const std::string p1 = TempPath("registry_lru_1.dhmms");
+  const std::string p2 = TempPath("registry_lru_2.dhmms");
+  const std::string p3 = TempPath("registry_lru_3.dhmms");
   auto m1 = MakeModel(3, 31);
   auto m2 = MakeModel(4, 32);
   auto m3 = MakeModel(5, 33);
-  ASSERT_TRUE(hmm::SaveHmmToFile(*m1, p1).ok());
-  ASSERT_TRUE(hmm::SaveHmmToFile(*m2, p2).ok());
-  ASSERT_TRUE(hmm::SaveHmmToFile(*m3, p3).ok());
+  ASSERT_TRUE(store::WriteModel(*m1, 1, p1).ok());
+  ASSERT_TRUE(store::WriteModel(*m2, 1, p2).ok());
+  ASSERT_TRUE(store::WriteModel(*m3, 1, p3).ok());
 
   serve::ModelRegistryOptions opts;
   opts.max_resident = 2;
@@ -152,7 +152,7 @@ TEST(ModelRegistryTest, LruEvictsOldestUnpinnedAndColdReloads) {
   auto svc = registry.Acquire(1);
   ASSERT_TRUE(svc.ok());
   auto fut = svc.value()->Submit(serve::DecodeKind::kViterbi, obs);
-  const serve::DecodeResult& r = fut.Wait();
+  const serve::DecodeResponse& r = fut.Wait();
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.path, ref.viterbi.path);
   EXPECT_EQ(r.value, ref.viterbi.log_joint);
@@ -184,9 +184,9 @@ TEST(ModelRegistryTest, PinnedModelsNeverEvicted) {
 }
 
 TEST(ModelRegistryTest, FailedReloadKeepsPreviousSnapshotServing) {
-  const std::string path = TempPath("registry_reload.hmm");
+  const std::string path = TempPath("registry_reload.dhmms");
   auto m1 = MakeModel(3, 51);
-  ASSERT_TRUE(hmm::SaveHmmToFile(*m1, path).ok());
+  ASSERT_TRUE(store::WriteModel(*m1, 1, path).ok());
   serve::ModelRegistry<double> registry;
   ASSERT_TRUE(registry.RegisterFromFile(1, path).ok());
 
@@ -207,7 +207,7 @@ TEST(ModelRegistryTest, FailedReloadKeepsPreviousSnapshotServing) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
   const Status torn = registry.ReloadModel(1);
-  EXPECT_FALSE(torn.ok());
+  EXPECT_EQ(torn.code(), StatusCode::kIOError);
   EXPECT_EQ(registry.ModelVersion(1).value_or(0), 1u);  // no version bump
 
   // Missing file: same contract.
@@ -217,7 +217,7 @@ TEST(ModelRegistryTest, FailedReloadKeepsPreviousSnapshotServing) {
   auto svc = registry.Acquire(1);
   ASSERT_TRUE(svc.ok());
   auto fut = svc.value()->Submit(serve::DecodeKind::kViterbi, obs);
-  const serve::DecodeResult& r = fut.Wait();
+  const serve::DecodeResponse& r = fut.Wait();
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.path, ref.viterbi.path);
   EXPECT_EQ(r.value, ref.viterbi.log_joint);
@@ -225,7 +225,7 @@ TEST(ModelRegistryTest, FailedReloadKeepsPreviousSnapshotServing) {
 
   // A good checkpoint reloads and bumps the version.
   auto m2 = MakeModel(3, 52);
-  ASSERT_TRUE(hmm::SaveHmmToFile(*m2, path).ok());
+  ASSERT_TRUE(store::WriteModel(*m2, 2, path).ok());
   ASSERT_TRUE(registry.ReloadModel(1).ok());
   EXPECT_EQ(registry.ModelVersion(1).value_or(0), 2u);
   EXPECT_EQ(registry.ReloadModel(99).code(), StatusCode::kNotFound);
@@ -905,10 +905,10 @@ TEST(ModelRegistryTest, EvictLruIsTypedWhenNothingIsEvictable) {
 }
 
 TEST(ModelRegistryTest, ColdReloadRacingUpdateModelStaysCoherent) {
-  const std::string path = TempPath("registry_race.hmm");
+  const std::string path = TempPath("registry_race.dhmms");
   auto m1 = MakeModel(3, 171);
   auto m2 = MakeModel(3, 172);
-  ASSERT_TRUE(hmm::SaveHmmToFile(*m1, path).ok());
+  ASSERT_TRUE(store::WriteModel(*m1, 1, path).ok());
   serve::ModelRegistry<double> registry;
   ASSERT_TRUE(registry.RegisterFromFile(1, path).ok());
 
@@ -947,7 +947,7 @@ TEST(ModelRegistryTest, ColdReloadRacingUpdateModelStaysCoherent) {
   auto svc = registry.Acquire(1);
   ASSERT_TRUE(svc.ok());
   auto fut = svc.value()->Submit(serve::DecodeKind::kViterbi, obs);
-  const serve::DecodeResult& r = fut.Wait();
+  const serve::DecodeResponse& r = fut.Wait();
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.path, ref.viterbi.path);
   EXPECT_EQ(r.value, ref.viterbi.log_joint);

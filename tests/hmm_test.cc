@@ -1,6 +1,5 @@
 #include <cmath>
 #include <memory>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include "hmm/model.h"
 #include "hmm/sampler.h"
 #include "hmm/sequence.h"
-#include "hmm/serialization.h"
 #include "hmm/supervised.h"
 #include "hmm/trainer.h"
 #include "prob/categorical_emission.h"
@@ -519,65 +517,6 @@ TEST(SupervisedTest, RecoversGeneratingParameters) {
       EXPECT_NEAR(m.a(i, j), truth.a(i, j), 0.02);
     }
   }
-}
-
-// --------------------------------------------------------- Serialization ---
-
-TEST(SerializationTest, CategoricalRoundTrip) {
-  HmmModel<int> m = MakeCategoricalModel(50);
-  std::stringstream ss;
-  ASSERT_TRUE(SaveHmm(m, ss).ok());
-  auto r = LoadHmm<int>(ss);
-  ASSERT_TRUE(r.ok());
-  const HmmModel<int>& loaded = r.value();
-  EXPECT_EQ(loaded.num_states(), m.num_states());
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(loaded.pi[i], m.pi[i], 1e-14);
-    for (size_t j = 0; j < 3; ++j) {
-      EXPECT_NEAR(loaded.a(i, j), m.a(i, j), 1e-14);
-    }
-  }
-}
-
-TEST(SerializationTest, GaussianRoundTripPreservesLikelihood) {
-  prob::Rng rng(51);
-  HmmModel<double> m(
-      rng.DirichletSymmetric(2, 2.0), rng.RandomStochasticMatrix(2, 2, 2.0),
-      std::make_unique<prob::GaussianEmission>(linalg::Vector{0.0, 3.0},
-                                               linalg::Vector{1.0, 0.5}));
-  Dataset<double> data = SampleDataset(m, 5, 6, rng);
-  std::stringstream ss;
-  ASSERT_TRUE(SaveHmm(m, ss).ok());
-  auto r = LoadHmm<double>(ss);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(DatasetLogLikelihood(r.value(), data),
-              DatasetLogLikelihood(m, data), 1e-9);
-}
-
-TEST(SerializationTest, BernoulliRoundTrip) {
-  prob::Rng rng(52);
-  HmmModel<prob::BinaryObs> m(
-      rng.DirichletSymmetric(2, 2.0), rng.RandomStochasticMatrix(2, 2, 2.0),
-      std::make_unique<prob::BernoulliEmission>(
-          prob::BernoulliEmission::RandomInit(2, 10, rng)));
-  std::stringstream ss;
-  ASSERT_TRUE(SaveHmm(m, ss).ok());
-  auto r = LoadHmm<prob::BinaryObs>(ss);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().num_states(), 2u);
-}
-
-TEST(SerializationTest, RejectsCorruptHeader) {
-  std::stringstream ss("garbage 1");
-  EXPECT_FALSE(LoadHmm<int>(ss).ok());
-}
-
-TEST(SerializationTest, RejectsWrongEmissionKind) {
-  // A categorical model loaded as a scalar-observation model must fail.
-  HmmModel<int> m = MakeCategoricalModel(53);
-  std::stringstream ss;
-  ASSERT_TRUE(SaveHmm(m, ss).ok());
-  EXPECT_FALSE(LoadHmm<double>(ss).ok());
 }
 
 // --------------------------------------------------------- DecodeDataset ---

@@ -1,5 +1,4 @@
 #include <cmath>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -276,21 +275,6 @@ TEST(GaussianEmissionTest, SampleMomentsMatchParameters) {
   EXPECT_NEAR(sum / n, 4.0, 0.02);
 }
 
-TEST(GaussianEmissionTest, SaveLoadRoundTrip) {
-  GaussianEmission e(linalg::Vector{1.0, 2.0}, linalg::Vector{0.3, 0.7});
-  std::stringstream ss;
-  ASSERT_TRUE(e.Save(ss).ok());
-  auto r = GaussianEmission::Load(ss);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r.value().mu()[1], 2.0, 1e-15);
-  EXPECT_NEAR(r.value().sigma()[0], 0.3, 1e-15);
-}
-
-TEST(GaussianEmissionTest, LoadRejectsGarbage) {
-  std::stringstream ss("not a header");
-  EXPECT_FALSE(GaussianEmission::Load(ss).ok());
-}
-
 // --------------------------------------------------- CategoricalEmission ---
 
 TEST(CategoricalEmissionTest, LogProbMatchesTable) {
@@ -329,16 +313,6 @@ TEST(CategoricalEmissionTest, SampleFrequencies) {
   int zeros = 0;
   for (int i = 0; i < 10000; ++i) zeros += e.Sample(0, rng) == 0;
   EXPECT_NEAR(zeros / 10000.0, 0.8, 0.02);
-}
-
-TEST(CategoricalEmissionTest, SaveLoadRoundTrip) {
-  CategoricalEmission e(linalg::Matrix{{0.25, 0.75}, {0.9, 0.1}}, 0.1);
-  std::stringstream ss;
-  ASSERT_TRUE(e.Save(ss).ok());
-  auto r = CategoricalEmission::Load(ss);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r.value().b()(0, 1), 0.75, 1e-15);
-  EXPECT_NEAR(r.value().b()(1, 0), 0.9, 1e-15);
 }
 
 TEST(CategoricalEmissionTest, RandomInitIsStochastic) {
@@ -385,16 +359,6 @@ TEST(BernoulliEmissionTest, SampleMatchesProbabilities) {
   }
   EXPECT_NEAR(on0 / 10000.0, 0.8, 0.02);
   EXPECT_NEAR(on1 / 10000.0, 0.2, 0.02);
-}
-
-TEST(BernoulliEmissionTest, SaveLoadRoundTrip) {
-  BernoulliEmission e(linalg::Matrix{{0.7, 0.3, 0.5}});
-  std::stringstream ss;
-  ASSERT_TRUE(e.Save(ss).ok());
-  auto r = BernoulliEmission::Load(ss);
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r.value().p()(0, 0), 0.7, 1e-15);
-  EXPECT_EQ(r.value().dims(), 3u);
 }
 
 TEST(BernoulliEmissionTest, CloneIsDeep) {

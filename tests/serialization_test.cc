@@ -1,84 +1,59 @@
-// File-level serialization coverage: disk round trips for every emission
-// family, resumability, and rejection of malformed payloads.
-#include <cstdio>
+// File-level checkpoint coverage over the `.dhmms` store: training resumed
+// from a checkpoint, atomic saves, typed IO errors, and a grid of hostile
+// images that pass every CRC yet must read as a typed IOError, never a
+// constructor abort.
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/dhmm_trainer.h"
 #include "data/toy.h"
-#include "hmm/sampler.h"
-#include "hmm/serialization.h"
 #include "hmm/trainer.h"
 #include "prob/bernoulli_emission.h"
 #include "prob/categorical_emission.h"
+#include "store/crc32c.h"
+#include "store/model_codec.h"
+#include "store/model_store.h"
 
 namespace dhmm {
 namespace {
 
-class SerializationFileTest : public ::testing::Test {
+class CheckpointFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() /
-            ("dhmm_serialization_test_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->current_test_info()
-                                ->line()) +
-             ".txt");
+    dir_ = std::filesystem::temp_directory_path() /
+           ("dhmm_serialization_test_" +
+            std::to_string(::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->line()));
+    std::filesystem::create_directories(dir_);
   }
   void TearDown() override {
     std::error_code ec;
-    std::filesystem::remove(path_, ec);
+    std::filesystem::remove_all(dir_, ec);
   }
-  std::string path() const { return path_.string(); }
+  std::string path() const { return (dir_ / "model.dhmms").string(); }
 
  private:
-  std::filesystem::path path_;
+  std::filesystem::path dir_;
 };
 
-TEST_F(SerializationFileTest, GaussianDiskRoundTrip) {
-  prob::Rng rng(1);
-  hmm::HmmModel<double> m = data::ToyRandomInit(rng);
-  ASSERT_TRUE(hmm::SaveHmmToFile(m, path()).ok());
-  auto r = hmm::LoadHmmFromFile<double>(path());
-  ASSERT_TRUE(r.ok());
-  prob::Rng data_rng(2);
-  hmm::Dataset<double> data = hmm::SampleDataset(m, 5, 6, data_rng);
-  EXPECT_NEAR(hmm::DatasetLogLikelihood(r.value(), data),
-              hmm::DatasetLogLikelihood(m, data), 1e-9);
-}
-
-TEST_F(SerializationFileTest, CategoricalDiskRoundTripBitExact) {
-  prob::Rng rng(3);
-  hmm::HmmModel<int> m(
-      rng.DirichletSymmetric(4, 2.0), rng.RandomStochasticMatrix(4, 4, 2.0),
+hmm::HmmModel<int> CategoricalModel(size_t k, uint64_t seed) {
+  prob::Rng rng(seed);
+  return hmm::HmmModel<int>(
+      rng.DirichletSymmetric(k, 2.0), rng.RandomStochasticMatrix(k, k, 2.0),
       std::make_unique<prob::CategoricalEmission>(
-          prob::CategoricalEmission::RandomInit(4, 12, rng)));
-  ASSERT_TRUE(hmm::SaveHmmToFile(m, path()).ok());
-  auto r = hmm::LoadHmmFromFile<int>(path());
-  ASSERT_TRUE(r.ok());
-  // 17-digit precision round trip: matrices identical to the last bit.
-  EXPECT_TRUE(r.value().a == m.a);
+          prob::CategoricalEmission::RandomInit(k, 7, rng)));
 }
 
-TEST_F(SerializationFileTest, BernoulliDiskRoundTrip) {
-  prob::Rng rng(4);
-  hmm::HmmModel<prob::BinaryObs> m(
-      rng.DirichletSymmetric(3, 2.0), rng.RandomStochasticMatrix(3, 3, 2.0),
-      std::make_unique<prob::BernoulliEmission>(
-          prob::BernoulliEmission::RandomInit(3, 16, rng)));
-  ASSERT_TRUE(hmm::SaveHmmToFile(m, path()).ok());
-  auto r = hmm::LoadHmmFromFile<prob::BinaryObs>(path());
-  ASSERT_TRUE(r.ok());
-  auto* em = dynamic_cast<prob::BernoulliEmission*>(r.value().emission.get());
-  ASSERT_NE(em, nullptr);
-  EXPECT_EQ(em->dims(), 16u);
-}
-
-TEST_F(SerializationFileTest, ResumedTrainingContinuesImproving) {
+TEST_F(CheckpointFileTest, ResumedTrainingContinuesImproving) {
   prob::Rng data_rng(5);
   hmm::Dataset<double> data = data::GenerateToyDataset(0.5, 60, 6, data_rng);
   prob::Rng init_rng(6);
@@ -89,163 +64,242 @@ TEST_F(SerializationFileTest, ResumedTrainingContinuesImproving) {
   core::FitDiversifiedHmm(&m, data, opts);
   double ll_checkpoint = hmm::DatasetLogLikelihood(m, data);
 
-  ASSERT_TRUE(hmm::SaveHmmToFile(m, path()).ok());
-  auto r = hmm::LoadHmmFromFile<double>(path());
-  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(store::WriteModel(m, 1, path()).ok());
+  auto r = store::ReadModelFromFile<double>(path());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   hmm::HmmModel<double> resumed = std::move(r).value();
+  EXPECT_EQ(hmm::DatasetLogLikelihood(resumed, data), ll_checkpoint);
   opts.max_iters = 15;
   core::FitDiversifiedHmm(&resumed, data, opts);
   EXPECT_GE(hmm::DatasetLogLikelihood(resumed, data), ll_checkpoint - 1e-9);
 }
 
-TEST_F(SerializationFileTest, MissingFileIsIOError) {
-  auto r = hmm::LoadHmmFromFile<double>("/nonexistent/dir/model.txt");
+TEST_F(CheckpointFileTest, MissingFileIsIOError) {
+  auto r = store::ReadModelFromFile<double>("/nonexistent/dir/model.dhmms");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }
 
-TEST(SerializationRobustnessTest, TruncatedPayloadRejected) {
-  prob::Rng rng(7);
-  hmm::HmmModel<int> m(
-      rng.DirichletSymmetric(3, 2.0), rng.RandomStochasticMatrix(3, 3, 2.0),
-      std::make_unique<prob::CategoricalEmission>(
-          prob::CategoricalEmission::RandomInit(3, 5, rng)));
-  std::stringstream full;
-  ASSERT_TRUE(hmm::SaveHmm(m, full).ok());
-  std::string text = full.str();
-  // Cut the stream at several points that drop whole numbers; every such
-  // truncation must fail cleanly. (Trimming a few trailing digit characters
-  // is indistinguishable from a shorter final number in a text format, so
-  // the cuts stay clear of the last token.)
-  for (size_t cut : {text.size() / 4, text.size() / 2, 2 * text.size() / 3}) {
-    std::stringstream truncated(text.substr(0, cut));
-    auto r = hmm::LoadHmm<int>(truncated);
-    EXPECT_FALSE(r.ok()) << "cut at " << cut;
-  }
-}
-
-TEST_F(SerializationFileTest, AtomicSaveLeavesNoTempResidue) {
+TEST_F(CheckpointFileTest, AtomicSaveLeavesNoTempResidue) {
   prob::Rng rng(21);
   hmm::HmmModel<double> m = data::ToyRandomInit(rng);
-  ASSERT_TRUE(hmm::SaveHmmToFile(m, path()).ok());
+  ASSERT_TRUE(store::WriteModel(m, 1, path()).ok());
   EXPECT_TRUE(std::filesystem::exists(path()));
   EXPECT_FALSE(std::filesystem::exists(path() + ".tmp"));
 }
 
-TEST_F(SerializationFileTest, AtomicSaveReplacesPreviousCheckpointWholesale) {
+TEST_F(CheckpointFileTest, AtomicSaveReplacesPreviousCheckpointWholesale) {
   // Overwriting a checkpoint goes through rename, so a reader polling the
   // path can never observe a mix of old and new bytes.
-  prob::Rng rng(22);
-  hmm::HmmModel<int> a(
-      rng.DirichletSymmetric(3, 2.0), rng.RandomStochasticMatrix(3, 3, 2.0),
-      std::make_unique<prob::CategoricalEmission>(
-          prob::CategoricalEmission::RandomInit(3, 7, rng)));
-  hmm::HmmModel<int> b(
-      rng.DirichletSymmetric(4, 2.0), rng.RandomStochasticMatrix(4, 4, 2.0),
-      std::make_unique<prob::CategoricalEmission>(
-          prob::CategoricalEmission::RandomInit(4, 7, rng)));
-  ASSERT_TRUE(hmm::SaveHmmToFile(a, path()).ok());
-  ASSERT_TRUE(hmm::SaveHmmToFile(b, path()).ok());
-  auto r = hmm::LoadHmmFromFile<int>(path());
-  ASSERT_TRUE(r.ok());
+  const hmm::HmmModel<int> a = CategoricalModel(3, 22);
+  const hmm::HmmModel<int> b = CategoricalModel(4, 23);
+  ASSERT_TRUE(store::WriteModel(a, 1, path()).ok());
+  ASSERT_TRUE(store::WriteModel(b, 2, path()).ok());
+  auto r = store::ReadModelFromFile<int>(path());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().num_states(), 4u);
   EXPECT_TRUE(r.value().a == b.a);
   EXPECT_FALSE(std::filesystem::exists(path() + ".tmp"));
 }
 
-TEST(SerializationRobustnessTest, SaveToUnwritableDirIsIOError) {
+TEST(CheckpointRobustnessTest, SaveToUnwritableDirIsIOError) {
   prob::Rng rng(23);
   hmm::HmmModel<double> m = data::ToyRandomInit(rng);
-  Status st = hmm::SaveHmmToFile(m, "/nonexistent/dir/model.txt");
+  Status st = store::WriteModel(m, 1, "/nonexistent/dir/model.dhmms");
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kIOError);
 }
 
-TEST(SerializationRobustnessTest, TruncatedStreamAtEveryPrefixFailsCleanly) {
-  // A torn checkpoint (the failure the atomic save prevents at the file
-  // level) must be rejected with a Status at *every* prefix length — never
-  // accepted as a corrupt model and never a process abort. Emission values
-  // are chosen so even digit-level truncation of the final token breaks
-  // row-stochasticity.
-  prob::Rng rng(24);
-  hmm::HmmModel<int> m(
-      rng.DirichletSymmetric(2, 2.0), rng.RandomStochasticMatrix(2, 2, 2.0),
-      std::make_unique<prob::CategoricalEmission>(
-          linalg::Matrix{{0.25, 0.75}, {0.75, 0.25}}));
-  std::stringstream full;
-  ASSERT_TRUE(hmm::SaveHmm(m, full).ok());
-  const std::string text = full.str();
-  // Cutting inside trailing whitespace leaves every token intact, so only
-  // prefixes strictly shorter than the last token's end must fail.
-  const size_t last_token_end = text.find_last_not_of(" \n") + 1;
-  for (size_t cut = 1; cut < last_token_end; ++cut) {
-    std::stringstream truncated(text.substr(0, cut));
-    auto r = hmm::LoadHmm<int>(truncated);
-    EXPECT_FALSE(r.ok()) << "prefix of length " << cut << " loaded";
+// ---------------------------------------------------------------------------
+// Hostile-but-CRC-valid images: every section is written through
+// ModelStoreWriter, so checksums pass and only the codec's semantic checks
+// stand between the bytes and an aborting constructor.
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+struct Block {
+  size_t rows;
+  size_t cols;
+  std::vector<double> values;
+};
+
+/// One store image, section by section (k = 2 throughout).
+struct Image {
+  store::EmissionTag tag;
+  std::vector<double> pi;
+  std::vector<double> a;        // 2 x 2, row major
+  std::vector<double> scalars;  // floors / pseudo-counts
+  std::vector<Block> emission;  // kEmission0, kEmission1, ... in order
+};
+
+Image CategoricalImage() {
+  return {store::EmissionTag::kCategorical, {0.5, 0.5}, {0.5, 0.5, 0.5, 0.5},
+          {0.0}, {{2, 2, {0.25, 0.75, 0.5, 0.5}}}};
+}
+
+Image BernoulliImage() {
+  return {store::EmissionTag::kBernoulli, {0.5, 0.5}, {0.5, 0.5, 0.5, 0.5},
+          {1e-3}, {{2, 3, {0.25, 0.75, 0.5, 0.5, 0.1, 0.9}}}};
+}
+
+Image GaussianImage() {
+  return {store::EmissionTag::kGaussian, {0.5, 0.5}, {0.5, 0.5, 0.5, 0.5},
+          {1e-4}, {{1, 2, {0.0, 3.0}}, {1, 2, {1.0, 0.5}}}};
+}
+
+Image GmmImage() {
+  return {store::EmissionTag::kGmm,
+          {0.5, 0.5},
+          {0.5, 0.5, 0.5, 0.5},
+          {1e-4},
+          {{2, 2, {0.5, 0.5, 0.25, 0.75}},
+           {2, 2, {0.0, 1.0, 2.0, 3.0}},
+           {2, 2, {1.0, 1.0, 0.5, 0.5}}}};
+}
+
+Status WriteImage(const Image& img, const std::string& path) {
+  std::vector<store::SectionSpec> sections = {
+      {store::SectionId::kPi, img.pi.data(), 1, img.pi.size()},
+      {store::SectionId::kTransition, img.a.data(), 2, img.a.size() / 2},
+      {store::SectionId::kScalars, img.scalars.data(), 1, img.scalars.size()}};
+  for (size_t i = 0; i < img.emission.size(); ++i) {
+    const Block& b = img.emission[i];
+    sections.push_back(
+        {static_cast<store::SectionId>(
+             static_cast<uint32_t>(store::SectionId::kEmission0) + i),
+         b.values.data(), b.rows, b.cols});
   }
-  std::stringstream intact(text);
-  EXPECT_TRUE(hmm::LoadHmm<int>(intact).ok());
+  return store::ModelStoreWriter::Write(
+      path, 1, static_cast<uint32_t>(img.tag), 2, sections);
 }
 
-TEST(SerializationRobustnessTest, NegativeProbabilityRejected) {
-  // Hand-craft a payload with a negative emission probability.
-  std::stringstream ss(
-      "dhmm-model 1\n2\n0.5 0.5\n0.5 0.5\n0.5 0.5\n"
-      "categorical\n2 2 0\n-0.25 1.25\n0.5 0.5\n");
-  EXPECT_FALSE(hmm::LoadHmm<int>(ss).ok());
+template <typename Obs>
+Status ReadStatus(const std::string& path) {
+  return store::ReadModelFromFile<Obs>(path).status();
 }
 
-TEST(SerializationRobustnessTest, WrongVersionRejected) {
-  std::stringstream ss("dhmm-model 9\n2\n");
-  EXPECT_FALSE(hmm::LoadHmm<int>(ss).ok());
+using Reader = Status (*)(const std::string&);
+
+struct HostileCase {
+  const char* what;
+  Image image;
+  Reader read;
+};
+
+template <typename Edit>
+Image With(Image img, Edit edit) {
+  edit(&img);
+  return img;
 }
 
-TEST(SerializationRobustnessTest, AbsurdStateCountRejected) {
+TEST_F(CheckpointFileTest, HostileCrcValidImagesAreTypedIOErrors) {
+  // The unedited image of each family loads, so every rejection below is
+  // caused by its one edited field.
+  const HostileCase bases[] = {
+      {"categorical", CategoricalImage(), &ReadStatus<int>},
+      {"bernoulli", BernoulliImage(), &ReadStatus<prob::BinaryObs>},
+      {"gaussian", GaussianImage(), &ReadStatus<double>},
+      {"gmm", GmmImage(), &ReadStatus<double>}};
+  for (const HostileCase& c : bases) {
+    ASSERT_TRUE(WriteImage(c.image, path()).ok()) << c.what;
+    EXPECT_TRUE(c.read(path()).ok()) << c.what;
+  }
+
+  const HostileCase grid[] = {
+      {"pi sums to 1.7",
+       With(CategoricalImage(), [](Image* m) { m->pi = {0.9, 0.8}; }),
+       &ReadStatus<int>},
+      {"negative pi entry",
+       With(CategoricalImage(), [](Image* m) { m->pi = {-0.2, 1.2}; }),
+       &ReadStatus<int>},
+      {"NaN pi entry",
+       With(CategoricalImage(), [](Image* m) { m->pi = {kNaN, 1.0}; }),
+       &ReadStatus<int>},
+      {"transition row sums to 1.2",
+       With(CategoricalImage(), [](Image* m) { m->a[3] = 0.7; }),
+       &ReadStatus<int>},
+      {"NaN transition entry",
+       With(CategoricalImage(), [](Image* m) { m->a[1] = kNaN; }),
+       &ReadStatus<int>},
+      {"negative emission entry",
+       With(CategoricalImage(),
+            [](Image* m) { m->emission[0].values = {-0.25, 1.25, 0.5, 0.5}; }),
+       &ReadStatus<int>},
+      {"emission rows != k",
+       With(CategoricalImage(),
+            [](Image* m) {
+              m->emission[0] = {3, 2, {0.5, 0.5, 0.5, 0.5, 0.5, 0.5}};
+            }),
+       &ReadStatus<int>},
+      {"negative pseudo-count",
+       With(CategoricalImage(), [](Image* m) { m->scalars = {-1.0}; }),
+       &ReadStatus<int>},
+      {"bernoulli floor 0.5",
+       With(BernoulliImage(), [](Image* m) { m->scalars = {0.5}; }),
+       &ReadStatus<prob::BinaryObs>},
+      {"bernoulli p above 1",
+       With(BernoulliImage(), [](Image* m) { m->emission[0].values[2] = 1.5; }),
+       &ReadStatus<prob::BinaryObs>},
+      {"bernoulli p NaN",
+       With(BernoulliImage(),
+            [](Image* m) { m->emission[0].values[4] = kNaN; }),
+       &ReadStatus<prob::BinaryObs>},
+      {"gaussian sigma 0",
+       With(GaussianImage(), [](Image* m) { m->emission[1].values[0] = 0.0; }),
+       &ReadStatus<double>},
+      {"gaussian sigma NaN",
+       With(GaussianImage(),
+            [](Image* m) { m->emission[1].values[1] = kNaN; }),
+       &ReadStatus<double>},
+      {"gaussian zero sigma floor",
+       With(GaussianImage(), [](Image* m) { m->scalars = {0.0}; }),
+       &ReadStatus<double>},
+      {"gmm weights sum to 0.9",
+       With(GmmImage(),
+            [](Image* m) { m->emission[0].values = {0.5, 0.4, 0.25, 0.75}; }),
+       &ReadStatus<double>},
+      {"negative gmm sigma",
+       With(GmmImage(), [](Image* m) { m->emission[2].values[3] = -0.5; }),
+       &ReadStatus<double>},
+      {"gaussian tag read as symbols", GaussianImage(), &ReadStatus<int>},
+  };
+  for (const HostileCase& c : grid) {
+    ASSERT_TRUE(WriteImage(c.image, path()).ok()) << c.what;
+    const Status st = c.read(path());
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << c.what << ": "
+                                               << st.ToString();
+  }
+}
+
+TEST_F(CheckpointFileTest, AbsurdHeaderStateCountIsTypedIOError) {
   // A corrupt header must fail fast instead of sizing an enormous pi / A
-  // allocation off attacker-controlled input.
-  std::stringstream ss("dhmm-model 1\n999999999\n0.5 0.5\n");
-  auto r = hmm::LoadHmm<int>(ss);
+  // allocation, even when its CRC has been resealed over the bad count.
+  ASSERT_TRUE(WriteImage(GaussianImage(), path()).ok());
+  ASSERT_TRUE(store::ReadModelFromFile<double>(path()).ok());
+
+  std::vector<unsigned char> bytes;
+  {
+    std::ifstream in(path(), std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GE(bytes.size(), store::kStoreHeaderBytes);
+  auto put_u32 = [&](size_t offset, uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      bytes[offset + i] = static_cast<unsigned char>(v >> (8 * i));
+    }
+  };
+  // num_states, then the header CRC over the edited header.
+  put_u32(28, 999999999u);
+  put_u32(60, store::Crc32c(bytes.data(), 60));
+  {
+    std::ofstream out(path(), std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  auto r = store::ReadModelFromFile<double>(path());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
-}
-
-TEST(SerializationRobustnessTest, NonStochasticPiRejected) {
-  // pi sums to 1.7: previously loaded without complaint and aborted later
-  // inside HmmModel::Validate, mid-training.
-  std::stringstream ss(
-      "dhmm-model 1\n2\n0.9 0.8\n0.5 0.5\n0.5 0.5\n"
-      "categorical\n2 2 0\n0.5 0.5\n0.5 0.5\n");
-  auto r = hmm::LoadHmm<int>(ss);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SerializationRobustnessTest, NegativePiEntryRejected) {
-  std::stringstream ss(
-      "dhmm-model 1\n2\n-0.2 1.2\n0.5 0.5\n0.5 0.5\n"
-      "categorical\n2 2 0\n0.5 0.5\n0.5 0.5\n");
-  auto r = hmm::LoadHmm<int>(ss);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SerializationRobustnessTest, NonStochasticTransitionRowRejected) {
-  // Second transition row sums to 1.2.
-  std::stringstream ss(
-      "dhmm-model 1\n2\n0.5 0.5\n0.5 0.5\n0.7 0.5\n"
-      "categorical\n2 2 0\n0.5 0.5\n0.5 0.5\n");
-  auto r = hmm::LoadHmm<int>(ss);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(SerializationRobustnessTest, EmissionStateMismatchRejected) {
-  // Header says 2 states but the categorical payload has 3.
-  std::stringstream ss(
-      "dhmm-model 1\n2\n0.5 0.5\n0.5 0.5\n0.5 0.5\n"
-      "categorical\n3 2 0\n0.5 0.5\n0.5 0.5\n0.5 0.5\n");
-  auto r = hmm::LoadHmm<int>(ss);
-  EXPECT_FALSE(r.ok());
 }
 
 }  // namespace

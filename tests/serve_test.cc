@@ -4,7 +4,7 @@
 //    single-threaded Viterbi / PosteriorDecode / LogLikelihood for every
 //    worker count and batch size,
 //  - RCU model hot-swap: in-flight batches finish on their snapshot, new
-//    requests see the new model; ReloadModel round-trips SaveHmmToFile
+//    requests see the new model; ReloadModel round-trips store::WriteModel
 //    checkpoints and keeps serving the old model on failure,
 //  - impossible, unreachable, underflowed and non-finite (NaN) inputs
 //    are per-request InvalidArgument errors that leave the service
@@ -38,11 +38,11 @@
 #include "hmm/posterior_decoding.h"
 #include "hmm/sampler.h"
 #include "hmm/sequence.h"
-#include "hmm/serialization.h"
 #include "prob/categorical_emission.h"
 #include "prob/gaussian_emission.h"
 #include "prob/rng.h"
 #include "serve/decode_service.h"
+#include "store/model_codec.h"
 
 namespace dhmm {
 namespace {
@@ -105,17 +105,17 @@ TEST(DecodeServiceTest, BitwiseMatchesOfflineForEveryWorkerAndBatchSize) {
             service.Submit(serve::DecodeKind::kLogLikelihood, seq.obs));
       }
       for (size_t s = 0; s < data.size(); ++s) {
-        const serve::DecodeResult& vit = futures[3 * s].Wait();
+        const serve::DecodeResponse& vit = futures[3 * s].Wait();
         ASSERT_TRUE(vit.status.ok());
         EXPECT_EQ(vit.path, refs[s].viterbi.path);
         EXPECT_EQ(vit.value, refs[s].viterbi.log_joint);  // bitwise
 
-        const serve::DecodeResult& post = futures[3 * s + 1].Wait();
+        const serve::DecodeResponse& post = futures[3 * s + 1].Wait();
         ASSERT_TRUE(post.status.ok());
         EXPECT_EQ(post.path, refs[s].posterior);
         EXPECT_EQ(post.value, refs[s].log_likelihood);
 
-        const serve::DecodeResult& ll = futures[3 * s + 2].Wait();
+        const serve::DecodeResponse& ll = futures[3 * s + 2].Wait();
         ASSERT_TRUE(ll.status.ok());
         EXPECT_TRUE(ll.path.empty());
         EXPECT_EQ(ll.value, refs[s].log_likelihood);
@@ -146,7 +146,7 @@ TEST(DecodeServiceTest, HotSwapOldSnapshotFinishesNewRequestsSeeNewModel) {
       futures.push_back(service.Submit(serve::DecodeKind::kViterbi, seq.obs));
     }
     for (size_t s = 0; s < data.size(); ++s) {
-      const serve::DecodeResult& r = futures[s].Wait();
+      const serve::DecodeResponse& r = futures[s].Wait();
       ASSERT_TRUE(r.status.ok());
       EXPECT_EQ(r.model_version, 1u);
       EXPECT_EQ(r.path, Offline(*model_a, data[s].obs).viterbi.path);
@@ -163,7 +163,7 @@ TEST(DecodeServiceTest, HotSwapOldSnapshotFinishesNewRequestsSeeNewModel) {
       futures.push_back(service.Submit(serve::DecodeKind::kViterbi, seq.obs));
     }
     for (size_t s = 0; s < data.size(); ++s) {
-      const serve::DecodeResult& r = futures[s].Wait();
+      const serve::DecodeResponse& r = futures[s].Wait();
       ASSERT_TRUE(r.status.ok());
       EXPECT_EQ(r.model_version, 2u);
       const OfflineRef ref = Offline(*model_b, data[s].obs);
@@ -191,7 +191,7 @@ TEST(DecodeServiceTest, MidStreamSwapServesEveryRequestConsistently) {
   }
   size_t new_version_seen = 0;
   for (size_t s = 0; s < data.size(); ++s) {
-    const serve::DecodeResult& r = futures[s].Wait();
+    const serve::DecodeResponse& r = futures[s].Wait();
     ASSERT_TRUE(r.status.ok());
     ASSERT_TRUE(r.model_version == 1 || r.model_version == 2);
     const hmm::HmmModel<double>& m =
@@ -212,7 +212,7 @@ TEST(DecodeServiceTest, ReloadModelHotSwapsCheckpointAtomically) {
   // scalar dispatch).
   const std::string path =
       (fs::temp_directory_path() /
-       ("dhmm_serve_reload_" + std::to_string(::getpid()) + ".txt"))
+       ("dhmm_serve_reload_" + std::to_string(::getpid()) + ".dhmms"))
           .string();
   auto model_a = MakeModel(4, 41);
   auto model_b = MakeModel(4, 42);
@@ -220,21 +220,21 @@ TEST(DecodeServiceTest, ReloadModelHotSwapsCheckpointAtomically) {
 
   serve::DecodeService<double> service(model_a, {});
   // Failure keeps the old model serving.
-  Status st = service.ReloadModel("/nonexistent/dir/model.txt");
+  Status st = service.ReloadModel("/nonexistent/dir/model.dhmms");
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kIOError);
   EXPECT_EQ(service.model_version(), 1u);
 
-  ASSERT_TRUE(hmm::SaveHmmToFile(*model_b, path).ok());
+  ASSERT_TRUE(store::WriteModel(*model_b, 1, path).ok());
   ASSERT_TRUE(service.ReloadModel(path).ok());
   EXPECT_EQ(service.model_version(), 2u);
   for (const auto& seq : data) {
     serve::DecodeFuture<double> f =
         service.Submit(serve::DecodeKind::kViterbi, seq.obs);
-    const serve::DecodeResult& r = f.Wait();
+    const serve::DecodeResponse& r = f.Wait();
     ASSERT_TRUE(r.status.ok());
-    // The checkpoint round-trips at 17-digit precision, so the reloaded
-    // model decodes bitwise-identically to the in-memory original.
+    // The checkpoint stores raw doubles, so the reloaded model decodes
+    // bitwise-identically to the in-memory original.
     const OfflineRef ref = Offline(*model_b, seq.obs);
     EXPECT_EQ(r.path, ref.viterbi.path);
     EXPECT_EQ(r.value, ref.viterbi.log_joint);
@@ -249,7 +249,7 @@ TEST(DecodeServiceTest, EmptySequenceRejectedWithoutPoisoningService) {
   std::vector<double> empty;
   serve::DecodeFuture<double> bad =
       service.Submit(serve::DecodeKind::kViterbi, empty);
-  const serve::DecodeResult& r = bad.Wait();
+  const serve::DecodeResponse& r = bad.Wait();
   ASSERT_FALSE(r.status.ok());
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
   bad.Release();
@@ -276,7 +276,7 @@ TEST(DecodeServiceTest, UnknownKindRejectedNotAnsweredWithAStaleStatus) {
     good.Release();
     serve::DecodeFuture<double> bad =
         service.Submit(static_cast<serve::DecodeKind>(9), data[0].obs);
-    const serve::DecodeResult& r = bad.Wait();
+    const serve::DecodeResponse& r = bad.Wait();
     EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(r.status.message().find("decode kind 9"), std::string::npos)
         << r.status.ToString();
@@ -299,7 +299,7 @@ TEST(DecodeServiceTest, ImpossibleObservationRejectedPerRequest) {
   for (auto kind : {serve::DecodeKind::kViterbi, serve::DecodeKind::kPosterior,
                     serve::DecodeKind::kLogLikelihood}) {
     serve::DecodeFuture<int> bad = service.Submit(kind, poisoned);
-    const serve::DecodeResult& r = bad.Wait();
+    const serve::DecodeResponse& r = bad.Wait();
     ASSERT_FALSE(r.status.ok());
     EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
     if (kind != serve::DecodeKind::kViterbi) {
@@ -330,7 +330,7 @@ TEST(DecodeServiceTest, UnreachableSequenceRejectedPerRequest) {
                     serve::DecodeKind::kLogLikelihood}) {
     const bool reports_frame = kind != serve::DecodeKind::kViterbi;
     serve::DecodeFuture<int> f0 = service.Submit(kind, unreachable_at_0);
-    const serve::DecodeResult& r0 = f0.Wait();
+    const serve::DecodeResponse& r0 = f0.Wait();
     ASSERT_FALSE(r0.status.ok());
     EXPECT_EQ(r0.status.code(), StatusCode::kInvalidArgument);
     if (reports_frame) {
@@ -338,7 +338,7 @@ TEST(DecodeServiceTest, UnreachableSequenceRejectedPerRequest) {
     }
     f0.Release();
     serve::DecodeFuture<int> f2 = service.Submit(kind, unreachable_at_2);
-    const serve::DecodeResult& r2 = f2.Wait();
+    const serve::DecodeResponse& r2 = f2.Wait();
     ASSERT_FALSE(r2.status.ok());
     if (reports_frame) {
       EXPECT_NE(r2.status.message().find("frame 2"), std::string::npos);
@@ -366,7 +366,7 @@ TEST(DecodeServiceTest, UnderflowedForwardMassRejectedNotAborted) {
   for (auto kind :
        {serve::DecodeKind::kPosterior, serve::DecodeKind::kLogLikelihood}) {
     serve::DecodeFuture<double> f = service.Submit(kind, outlier);
-    const serve::DecodeResult& r = f.Wait();
+    const serve::DecodeResponse& r = f.Wait();
     ASSERT_FALSE(r.status.ok());
     EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
     f.Release();
@@ -395,12 +395,12 @@ TEST(DecodeServiceTest, NonFiniteObservationRejectedPerRequest) {
   for (auto kind : {serve::DecodeKind::kViterbi, serve::DecodeKind::kPosterior,
                     serve::DecodeKind::kLogLikelihood}) {
     serve::DecodeFuture<double> bad = service.Submit(kind, poisoned);
-    const serve::DecodeResult& r = bad.Wait();
+    const serve::DecodeResponse& r = bad.Wait();
     EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
         << static_cast<int>(kind) << ": " << r.status.message();
     bad.Release();
     serve::DecodeFuture<double> good = service.Submit(kind, fine);
-    const serve::DecodeResult& g = good.Wait();
+    const serve::DecodeResponse& g = good.Wait();
     EXPECT_TRUE(g.status.ok()) << g.status.message();
     EXPECT_TRUE(std::isfinite(g.value));
   }
@@ -526,7 +526,7 @@ TEST(DecodeServiceTest, ExpiredDeadlineAnsweredAtBatchCutWithoutDecoding) {
   service.ResumeDispatch();
 
   EXPECT_EQ(expired.Wait().status.code(), StatusCode::kDeadlineExceeded);
-  const serve::DecodeResult& r = on_time.Wait();
+  const serve::DecodeResponse& r = on_time.Wait();
   ASSERT_TRUE(r.status.ok());
   const OfflineRef ref = Offline(*model, data[0].obs);
   EXPECT_EQ(r.path, ref.viterbi.path);

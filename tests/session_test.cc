@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -586,9 +585,6 @@ class GateEmission : public prob::EmissionModel<double> {
   std::unique_ptr<prob::EmissionModel<double>> Clone() const override {
     return std::make_unique<GateEmission>(inner_->Clone(), gate_);
   }
-
-  std::string TypeName() const override { return inner_->TypeName(); }
-  Status Save(std::ostream& os) const override { return inner_->Save(os); }
 
  private:
   void MaybeBlock() const {

@@ -1,13 +1,16 @@
 // Binary model store coverage: CRC-32C vectors, byte-exact round trips for
 // every emission family, an exhaustive corruption grid (every truncation
-// prefix, single-bit flips across the whole image, stale sequence numbers,
-// torn dual-slot publishes), and the serve-layer failsafe: a reload from a
+// prefix, single-bit flips across the whole image, repeated section ids,
+// stale sequence numbers, torn dual-slot publishes), a seeded mutation fuzz
+// over resealed images, and the serve-layer failsafe: a reload from a
 // corrupt slot keeps the previous snapshot serving, bitwise unchanged.
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -17,7 +20,6 @@
 #include "hmm/model.h"
 #include "obs/metrics.h"
 #include "hmm/sampler.h"
-#include "hmm/serialization.h"
 #include "prob/bernoulli_emission.h"
 #include "prob/categorical_emission.h"
 #include "prob/gaussian_emission.h"
@@ -113,6 +115,46 @@ bool CoreEqual(const linalg::Vector& pi_a, const linalg::Matrix& a_a,
          a_a.cols() == a_b.cols() &&
          BytesEqual(pi_a.data(), pi_b.data(), pi_a.size()) &&
          BytesEqual(a_a.data(), a_b.data(), a_a.rows() * a_a.cols());
+}
+
+uint32_t GetU32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
+uint64_t GetU64(const unsigned char* p) {
+  return static_cast<uint64_t>(GetU32(p)) |
+         (static_cast<uint64_t>(GetU32(p + 4)) << 32);
+}
+
+void PutU32(unsigned char* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
+}
+
+/// Recomputes every CRC an edit may have broken — each in-bounds
+/// section's, then the manifest's, then the header's — so the edit reaches
+/// the reader's structural checks and the codec's semantic ones instead of
+/// stopping at a checksum.
+void Reseal(std::vector<unsigned char>* image) {
+  unsigned char* base = image->data();
+  const size_t size = image->size();
+  const size_t n = GetU32(base + 32);
+  const size_t manifest_bytes = n * store::kStoreManifestEntryBytes;
+  if (n <= store::kStoreMaxSections &&
+      store::kStoreHeaderBytes + manifest_bytes <= size) {
+    unsigned char* manifest = base + store::kStoreHeaderBytes;
+    for (size_t i = 0; i < n; ++i) {
+      unsigned char* e = manifest + i * store::kStoreManifestEntryBytes;
+      const uint64_t offset = GetU64(e + 8);
+      const uint64_t bytes = GetU64(e + 16);
+      if (offset <= size && bytes <= size - offset) {
+        PutU32(e + 4, store::Crc32c(base + offset, bytes));
+      }
+    }
+    PutU32(base + 36, store::Crc32c(manifest, manifest_bytes));
+  }
+  PutU32(base + 60, store::Crc32c(base, 60));
 }
 
 template <typename Obs>
@@ -327,10 +369,118 @@ TEST_F(StoreTest, HeaderFieldCorruptionsRejectedTyped) {
   }
 }
 
+TEST_F(StoreTest, RepeatedSectionIdRejected) {
+  // Section(id) answers the first manifest entry with an id, so a second
+  // entry under the same id would escape every payload CRC check. Point
+  // the last entry at kPi, corrupt its payload, and reseal the manifest
+  // and header CRCs (not the section's): the reader must refuse the file.
+  std::vector<unsigned char> image = BuildModelImage(GaussianModel(20), 3);
+  const size_t n = GetU32(image.data() + 32);
+  unsigned char* manifest = image.data() + store::kStoreHeaderBytes;
+  unsigned char* last = manifest + (n - 1) * store::kStoreManifestEntryBytes;
+  PutU32(last, static_cast<uint32_t>(store::SectionId::kPi));
+  image[GetU64(last + 8)] ^= 0x01;
+  PutU32(image.data() + 36,
+         store::Crc32c(manifest, n * store::kStoreManifestEntryBytes));
+  PutU32(image.data() + 60, store::Crc32c(image.data(), 60));
+  WriteBytes(Path("dup.dhmms"), image);
+
+  auto reader = store::ModelStoreReader::Open(Path("dup.dhmms"));
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
+  auto r = store::ReadModelFromFile<double>(Path("dup.dhmms"));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+
+  // The writer never produces such a manifest.
+  const double pi[2] = {0.5, 0.5};
+  std::vector<unsigned char> out;
+  const Status st = store::ModelStoreWriter::BuildImage(
+      1, static_cast<uint32_t>(store::EmissionTag::kGaussian), 2,
+      {{store::SectionId::kPi, pi, 1, 2}, {store::SectionId::kPi, pi, 1, 2}},
+      &out);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(StoreTest, MissingFileAndEmptyFile) {
   EXPECT_FALSE(store::ModelStoreReader::Open(Path("absent.dhmms")).ok());
   WriteBytes(Path("empty.dhmms"), {});
   EXPECT_FALSE(store::ModelStoreReader::Open(Path("empty.dhmms")).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzz: fixed seeds and iteration counts, every family
+
+/// Applies 1-3 edits: a flipped bit anywhere, or a NaN, +-inf, negative or
+/// huge double written over an aligned 8-byte slot (store images are whole
+/// 8-byte slots: a 64-byte header, 40-byte manifest entries, and double
+/// payloads at 64-byte offsets).
+void Mutate(std::mt19937_64* rng, std::vector<unsigned char>* image) {
+  static constexpr double kValues[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), -0.5, 1e300};
+  const int edits = 1 + static_cast<int>((*rng)() % 3);
+  for (int e = 0; e < edits; ++e) {
+    const uint64_t r = (*rng)();
+    const uint64_t pick = r % 6;
+    const uint64_t at = r >> 8;
+    if (pick == 5) {
+      const size_t bit = at % (image->size() * 8);
+      (*image)[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    } else {
+      std::memcpy(image->data() + at % (image->size() / 8) * 8,
+                  &kValues[pick], sizeof(double));
+    }
+  }
+}
+
+/// Fuzzes one family's image; returns how many mutants loaded.
+template <typename Obs>
+size_t FuzzReadModel(const hmm::HmmModel<Obs>& model, uint64_t seed,
+                     int iterations, const std::string& path) {
+  const std::vector<unsigned char> image = BuildModelImage(model, 3);
+  EXPECT_EQ(image.size() % 8, 0u);
+  // Every mutant has the image's size, so each one overwrites the file in
+  // place: truncating the file on every iteration would cost more than
+  // the read under test.
+  WriteBytes(path, image);
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  std::mt19937_64 rng(seed);
+  size_t loaded = 0;
+  for (int it = 0; it < iterations; ++it) {
+    std::vector<unsigned char> mutant = image;
+    Mutate(&rng, &mutant);
+    Reseal(&mutant);
+    file.seekp(0);
+    file.write(reinterpret_cast<const char*>(mutant.data()),
+               static_cast<std::streamsize>(mutant.size()));
+    file.flush();
+    EXPECT_TRUE(file.good());
+    auto r = store::ReadModelFromFile<Obs>(path);
+    if (r.ok()) {
+      r.value().Validate();  // aborts on an inconsistent model
+      ++loaded;
+    } else {
+      EXPECT_EQ(r.status().code(), StatusCode::kIOError)
+          << "seed " << seed << " iteration " << it << ": "
+          << r.status().ToString();
+    }
+  }
+  return loaded;
+}
+
+TEST_F(StoreTest, SeededMutationFuzzIsTypedIOErrorOrValidModel) {
+  constexpr int kIterations = 10000;  // per family
+  const std::string path = Path("fuzz.dhmms");
+  const size_t loaded[] = {
+      FuzzReadModel(GaussianModel(40), 40, kIterations, path),
+      FuzzReadModel(CategoricalModel(41), 41, kIterations, path),
+      FuzzReadModel(BernoulliModel(42), 42, kIterations, path),
+      FuzzReadModel(GmmModel(43), 43, kIterations, path)};
+  // Resealing lets mutants through the checksums: some must load, or the
+  // fuzz never reached the codec's semantic checks.
+  for (size_t n : loaded) EXPECT_GT(n, kIterations / 20u);
 }
 
 // ---------------------------------------------------------------------------
@@ -480,9 +630,15 @@ TEST_F(StoreTest, BothSlotsCorruptMeansNoModel) {
 TEST_F(StoreTest, LoadAnyModelRoutesTextBinaryAndDirectory) {
   const auto m = GaussianModel(32);
 
-  ASSERT_TRUE(hmm::SaveHmmToFile(m, Path("text.hmm")).ok());
+  // The store is the only model format: a text model file is not parsed,
+  // it is a typed IOError like any other non-store file.
+  {
+    std::ofstream os(Path("text.hmm"));
+    os << "dhmm-model 1\n1\n1\n1\ngaussian\n1 0.0001\n0 1\n";
+  }
   auto from_text = store::LoadAnyModel<double>(Path("text.hmm"));
-  ASSERT_TRUE(from_text.ok()) << from_text.status().message();
+  ASSERT_FALSE(from_text.ok());
+  EXPECT_EQ(from_text.status().code(), StatusCode::kIOError);
 
   ASSERT_TRUE(store::WriteModel(m, 1, Path("bin.dhmms")).ok());
   auto from_bin = store::LoadAnyModel<double>(Path("bin.dhmms"));

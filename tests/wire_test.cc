@@ -6,7 +6,9 @@
 //    truncation is an error, never a crash or an abort,
 //  - malformed frames (bad magic, bad version, oversized payload, unknown
 //    kind, response/request bit confusion, count/length mismatch) are all
-//    typed errors.
+//    typed errors,
+//  - a seeded mutation fuzz over valid request and response frames: every
+//    decode returns OK or a typed error.
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -380,6 +382,137 @@ TEST(WireResponseTest, OutOfEnumStatusCodeDegradesToInternal) {
       wire::DecodeResponseFrame(frame.data(), frame.size(), &h, &back).ok());
   EXPECT_EQ(back.status.code(), StatusCode::kInternal);
   EXPECT_EQ(back.status.message(), "x");
+}
+
+// ------------------------------------------------------------ Mutation fuzz
+
+/// The decoders' documented error codes (wire.h): anything else, or an
+/// abort, is a bug.
+bool IsTypedWireError(const Status& st) {
+  return st.code() == StatusCode::kInvalidArgument ||
+         st.code() == StatusCode::kOutOfRange;
+}
+
+/// Applies 1-3 edits: a flipped bit, a random byte, a truncation, or an
+/// appended byte.
+void Mutate(std::mt19937_64* rng, std::vector<uint8_t>* frame) {
+  const int edits = 1 + static_cast<int>((*rng)() % 3);
+  for (int e = 0; e < edits; ++e) {
+    const uint64_t r = (*rng)();
+    const uint64_t at = r >> 8;
+    switch (r % 8) {
+      case 0:
+        frame->resize(at % (frame->size() + 1));
+        break;
+      case 1:
+        frame->push_back(static_cast<uint8_t>(at));
+        break;
+      case 2:
+      case 3:
+      case 4:
+        if (!frame->empty()) {
+          (*frame)[at % frame->size()] = static_cast<uint8_t>(at >> 32);
+        }
+        break;
+      default:
+        if (!frame->empty()) {
+          const size_t bit = at % (frame->size() * 8);
+          (*frame)[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        }
+        break;
+    }
+  }
+}
+
+/// Decodes `frame` as a request for `Obs`; an OK decode must account for
+/// every payload byte. Returns whether the frame decoded.
+template <typename Obs>
+bool CheckRequestDecode(const std::vector<uint8_t>& frame) {
+  wire::FrameHeader h;
+  Status st = wire::DecodeHeader(frame.data(), frame.size(), &h);
+  if (st.ok()) {
+    std::vector<Obs> obs;
+    st = wire::DecodeRequestPayload<Obs>(h, frame.data() + wire::kHeaderSize,
+                                         frame.size() - wire::kHeaderSize,
+                                         &obs);
+    if (st.ok()) {
+      EXPECT_EQ(wire::kHeaderSize + 4 + obs.size() * sizeof(Obs),
+                frame.size());
+      return true;
+    }
+  }
+  EXPECT_TRUE(IsTypedWireError(st)) << st.ToString();
+  return false;
+}
+
+bool CheckResponseDecode(const std::vector<uint8_t>& frame) {
+  wire::FrameHeader h;
+  DecodeResponse resp;
+  const Status st =
+      wire::DecodeResponseFrame(frame.data(), frame.size(), &h, &resp);
+  if (!st.ok()) {
+    EXPECT_TRUE(IsTypedWireError(st)) << st.ToString();
+    return false;
+  }
+  EXPECT_TRUE(h.is_response());
+  EXPECT_LE(resp.path.size() * 4, size_t{h.payload_len});
+  return true;
+}
+
+TEST(WireFuzzTest, SeededMutationsDecodeOkOrTyped) {
+  constexpr int kIterations = 50000;  // per base frame
+  std::mt19937_64 rng(97);
+  std::vector<double> reals = {0.5, -1.25, 3.0, 1e-300, -7.5, 2.0};
+  std::vector<int> symbols = {0, 3, 1, 4, 1, 5, 9, 2};
+  DecodeRequest<double> real_req;
+  real_req.kind = DecodeKind::kPosterior;
+  real_req.model = 3;
+  real_req.request_id = 11;
+  real_req.deadline_micros = 5000;
+  real_req.obs = &reals;
+  DecodeRequest<int> symbol_req;
+  symbol_req.kind = DecodeKind::kViterbi;
+  symbol_req.model = 4;
+  symbol_req.request_id = 12;
+  symbol_req.obs = &symbols;
+  DecodeResponse ok_resp;
+  ok_resp.request_id = 13;
+  ok_resp.kind = DecodeKind::kViterbi;
+  ok_resp.model_version = 2;
+  ok_resp.value = -12.5;
+  ok_resp.path = {0, 1, 2, 1, 0};
+  DecodeResponse err_resp;
+  err_resp.request_id = 14;
+  err_resp.kind = DecodeKind::kLogLikelihood;
+  err_resp.status = Status::InvalidArgument("impossible at frame 2");
+
+  std::vector<uint8_t> real_frame, symbol_frame, ok_frame, err_frame;
+  ASSERT_TRUE(wire::EncodeRequest(real_req, &real_frame).ok());
+  ASSERT_TRUE(wire::EncodeRequest(symbol_req, &symbol_frame).ok());
+  ASSERT_TRUE(wire::EncodeResponse(ok_resp, 3, &ok_frame).ok());
+  ASSERT_TRUE(wire::EncodeResponse(err_resp, 3, &err_frame).ok());
+
+  int requests_decoded = 0;
+  int responses_decoded = 0;
+  for (int it = 0; it < kIterations; ++it) {
+    // A client can send either encoding to a model of either type, so
+    // each mutated request is decoded as both types.
+    for (const std::vector<uint8_t>* base : {&real_frame, &symbol_frame}) {
+      std::vector<uint8_t> frame = *base;
+      Mutate(&rng, &frame);
+      requests_decoded += CheckRequestDecode<double>(frame);
+      requests_decoded += CheckRequestDecode<int>(frame);
+    }
+    for (const std::vector<uint8_t>* base : {&ok_frame, &err_frame}) {
+      std::vector<uint8_t> frame = *base;
+      Mutate(&rng, &frame);
+      responses_decoded += CheckResponseDecode(frame);
+    }
+  }
+  // Payload-only edits leave frames decodable: the fuzz must reach the
+  // decoders' OK paths, not only their first length check.
+  EXPECT_GT(requests_decoded, kIterations / 10);
+  EXPECT_GT(responses_decoded, kIterations / 10);
 }
 
 }  // namespace
