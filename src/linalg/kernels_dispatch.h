@@ -22,9 +22,13 @@
 //    is what keeps the engine/serve bitwise contracts (thread-count
 //    invariance, stream-vs-offline equality, checkpointed-vs-full replay)
 //    intact: they only ever compare runs of the same process.
-//  - Every variant has a fixed, documented lane-accumulation order (see
-//    the variant TUs), so results are bitwise reproducible across calls,
-//    thread counts, and buffer reuse within a selected ISA. Cross-ISA
+//  - The vector kernels are written once, as templates over per-ISA lane
+//    traits (kernels_simd.h); the variant TUs kernels_avx2.cc and
+//    kernels_avx512.cc hold only their traits and table getters. Every
+//    variant has the fixed lane-accumulation order documented in
+//    kernels_simd.h, so results are bitwise reproducible across calls,
+//    thread counts, and buffer reuse within a selected ISA, and
+//    tests/kernels_test.cc pins each table's output bits. Cross-ISA
 //    parity versus the scalar oracle is <= 1e-12 (tests/kernels_test.cc
 //    grid, plus the startup check in bench/perf_hmm_ops).
 //  - viterbi_step is the exception that is stronger: it has no reduction

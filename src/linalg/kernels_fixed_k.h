@@ -19,19 +19,12 @@
 //
 // Elementwise kernels (axpy, mul) keep the scalar per-element operation
 // order; ExpShiftRow uses the shared PolyExp evaluation (every element
-// independent, see kernels_poly_exp.h). This header is included only by
-// the ISA variant TUs — the scalar oracle never routes through it.
-//
-// Everything below that generates code sits in an anonymous namespace ON
-// PURPOSE: the including TUs are compiled with different ISA flags
-// (-mavx2 vs -mavx512f), and ordinary template instantiations would get
-// vague (COMDAT) linkage — the linker would keep ONE arbitrary copy per
-// symbol, so an AVX-512-codegen copy could be linked into the AVX2
-// dispatch tables and SIGILL on AVX2-only CPUs. Internal linkage gives
-// each variant TU its own ISA-consistent instantiations (distinct
-// symbols, never merged). The duplication is intended and the results
-// are still bitwise identical across TUs: the tree grouping is explicit
-// in the source, so strict IEEE semantics pin every rounding.
+// independent, see kernels_poly_exp.h). Only kernels_simd.h includes this
+// header: its MakeFixed starts each (ISA, k) table from MakeFixedTable
+// below. Everything that generates code sits in an anonymous namespace for
+// the linkage reason given there; the copies in the two variant TUs are
+// bitwise identical anyway, because the tree grouping is explicit in the
+// source and strict IEEE semantics pin every rounding.
 #ifndef DHMM_LINALG_KERNELS_FIXED_K_H_
 #define DHMM_LINALG_KERNELS_FIXED_K_H_
 
@@ -42,17 +35,6 @@
 #include "linalg/kernels_poly_exp.h"
 
 namespace dhmm::linalg::kernels::fixed_k {
-
-// Pure constant data (no codegen) — safe to share across the variant TUs,
-// so these two stay outside the anonymous namespace below.
-/// Display names for the fixed-k tables, indexable by K ([0] = generic).
-inline constexpr const char* kAvx2FixedNames[kMaxFixedK + 1] = {
-    "avx2",    "avx2/k1", "avx2/k2", "avx2/k3", "avx2/k4",
-    "avx2/k5", "avx2/k6", "avx2/k7", "avx2/k8"};
-inline constexpr const char* kAvx512FixedNames[kMaxFixedK + 1] = {
-    "avx512",    "avx512/k1", "avx512/k2", "avx512/k3", "avx512/k4",
-    "avx512/k5", "avx512/k6", "avx512/k7", "avx512/k8"};
-
 namespace {
 
 namespace detail {
@@ -166,8 +148,8 @@ struct FixedK {
 /// Builds the (isa, K) table entry; `name` must outlive the table.
 /// constexpr so the per-ISA tables are constant-initialized (no static
 /// initialization order hazards when dispatch resolves during another
-/// TU's static initializer). viterbi_step is left for the including TU to
-/// point at its generic vector entry: one or two masked vector blocks
+/// TU's static initializer). viterbi_step is left for MakeFixed to point
+/// at the ISA's generic vector entry: one or two masked vector blocks
 /// cover a k <= 8 row, and a fixed-K instantiation measured no faster.
 template <std::size_t K>
 constexpr KernelTable MakeFixedTable(Isa isa, const char* name) {

@@ -1,8 +1,8 @@
 // Polynomial exp() shared by the vectorized ExpShiftRow variants.
 //
-// The SIMD kernel variants (kernels_avx2.cc, kernels_avx512.cc) cannot call
-// libm's exp per lane without serializing the whole row, so they evaluate
-// the classic Cephes rational approximation instead:
+// The SIMD kernels (kernels_simd.h) cannot call libm's exp per lane
+// without serializing the whole row, so they evaluate the classic Cephes
+// rational approximation instead:
 //
 //   exp(y) = 2^n * (1 + 2 p / (q - p)),  n = floor(y * log2(e) + 0.5),
 //   r = y - n (C1 + C2),  p = r P(r^2),  q = Q(r^2),
@@ -18,12 +18,10 @@
 // a denormal there, a <= 1e-308 absolute difference), NaN propagates.
 //
 // The scalar oracle in kernels.cc keeps calling std::exp — this header is
-// deliberately used only by the non-scalar variants. Those TUs are compiled
-// with different ISA flags, so PolyExpPow2/PolyExp live in an anonymous
-// namespace: ordinary inline functions would get vague (COMDAT) linkage and
-// the linker could keep an AVX-512-codegen copy for the AVX2 path (SIGILL
-// on AVX2-only CPUs). Internal linkage keeps each TU's copy ISA-consistent;
-// the fixed operation order makes every copy bitwise identical anyway.
+// deliberately used only by the vector variants (PolyExpVec in
+// kernels_simd.h, and the fixed-k cells). PolyExpPow2/PolyExp live in an
+// anonymous namespace for the linkage reason given in kernels_simd.h; the
+// fixed operation order makes every TU's copy bitwise identical anyway.
 #ifndef DHMM_LINALG_KERNELS_POLY_EXP_H_
 #define DHMM_LINALG_KERNELS_POLY_EXP_H_
 

@@ -11,13 +11,15 @@
 //   tag 4 gmm        (Obs=double):     scalars=[sigma_floor],  E0=weights,
 //                                      E1=mu, E2=sigma (all k x M)
 //
-// ReadModel validates every parameter (stochastic rows, positive
-// variances, sane floors) before any constructor can CHECK-abort: a store
+// ReadModel validates every parameter (stochastic rows, finite means,
+// finite positive variances, sane floors) before any constructor can
+// CHECK-abort or a reload can swap in a model that scores NaN: a store
 // file that passes every CRC can still be a hand-built hostile file, so
 // checksums gate corruption and validation gates semantics.
 #ifndef DHMM_STORE_MODEL_CODEC_H_
 #define DHMM_STORE_MODEL_CODEC_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -58,6 +60,20 @@ inline bool RowsStochastic(const double* data, size_t rows, size_t cols) {
     if (!(std::fabs(sum - 1.0) < 1e-6)) return false;
   }
   return true;
+}
+
+/// True when v is finite and > 0 (NaN and +inf fail).
+inline bool FinitePositive(double v) { return v > 0.0 && std::isfinite(v); }
+
+/// True when every element of the block is finite (NaN and +-inf fail).
+inline bool AllFinite(const SectionView& view) {
+  return std::all_of(view.data, view.data + view.size(),
+                     [](double v) { return std::isfinite(v); });
+}
+
+/// True when every element of the block is finite and > 0.
+inline bool AllFinitePositive(const SectionView& view) {
+  return std::all_of(view.data, view.data + view.size(), FinitePositive);
 }
 
 inline linalg::Matrix CopyMatrix(const SectionView& view) {
@@ -102,8 +118,8 @@ struct EmissionCodec<int> {
       return Status::IOError("store: unexpected symbol emission tag " +
                              std::to_string(tag));
     }
-    if (num_scalars != 1 || !(scalars[0] >= 0.0) || blocks.size() != 1 ||
-        blocks[0].rows != k || blocks[0].cols == 0 ||
+    if (num_scalars != 1 || !std::isfinite(scalars[0]) || scalars[0] < 0.0 ||
+        blocks.size() != 1 || blocks[0].rows != k || blocks[0].cols == 0 ||
         !RowsStochastic(blocks[0].data, blocks[0].rows, blocks[0].cols)) {
       return Status::IOError("store: bad categorical emission payload");
     }
@@ -189,14 +205,11 @@ struct EmissionCodec<double> {
       uint32_t tag, const double* scalars, size_t num_scalars,
       const std::vector<SectionView>& blocks, size_t k) {
     if (tag == static_cast<uint32_t>(EmissionTag::kGaussian)) {
-      if (num_scalars != 1 || !(scalars[0] > 0.0) || blocks.size() != 2 ||
-          blocks[0].size() != k || blocks[1].size() != k) {
+      if (num_scalars != 1 || !FinitePositive(scalars[0]) ||
+          blocks.size() != 2 || blocks[0].size() != k ||
+          blocks[1].size() != k || !AllFinite(blocks[0]) ||
+          !AllFinitePositive(blocks[1])) {
         return Status::IOError("store: bad gaussian emission payload");
-      }
-      for (size_t i = 0; i < k; ++i) {
-        if (!(blocks[1].data[i] > 0.0)) {
-          return Status::IOError("store: bad gaussian emission payload");
-        }
       }
       return std::unique_ptr<prob::EmissionModel<double>>(
           std::make_unique<prob::GaussianEmission>(CopyRowVector(blocks[0]),
@@ -204,19 +217,15 @@ struct EmissionCodec<double> {
                                                    scalars[0]));
     }
     if (tag == static_cast<uint32_t>(EmissionTag::kGmm)) {
-      if (num_scalars != 1 || !(scalars[0] > 0.0) || blocks.size() != 3 ||
-          blocks[0].rows != k || blocks[0].cols == 0 ||
+      if (num_scalars != 1 || !FinitePositive(scalars[0]) ||
+          blocks.size() != 3 || blocks[0].rows != k || blocks[0].cols == 0 ||
           blocks[1].rows != blocks[0].rows ||
           blocks[1].cols != blocks[0].cols ||
           blocks[2].rows != blocks[0].rows ||
           blocks[2].cols != blocks[0].cols ||
-          !RowsStochastic(blocks[0].data, blocks[0].rows, blocks[0].cols)) {
+          !RowsStochastic(blocks[0].data, blocks[0].rows, blocks[0].cols) ||
+          !AllFinite(blocks[1]) || !AllFinitePositive(blocks[2])) {
         return Status::IOError("store: bad gmm emission payload");
-      }
-      for (size_t i = 0; i < blocks[2].size(); ++i) {
-        if (!(blocks[2].data[i] > 0.0)) {
-          return Status::IOError("store: bad gmm emission payload");
-        }
       }
       return std::unique_ptr<prob::EmissionModel<double>>(
           std::make_unique<prob::GmmEmission>(

@@ -18,7 +18,9 @@
 //  - Viterbi is bitwise equal across ISAs: every available ISA's
 //    viterbi_step, and TryViterbi's delta, psi, path and log joint under
 //    each ISA, match a test-local column-form reference by memcmp for
-//    every k in 1..70, including exact ties, -inf and NaN candidates.
+//    every k in 1..70, including exact ties, -inf and NaN candidates,
+//  - every AVX2 and AVX-512 table (variable-length and each k-class)
+//    returns its recorded output bits: one FNV-1a digest per table.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -815,6 +817,163 @@ TEST(DispatchTest, EngineAgreesAcrossIsasEndToEnd) {
       }
     }
   }
+}
+
+// ------------------------------------------------- cross-build bit pins ---
+
+// The tests above pin the vector variants to the scalar oracle within
+// 1e-12 and to themselves within one process; a change to a lane order
+// passes both. This pin records one FNV-1a digest of every kernel's output
+// bytes per (ISA, table), so any change to the bits a variant returns
+// fails here. Inputs come from prob::Rng alone (no libm call), so the
+// digests depend only on the kernels. The scalar oracle is not pinned: its
+// ExpShiftRow calls the host libm's exp.
+
+struct Fnv1a {
+  uint64_t h = 14695981039346656037ull;
+  void Add(const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  }
+  template <typename T>
+  void Add(const std::vector<T>& v) { Add(v.data(), v.size() * sizeof(T)); }
+  void Add(double v) { Add(&v, sizeof(v)); }
+};
+
+enum PinKernel {
+  kPinSum,
+  kPinDot,
+  kPinMulRowScaled,
+  kPinAxpy,
+  kPinMatVecCol,
+  kPinMatVecColMul,
+  kPinBackwardFused,
+  kPinExpShift,
+  kPinViterbi,
+  kNumPinKernels,
+};
+
+constexpr const char* kPinKernelNames[kNumPinKernels] = {
+    "sum_row",        "dot",           "mul_row_scaled_into",
+    "axpy_row",       "mat_vec_col",   "mat_vec_col_mul",
+    "backward_fused", "exp_shift_row", "viterbi_step"};
+
+// Feeds every kernel of `kt` the shape-k inputs: zeros in A and in the xi
+// scales, -inf, NaN and underflowing entries in the exp row, and -inf
+// entries, exact ties and a NaN predecessor in the Viterbi frame.
+void DigestShape(const klib::KernelTable& kt, size_t k, Fnv1a* h) {
+  prob::Rng rng(8800 + k);
+  auto row = [&](size_t n, double lo, double hi) {
+    std::vector<double> v(n);
+    for (double& e : v) e = rng.Uniform(lo, hi);
+    return v;
+  };
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> x = row(k, -2.0, 2.0);
+  std::vector<double> y = row(k, -2.0, 2.0);
+  std::vector<double> s = row(k, 0.0, 1.0);
+  std::vector<double> a = row(k * k, 0.0, 1.0);
+  std::vector<double> e = row(k, -30.0, 0.0);
+  std::vector<double> log_a(k * k, -kInf);
+  for (size_t i = 0; i < k * k; i += 3) a[i] = 0.0;
+  for (size_t i = 0; i < k; i += 2) s[i] = 0.0;
+  for (size_t i = 0; i < k * k; ++i) {
+    if (a[i] != 0.0) log_a[i] = -0.5 * static_cast<double>(rng.UniformInt(4));
+  }
+  for (size_t i = 3; i < k; i += 7) e[i] = -kInf;
+  for (size_t i = 5; i < k; i += 11) e[i] = kNaN;
+  for (size_t i = 6; i < k; i += 13) e[i] = -720.0;
+  std::vector<double> prev = x;
+  if (k > 1) prev[k / 2] = -kInf;
+  if (k > 2) prev[k - 1] = kNaN;
+
+  std::vector<double> v(k), xi(k * k, 0.125);
+  h[kPinSum].Add(kt.sum_row(x.data(), k));
+  h[kPinDot].Add(kt.dot(x.data(), y.data(), k));
+  kt.mul_row_scaled_into(x.data(), y.data(), 1.7, k, v.data());
+  h[kPinMulRowScaled].Add(v);
+  v.assign(k, 0.25);
+  kt.axpy_row(0.6, x.data(), k, v.data());
+  h[kPinAxpy].Add(v);
+  kt.mat_vec_col(a.data(), x.data(), k, k, v.data());
+  h[kPinMatVecCol].Add(v);
+  kt.mat_vec_col_mul(a.data(), x.data(), s.data(), k, k, v.data());
+  h[kPinMatVecColMul].Add(v);
+  kt.backward_fused(a.data(), y.data(), s.data(), k, k, v.data(), xi.data());
+  h[kPinBackwardFused].Add(v);
+  h[kPinBackwardFused].Add(xi);
+  v.assign(k, 3.0);
+  h[kPinExpShift].Add(kt.exp_shift_row(e.data(), k, v.data()));
+  h[kPinExpShift].Add(v);
+  std::vector<int> psi(k, -1);
+  kt.viterbi_step(prev.data(), log_a.data(), e.data(), k, v.data(), psi.data());
+  h[kPinViterbi].Add(v);
+  h[kPinViterbi].Add(psi);
+}
+
+// Per-kernel digests of one table: a fixed-k table over its own k, the
+// variable-length table over k = 1..70, 100 and 129.
+std::vector<Fnv1a> KernelDigests(const klib::KernelTable& kt) {
+  std::vector<Fnv1a> h(kNumPinKernels);
+  if (kt.fixed_k != 0) {
+    DigestShape(kt, kt.fixed_k, h.data());
+    return h;
+  }
+  for (size_t k = 1; k <= 70; ++k) DigestShape(kt, k, h.data());
+  DigestShape(kt, 100, h.data());
+  DigestShape(kt, 129, h.data());
+  return h;
+}
+
+// One digest per table, indexed like TableFor(isa, k): [0] is the
+// variable-length table, [k] the fixed-k one. Recorded before the kernels
+// moved to one template source (linalg/kernels_simd.h); a change to a
+// variant's bits must update them deliberately.
+constexpr uint64_t kAvx2Digests[klib::kMaxFixedK + 1] = {
+    0xf8e264096a97e43bull, 0xde1c947dd8e6ca5dull, 0x4f1f9a7f7181868cull,
+    0x1fee7774dffa6f3bull, 0x58eef7b47b951758ull, 0xfec49e588ade2ba6ull,
+    0x326fd58ada9b1e43ull, 0x5793489e5a7a7892ull, 0xa970dda9bf84549dull};
+constexpr uint64_t kAvx512Digests[klib::kMaxFixedK + 1] = {
+    0x0fde73cd5be54774ull, 0xde1c947dd8e6ca5dull, 0x4f1f9a7f7181868cull,
+    0x1fee7774dffa6f3bull, 0x2795d9298763d0d6ull, 0xad67db82bb172e7full,
+    0x751d3d88f5411ca7ull, 0x98dd0de7c8351e0aull, 0xe032e4a69711d92eull};
+
+std::string Hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(KernelBitsPinTest, EveryVectorTableReturnsItsRecordedBits) {
+  std::string checked;
+  for (klib::Isa isa : {klib::Isa::kAvx2, klib::Isa::kAvx512}) {
+    if (!klib::IsaAvailable(isa)) continue;
+    checked += std::string(" ") + klib::IsaName(isa);
+    const bool avx2 = isa == klib::Isa::kAvx2;
+    const uint64_t* pins = avx2 ? kAvx2Digests : kAvx512Digests;
+    for (size_t k = 0; k <= klib::kMaxFixedK; ++k) {
+      const klib::KernelTable& kt = klib::TableFor(isa, k);
+      Fnv1a table;
+      std::string per_kernel;
+      const std::vector<Fnv1a> h = KernelDigests(kt);
+      for (size_t i = 0; i < h.size(); ++i) {
+        table.Add(&h[i].h, sizeof(h[i].h));
+        per_kernel += "\n  ";
+        per_kernel += kPinKernelNames[i];
+        per_kernel += " " + Hex(h[i].h);
+      }
+      EXPECT_EQ(Hex(table.h), Hex(pins[k]))
+          << kt.name << " digests per kernel:" << per_kernel;
+    }
+  }
+  if (checked.empty()) checked = " none";
+  std::printf("kernel bit pins checked:%s\n", checked.c_str());
+  std::fflush(stdout);
 }
 
 }  // namespace

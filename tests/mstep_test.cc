@@ -1,20 +1,18 @@
 // The M-step workspace contract (the PR-3 counterpart of engine_test.cc):
 //  - the second UpdateTransitions call at a fixed k performs zero heap
-//    allocations (instrumented global operator new),
+//    allocations (alloc_counter.h counts every operator new),
 //  - the fused LogDetAndGrad entry point agrees with the separate
 //    log-det / gradient entry points to 1e-12,
 //  - workspace reuse across state counts never changes results,
 //  - BatchMStepDriver fan-outs (SelectStateCount, crossval folds) are
 //    bitwise identical for every thread count.
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"
 #include "core/batch_mstep.h"
 #include "core/state_selection.h"
 #include "core/transition_update.h"
@@ -25,32 +23,6 @@
 #include "optim/simplex_projection.h"
 #include "prob/categorical_emission.h"
 #include "prob/rng.h"
-
-// ----------------------------------------------------- allocation counter ---
-
-// Global operator new instrumentation: every heap allocation made anywhere
-// in this binary bumps the counter, so a zero delta across a call proves the
-// call is allocation-free.
-namespace {
-std::atomic<long> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dhmm {
 namespace {
@@ -79,9 +51,9 @@ TEST(MStepWorkspaceTest, SecondUpdateAtFixedKAllocatesNothing) {
   // First call grows every buffer to its steady-state size.
   core::UpdateTransitions(init, counts, opts, &ws, &result);
 
-  long before = g_alloc_count.load(std::memory_order_relaxed);
+  const long before = alloc_counter::Count();
   core::UpdateTransitions(init, counts, opts, &ws, &result);
-  long after = g_alloc_count.load(std::memory_order_relaxed);
+  const long after = alloc_counter::Count();
   EXPECT_EQ(after - before, 0)
       << "steady-state M-step made " << (after - before)
       << " heap allocations";
@@ -102,9 +74,9 @@ TEST(MStepWorkspaceTest, TetheredUpdateIsAlsoAllocationFree) {
   core::TransitionUpdateResult result;
   core::UpdateTransitions(a0, counts, opts, &ws, &result);
 
-  long before = g_alloc_count.load(std::memory_order_relaxed);
+  const long before = alloc_counter::Count();
   core::UpdateTransitions(a0, counts, opts, &ws, &result);
-  long after = g_alloc_count.load(std::memory_order_relaxed);
+  const long after = alloc_counter::Count();
   EXPECT_EQ(after - before, 0);
 }
 

@@ -116,6 +116,7 @@ TEST(CheckpointRobustnessTest, SaveToUnwritableDirIsIOError) {
 // stand between the bytes and an aborting constructor.
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 struct Block {
   size_t rows;
@@ -234,6 +235,9 @@ TEST_F(CheckpointFileTest, HostileCrcValidImagesAreTypedIOErrors) {
       {"negative pseudo-count",
        With(CategoricalImage(), [](Image* m) { m->scalars = {-1.0}; }),
        &ReadStatus<int>},
+      {"infinite pseudo-count",
+       With(CategoricalImage(), [](Image* m) { m->scalars = {kInf}; }),
+       &ReadStatus<int>},
       {"bernoulli floor 0.5",
        With(BernoulliImage(), [](Image* m) { m->scalars = {0.5}; }),
        &ReadStatus<prob::BinaryObs>},
@@ -251,8 +255,23 @@ TEST_F(CheckpointFileTest, HostileCrcValidImagesAreTypedIOErrors) {
        With(GaussianImage(),
             [](Image* m) { m->emission[1].values[1] = kNaN; }),
        &ReadStatus<double>},
+      {"gaussian sigma +inf",
+       With(GaussianImage(),
+            [](Image* m) { m->emission[1].values[0] = kInf; }),
+       &ReadStatus<double>},
+      {"gaussian mean NaN",
+       With(GaussianImage(),
+            [](Image* m) { m->emission[0].values[1] = kNaN; }),
+       &ReadStatus<double>},
+      {"gaussian mean +inf",
+       With(GaussianImage(),
+            [](Image* m) { m->emission[0].values[0] = kInf; }),
+       &ReadStatus<double>},
       {"gaussian zero sigma floor",
        With(GaussianImage(), [](Image* m) { m->scalars = {0.0}; }),
+       &ReadStatus<double>},
+      {"gaussian sigma floor +inf",
+       With(GaussianImage(), [](Image* m) { m->scalars = {kInf}; }),
        &ReadStatus<double>},
       {"gmm weights sum to 0.9",
        With(GmmImage(),
@@ -260,6 +279,12 @@ TEST_F(CheckpointFileTest, HostileCrcValidImagesAreTypedIOErrors) {
        &ReadStatus<double>},
       {"negative gmm sigma",
        With(GmmImage(), [](Image* m) { m->emission[2].values[3] = -0.5; }),
+       &ReadStatus<double>},
+      {"gmm sigma +inf",
+       With(GmmImage(), [](Image* m) { m->emission[2].values[1] = kInf; }),
+       &ReadStatus<double>},
+      {"gmm mean NaN",
+       With(GmmImage(), [](Image* m) { m->emission[1].values[2] = kNaN; }),
        &ReadStatus<double>},
       {"gaussian tag read as symbols", GaussianImage(), &ReadStatus<int>},
   };
