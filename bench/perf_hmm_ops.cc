@@ -1,7 +1,8 @@
-// Microbenchmarks for the HMM inference kernels: forward-backward and
-// Viterbi scaling in the number of states k and sequence length T, plus the
-// kernel-path-versus-scalar-baseline sweep that gates the micro-kernel
-// layer (>= 1.5x on ForwardBackward at k = 50, same pattern as perf_mstep).
+// Microbenchmarks for the HMM inference kernels: forward-backward,
+// Viterbi and posterior decoding scaling in the number of states k and
+// sequence length T, plus the kernel-path-versus-scalar-baseline sweep that
+// gates the micro-kernel layer (>= 1.5x on ForwardBackward at k = 50, same
+// pattern as perf_mstep).
 //
 // The baseline below is a line-by-line replica of the pre-kernel inference
 // code this PR replaced — column-strided reads of A, the per-frame
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "hmm/inference.h"
+#include "hmm/posterior_decoding.h"
 #include "linalg/kernels_dispatch.h"
 #include "prob/rng.h"
 
@@ -296,6 +298,23 @@ void BM_ViterbiKernels(benchmark::State& state) {
                           static_cast<int64_t>(t));
 }
 
+// A served posterior decode: path and log-likelihood on a warm workspace.
+void BM_PosteriorDecode(benchmark::State& state) {
+  size_t k = static_cast<size_t>(state.range(0));
+  size_t t = static_cast<size_t>(state.range(1));
+  Chain c = MakeChain(k, t);
+  hmm::InferenceWorkspace ws;
+  hmm::ForwardBackwardResult fb;
+  std::vector<int> path;
+  for (auto _ : state) {
+    hmm::TryPosteriorDecode(c.pi, c.a, c.log_b, &ws, &fb, &path);
+    benchmark::DoNotOptimize(fb.log_likelihood);
+    benchmark::DoNotOptimize(path.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(t));
+}
+
 #define INFERENCE_SWEEP(bench)                                          \
   BENCHMARK(bench)                                                      \
       ->ArgNames({"k", "T"})                                            \
@@ -307,6 +326,7 @@ INFERENCE_SWEEP(BM_ForwardBackwardBaseline);
 INFERENCE_SWEEP(BM_ForwardBackwardKernels);
 INFERENCE_SWEEP(BM_ViterbiBaseline);
 INFERENCE_SWEEP(BM_ViterbiKernels);
+INFERENCE_SWEEP(BM_PosteriorDecode);
 
 #undef INFERENCE_SWEEP
 

@@ -3,10 +3,17 @@
 // then corrupt the active slot and show the failsafe — open falls back to
 // the surviving slot and serving never misses a beat.
 //
-// Flags: --dir=<directory> (default /tmp/dhmm_store_demo)
+// Flags: --dir=<directory>. Without it the demo publishes into a fresh
+// temporary directory and removes it at exit, so every run starts the
+// store's sequence at 1. An explicit directory continues the sequence of
+// the store it holds and is never deleted.
+#include <stdlib.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/dhmm_trainer.h"
@@ -26,11 +33,27 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  const std::string dir = flags.GetString("dir", "/tmp/dhmm_store_demo");
+  std::string dir = flags.GetString("dir", "");
   st = flags.VerifyAllRead();
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
+  }
+  struct RemoveAtExit {
+    std::string path;  // empty: the caller's directory, kept
+    ~RemoveAtExit() {
+      std::error_code ec;
+      if (!path.empty()) std::filesystem::remove_all(path, ec);
+    }
+  } fresh_dir;
+  if (dir.empty()) {
+    dir = (std::filesystem::temp_directory_path() / "dhmm_store_demo.XXXXXX")
+              .string();
+    if (::mkdtemp(dir.data()) == nullptr) {
+      std::perror("mkdtemp");
+      return 1;
+    }
+    fresh_dir.path = dir;
   }
 
   // 1. Train two model versions (v2 = v1 plus extra EM iterations).
@@ -45,8 +68,8 @@ int main(int argc, char** argv) {
   FitEm(&model, data, em);
 
   // 2. Publish both into the dual-slot store. Each publish writes the
-  // inactive slot atomically, then flips the manifest. A store left by an
-  // earlier run continues its sequence, so print what the store reports.
+  // inactive slot atomically, then flips the manifest. A store given with
+  // --dir continues its sequence, so print what the store reports.
   auto slots = store::DualSlotStore::Open(dir);
   if (!slots.ok()) {
     std::fprintf(stderr, "open failed: %s\n",

@@ -40,8 +40,7 @@ struct DiversifiedEmOptions {
   int num_threads = 1;
   /// Sequence length at which the E-step switches to the checkpointed
   /// forward-backward (see hmm::BatchOptions). 0 disables.
-  size_t checkpoint_threshold_frames =
-      hmm::kDefaultCheckpointThresholdFrames;
+  size_t checkpoint_threshold_frames = hmm::kDefaultCheckpointThresholdFrames;
 };
 
 /// Fit diagnostics for the diversified trainer.

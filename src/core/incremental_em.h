@@ -68,8 +68,7 @@ struct IncrementalEmOptions {
   int num_threads = 1;
   /// Sequence length at which AccumulateBatch switches to the checkpointed
   /// forward-backward (see hmm::BatchOptions). 0 disables.
-  size_t checkpoint_threshold_frames =
-      hmm::kDefaultCheckpointThresholdFrames;
+  size_t checkpoint_threshold_frames = hmm::kDefaultCheckpointThresholdFrames;
   /// StepReady() gate: frames to accumulate before a Step is suggested.
   /// 0 means the caller paces Steps manually.
   uint64_t min_frames_per_step = 0;

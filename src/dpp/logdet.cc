@@ -46,9 +46,8 @@ double LogDetNormalizedKernel(const linalg::Matrix& rows, double rho,
   return LogDetFromFactoredKernel(ws);
 }
 
-bool LogDetAndGrad(const linalg::Matrix& rows, double rho,
-                   KernelWorkspace* ws, double* log_det,
-                   linalg::Matrix* grad) {
+bool LogDetAndGrad(const linalg::Matrix& rows, double rho, KernelWorkspace* ws,
+                   double* log_det, linalg::Matrix* grad) {
   DHMM_CHECK(ws != nullptr && log_det != nullptr && grad != nullptr);
   DHMM_CHECK(rho > 0.0);
   ProductKernel(rows, rho, ws);

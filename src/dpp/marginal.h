@@ -23,8 +23,8 @@ linalg::Matrix MarginalKernel(const linalg::Matrix& l_kernel);
 linalg::Vector InclusionProbabilities(const linalg::Matrix& l_kernel);
 
 /// \brief P(i ∈ Y and j ∈ Y) from the marginal kernel.
-double PairInclusionProbability(const linalg::Matrix& marginal_kernel,
-                                size_t i, size_t j);
+double PairInclusionProbability(const linalg::Matrix& marginal_kernel, size_t i,
+                                size_t j);
 
 /// \brief Expected sample size E|Y| = trace(K) = sum_n lambda_n/(1+lambda_n).
 double ExpectedCardinality(const linalg::Matrix& l_kernel);

@@ -119,24 +119,17 @@ class BatchEmEngine {
   }
 
   /// \brief Total dataset log-likelihood (forward passes fan out; the sum
-  /// runs in sequence order, so it too is thread-count-invariant).
+  /// runs in sequence order, so it too is thread-count-invariant). Each
+  /// forward pass reads one emission row at a time: O(k) workspace at every
+  /// length, the same bits as a pass over the T x k table.
   double LogLikelihood(const HmmModel<Obs>& model, const Dataset<Obs>& data) {
     seq_loglik_.resize(data.size());
     pool_.ParallelFor(data.size(), [&](int worker, size_t s) {
       InferenceWorkspace& ws = workspaces_[static_cast<size_t>(worker)];
-      Status st;
-      if (Checkpointed(data[s].length())) {
-        // Same kernel sequence as the materialized path, one emission row
-        // at a time: bitwise-equal log-likelihood, O(k) workspace.
-        EmissionLogBRows<Obs> rows{model.emission.get(), &data[s].obs,
-                                   &ws.log_b_row};
-        st = TryLogLikelihoodRows(model.pi, model.a, rows.View(), &ws,
-                                  &seq_loglik_[s]);
-      } else {
-        model.emission->LogProbTableInto(data[s].obs, &ws.log_b);
-        st = TryLogLikelihood(model.pi, model.a, ws.log_b, &ws,
-                              &seq_loglik_[s]);
-      }
+      EmissionLogBRows<Obs> rows{model.emission.get(), &data[s].obs,
+                                 &ws.log_b_row};
+      const Status st = TryLogLikelihoodRows(model.pi, model.a, rows.View(),
+                                             &ws, &seq_loglik_[s]);
       DHMM_CHECK_MSG(st.ok(), st.message().c_str());
     });
     double total = 0.0;

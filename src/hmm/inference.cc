@@ -102,10 +102,14 @@ size_t CeilSqrt(size_t n) {
 }  // namespace
 
 Status TryForwardBackward(const linalg::Vector& pi, const linalg::Matrix& a,
-                          const linalg::Matrix& log_b,
-                          InferenceWorkspace* ws,
+                          const linalg::Matrix& log_b, InferenceWorkspace* ws,
                           ForwardBackwardResult* out) {
-  return TryForwardBackwardCheckpointed(pi, a, log_b, log_b.rows(), ws, out);
+  DHMM_CHECK(out != nullptr);
+  CheckpointedGammaSinks sinks;
+  sinks.gamma_out = &out->gamma;
+  return TryForwardBackwardCheckpointed(pi, a, MatrixLogBRows(log_b),
+                                        log_b.rows(), ws, sinks, &out->xi_sum,
+                                        &out->log_likelihood);
 }
 
 LogBRows MatrixLogBRows(const linalg::Matrix& log_b) {
@@ -129,7 +133,7 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
                                       double* log_likelihood) {
   const size_t k = pi.size();
   const size_t big_t = log_b.frames;
-  DHMM_CHECK(ws != nullptr && xi_sum != nullptr && log_likelihood != nullptr);
+  DHMM_CHECK(ws != nullptr && log_likelihood != nullptr);
   DHMM_CHECK(log_b.row != nullptr);
   DHMM_CHECK(a.rows() == k && a.cols() == k && log_b.states == k);
   DHMM_CHECK_MSG(big_t > 0, "empty sequence");
@@ -142,8 +146,10 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
   // and no frames outside the panel buffers.
   const bool replays = num_panels > 1;
 
-  xi_sum->Resize(k, k);
-  xi_sum->Fill(0.0);
+  if (xi_sum != nullptr) {
+    xi_sum->Resize(k, k);
+    xi_sum->Fill(0.0);
+  }
   ws->panel_alpha.Resize(panel, k);
   ws->panel_btilde.Resize(panel + 1, k);
   ws->cp_scale.Resize(big_t);
@@ -233,10 +239,10 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
     return gamma_out != nullptr ? gamma_out->row_data(t) : ws->cp_gamma.data();
   };
 
-  // ---- Pass 2: fused backward / gamma / xi sweep over panels in
-  // descending order. At frame f the product u = btilde(f+1) * beta(f+1) /
-  // c_{f+1} is formed once and reused by both the backward row-dots and the
-  // xi row-axpys while it is hot; xi accumulates in globally descending f.
+  // ---- Pass 2: backward / gamma sweep over panels in descending order. At
+  // frame f the product u = btilde(f+1) * beta(f+1) / c_{f+1} is formed
+  // once; with an xi sum it feeds both the backward row-dots and the xi
+  // row-axpys while it is hot, and xi accumulates in globally descending f.
   const bool want_ascending = sinks.on_gamma_ascending != nullptr;
   if (want_ascending) ws->cp_beta.Resize(num_panels, k);
   double* beta_next = ws->cp_beta_next.data();  // beta_hat(f + 1) carry
@@ -262,14 +268,19 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
       f = big_t - 1;
     }
     while (f-- > t0) {
-      kt.mul_row_scaled_into(ws->panel_btilde.row_data(f + 1 - t0),
-                             beta_next, 1.0 / scale[f + 1], k, u);
+      const double* btilde_next = ws->panel_btilde.row_data(f + 1 - t0);
       const double* alpha_row = ws->panel_alpha.row_data(f - t0);
-      // beta(f) = A u and the frame's xi accumulation in one pass over A
-      // (beta bitwise = mat_vec_col, as in BetaStep; A is read once, not
-      // twice — the win that matters once k x k falls out of L1).
-      kt.backward_fused(a.data(), u, alpha_row, k, k, beta_cur,
-                        xi_sum->data());
+      if (xi_sum == nullptr) {
+        BetaStep(kt, a, btilde_next, beta_next, scale[f + 1], u, beta_cur);
+      } else {
+        // beta(f) = A u and the frame's xi accumulation in one pass over A
+        // (beta bitwise = mat_vec_col, as in BetaStep; A is read once, not
+        // twice — the win that matters once k x k falls out of L1).
+        kt.mul_row_scaled_into(btilde_next, beta_next, 1.0 / scale[f + 1], k,
+                               u);
+        kt.backward_fused(a.data(), u, alpha_row, k, k, beta_cur,
+                          xi_sum->data());
+      }
       double* gamma_row = gamma_dst(f);
       if (!GammaRow(kt, alpha_row, beta_cur, k, gamma_row)) {
         return PosteriorVanished(f);
@@ -325,20 +336,6 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
     }
   }
   return Status::OK();
-}
-
-Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
-                                      const linalg::Matrix& a,
-                                      const linalg::Matrix& log_b,
-                                      size_t panel_frames,
-                                      InferenceWorkspace* ws,
-                                      ForwardBackwardResult* out) {
-  DHMM_CHECK(out != nullptr);
-  CheckpointedGammaSinks sinks;
-  sinks.gamma_out = &out->gamma;
-  return TryForwardBackwardCheckpointed(pi, a, MatrixLogBRows(log_b),
-                                        panel_frames, ws, sinks,
-                                        &out->xi_sum, &out->log_likelihood);
 }
 
 Status TryLogLikelihood(const linalg::Vector& pi, const linalg::Matrix& a,

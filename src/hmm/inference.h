@@ -123,7 +123,6 @@ struct InferenceWorkspace {
   linalg::Vector cp_beta_next;  ///< k carried beta row across panels
   linalg::Vector cp_beta_cur;   ///< k beta row under construction
   linalg::Vector cp_gamma;      ///< k gamma row when the sinks own no matrix
-  linalg::Matrix cp_xi;         ///< k x k xi staging (rows-based decode)
   linalg::Vector log_b_row;     ///< k emission-row staging for LogBRows
 };
 
@@ -189,7 +188,7 @@ struct ForwardBackwardResult {
 
 /// \brief Runs the scaled forward-backward recursions, never aborting on
 /// an impossible sequence. One call of the sweep below with a single panel
-/// spanning the sequence: the full-table pass.
+/// spanning the sequence and `gamma_out` = out->gamma: the full-table pass.
 ///
 /// \param pi     initial state distribution (k).
 /// \param a      row-stochastic transition matrix (k x k).
@@ -218,10 +217,12 @@ Status TryForwardBackward(const linalg::Vector& pi, const linalg::Matrix& a,
 /// Pass 1 runs the forward recursion over every frame, keeping the T scale
 /// factors, one scaled alpha row per panel start (when there are several),
 /// and the whole last panel (its alpha rows and shifted emissions) in the
-/// panel buffers. Pass 2 is the fused backward / gamma / xi sweep over
-/// panels in descending order: per frame it forms u = btilde(t+1,.) *
-/// beta(t+1,.) / c_{t+1} once, then beta(t) = A u and the frame's xi
-/// accumulation in one pass over A. Each panel but the last is first
+/// panel buffers. Pass 2 is the backward / gamma sweep over panels in
+/// descending order: per frame it forms u = btilde(t+1,.) * beta(t+1,.) /
+/// c_{t+1} once, then beta(t) = A u — fused with the frame's xi
+/// accumulation in one pass over A when `xi_sum` is set, the beta-only
+/// step when it is null (a decode needs only the marginals, and the beta
+/// is bitwise the same either way). Each panel but the last is first
 /// replayed from its checkpoint through the same forward kernel calls —
 /// identical input bits through identical deterministic kernels give
 /// identical output bits — so every panel width, one panel included,
@@ -239,16 +240,6 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
                                       const CheckpointedGammaSinks& sinks,
                                       linalg::Matrix* xi_sum,
                                       double* log_likelihood);
-
-/// \brief Materializing form of the sweep: fills a full
-/// ForwardBackwardResult (gamma included, through `gamma_out`) from a
-/// T x k matrix. TryForwardBackward is this with `panel_frames` = T.
-Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
-                                      const linalg::Matrix& a,
-                                      const linalg::Matrix& log_b,
-                                      size_t panel_frames,
-                                      InferenceWorkspace* ws,
-                                      ForwardBackwardResult* out);
 
 /// \brief Forward-only log-likelihood over a LogBRows provider — bitwise
 /// identical to TryLogLikelihood on a materialized table, O(k) workspace.

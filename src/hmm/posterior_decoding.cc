@@ -5,22 +5,6 @@
 
 namespace dhmm::hmm {
 
-Status TryPosteriorDecode(const linalg::Vector& pi, const linalg::Matrix& a,
-                          const linalg::Matrix& log_b,
-                          InferenceWorkspace* ws, ForwardBackwardResult* fb,
-                          std::vector<int>* path) {
-  DHMM_RETURN_NOT_OK(TryForwardBackward(pi, a, log_b, ws, fb));
-  const size_t big_t = log_b.rows();
-  const size_t k = log_b.cols();
-  path->resize(big_t);
-  for (size_t t = 0; t < big_t; ++t) {
-    // Lowest index wins ties, matching the Viterbi tie-break contract.
-    (*path)[t] =
-        static_cast<int>(linalg::kernels::ArgMaxRow(fb->gamma.row_data(t), k));
-  }
-  return Status::OK();
-}
-
 Status TryPosteriorDecodeRows(const linalg::Vector& pi,
                               const linalg::Matrix& a, const LogBRows& log_b,
                               size_t panel_frames, InferenceWorkspace* ws,
@@ -33,16 +17,23 @@ Status TryPosteriorDecodeRows(const linalg::Vector& pi,
   } ctx{path, log_b.states};
   CheckpointedGammaSinks sinks;
   // Argmax per gamma row as the backward sweep emits it (descending t; the
-  // per-frame argmax is order-independent). Lowest index wins ties, same
-  // as ArgMaxRow over the materialized gamma.
+  // per-frame argmax is order-independent). Lowest index wins ties.
   sinks.on_gamma = [](void* c, size_t t, const double* gamma_row) {
     auto* s = static_cast<Ctx*>(c);
     (*s->path)[t] =
         static_cast<int>(linalg::kernels::ArgMaxRow(gamma_row, s->k));
   };
   sinks.gamma_ctx = &ctx;
-  return TryForwardBackwardCheckpointed(pi, a, log_b, panel_frames, ws,
-                                        sinks, &ws->cp_xi, log_lik);
+  return TryForwardBackwardCheckpointed(pi, a, log_b, panel_frames, ws, sinks,
+                                        /*xi_sum=*/nullptr, log_lik);
+}
+
+Status TryPosteriorDecode(const linalg::Vector& pi, const linalg::Matrix& a,
+                          const linalg::Matrix& log_b, InferenceWorkspace* ws,
+                          ForwardBackwardResult* fb, std::vector<int>* path) {
+  DHMM_CHECK(fb != nullptr);
+  return TryPosteriorDecodeRows(pi, a, MatrixLogBRows(log_b), log_b.rows(), ws,
+                                &fb->log_likelihood, path);
 }
 
 }  // namespace dhmm::hmm

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "hmm/emission_rows.h"
 #include "hmm/inference.h"
 #include "hmm/model.h"
 #include "hmm/sequence.h"
@@ -16,40 +17,40 @@
 
 namespace dhmm::hmm {
 
-/// \brief Per-frame argmax of the posterior marginals gamma. Runs
-/// forward-backward through `ws`, leaves the marginals in `*fb`, and writes
-/// the per-frame argmax into `*path` (lowest state index on ties, matching
-/// Vector::argmax). An impossible sequence returns InvalidArgument (see
-/// TryForwardBackward), never a process abort.
-Status TryPosteriorDecode(const linalg::Vector& pi, const linalg::Matrix& a,
-                          const linalg::Matrix& log_b,
-                          InferenceWorkspace* ws, ForwardBackwardResult* fb,
-                          std::vector<int>* path);
-
 /// \brief Posterior decode over a LogBRows provider with `panel_frames`-wide
-/// panels (0 = ceil(sqrt(T)), O(sqrt(T) * k) workspace): bitwise identical
-/// paths to TryPosteriorDecode. Each gamma row is argmaxed the moment the
-/// backward sweep produces it (ties to the lowest state index, same
-/// contract as TryPosteriorDecode), so no T x k gamma matrix ever exists;
-/// the log-likelihood lands in *log_lik. xi lands in ws->cp_xi (computed
-/// anyway by the fused sweep).
+/// panels (0 = ceil(sqrt(T)), O(sqrt(T) * k) workspace; every width gives
+/// the same bits). Runs the sweep without an xi sum and argmaxes each gamma
+/// row the moment the backward sweep produces it (lowest state index on
+/// ties, matching the Viterbi tie-break), so neither xi nor a T x k gamma
+/// matrix exists; the log-likelihood lands in *log_lik. An impossible
+/// sequence returns InvalidArgument (see TryForwardBackward), never a
+/// process abort.
 Status TryPosteriorDecodeRows(const linalg::Vector& pi,
                               const linalg::Matrix& a, const LogBRows& log_b,
                               size_t panel_frames, InferenceWorkspace* ws,
                               double* log_lik, std::vector<int>* path);
 
-/// \brief Posterior-decodes every sequence in a dataset; aborts with the
-/// Status message on a sequence the model cannot explain.
+/// \brief TryPosteriorDecodeRows over a T x k table with one panel. Only
+/// fb->log_likelihood is written: fb->gamma and fb->xi_sum are not filled.
+Status TryPosteriorDecode(const linalg::Vector& pi, const linalg::Matrix& a,
+                          const linalg::Matrix& log_b, InferenceWorkspace* ws,
+                          ForwardBackwardResult* fb, std::vector<int>* path);
+
+/// \brief Posterior-decodes every sequence in a dataset, one emission row
+/// at a time with one panel; aborts with the Status message on a sequence
+/// the model cannot explain.
 template <typename Obs>
 std::vector<std::vector<int>> PosteriorDecodeDataset(
     const HmmModel<Obs>& model, const Dataset<Obs>& data) {
   InferenceWorkspace ws;
-  ForwardBackwardResult fb;
   std::vector<std::vector<int>> paths(data.size());
   for (size_t s = 0; s < data.size(); ++s) {
-    model.emission->LogProbTableInto(data[s].obs, &ws.log_b);
-    const Status st =
-        TryPosteriorDecode(model.pi, model.a, ws.log_b, &ws, &fb, &paths[s]);
+    EmissionLogBRows<Obs> rows{model.emission.get(), &data[s].obs,
+                               &ws.log_b_row};
+    double log_lik = 0.0;
+    const Status st = TryPosteriorDecodeRows(model.pi, model.a, rows.View(),
+                                             data[s].length(), &ws, &log_lik,
+                                             &paths[s]);
     DHMM_CHECK_MSG(st.ok(), st.message().c_str());
   }
   return paths;

@@ -22,10 +22,11 @@
 // running decode.
 //
 // Determinism: every request is decoded by the deterministic kernel layer
-// with a per-request emission table and a content-keyed transition cache,
-// so results are bitwise-identical to the offline single-threaded
-// hmm::TryViterbi / hmm::TryPosteriorDecode / hmm::TryLogLikelihood for
-// every worker count and batch size (tests/serve_test.cc pins this).
+// with per-request emission rows (a table for Viterbi) and a content-keyed
+// transition cache, so results are bitwise-identical to the offline
+// single-threaded hmm::TryViterbi / hmm::TryPosteriorDecode /
+// hmm::TryLogLikelihood for every worker count and batch size
+// (tests/serve_test.cc pins this).
 //
 // Allocation: request slots, the pending queue, batch scratch, and all
 // per-worker workspaces are pooled and grow-only. After warm-up at a fixed
@@ -74,10 +75,11 @@ struct DecodeServiceOptions {
   /// lower tail latency under mixed traffic, larger batches amortize
   /// dispatch overhead.
   size_t max_batch = 64;
-  /// Posterior-decode / log-likelihood requests of at least this many
-  /// frames run the checkpointed sweep (O(sqrt(T) * k) workspace instead
-  /// of the T x k emission table); 0 disables. Results are bitwise
-  /// identical either way. Viterbi always uses the full table — its
+  /// Posterior-decode requests of at least this many frames run the sweep
+  /// with ceil(sqrt(T))-frame panels (O(sqrt(T) * k) workspace), shorter
+  /// ones with one panel; 0 keeps one panel for every length. Results are
+  /// bitwise identical either way. Posterior and log-likelihood requests
+  /// never build the T x k emission table; Viterbi always does — its
   /// backtrack needs all T argmax rows regardless.
   size_t checkpoint_threshold_frames = hmm::kDefaultCheckpointThresholdFrames;
 
@@ -340,10 +342,9 @@ class DecodeService {
   friend class DecodeFuture<Obs>;
 
   // Per-worker scratch: one inference workspace (with its transition
-  // cache) plus result staging reused across requests.
+  // cache) plus Viterbi result staging reused across requests.
   struct Worker {
     hmm::InferenceWorkspace ws;
-    hmm::ForwardBackwardResult fb;
     hmm::ViterbiResult viterbi;
   };
 
@@ -492,28 +493,24 @@ class DecodeService {
       r.status = Status::InvalidArgument("empty observation sequence");
       return;
     }
-    // Long posterior / log-likelihood requests take the checkpointed
-    // sweep: emission log-probs are produced row-at-a-time on demand, so
-    // the T x k table is never materialized (Viterbi's backtrack needs the
-    // full table and is excluded). Paths and values stay bitwise identical
-    // to the full path — tests/serve_test.cc pins the service against the
-    // offline decoders either way.
+    // Posterior and log-likelihood requests read emission rows on demand,
+    // so only Viterbi, whose backtrack reads every frame, builds the T x k
+    // table. The threshold picks the posterior sweep's panel width; every
+    // width gives the same bits, and tests/serve_test.cc pins the service
+    // against the offline decoders at both. Everything below goes through
+    // the non-aborting Try* inference forms: an impossible sequence
+    // (zero-probability frame, chain-unreachable frame, scaled-emission
+    // underflow) is a per-request InvalidArgument, never a DHMM_CHECK
+    // process abort — one bad client request must not take down a
+    // multi-tenant service.
+    const size_t frames = slot->obs->size();
     const size_t threshold = options_.checkpoint_threshold_frames;
-    const bool checkpointed = threshold != 0 &&
-                              slot->obs->size() >= threshold &&
-                              slot->kind != DecodeKind::kViterbi;
-    if (!checkpointed) {
-      m.emission->LogProbTableInto(*slot->obs, &w.ws.log_b);
-    }
+    const size_t panel = threshold != 0 && frames >= threshold ? 0 : frames;
     hmm::EmissionLogBRows<Obs> rows{m.emission.get(), slot->obs,
                                     &w.ws.log_b_row};
-    // Everything below goes through the non-aborting Try* inference forms:
-    // an impossible sequence (zero-probability frame, chain-unreachable
-    // frame, scaled-emission underflow) is a per-request InvalidArgument,
-    // never a DHMM_CHECK process abort — one bad client request must not
-    // take down a multi-tenant service.
     switch (slot->kind) {
       case DecodeKind::kViterbi:
+        m.emission->LogProbTableInto(*slot->obs, &w.ws.log_b);
         r.status = hmm::TryViterbi(m.pi, m.a, w.ws.log_b, &w.ws, &w.viterbi);
         if (r.status.ok()) {
           r.path.assign(w.viterbi.path.begin(), w.viterbi.path.end());
@@ -521,24 +518,12 @@ class DecodeService {
         }
         break;
       case DecodeKind::kPosterior:
-        if (checkpointed) {
-          r.status = hmm::TryPosteriorDecodeRows(m.pi, m.a, rows.View(),
-                                                 /*panel_frames=*/0, &w.ws,
-                                                 &r.value, &r.path);
-        } else {
-          r.status = hmm::TryPosteriorDecode(m.pi, m.a, w.ws.log_b, &w.ws,
-                                             &w.fb, &r.path);
-          if (r.status.ok()) r.value = w.fb.log_likelihood;
-        }
+        r.status = hmm::TryPosteriorDecodeRows(m.pi, m.a, rows.View(), panel,
+                                               &w.ws, &r.value, &r.path);
         break;
       case DecodeKind::kLogLikelihood:
-        if (checkpointed) {
-          r.status = hmm::TryLogLikelihoodRows(m.pi, m.a, rows.View(), &w.ws,
-                                               &r.value);
-        } else {
-          r.status =
-              hmm::TryLogLikelihood(m.pi, m.a, w.ws.log_b, &w.ws, &r.value);
-        }
+        r.status = hmm::TryLogLikelihoodRows(m.pi, m.a, rows.View(), &w.ws,
+                                             &r.value);
         break;
       case DecodeKind::kSessionPush:
         // Session pushes carry per-stream state; they route to
@@ -563,7 +548,10 @@ class DecodeService {
             std::to_string(static_cast<int>(slot->kind)));
         break;
     }
-    if (!r.status.ok()) r.path.clear();
+    if (!r.status.ok()) {
+      r.path.clear();
+      r.value = 0.0;  // the sweep may have written a log-likelihood
+    }
   }
 
   const DecodeServiceOptions options_;

@@ -371,9 +371,7 @@ class FrontEnd {
     for (;;) {
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) return;  // EAGAIN or transient error: next poll retries
-      int live = 0;
-      for (const Conn& c : conns_) live += c.open;
-      if (live >= options_.max_connections) {
+      if (open_conns_ >= options_.max_connections) {
         ::close(fd);
         Bump(connections_rejected_);
         continue;
@@ -396,6 +394,7 @@ class FrontEnd {
       c.rlen = 0;
       c.wbuf.clear();
       c.woff = 0;
+      ++open_conns_;
       Bump(connections_accepted_);
     }
   }
@@ -406,6 +405,7 @@ class FrontEnd {
     ::close(c.fd);
     c.fd = -1;
     c.open = false;
+    --open_conns_;
     ++c.generation;  // any response still in flight is now stale
     DestroySession(c);
     if (c.inflight == 0) free_conns_.push_back(idx);
@@ -751,6 +751,7 @@ class FrontEnd {
   // IO-thread state (single-threaded: no locks).
   std::vector<Conn> conns_;
   std::vector<size_t> free_conns_;
+  int open_conns_ = 0;  // open conns_ entries, checked by the accept cap
   std::vector<std::unique_ptr<ReqSlot>> all_slots_;
   std::vector<ReqSlot*> free_slots_;
   std::vector<pollfd> pollfds_;

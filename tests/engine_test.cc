@@ -503,6 +503,7 @@ TEST(CheckpointedFbTest, BitwiseGridAgainstFullSweep) {
   InferenceWorkspace ws_cp;  // deliberately reused dirty across the grid
   ForwardBackwardResult full;
   ForwardBackwardResult cp;
+  linalg::Matrix gamma_no_xi;
   for (size_t big_t : {size_t{1}, size_t{2}, size_t{1000}, size_t{1001},
                        size_t{4096}}) {
     for (size_t k : {size_t{1}, size_t{5}, size_t{20}}) {
@@ -513,28 +514,38 @@ TEST(CheckpointedFbTest, BitwiseGridAgainstFullSweep) {
       // panel 0 = auto ceil(sqrt(T)); the explicit sizes hit the extreme
       // panelings (every frame a checkpoint / one giant panel).
       for (size_t panel : {size_t{0}, size_t{1}, size_t{7}, big_t}) {
-        ASSERT_TRUE(TryForwardBackwardCheckpointed(pi, a, log_b, panel,
-                                                   &ws_cp, &cp)
+        CheckpointedGammaSinks sinks;
+        sinks.gamma_out = &cp.gamma;
+        ASSERT_TRUE(TryForwardBackwardCheckpointed(
+                        pi, a, MatrixLogBRows(log_b), panel, &ws_cp, sinks,
+                        &cp.xi_sum, &cp.log_likelihood)
                         .ok());
         // Bitwise, not approximate: the checkpointed sweep replays the
         // identical kernel calls on identical input bits.
         ASSERT_EQ(cp.log_likelihood, full.log_likelihood)
             << "T=" << big_t << " k=" << k << " panel=" << panel;
-        size_t gamma_diff = 0;
-        size_t xi_diff = 0;
-        for (size_t t = 0; t < big_t; ++t) {
-          for (size_t i = 0; i < k; ++i) {
-            gamma_diff += cp.gamma(t, i) != full.gamma(t, i);
-          }
-        }
-        for (size_t i = 0; i < k; ++i) {
-          for (size_t j = 0; j < k; ++j) {
-            xi_diff += cp.xi_sum(i, j) != full.xi_sum(i, j);
-          }
-        }
-        EXPECT_EQ(gamma_diff, 0u)
+        EXPECT_EQ(std::memcmp(cp.gamma.data(), full.gamma.data(),
+                              big_t * k * sizeof(double)),
+                  0)
             << "T=" << big_t << " k=" << k << " panel=" << panel;
-        EXPECT_EQ(xi_diff, 0u)
+        EXPECT_EQ(std::memcmp(cp.xi_sum.data(), full.xi_sum.data(),
+                              k * k * sizeof(double)),
+                  0)
+            << "T=" << big_t << " k=" << k << " panel=" << panel;
+
+        // Without an xi sum the descent runs the beta-only step; its
+        // gamma rows and log-likelihood are the xi run's bits.
+        sinks.gamma_out = &gamma_no_xi;
+        double ll_no_xi = 0.0;
+        ASSERT_TRUE(TryForwardBackwardCheckpointed(
+                        pi, a, MatrixLogBRows(log_b), panel, &ws_cp, sinks,
+                        /*xi_sum=*/nullptr, &ll_no_xi)
+                        .ok());
+        EXPECT_TRUE(SameBits(ll_no_xi, cp.log_likelihood))
+            << "T=" << big_t << " k=" << k << " panel=" << panel;
+        EXPECT_EQ(std::memcmp(gamma_no_xi.data(), cp.gamma.data(),
+                              big_t * k * sizeof(double)),
+                  0)
             << "T=" << big_t << " k=" << k << " panel=" << panel;
       }
     }
@@ -563,15 +574,26 @@ TEST(CheckpointedFbTest, PosteriorDecodePathsBitwiseIdentical) {
   prob::Rng rng(4244);
   InferenceWorkspace ws;
   ForwardBackwardResult fb_full;
-  std::vector<int> path_full;
+  ForwardBackwardResult fb_decode;
+  std::vector<int> path_one_panel;
   std::vector<int> path_cp;
   for (size_t big_t : {size_t{1}, size_t{300}, size_t{1001}}) {
     const size_t k = 5;
     linalg::Vector pi = rng.DirichletSymmetric(k, 1.5);
     linalg::Matrix a = rng.RandomStochasticMatrix(k, k, 1.5);
     linalg::Matrix log_b = RandomLogB(big_t, k, rng);
-    ASSERT_TRUE(
-        TryPosteriorDecode(pi, a, log_b, &ws, &fb_full, &path_full).ok());
+    // The reference: the full xi-accumulating sweep, argmaxed per row.
+    ASSERT_TRUE(TryForwardBackward(pi, a, log_b, &ws, &fb_full).ok());
+    std::vector<int> path_full(big_t);
+    for (size_t t = 0; t < big_t; ++t) {
+      path_full[t] = static_cast<int>(fb_full.gamma.Row(t).argmax());
+    }
+    ASSERT_TRUE(TryPosteriorDecode(pi, a, log_b, &ws, &fb_decode,
+                                   &path_one_panel)
+                    .ok());
+    EXPECT_EQ(path_one_panel, path_full) << big_t;
+    EXPECT_TRUE(SameBits(fb_decode.log_likelihood, fb_full.log_likelihood))
+        << big_t;
     // panel_frames 0: ceil(sqrt(T)) panels, gamma argmaxed row by row.
     double log_lik_cp = 0.0;
     ASSERT_TRUE(TryPosteriorDecodeRows(pi, a, MatrixLogBRows(log_b),
@@ -579,12 +601,7 @@ TEST(CheckpointedFbTest, PosteriorDecodePathsBitwiseIdentical) {
                                        &path_cp)
                     .ok());
     EXPECT_EQ(path_cp, path_full) << big_t;
-    EXPECT_EQ(log_lik_cp, fb_full.log_likelihood) << big_t;
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t j = 0; j < k; ++j) {
-        ASSERT_EQ(ws.cp_xi(i, j), fb_full.xi_sum(i, j)) << big_t;
-      }
-    }
+    EXPECT_TRUE(SameBits(log_lik_cp, fb_full.log_likelihood)) << big_t;
   }
 }
 

@@ -11,6 +11,8 @@
 //    payload -> InvalidArgument — never a crash or an abort,
 //  - responses come back in completion order, FIFO per model, and Stop()
 //    drains every in-flight request before freeing anything,
+//  - past max_connections a new client is closed on accept, and a
+//    disconnect frees its slot for the next one,
 //  - steady-state wire round trips at a fixed shape make zero heap
 //    allocations (instrumented operator new).
 #include <unistd.h>
@@ -736,6 +738,59 @@ TEST_F(FrontEndTest, ClosingAConnectionDestroysItsSession) {
   }
   EXPECT_EQ(sessions.live_sessions(), 0u);
   frontend_.reset();  // the manager must outlive the front-end
+}
+
+// ------------------------------------------------------- connection cap ---
+
+TEST_F(FrontEndTest, ConnectionCapClosesExcessClientAndFreesSlotOnDisconnect) {
+  ASSERT_TRUE(registry_.Register(1, MakeModel(3, 148)).ok());
+  serve::FrontEndOptions opts;
+  opts.max_connections = 2;
+  StartFrontEnd(opts);
+  const std::vector<double> obs = {0.5, 1.5, 2.5};
+  serve::WireClientOptions copts;
+  copts.receive_timeout_ms = 5000;  // a regression fails instead of hanging
+  auto served = [&](serve::WireClient& client, uint64_t id) {
+    serve::DecodeResponse resp;
+    return client.Call(Request(1, serve::DecodeKind::kViterbi, &obs, id),
+                       &resp)
+               .ok() &&
+           resp.status.ok();
+  };
+
+  serve::WireClient first(copts);
+  serve::WireClient second(copts);
+  ASSERT_TRUE(first.Connect(frontend_->port()).ok());
+  ASSERT_TRUE(served(first, 1));
+  ASSERT_TRUE(second.Connect(frontend_->port()).ok());
+  ASSERT_TRUE(served(second, 2));
+
+  // Both slots are taken: the server closes a third client on accept.
+  serve::WireClient third(copts);
+  ASSERT_TRUE(third.Connect(frontend_->port()).ok());
+  serve::DecodeResponse resp;
+  EXPECT_EQ(third.Receive(&resp).code(), StatusCode::kUnavailable);
+  for (int spin = 0; spin < 2000 && frontend_->connections_rejected() != 1;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(frontend_->connections_rejected(), 1u);
+  EXPECT_TRUE(served(second, 3));  // the open clients are unharmed
+
+  // A disconnect frees its slot. The IO thread may accept a new client
+  // before it reads the old one's EOF, so connect until one is served.
+  first.Close();
+  bool fresh_served = false;
+  for (int attempt = 0; attempt < 2000 && !fresh_served; ++attempt) {
+    serve::WireClient fresh(copts);
+    fresh_served = fresh.Connect(frontend_->port()).ok() &&
+                   served(fresh, 10 + static_cast<uint64_t>(attempt));
+    if (!fresh_served) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_TRUE(fresh_served);
+  EXPECT_TRUE(served(second, 4));
 }
 
 // ------------------------------------------------------ drain on Stop() ---

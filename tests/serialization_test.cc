@@ -252,8 +252,7 @@ TEST_F(CheckpointFileTest, HostileCrcValidImagesAreTypedIOErrors) {
        With(GaussianImage(), [](Image* m) { m->emission[1].values[0] = 0.0; }),
        &ReadStatus<double>},
       {"gaussian sigma NaN",
-       With(GaussianImage(),
-            [](Image* m) { m->emission[1].values[1] = kNaN; }),
+       With(GaussianImage(), [](Image* m) { m->emission[1].values[1] = kNaN; }),
        &ReadStatus<double>},
       {"gaussian sigma +inf",
        With(GaussianImage(),

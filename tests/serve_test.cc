@@ -9,6 +9,8 @@
 //  - impossible, unreachable, underflowed and non-finite (NaN) inputs
 //    are per-request InvalidArgument errors that leave the service
 //    serving,
+//  - checkpoint_threshold_frames only picks the posterior sweep's panel
+//    width: lengths on both sides of it serve the offline answers bitwise,
 //  - every request completes through its CompletionHook, in slot order;
 //    an expired deadline is answered at batch cut without decode work,
 //    and destruction drains a paused service,
@@ -21,6 +23,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -81,6 +84,10 @@ OfflineRef Offline(const hmm::HmmModel<double>& m,
   return ref;
 }
 
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
 // ----------------------------------------------------------- DecodeService ---
 
 TEST(DecodeServiceTest, BitwiseMatchesOfflineForEveryWorkerAndBatchSize) {
@@ -124,6 +131,54 @@ TEST(DecodeServiceTest, BitwiseMatchesOfflineForEveryWorkerAndBatchSize) {
       EXPECT_EQ(service.requests_served(), 3 * data.size());
       EXPECT_LE(service.largest_batch(), max_batch);
     }
+  }
+}
+
+TEST(DecodeServiceTest, BothPanelWidthsMatchOfflineBitwise) {
+  // Requests shorter than the threshold run the posterior sweep with one
+  // panel, the rest with ceil(sqrt(T))-frame panels; Viterbi builds the
+  // table at every length. Every answer is the offline one, bit for bit.
+  auto model = MakeModel(5, 17);
+  hmm::Dataset<double> data;
+  uint64_t seed = 18;
+  for (size_t length : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                        size_t{64}}) {
+    for (auto& seq : MakeData(*model, 2, length, seed++)) data.push_back(seq);
+  }
+  std::vector<OfflineRef> refs;
+  for (const auto& seq : data) refs.push_back(Offline(*model, seq.obs));
+
+  for (int threads : {1, 3}) {
+    serve::DecodeServiceOptions opts;
+    opts.num_threads = threads;
+    opts.checkpoint_threshold_frames = 8;
+    serve::DecodeService<double> service(model, opts);
+    std::vector<serve::DecodeFuture<double>> futures;
+    for (const auto& seq : data) {
+      futures.push_back(service.Submit(serve::DecodeKind::kViterbi, seq.obs));
+      futures.push_back(
+          service.Submit(serve::DecodeKind::kPosterior, seq.obs));
+      futures.push_back(
+          service.Submit(serve::DecodeKind::kLogLikelihood, seq.obs));
+    }
+    for (size_t s = 0; s < data.size(); ++s) {
+      const size_t length = data[s].length();
+      const serve::DecodeResponse& vit = futures[3 * s].Wait();
+      ASSERT_TRUE(vit.status.ok()) << vit.status.message();
+      EXPECT_EQ(vit.path, refs[s].viterbi.path) << length;
+      EXPECT_TRUE(SameBits(vit.value, refs[s].viterbi.log_joint)) << length;
+
+      const serve::DecodeResponse& post = futures[3 * s + 1].Wait();
+      ASSERT_TRUE(post.status.ok()) << post.status.message();
+      EXPECT_EQ(post.path, refs[s].posterior) << length;
+      EXPECT_TRUE(SameBits(post.value, refs[s].log_likelihood)) << length;
+
+      const serve::DecodeResponse& ll = futures[3 * s + 2].Wait();
+      ASSERT_TRUE(ll.status.ok()) << ll.status.message();
+      EXPECT_TRUE(ll.path.empty());
+      EXPECT_TRUE(SameBits(ll.value, refs[s].log_likelihood)) << length;
+    }
+    futures.clear();  // release slots before the service dies
   }
 }
 
