@@ -2,7 +2,8 @@
 // Viterbi and posterior decoding scaling in the number of states k and
 // sequence length T, plus the kernel-path-versus-scalar-baseline sweep that
 // gates the micro-kernel layer (>= 1.5x on ForwardBackward at k = 50, same
-// pattern as perf_mstep).
+// pattern as perf_mstep), and the emission table every decode and E-step
+// builds first (BM_EmissionTable, one series per emission family).
 //
 // The baseline below is a line-by-line replica of the pre-kernel inference
 // code this PR replaced — column-strided reads of A, the per-frame
@@ -19,12 +20,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "hmm/inference.h"
 #include "hmm/posterior_decoding.h"
 #include "linalg/kernels_dispatch.h"
+#include "prob/bernoulli_emission.h"
+#include "prob/categorical_emission.h"
+#include "prob/gaussian_emission.h"
+#include "prob/gmm_emission.h"
 #include "prob/rng.h"
 
 namespace {
@@ -379,11 +385,92 @@ void BM_LogLikelihoodOnly(benchmark::State& state) {
   for (auto _ : state) {
     hmm::InferenceWorkspace ws;
     double ll = 0.0;
-    hmm::TryLogLikelihood(c.pi, c.a, c.log_b, &ws, &ll);
+    hmm::TryLogLikelihoodRows(c.pi, c.a, hmm::MatrixLogBRows(c.log_b), &ws,
+                              &ll);
     benchmark::DoNotOptimize(ll);
   }
 }
 BENCHMARK(BM_LogLikelihoodOnly)->Args({15, 24})->Args({26, 8});
+
+// ------------------------------------------------------- emission tables ---
+//
+// LogProbTableInto over T = 100 frames into a warm table, one series per
+// emission family at the shapes the experiments and the benchmark serve:
+// Gaussian (toy, wire_k50_mixed) at k = 5, 20, 50; categorical at the PoS
+// shape (k = 15, V = 10000); GMM at k = 20 with M = 3 components; Bernoulli
+// at the OCR shape (k = 26, D = 128). Models and observations are drawn
+// once, outside the timed loop. Single samples of a few-microsecond loop
+// are noisy on a shared host: compare runs with --benchmark_repetitions=10
+// and the median aggregate.
+
+constexpr size_t kTableFrames = 100;
+
+template <typename Obs>
+void RegisterEmissionTable(
+    const std::string& shape,
+    std::shared_ptr<const prob::EmissionModel<Obs>> model,
+    std::vector<Obs> obs) {
+  benchmark::RegisterBenchmark(
+      ("BM_EmissionTable/" + shape + "/T:100").c_str(),
+      [model, obs](benchmark::State& state) {
+        linalg::Matrix table;
+        model->LogProbTableInto(obs, &table);  // size the table once
+        for (auto _ : state) {
+          model->LogProbTableInto(obs, &table);
+          benchmark::DoNotOptimize(table.data());
+          benchmark::ClobberMemory();
+        }
+        state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                                static_cast<int64_t>(obs.size()));
+      });
+}
+
+int RegisterEmissionTables() {
+  prob::Rng rng(2016);
+  for (size_t k : {size_t{5}, size_t{20}, size_t{50}}) {
+    std::vector<double> obs(kTableFrames);
+    for (double& y : obs) y = rng.Gaussian(3.0, 2.0);
+    RegisterEmissionTable<double>(
+        "gaussian/k:" + std::to_string(k),
+        std::make_shared<prob::GaussianEmission>(
+            prob::GaussianEmission::RandomInit(k, rng)),
+        obs);
+  }
+  {
+    const size_t vocab = 10000;
+    std::vector<int> obs(kTableFrames);
+    for (int& y : obs) y = static_cast<int>(rng.UniformInt(vocab));
+    RegisterEmissionTable<int>(
+        "categorical/k:15/V:10000",
+        std::make_shared<prob::CategoricalEmission>(
+            prob::CategoricalEmission::RandomInit(15, vocab, rng)),
+        obs);
+  }
+  {
+    std::vector<double> obs(kTableFrames);
+    for (double& y : obs) y = rng.Uniform(0.0, 6.0);
+    RegisterEmissionTable<double>(
+        "gmm/k:20/M:3",
+        std::make_shared<prob::GmmEmission>(
+            prob::GmmEmission::RandomInit(20, 3, rng)),
+        obs);
+  }
+  {
+    const size_t dims = 128;
+    std::vector<prob::BinaryObs> obs(kTableFrames, prob::BinaryObs(dims));
+    for (auto& y : obs) {
+      for (auto& pixel : y) pixel = rng.Bernoulli(0.3) ? 1 : 0;
+    }
+    RegisterEmissionTable<prob::BinaryObs>(
+        "bernoulli/k:26/D:128",
+        std::make_shared<prob::BernoulliEmission>(
+            prob::BernoulliEmission::RandomInit(26, dims, rng)),
+        obs);
+  }
+  return 0;
+}
+
+const int kEmissionTablesRegistered = RegisterEmissionTables();
 
 // ----------------------------------------------- per-ISA dispatch benches ---
 //

@@ -1,6 +1,7 @@
 #include "baselines/naive_bayes.h"
 
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 
@@ -52,10 +53,14 @@ void NaiveBayesClassifier::Fit(const hmm::Dataset<prob::BinaryObs>& data) {
 }
 
 int NaiveBayesClassifier::Predict(const prob::BinaryObs& obs) const {
+  DHMM_CHECK_MSG(obs.size() == emission_.dims(),
+                 "observation dimensionality mismatch");
+  linalg::Vector row(num_classes_);
+  emission_.LogProbRow(obs, row.data());
   double best = -std::numeric_limits<double>::infinity();
   int arg = 0;
   for (size_t c = 0; c < num_classes_; ++c) {
-    double score = log_priors_[c] + emission_.LogProb(c, obs);
+    double score = log_priors_[c] + row[c];
     if (score > best) {
       best = score;
       arg = static_cast<int>(c);

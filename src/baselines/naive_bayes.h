@@ -28,7 +28,7 @@ class NaiveBayesClassifier {
   /// Fits priors and per-class pixel probabilities from labeled sequences.
   void Fit(const hmm::Dataset<prob::BinaryObs>& data);
 
-  /// Classifies one frame.
+  /// Classifies one frame; `obs` must have emission().dims() entries.
   int Predict(const prob::BinaryObs& obs) const;
 
   /// Classifies every frame of a sequence independently.

@@ -4,9 +4,9 @@
 // LogProbTableInto materializes a T x k table; for T ~ 1e6 that table alone
 // defeats the checkpointed sweep's O(sqrt(T) * k) memory bound. This adapter
 // computes one frame's log-emission row on demand into a caller-owned k
-// scratch vector, using the exact per-entry loop of LogProbTableInto, so the
-// rows (and therefore everything downstream) are bitwise identical to the
-// materialized path.
+// scratch vector with the same EmissionModel::LogProbRow call that fills a
+// row of LogProbTableInto, so the rows (and therefore everything
+// downstream) are bitwise identical to the materialized path.
 #ifndef DHMM_HMM_EMISSION_ROWS_H_
 #define DHMM_HMM_EMISSION_ROWS_H_
 
@@ -44,13 +44,10 @@ struct EmissionLogBRows {
   }
 
  private:
-  // Same entry order as LogProbTableInto's inner loop: identical bits.
   static const double* Row(void* ctx, size_t t) {
     auto* self = static_cast<EmissionLogBRows*>(ctx);
-    const size_t k = self->row->size();
     double* out = self->row->data();
-    const Obs& y = (*self->obs)[t];
-    for (size_t i = 0; i < k; ++i) out[i] = self->emission->LogProb(i, y);
+    self->emission->LogProbRow((*self->obs)[t], out);
     return out;
   }
 };

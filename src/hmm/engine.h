@@ -67,9 +67,10 @@ class BatchEmEngine {
   ///
   /// When `emission_acc` is non-null the engine calls BeginAccumulate() and
   /// feeds every frame's posterior into it in (sequence, frame) order; the
-  /// caller runs FinishAccumulate() as part of its M-step. The accumulator's
-  /// LogProb/LogProbTableInto must be const-thread-safe (all in-tree emission
-  /// families are: their tables are read-only between M-steps).
+  /// caller runs FinishAccumulate() as part of its M-step. The model's
+  /// LogProbRow must be const-thread-safe: workers evaluate rows of one
+  /// const model concurrently (all in-tree emission families are: their
+  /// per-state constants are read-only between M-steps).
   EStepStats EStep(const HmmModel<Obs>& model, const Dataset<Obs>& data,
                    prob::EmissionModel<Obs>* emission_acc = nullptr) {
     EStepStats stats;

@@ -338,14 +338,6 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
   return Status::OK();
 }
 
-Status TryLogLikelihood(const linalg::Vector& pi, const linalg::Matrix& a,
-                        const linalg::Matrix& log_b, InferenceWorkspace* ws,
-                        double* out) {
-  // Same per-frame kernel-call sequence either way, so delegating to the
-  // rows form is bitwise-neutral.
-  return TryLogLikelihoodRows(pi, a, MatrixLogBRows(log_b), ws, out);
-}
-
 Status TryLogLikelihoodRows(const linalg::Vector& pi, const linalg::Matrix& a,
                             const LogBRows& log_b, InferenceWorkspace* ws,
                             double* out) {

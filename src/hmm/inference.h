@@ -17,7 +17,7 @@
 // kernel calls are the same, so every panel width gives the same bits.
 //
 // The entry points are the Status-returning Try* forms (TryForwardBackward
-// / TryLogLikelihood / TryViterbi), one per operation: they take an
+// / TryLogLikelihoodRows / TryViterbi), one per operation: they take an
 // InferenceWorkspace whose buffers are reused across calls (zero heap
 // traffic after warm-up) and report an impossible sequence as an
 // InvalidArgument instead of killing the process — the contract every
@@ -241,17 +241,13 @@ Status TryForwardBackwardCheckpointed(const linalg::Vector& pi,
                                       linalg::Matrix* xi_sum,
                                       double* log_likelihood);
 
-/// \brief Forward-only log-likelihood over a LogBRows provider — bitwise
-/// identical to TryLogLikelihood on a materialized table, O(k) workspace.
+/// \brief log P(Y | lambda) only: the forward pass over a LogBRows
+/// provider (MatrixLogBRows for a materialized table), O(k) workspace, the
+/// same bits as the sweep's log-likelihood. Error contract of
+/// TryForwardBackward.
 Status TryLogLikelihoodRows(const linalg::Vector& pi, const linalg::Matrix& a,
                             const LogBRows& log_b, InferenceWorkspace* ws,
                             double* out);
-
-/// \brief log P(Y | lambda) only (forward pass); error contract of
-/// TryForwardBackward.
-Status TryLogLikelihood(const linalg::Vector& pi, const linalg::Matrix& a,
-                        const linalg::Matrix& log_b, InferenceWorkspace* ws,
-                        double* out);
 
 /// \brief Result of Viterbi decoding.
 struct ViterbiResult {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "prob/logsumexp.h"
 #include "util/check.h"
 
 namespace dhmm::prob {
@@ -17,7 +18,7 @@ BernoulliEmission::BernoulliEmission(linalg::Matrix p, double p_floor)
     }
   }
   Clamp();
-  RebuildLogTables();
+  RebuildLogTerms();
 }
 
 BernoulliEmission BernoulliEmission::RandomInit(size_t k, size_t dims,
@@ -36,27 +37,31 @@ void BernoulliEmission::Clamp() {
   }
 }
 
-void BernoulliEmission::RebuildLogTables() {
-  log_p_ = linalg::Matrix(p_.rows(), p_.cols());
-  log_1mp_ = linalg::Matrix(p_.rows(), p_.cols());
-  for (size_t i = 0; i < p_.rows(); ++i) {
-    for (size_t d = 0; d < p_.cols(); ++d) {
-      log_p_(i, d) = std::log(p_(i, d));
-      log_1mp_(i, d) = std::log(1.0 - p_(i, d));
+void BernoulliEmission::RebuildLogTerms() {
+  log_terms_.Resize(2 * p_.cols(), p_.rows());
+  for (size_t d = 0; d < p_.cols(); ++d) {
+    double* off = log_terms_.row_data(2 * d);
+    double* on = log_terms_.row_data(2 * d + 1);
+    for (size_t i = 0; i < p_.rows(); ++i) {
+      on[i] = std::log(p_(i, d));
+      off[i] = std::log(1.0 - p_(i, d));
     }
   }
 }
 
-double BernoulliEmission::LogProb(size_t state, const BinaryObs& y) const {
-  DHMM_DCHECK(state < p_.rows());
-  DHMM_CHECK_MSG(y.size() == p_.cols(), "observation dimensionality mismatch");
-  double s = 0.0;
-  const double* lp = log_p_.row_data(state);
-  const double* lq = log_1mp_.row_data(state);
+// Every state sums its pixel terms from 0.0 in ascending d, as a
+// per-state loop would, so the row keeps its bits. Each step is one
+// contiguous k-add of the row the pixel's value indexes: no branch on the
+// pixel.
+void BernoulliEmission::LogProbRow(const BinaryObs& y, double* out) const {
+  const size_t k = p_.rows();
+  const bool valid = y.size() == p_.cols();
+  std::fill(out, out + k, valid ? 0.0 : kNegInf);
+  if (!valid) return;
   for (size_t d = 0; d < y.size(); ++d) {
-    s += y[d] ? lp[d] : lq[d];
+    const double* term = log_terms_.row_data(2 * d + (y[d] != 0 ? 1 : 0));
+    for (size_t i = 0; i < k; ++i) out[i] += term[i];
   }
-  return s;
 }
 
 BinaryObs BernoulliEmission::Sample(size_t state, Rng& rng) const {
@@ -97,7 +102,7 @@ void BernoulliEmission::FinishAccumulate() {
     }
   }
   Clamp();
-  RebuildLogTables();
+  RebuildLogTerms();
 }
 
 std::unique_ptr<EmissionModel<BinaryObs>> BernoulliEmission::Clone() const {

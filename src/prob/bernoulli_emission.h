@@ -18,6 +18,9 @@ using BinaryObs = std::vector<uint8_t>;
 ///
 /// Parameters are a k x D matrix of pixel-on probabilities, clamped to
 /// [p_floor, 1 - p_floor] so single contradicting pixels cannot veto a state.
+/// The log terms are kept pixel-major: a frame's emission row adds one
+/// contiguous k-row per pixel, picked by the pixel's value. An observation
+/// whose length is not D has probability 0 under every state.
 class BernoulliEmission : public EmissionModel<BinaryObs> {
  public:
   /// Constructs from a k x D probability matrix (entries in [0, 1]).
@@ -30,7 +33,7 @@ class BernoulliEmission : public EmissionModel<BinaryObs> {
   size_t num_states() const override { return p_.rows(); }
   size_t dims() const { return p_.cols(); }
 
-  double LogProb(size_t state, const BinaryObs& y) const override;
+  void LogProbRow(const BinaryObs& y, double* out) const override;
   BinaryObs Sample(size_t state, Rng& rng) const override;
 
   void BeginAccumulate() override;
@@ -46,11 +49,11 @@ class BernoulliEmission : public EmissionModel<BinaryObs> {
 
  private:
   void Clamp();
-  void RebuildLogTables();
+  void RebuildLogTerms();
 
   linalg::Matrix p_;
-  linalg::Matrix log_p_;     // log p
-  linalg::Matrix log_1mp_;   // log (1 - p)
+  // 2D x k: row 2d is log(1 - p_{., d}), row 2d + 1 is log p_{., d}.
+  linalg::Matrix log_terms_;
   double p_floor_;
   linalg::Matrix acc_on_;    // expected on-counts, k x D
   linalg::Vector acc_w_;     // expected total weight per state

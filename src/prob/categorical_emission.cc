@@ -1,6 +1,8 @@
 #include "prob/categorical_emission.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "prob/logsumexp.h"
 #include "util/check.h"
@@ -24,18 +26,24 @@ CategoricalEmission CategoricalEmission::RandomInit(size_t k, size_t vocab,
 }
 
 void CategoricalEmission::RebuildLogTable() {
-  log_b_ = linalg::Matrix(b_.rows(), b_.cols());
-  for (size_t i = 0; i < b_.rows(); ++i) {
-    for (size_t v = 0; v < b_.cols(); ++v) {
-      log_b_(i, v) = b_(i, v) > 0.0 ? std::log(b_(i, v)) : kNegInf;
+  log_bt_.Resize(b_.cols(), b_.rows());
+  for (size_t v = 0; v < b_.cols(); ++v) {
+    double* row = log_bt_.row_data(v);
+    for (size_t i = 0; i < b_.rows(); ++i) {
+      const double p = b_(i, v);
+      row[i] = p > 0.0 ? std::log(p) : kNegInf;
     }
   }
 }
 
-double CategoricalEmission::LogProb(size_t state, const int& y) const {
-  DHMM_DCHECK(state < b_.rows());
-  DHMM_DCHECK(y >= 0 && static_cast<size_t>(y) < b_.cols());
-  return log_b_(state, static_cast<size_t>(y));
+void CategoricalEmission::LogProbRow(const int& y, double* out) const {
+  const size_t k = b_.rows();
+  if (y < 0 || static_cast<size_t>(y) >= b_.cols()) {
+    std::fill(out, out + k, kNegInf);
+    return;
+  }
+  std::memcpy(out, log_bt_.row_data(static_cast<size_t>(y)),
+              k * sizeof(double));
 }
 
 int CategoricalEmission::Sample(size_t state, Rng& rng) const {
@@ -44,22 +52,35 @@ int CategoricalEmission::Sample(size_t state, Rng& rng) const {
 }
 
 void CategoricalEmission::BeginAccumulate() {
-  acc_ = linalg::Matrix(b_.rows(), b_.cols(), pseudo_count_);
+  acc_ = linalg::Matrix(b_.cols(), b_.rows(), pseudo_count_);
 }
 
 void CategoricalEmission::Accumulate(const int& y, const linalg::Vector& q) {
   DHMM_DCHECK(q.size() == b_.rows());
   DHMM_DCHECK(y >= 0 && static_cast<size_t>(y) < b_.cols());
-  for (size_t i = 0; i < q.size(); ++i) {
-    acc_(i, static_cast<size_t>(y)) += q[i];
-  }
+  double* counts = acc_.row_data(static_cast<size_t>(y));
+  for (size_t i = 0; i < q.size(); ++i) counts[i] += q[i];
 }
 
+// Matrix::NormalizeRows over the transposed counts: each state's total
+// sums its counts from 0.0 in ascending symbol order, so b_ keeps its bits.
+// Both passes read the counts row by row.
 void CategoricalEmission::FinishAccumulate() {
-  DHMM_CHECK_MSG(acc_.rows() == b_.rows(),
+  const size_t k = b_.rows();
+  const size_t vocab = b_.cols();
+  DHMM_CHECK_MSG(acc_.rows() == vocab && acc_.cols() == k,
                  "FinishAccumulate without BeginAccumulate");
-  acc_.NormalizeRows();
-  b_ = acc_;
+  linalg::Vector total(k);
+  for (size_t v = 0; v < vocab; ++v) {
+    const double* counts = acc_.row_data(v);
+    for (size_t i = 0; i < k; ++i) total[i] += counts[i];
+  }
+  for (size_t v = 0; v < vocab; ++v) {
+    const double* counts = acc_.row_data(v);
+    for (size_t i = 0; i < k; ++i) {
+      b_(i, v) = total[i] > 0.0 ? counts[i] / total[i] : 1.0 / vocab;
+    }
+  }
   RebuildLogTable();
 }
 

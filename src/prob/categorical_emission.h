@@ -14,6 +14,10 @@ namespace dhmm::prob {
 /// Parameters are a k x V row-stochastic matrix B. The EM update is the
 /// normalized expected symbol count (paper's multinomial M-step), with an
 /// optional Laplace pseudo-count to keep unseen symbols finite-likelihood.
+/// The log table and the expected counts are kept symbol-major (V x k), so
+/// a frame's emission row is one contiguous k-read and its accumulation
+/// one contiguous k-add. A symbol outside [0, V) has probability 0 under
+/// every state.
 class CategoricalEmission : public EmissionModel<int> {
  public:
   /// Constructs from a row-stochastic k x V matrix.
@@ -27,7 +31,7 @@ class CategoricalEmission : public EmissionModel<int> {
   size_t num_states() const override { return b_.rows(); }
   size_t vocab_size() const { return b_.cols(); }
 
-  double LogProb(size_t state, const int& y) const override;
+  void LogProbRow(const int& y, double* out) const override;
   int Sample(size_t state, Rng& rng) const override;
 
   void BeginAccumulate() override;
@@ -44,10 +48,10 @@ class CategoricalEmission : public EmissionModel<int> {
  private:
   void RebuildLogTable();
 
-  linalg::Matrix b_;      // probabilities
-  linalg::Matrix log_b_;  // cached logs
+  linalg::Matrix b_;       // probabilities, k x V
+  linalg::Matrix log_bt_;  // log b_, symbol-major: V x k
   double pseudo_count_;
-  linalg::Matrix acc_;    // expected counts, k x V
+  linalg::Matrix acc_;     // expected counts, symbol-major: V x k
 };
 
 }  // namespace dhmm::prob

@@ -30,8 +30,16 @@ class EmissionModel {
   /// Number of hidden states k.
   virtual size_t num_states() const = 0;
 
-  /// log p(y | X = state).
-  virtual double LogProb(size_t state, const Obs& y) const = 0;
+  /// Writes the emission row: out[i] = log p(y | X = i) for all
+  /// num_states() states. Every inference path reads emissions through
+  /// this call, one frame at a time, from concurrent threads on one const
+  /// model: it must not touch mutable state. Families fold what depends
+  /// only on the parameters into per-state constants, refreshed by the
+  /// constructor and FinishAccumulate. An observation outside the
+  /// family's domain (an out-of-vocabulary symbol, a vector of the wrong
+  /// length) yields a row of -inf, which the recursions answer as an
+  /// impossible frame.
+  virtual void LogProbRow(const Obs& y, double* out) const = 0;
 
   /// Draws an observation from state's emission distribution.
   virtual Obs Sample(size_t state, Rng& rng) const = 0;
@@ -56,15 +64,14 @@ class EmissionModel {
   }
 
   /// Allocation-free variant: resizes *table to T x k (reusing its storage
-  /// when possible) and overwrites every entry. This is the hot-path entry
-  /// point used by the batched EM engine's per-thread workspaces.
+  /// when possible) and writes row t with one LogProbRow call. This is the
+  /// hot-path entry point used by the batched EM engine's per-thread
+  /// workspaces.
   void LogProbTableInto(const std::vector<Obs>& seq,
                         linalg::Matrix* table) const {
-    const size_t k = num_states();
-    table->Resize(seq.size(), k);
+    table->Resize(seq.size(), num_states());
     for (size_t t = 0; t < seq.size(); ++t) {
-      double* row = table->row_data(t);
-      for (size_t i = 0; i < k; ++i) row[i] = LogProb(i, seq[t]);
+      LogProbRow(seq[t], table->row_data(t));
     }
   }
 };

@@ -20,6 +20,7 @@ GaussianEmission::GaussianEmission(linalg::Vector mu, linalg::Vector sigma,
     DHMM_CHECK_MSG(sigma_[i] > 0.0, "sigma must be positive");
     if (sigma_[i] < sigma_floor_) sigma_[i] = sigma_floor_;
   }
+  RefreshLogSigma();
 }
 
 GaussianEmission GaussianEmission::RandomInit(size_t k, Rng& rng, double mu0,
@@ -33,10 +34,23 @@ GaussianEmission GaussianEmission::RandomInit(size_t k, Rng& rng, double mu0,
   return GaussianEmission(std::move(mu), std::move(sigma));
 }
 
-double GaussianEmission::LogProb(size_t state, const double& y) const {
-  DHMM_DCHECK(state < mu_.size());
-  double z = (y - mu_[state]) / sigma_[state];
-  return -0.5 * z * z - std::log(sigma_[state]) - kLogSqrt2Pi;
+void GaussianEmission::RefreshLogSigma() {
+  log_sigma_.Resize(sigma_.size());
+  for (size_t i = 0; i < sigma_.size(); ++i) {
+    log_sigma_[i] = std::log(sigma_[i]);
+  }
+}
+
+// The divide stays: a cached 1 / sigma would change the bits of z.
+void GaussianEmission::LogProbRow(const double& y, double* out) const {
+  const double obs = y;  // a local, so the stores below cannot alias it
+  const double* mu = mu_.data();
+  const double* sigma = sigma_.data();
+  const double* log_sigma = log_sigma_.data();
+  for (size_t i = 0; i < mu_.size(); ++i) {
+    double z = (obs - mu[i]) / sigma[i];
+    out[i] = -0.5 * z * z - log_sigma[i] - kLogSqrt2Pi;
+  }
 }
 
 double GaussianEmission::Sample(size_t state, Rng& rng) const {
@@ -69,6 +83,7 @@ void GaussianEmission::FinishAccumulate() {
     mu_[i] = mean;
     sigma_[i] = std::sqrt(std::max(var, sigma_floor_ * sigma_floor_));
   }
+  RefreshLogSigma();
 }
 
 std::unique_ptr<EmissionModel<double>> GaussianEmission::Clone() const {

@@ -27,7 +27,7 @@ class GaussianEmission : public EmissionModel<double> {
                                      double sigma_scale = 0.5);
 
   size_t num_states() const override { return mu_.size(); }
-  double LogProb(size_t state, const double& y) const override;
+  void LogProbRow(const double& y, double* out) const override;
   double Sample(size_t state, Rng& rng) const override;
 
   void BeginAccumulate() override;
@@ -42,8 +42,11 @@ class GaussianEmission : public EmissionModel<double> {
   double sigma_floor() const { return sigma_floor_; }
 
  private:
+  void RefreshLogSigma();
+
   linalg::Vector mu_;
   linalg::Vector sigma_;
+  linalg::Vector log_sigma_;  // log sigma_i, refreshed with sigma_
   double sigma_floor_;
   // Sufficient statistics: sum q, sum q*y, sum q*y^2 per state.
   linalg::Vector acc_w_, acc_y_, acc_yy_;

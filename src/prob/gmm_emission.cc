@@ -1,6 +1,7 @@
 #include "prob/gmm_emission.h"
 
 #include <cmath>
+#include <limits>
 
 #include "prob/logsumexp.h"
 #include "util/check.h"
@@ -9,11 +10,6 @@ namespace dhmm::prob {
 
 namespace {
 constexpr double kLogSqrt2Pi = 0.9189385332046727;
-
-double GaussianLogDensity(double y, double mu, double sigma) {
-  double z = (y - mu) / sigma;
-  return -0.5 * z * z - std::log(sigma) - kLogSqrt2Pi;
-}
 }  // namespace
 
 GmmEmission::GmmEmission(linalg::Matrix weights, linalg::Matrix mu,
@@ -32,6 +28,7 @@ GmmEmission::GmmEmission(linalg::Matrix weights, linalg::Matrix mu,
       if (sigma_(i, m) < sigma_floor_) sigma_(i, m) = sigma_floor_;
     }
   }
+  RefreshLogs();
 }
 
 GmmEmission GmmEmission::RandomInit(size_t k, size_t components, Rng& rng,
@@ -48,24 +45,48 @@ GmmEmission GmmEmission::RandomInit(size_t k, size_t components, Rng& rng,
   return GmmEmission(std::move(weights), std::move(mu), std::move(sigma));
 }
 
-void GmmEmission::ComponentLogDensities(size_t state, double y,
-                                        linalg::Vector* out) const {
-  const size_t m_count = num_components();
-  DHMM_DCHECK(out->size() == m_count);
-  for (size_t m = 0; m < m_count; ++m) {
-    double w = weights_(state, m);
-    (*out)[m] = w > 0.0
-                    ? std::log(w) + GaussianLogDensity(y, mu_(state, m),
-                                                       sigma_(state, m))
-                    : kNegInf;
+void GmmEmission::RefreshLogs() {
+  log_w_.Resize(weights_.rows(), weights_.cols());
+  log_sigma_.Resize(sigma_.rows(), sigma_.cols());
+  for (size_t i = 0; i < weights_.rows(); ++i) {
+    for (size_t m = 0; m < weights_.cols(); ++m) {
+      const double w = weights_(i, m);
+      log_w_(i, m) = w > 0.0 ? std::log(w) : kNegInf;
+      log_sigma_(i, m) = std::log(sigma_(i, m));
+    }
   }
 }
 
-double GmmEmission::LogProb(size_t state, const double& y) const {
-  DHMM_DCHECK(state < num_states());
-  linalg::Vector comp(num_components());
-  ComponentLogDensities(state, y, &comp);
-  return LogSumExp(comp);
+double GmmEmission::ComponentLogDensity(size_t state, size_t m,
+                                        double y) const {
+  if (!(weights_(state, m) > 0.0)) return kNegInf;
+  double z = (y - mu_(state, m)) / sigma_(state, m);
+  return log_w_(state, m) +
+         (-0.5 * z * z - log_sigma_(state, m) - kLogSqrt2Pi);
+}
+
+// prob::LogSumExp over the components, term for term: the same NaN check
+// and max scan, then the same ascending sum of exp(v - max). Each term is
+// recomputed rather than staged, so no scratch is needed and concurrent
+// readers of one const model share nothing mutable.
+double GmmEmission::StateLogProb(size_t state, double y) const {
+  const size_t m_count = num_components();
+  double mx = kNegInf;
+  for (size_t m = 0; m < m_count; ++m) {
+    const double v = ComponentLogDensity(state, m, y);
+    if (std::isnan(v)) return std::numeric_limits<double>::quiet_NaN();
+    mx = v > mx ? v : mx;
+  }
+  if (mx == kNegInf) return kNegInf;
+  double s = 0.0;
+  for (size_t m = 0; m < m_count; ++m) {
+    s += std::exp(ComponentLogDensity(state, m, y) - mx);
+  }
+  return mx + std::log(s);
+}
+
+void GmmEmission::LogProbRow(const double& y, double* out) const {
+  for (size_t i = 0; i < num_states(); ++i) out[i] = StateLogProb(i, y);
 }
 
 double GmmEmission::Sample(size_t state, Rng& rng) const {
@@ -83,15 +104,13 @@ void GmmEmission::BeginAccumulate() {
 void GmmEmission::Accumulate(const double& y, const linalg::Vector& q) {
   DHMM_DCHECK(q.size() == num_states());
   const size_t m_count = num_components();
-  linalg::Vector comp(m_count);
   for (size_t i = 0; i < num_states(); ++i) {
     if (q[i] == 0.0) continue;
     // Component responsibilities within state i.
-    ComponentLogDensities(i, y, &comp);
-    double norm = LogSumExp(comp);
+    double norm = StateLogProb(i, y);
     if (norm == kNegInf) continue;
     for (size_t m = 0; m < m_count; ++m) {
-      double r = q[i] * std::exp(comp[m] - norm);
+      double r = q[i] * std::exp(ComponentLogDensity(i, m, y) - norm);
       acc_w_(i, m) += r;
       acc_y_(i, m) += r * y;
       acc_yy_(i, m) += r * y * y;
@@ -118,6 +137,7 @@ void GmmEmission::FinishAccumulate() {
       sigma_(i, m) = std::sqrt(std::max(var, sigma_floor_ * sigma_floor_));
     }
   }
+  RefreshLogs();
 }
 
 std::unique_ptr<EmissionModel<double>> GmmEmission::Clone() const {

@@ -28,7 +28,7 @@ class GmmEmission : public EmissionModel<double> {
   size_t num_states() const override { return weights_.rows(); }
   size_t num_components() const { return weights_.cols(); }
 
-  double LogProb(size_t state, const double& y) const override;
+  void LogProbRow(const double& y, double* out) const override;
   double Sample(size_t state, Rng& rng) const override;
 
   void BeginAccumulate() override;
@@ -44,13 +44,18 @@ class GmmEmission : public EmissionModel<double> {
   double sigma_floor() const { return sigma_floor_; }
 
  private:
-  /// Per-component log densities for state i at y (size M).
-  void ComponentLogDensities(size_t state, double y,
-                             linalg::Vector* out) const;
+  void RefreshLogs();
+  /// log w + log N(y; mu, sigma) of component m of state i, -inf for a
+  /// zero-weight component.
+  double ComponentLogDensity(size_t state, size_t m, double y) const;
+  /// log p(y | X = state): the log-sum-exp over the state's components.
+  double StateLogProb(size_t state, double y) const;
 
-  linalg::Matrix weights_;  // k x M, row-stochastic
-  linalg::Matrix mu_;       // k x M
-  linalg::Matrix sigma_;    // k x M, positive
+  linalg::Matrix weights_;    // k x M, row-stochastic
+  linalg::Matrix mu_;         // k x M
+  linalg::Matrix sigma_;      // k x M, positive
+  linalg::Matrix log_w_;      // k x M, log weights_ (-inf where zero)
+  linalg::Matrix log_sigma_;  // k x M, log sigma_
   double sigma_floor_;
   // Sufficient statistics per (state, component): weight, sum y, sum y^2.
   linalg::Matrix acc_w_, acc_y_, acc_yy_;

@@ -25,7 +25,7 @@
 // with per-request emission rows (a table for Viterbi) and a content-keyed
 // transition cache, so results are bitwise-identical to the offline
 // single-threaded hmm::TryViterbi / hmm::TryPosteriorDecode /
-// hmm::TryLogLikelihood for every worker count and batch size
+// hmm::TryLogLikelihoodRows for every worker count and batch size
 // (tests/serve_test.cc pins this).
 //
 // Allocation: request slots, the pending queue, batch scratch, and all

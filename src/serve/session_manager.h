@@ -21,7 +21,7 @@
 // The math (serve/stream_math.h) runs the offline sweep's own per-frame
 // steps (hmm/chain_steps.h) over ring buffers, so the bitwise contracts
 // hold by construction: per-session log-likelihood is bitwise equal to
-// offline hmm::TryLogLikelihood on every prefix, and full-lag decodes are
+// offline hmm::TryLogLikelihoodRows on every prefix, and full-lag decodes are
 // bitwise equal to offline hmm::TryPosteriorDecode.
 //
 // Concurrency: CreateSession / DestroySession / EvictIdle / UpdateModel /
@@ -311,7 +311,7 @@ class SessionManager {
   }
 
   /// Running log P(y_0..y_{t-1}) of a session — bitwise equal to offline
-  /// hmm::TryLogLikelihood on the same prefix.
+  /// hmm::TryLogLikelihoodRows on the same prefix.
   Result<double> LogLikelihood(SessionHandle h) const {
     std::lock_guard<std::mutex> lock(mu_);
     const Slot* s = const_cast<SessionManager*>(this)->ResolveLocked(h);

@@ -6,7 +6,7 @@
 // step, the gamma normalization) over the same per-frame layout, so a
 // session's labels at full lag are bitwise-identical to offline
 // hmm::TryPosteriorDecode and its running log-likelihood to offline
-// hmm::TryLogLikelihood *by construction*: they are the same instructions
+// hmm::TryLogLikelihoodRows *by construction*: they are the same instructions
 // on the same bits. The session pool owns layout, state machines, and
 // error policy; this header owns only ring indexing and the emission row.
 //
@@ -95,9 +95,7 @@ Status ForwardStep(const linalg::kernels::KernelTable& kt,
   double* btilde_row = r.btilde + row * k;
   // Emission table row for this frame — the same per-frame shifted table
   // the offline workspace caches, maintained as a ring.
-  for (size_t i = 0; i < k; ++i) {
-    r.logb[i] = model.emission->LogProb(i, y);
-  }
+  model.emission->LogProbRow(y, r.logb);
   const double m = kt.exp_shift_row(r.logb, k, btilde_row);
   if (m == prob::kNegInf) return hmm::internal::ImpossibleFrame(t);
   const double* prev = t == 0 ? nullptr : r.alpha + ((t - 1) % window) * k;

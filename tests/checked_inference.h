@@ -35,7 +35,7 @@ inline double LogLikelihood(const linalg::Vector& pi, const linalg::Matrix& a,
                             const linalg::Matrix& log_b,
                             hmm::InferenceWorkspace* ws) {
   double out = 0.0;
-  Ok(hmm::TryLogLikelihood(pi, a, log_b, ws, &out));
+  Ok(hmm::TryLogLikelihoodRows(pi, a, hmm::MatrixLogBRows(log_b), ws, &out));
   return out;
 }
 

@@ -119,8 +119,9 @@ TEST(ViterbiTest, NonFiniteScoreRejectedNotReturnedOk) {
   EXPECT_EQ(TryPosteriorDecode(pi, a, log_b, &ws, &fb, &path).code(),
             StatusCode::kInvalidArgument);
   double ll = 0.0;
-  EXPECT_EQ(TryLogLikelihood(pi, a, log_b, &ws, &ll).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      TryLogLikelihoodRows(pi, a, MatrixLogBRows(log_b), &ws, &ll).code(),
+      StatusCode::kInvalidArgument);
   // The same workspace still decodes a finite sequence.
   const linalg::Matrix good = emission.LogProbTable({0.1, 1.0, 1.9});
   ASSERT_TRUE(TryViterbi(pi, a, good, &ws, &vit).ok());
@@ -223,7 +224,9 @@ TEST(BatchEStepTest, EngineReuseAcrossIterationsIsStable) {
   for (const auto& seq : data) {
     const linalg::Matrix log_b = model.emission->LogProbTable(seq.obs);
     double seq_ll = 0.0;
-    ASSERT_TRUE(TryLogLikelihood(model.pi, model.a, log_b, &ws, &seq_ll).ok());
+    ASSERT_TRUE(TryLogLikelihoodRows(model.pi, model.a, MatrixLogBRows(log_b),
+                                     &ws, &seq_ll)
+                    .ok());
     ll += seq_ll;
     ViterbiResult vit;
     ASSERT_TRUE(TryViterbi(model.pi, model.a, log_b, &ws, &vit).ok());
@@ -560,13 +563,15 @@ TEST(CheckpointedFbTest, RowsLogLikelihoodMatchesTableBitwise) {
     linalg::Vector pi = rng.DirichletSymmetric(k, 1.5);
     linalg::Matrix a = rng.RandomStochasticMatrix(k, k, 1.5);
     linalg::Matrix log_b = RandomLogB(big_t, k, rng);
-    double from_table = 0.0;
+    // The forward-only pass and the full sweep over the table share
+    // their forward frames, so they agree bit for bit.
+    ForwardBackwardResult sweep;
     double from_rows = 0.0;
-    ASSERT_TRUE(TryLogLikelihood(pi, a, log_b, &ws, &from_table).ok());
+    ASSERT_TRUE(TryForwardBackward(pi, a, log_b, &ws, &sweep).ok());
     ASSERT_TRUE(
         TryLogLikelihoodRows(pi, a, MatrixLogBRows(log_b), &ws, &from_rows)
             .ok());
-    EXPECT_EQ(from_rows, from_table);
+    EXPECT_EQ(from_rows, sweep.log_likelihood);
   }
 }
 

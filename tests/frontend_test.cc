@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -37,6 +38,7 @@
 #include "hmm/posterior_decoding.h"
 #include "hmm/sampler.h"
 #include "hmm/sequence.h"
+#include "prob/categorical_emission.h"
 #include "prob/gaussian_emission.h"
 #include "prob/rng.h"
 #include "obs/metrics.h"
@@ -738,6 +740,95 @@ TEST_F(FrontEndTest, ClosingAConnectionDestroysItsSession) {
   }
   EXPECT_EQ(sessions.live_sessions(), 0u);
   frontend_.reset();  // the manager must outlive the front-end
+}
+
+// ----------------------------------------- out-of-vocabulary symbols ---
+
+// A categorical symbol outside [0, V) is impossible under every state: each
+// request kind carrying one is a typed InvalidArgument, and the connection,
+// the service and the session manager keep serving bitwise-correct
+// answers.
+TEST(FrontEndVocabularyTest, OutOfVocabularySymbolIsTypedInvalidArgument) {
+  const size_t k = 4;
+  const int vocab = 50;
+  prob::Rng rng(151);
+  auto model = std::make_shared<const hmm::HmmModel<int>>(
+      rng.DirichletSymmetric(k, 2.0), rng.RandomStochasticMatrix(k, k, 2.0),
+      std::make_unique<prob::CategoricalEmission>(
+          prob::CategoricalEmission::RandomInit(k, vocab, rng)));
+  serve::ModelRegistry<int> registry;
+  ASSERT_TRUE(registry.Register(1, model).ok());
+  serve::SessionManagerOptions mopts;
+  mopts.lag = 2;
+  serve::SessionManager<int> sessions(model, mopts);
+  serve::FrontEnd<int> frontend(&registry);  // stopped before `sessions` dies
+  frontend.EnableSessions(&sessions, 1);
+  ASSERT_TRUE(frontend.Start().ok());
+  serve::WireClient client;
+  ASSERT_TRUE(client.Connect(frontend.port()).ok());
+
+  const std::vector<int> good = hmm::SampleSequence(*model, 12, rng).obs;
+  const linalg::Matrix log_b = model->emission->LogProbTable(good);
+  const hmm::ViterbiResult vit = checked::Viterbi(model->pi, model->a, log_b);
+  const std::vector<int> posterior =
+      checked::PosteriorDecode(model->pi, model->a, log_b);
+  const double loglik = checked::LogLikelihood(model->pi, model->a, log_b);
+  // A rejected push tears its stream down, so the next push starts fresh.
+  serve::SessionManager<int> ref(model, mopts);
+  const serve::SessionHandle ref_session = ref.CreateSession().value();
+  std::vector<int> labels;
+  for (const int y : good) {
+    int label = -1;
+    ASSERT_TRUE(ref.Push(ref_session, y, &label).ok());
+    if (label >= 0) labels.push_back(label);
+  }
+  const double stream_loglik = ref.LogLikelihood(ref_session).value();
+
+  uint64_t id = 1;
+  auto call = [&](serve::DecodeKind kind, const std::vector<int>* obs,
+                  serve::DecodeResponse* resp) {
+    serve::DecodeRequest<int> req;
+    req.request_id = id++;
+    req.model = 1;
+    req.kind = kind;
+    req.obs = obs;
+    ASSERT_TRUE(client.Call(req, resp).ok());
+  };
+  for (const int bad : {-1, vocab, std::numeric_limits<int32_t>::max()}) {
+    std::vector<int> obs = good;
+    obs[5] = bad;
+    for (const serve::DecodeKind kind :
+         {serve::DecodeKind::kViterbi, serve::DecodeKind::kPosterior,
+          serve::DecodeKind::kLogLikelihood,
+          serve::DecodeKind::kSessionPush}) {
+      SCOPED_TRACE(testing::Message() << "symbol " << bad << ", kind "
+                                      << static_cast<int>(kind));
+      serve::DecodeResponse resp;
+      call(kind, &obs, &resp);
+      EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument)
+          << resp.status.ToString();
+
+      call(kind, &good, &resp);
+      ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+      switch (kind) {
+        case serve::DecodeKind::kViterbi:
+          EXPECT_EQ(resp.path, vit.path);
+          EXPECT_EQ(resp.value, vit.log_joint);  // bitwise
+          break;
+        case serve::DecodeKind::kPosterior:
+          EXPECT_EQ(resp.path, posterior);
+          EXPECT_EQ(resp.value, loglik);
+          break;
+        case serve::DecodeKind::kLogLikelihood:
+          EXPECT_EQ(resp.value, loglik);
+          break;
+        default:
+          EXPECT_EQ(resp.path, labels);
+          EXPECT_EQ(resp.value, stream_loglik);
+          break;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------- connection cap ---

@@ -1,15 +1,33 @@
+#include <climits>
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "prob/bernoulli_emission.h"
 #include "prob/categorical_emission.h"
 #include "prob/gaussian_emission.h"
+#include "prob/gmm_emission.h"
 #include "prob/logsumexp.h"
 #include "prob/rng.h"
 
 namespace dhmm::prob {
 namespace {
+
+// One emission row, log p(y | X = i) for every state i.
+template <typename Obs>
+std::vector<double> Row(const EmissionModel<Obs>& e, const Obs& y) {
+  std::vector<double> row(e.num_states());
+  e.LogProbRow(y, row.data());
+  return row;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
 
 // ------------------------------------------------------------------- Rng ---
 
@@ -225,9 +243,9 @@ TEST(LogSumExpTest, NanPropagatesThroughLogSumExp) {
 
 TEST(GaussianEmissionTest, LogProbMatchesDensity) {
   GaussianEmission e(linalg::Vector{0.0, 2.0}, linalg::Vector{1.0, 0.5});
-  double lp = e.LogProb(0, 0.0);
+  double lp = Row(e, 0.0)[0];
   EXPECT_NEAR(lp, -0.5 * std::log(2.0 * M_PI), 1e-12);
-  double lp2 = e.LogProb(1, 2.5);
+  double lp2 = Row(e, 2.5)[1];
   double z = 0.5 / 0.5;
   EXPECT_NEAR(lp2, -0.5 * z * z - std::log(0.5) - 0.5 * std::log(2.0 * M_PI),
               1e-12);
@@ -254,7 +272,7 @@ TEST(GaussianEmissionTest, SigmaFloorPreventsSingularity) {
   e.Accumulate(5.0, linalg::Vector{1.0});  // single point -> zero variance
   e.FinishAccumulate();
   EXPECT_GE(e.sigma()[0], 0.01);
-  EXPECT_TRUE(std::isfinite(e.LogProb(0, 5.0)));
+  EXPECT_TRUE(std::isfinite(Row(e, 5.0)[0]));
 }
 
 TEST(GaussianEmissionTest, UnusedStateKeepsParameters) {
@@ -279,9 +297,9 @@ TEST(GaussianEmissionTest, SampleMomentsMatchParameters) {
 
 TEST(CategoricalEmissionTest, LogProbMatchesTable) {
   CategoricalEmission e(linalg::Matrix{{0.5, 0.5, 0.0}, {0.1, 0.2, 0.7}});
-  EXPECT_NEAR(e.LogProb(0, 0), std::log(0.5), 1e-12);
-  EXPECT_NEAR(e.LogProb(1, 2), std::log(0.7), 1e-12);
-  EXPECT_EQ(e.LogProb(0, 2), kNegInf);
+  EXPECT_NEAR(Row(e, 0)[0], std::log(0.5), 1e-12);
+  EXPECT_NEAR(Row(e, 2)[1], std::log(0.7), 1e-12);
+  EXPECT_EQ(Row(e, 2)[0], kNegInf);
   EXPECT_EQ(e.vocab_size(), 3u);
 }
 
@@ -304,7 +322,7 @@ TEST(CategoricalEmissionTest, PseudoCountSmoothsUnseenSymbols) {
   e.Accumulate(0, linalg::Vector{1.0});
   e.FinishAccumulate();
   EXPECT_GT(e.b()(0, 1), 0.0);
-  EXPECT_TRUE(std::isfinite(e.LogProb(0, 1)));
+  EXPECT_TRUE(std::isfinite(Row(e, 1)[0]));
 }
 
 TEST(CategoricalEmissionTest, SampleFrequencies) {
@@ -326,15 +344,15 @@ TEST(CategoricalEmissionTest, RandomInitIsStochastic) {
 TEST(BernoulliEmissionTest, LogProbMatchesProduct) {
   BernoulliEmission e(linalg::Matrix{{0.9, 0.1}});
   BinaryObs obs{1, 0};
-  EXPECT_NEAR(e.LogProb(0, obs), std::log(0.9) + std::log(0.9), 1e-12);
+  EXPECT_NEAR(Row(e, obs)[0], std::log(0.9) + std::log(0.9), 1e-12);
   BinaryObs obs2{0, 1};
-  EXPECT_NEAR(e.LogProb(0, obs2), std::log(0.1) + std::log(0.1), 1e-12);
+  EXPECT_NEAR(Row(e, obs2)[0], std::log(0.1) + std::log(0.1), 1e-12);
 }
 
 TEST(BernoulliEmissionTest, ClampKeepsLogProbFinite) {
   BernoulliEmission e(linalg::Matrix{{1.0, 0.0}}, /*p_floor=*/1e-3);
   BinaryObs contradicting{0, 1};
-  EXPECT_TRUE(std::isfinite(e.LogProb(0, contradicting)));
+  EXPECT_TRUE(std::isfinite(Row(e, contradicting)[0]));
 }
 
 TEST(BernoulliEmissionTest, EmFitMatchesWeightedFrequencies) {
@@ -369,10 +387,10 @@ TEST(BernoulliEmissionTest, CloneIsDeep) {
   e.FinishAccumulate();
   // The clone still has the original parameters.
   BinaryObs obs{1, 0};
-  EXPECT_NEAR(clone->LogProb(0, obs), std::log(0.7) + std::log(0.7), 1e-12);
+  EXPECT_NEAR(Row(*clone, obs)[0], std::log(0.7) + std::log(0.7), 1e-12);
 }
 
-// Parameterized: LogProbTable consistency across emission families.
+// LogProbTable row t is the LogProbRow of frame t.
 TEST(EmissionTableTest, LogProbTableMatchesPointwise) {
   Rng rng(24);
   CategoricalEmission e = CategoricalEmission::RandomInit(3, 5, rng);
@@ -381,10 +399,154 @@ TEST(EmissionTableTest, LogProbTableMatchesPointwise) {
   ASSERT_EQ(table.rows(), 5u);
   ASSERT_EQ(table.cols(), 3u);
   for (size_t t = 0; t < seq.size(); ++t) {
-    for (size_t i = 0; i < 3; ++i) {
-      EXPECT_DOUBLE_EQ(table(t, i), e.LogProb(i, seq[t]));
-    }
+    const std::vector<double> want(table.row_data(t), table.row_data(t) + 3);
+    EXPECT_TRUE(SameBits(Row(e, seq[t]), want)) << "frame " << t;
   }
+}
+
+// ------------------------------------------------------- emission rows ---
+//
+// Each family's row is pinned bit for bit against the per-entry expression
+// it replaced, written out below, before and after an M-step (which must
+// refresh the family's per-state constants).
+
+constexpr double kLogSqrt2Pi = 0.9189385332046727;
+
+double GaussianEntry(double y, double mu, double sigma) {
+  double z = (y - mu) / sigma;
+  return -0.5 * z * z - std::log(sigma) - kLogSqrt2Pi;
+}
+
+TEST(EmissionRowPinTest, GaussianRowMatchesPerEntryForm) {
+  // State 0's sigma sits at the floor.
+  GaussianEmission e(linalg::Vector{0.0, 1.5, -2.0},
+                     linalg::Vector{1e-6, 0.7, 3.0}, /*sigma_floor=*/1e-4);
+  ASSERT_EQ(e.sigma()[0], 1e-4);
+  auto check = [](const GaussianEmission& g) {
+    for (double y : {0.0, 0.25, -3.5, 1e300, -1e300, std::nan("")}) {
+      std::vector<double> want(g.num_states());
+      for (size_t i = 0; i < want.size(); ++i) {
+        want[i] = GaussianEntry(y, g.mu()[i], g.sigma()[i]);
+      }
+      EXPECT_TRUE(SameBits(Row(g, y), want)) << "y = " << y;
+    }
+  };
+  check(e);
+  e.BeginAccumulate();
+  e.Accumulate(0.3, linalg::Vector{0.5, 0.5, 0.0});
+  e.Accumulate(1.1, linalg::Vector{0.2, 0.8, 0.0});
+  e.Accumulate(2.0, linalg::Vector{0.1, 0.9, 0.0});
+  e.FinishAccumulate();
+  check(e);
+}
+
+TEST(EmissionRowPinTest, GmmRowMatchesPerEntryForm) {
+  // State 1's first component has zero weight.
+  GmmEmission e(linalg::Matrix{{0.2, 0.5, 0.3}, {0.0, 0.6, 0.4}},
+                linalg::Matrix{{0.0, 2.0, -1.0}, {5.0, 1.0, 3.0}},
+                linalg::Matrix{{1.0, 0.5, 2.0}, {0.3, 0.9, 0.8}});
+  auto check = [](const GmmEmission& g) {
+    const size_t m_count = g.num_components();
+    for (double y : {0.0, 1.7, -4.0, 1e300, std::nan("")}) {
+      std::vector<double> want(g.num_states());
+      linalg::Vector comp(m_count);
+      for (size_t i = 0; i < want.size(); ++i) {
+        for (size_t m = 0; m < m_count; ++m) {
+          const double w = g.weights()(i, m);
+          comp[m] = w > 0.0 ? std::log(w) + GaussianEntry(y, g.mu()(i, m),
+                                                          g.sigma()(i, m))
+                            : kNegInf;
+        }
+        want[i] = LogSumExp(comp);
+      }
+      EXPECT_TRUE(SameBits(Row(g, y), want)) << "y = " << y;
+    }
+  };
+  check(e);
+  e.BeginAccumulate();
+  for (double y : {-0.5, 0.4, 2.2, 3.1, 5.5, 0.9}) {
+    e.Accumulate(y, linalg::Vector{0.7, 0.3});
+  }
+  e.FinishAccumulate();
+  ASSERT_EQ(e.weights()(1, 0), 0.0);  // the dead component stays dead
+  check(e);
+}
+
+TEST(EmissionRowPinTest, CategoricalRowMatchesPerEntryForm) {
+  // Symbol 2 has probability zero under state 0.
+  const linalg::Matrix b{{0.5, 0.5, 0.0}, {0.1, 0.2, 0.7}};
+  CategoricalEmission e(b);
+  auto check = [](const CategoricalEmission& c) {
+    for (int y = 0; y < static_cast<int>(c.vocab_size()); ++y) {
+      std::vector<double> want(c.num_states());
+      for (size_t i = 0; i < want.size(); ++i) {
+        const double p = c.b()(i, static_cast<size_t>(y));
+        want[i] = p > 0.0 ? std::log(p) : kNegInf;
+      }
+      EXPECT_TRUE(SameBits(Row(c, y), want)) << "y = " << y;
+    }
+  };
+  check(e);
+  // The M-step over symbol-major counts yields the bits of the state-major
+  // reference: counts added per frame, each state normalized by
+  // NormalizeRows. Symbol 2 is never seen by state 0.
+  const std::vector<std::pair<int, linalg::Vector>> frames = {
+      {0, linalg::Vector{0.6, 0.4}}, {2, linalg::Vector{0.0, 1.0}},
+      {1, linalg::Vector{0.3, 0.7}}, {0, linalg::Vector{0.9, 0.1}},
+      {1, linalg::Vector{0.25, 0.75}}};
+  linalg::Matrix counts(2, 3);
+  e.BeginAccumulate();
+  for (const auto& [y, q] : frames) {
+    e.Accumulate(y, q);
+    for (size_t i = 0; i < 2; ++i) counts(i, static_cast<size_t>(y)) += q[i];
+  }
+  e.FinishAccumulate();
+  counts.NormalizeRows();
+  EXPECT_EQ(std::memcmp(e.b().data(), counts.data(), 6 * sizeof(double)), 0);
+  EXPECT_EQ(e.b()(0, 2), 0.0);
+  check(e);
+}
+
+TEST(EmissionRowPinTest, CategoricalOutOfVocabularyRowIsImpossible) {
+  CategoricalEmission e(linalg::Matrix{{0.5, 0.5, 0.0}, {0.1, 0.2, 0.7}});
+  const std::vector<double> none(2, kNegInf);
+  for (int y : {-1, 3, INT_MAX, INT_MIN}) {
+    EXPECT_TRUE(SameBits(Row(e, y), none)) << "y = " << y;
+  }
+}
+
+TEST(EmissionRowPinTest, BernoulliRowMatchesPerEntryForm) {
+  Rng rng(25);
+  const size_t dims = 13;
+  BernoulliEmission e = BernoulliEmission::RandomInit(4, dims, rng);
+  auto check = [&](const BernoulliEmission& ber) {
+    for (int draw = 0; draw < 8; ++draw) {
+      BinaryObs y(dims);
+      for (size_t d = 0; d < dims; ++d) y[d] = rng.Bernoulli(0.5) ? 1 : 0;
+      std::vector<double> want(ber.num_states());
+      for (size_t i = 0; i < want.size(); ++i) {
+        double s = 0.0;
+        for (size_t d = 0; d < dims; ++d) {
+          s += y[d] ? std::log(ber.p()(i, d)) : std::log(1.0 - ber.p()(i, d));
+        }
+        want[i] = s;
+      }
+      EXPECT_TRUE(SameBits(Row(ber, y), want)) << "draw " << draw;
+    }
+  };
+  check(e);
+  e.BeginAccumulate();
+  for (int n = 0; n < 6; ++n) {
+    BinaryObs y(dims);
+    for (size_t d = 0; d < dims; ++d) y[d] = (d + n) % 3 == 0 ? 1 : 0;
+    e.Accumulate(y, linalg::Vector{0.4, 0.3, 0.2, 0.1});
+  }
+  e.FinishAccumulate();
+  check(e);
+  // A vector of the wrong length is impossible under every state.
+  const std::vector<double> none(4, kNegInf);
+  EXPECT_TRUE(SameBits(Row(e, BinaryObs(dims + 1, 1)), none));
+  EXPECT_TRUE(SameBits(Row(e, BinaryObs{}), none));
 }
 
 }  // namespace

@@ -43,6 +43,7 @@
 #include "hmm/sequence.h"
 #include "prob/categorical_emission.h"
 #include "prob/gaussian_emission.h"
+#include "prob/gmm_emission.h"
 #include "prob/rng.h"
 #include "serve/decode_service.h"
 #include "store/model_codec.h"
@@ -462,43 +463,61 @@ TEST(DecodeServiceTest, NonFiniteObservationRejectedPerRequest) {
 }
 
 TEST(DecodeServiceTest, SteadyStateRequestsAreAllocationFree) {
-  auto model = MakeModel(8, 61);
-  hmm::Dataset<double> data = MakeData(*model, 16, 24, 62);
-  serve::DecodeServiceOptions opts;
-  opts.num_threads = 1;  // deterministic single-workspace path
-  opts.max_batch = 8;
-  serve::DecodeService<double> service(model, opts);
+  // A Gaussian model, and a GMM model (k = 20, M = 3) whose emission rows
+  // reduce over each state's components.
+  prob::Rng rng(63);
+  const std::shared_ptr<const hmm::HmmModel<double>> models[] = {
+      MakeModel(8, 61),
+      std::make_shared<const hmm::HmmModel<double>>(
+          rng.DirichletSymmetric(20, 2.0),
+          rng.RandomStochasticMatrix(20, 20, 2.0),
+          std::make_unique<prob::GmmEmission>(
+              prob::GmmEmission::RandomInit(20, 3, rng)))};
+  for (const auto& model : models) {
+    SCOPED_TRACE(model->num_states());
+    hmm::Dataset<double> data = MakeData(*model, 16, 24, 62);
+    serve::DecodeServiceOptions opts;
+    opts.num_threads = 1;  // deterministic single-workspace path
+    opts.max_batch = 8;
+    serve::DecodeService<double> service(model, opts);
 
-  const serve::DecodeKind kinds[] = {serve::DecodeKind::kViterbi,
-                                     serve::DecodeKind::kPosterior,
-                                     serve::DecodeKind::kLogLikelihood};
-  // Warm-up: hold all futures so the slot pool grows to the full in-flight
-  // census, every slot's path buffer sees this sequence length (round 0 is
-  // all-Viterbi so no slot is left with a cold path), and the workspace +
-  // transition cache reach steady state.
-  for (int round = 0; round < 2; ++round) {
+    const serve::DecodeKind kinds[] = {serve::DecodeKind::kViterbi,
+                                       serve::DecodeKind::kPosterior,
+                                       serve::DecodeKind::kLogLikelihood};
+    // Warm-up: hold all futures so the slot pool grows to the full
+    // in-flight census, every slot's path buffer sees this sequence length
+    // (round 0 is all-Viterbi so no slot is left with a cold path), and the
+    // workspace + transition cache reach steady state.
+    for (int round = 0; round < 2; ++round) {
+      std::vector<serve::DecodeFuture<double>> futures;
+      futures.reserve(data.size());
+      for (size_t s = 0; s < data.size(); ++s) {
+        futures.push_back(service.Submit(
+            round == 0 ? serve::DecodeKind::kViterbi : kinds[s % 3],
+            data[s].obs));
+      }
+      for (auto& f : futures) f.Wait();
+    }
+
     std::vector<serve::DecodeFuture<double>> futures;
     futures.reserve(data.size());
+    const long before = alloc_counter::Count();
     for (size_t s = 0; s < data.size(); ++s) {
-      futures.push_back(service.Submit(
-          round == 0 ? serve::DecodeKind::kViterbi : kinds[s % 3],
-          data[s].obs));
+      futures.push_back(service.Submit(kinds[s % 3], data[s].obs));
     }
-    for (auto& f : futures) f.Wait();
+    double sink = 0.0;
+    bool all_ok = true;
+    for (auto& f : futures) {
+      const serve::DecodeResponse& r = f.Wait();
+      all_ok = all_ok && r.status.ok();
+      sink += r.value;
+    }
+    for (auto& f : futures) f.Release();
+    const long after = alloc_counter::Count();
+    EXPECT_EQ(after - before, 0) << "steady-state requests allocated";
+    EXPECT_TRUE(all_ok);
+    EXPECT_NE(sink, 0.0);
   }
-
-  std::vector<serve::DecodeFuture<double>> futures;
-  futures.reserve(data.size());
-  const long before = alloc_counter::Count();
-  for (size_t s = 0; s < data.size(); ++s) {
-    futures.push_back(service.Submit(kinds[s % 3], data[s].obs));
-  }
-  double sink = 0.0;
-  for (auto& f : futures) sink += f.Wait().value;
-  for (auto& f : futures) f.Release();
-  const long after = alloc_counter::Count();
-  EXPECT_EQ(after - before, 0) << "steady-state requests allocated";
-  EXPECT_NE(sink, 0.0);
 }
 
 // Collects the responses handed to a CompletionHook, in call order.

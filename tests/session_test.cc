@@ -281,7 +281,9 @@ double PrefixLogLikelihood(const hmm::HmmModel<double>& model,
   const linalg::Matrix log_b = model.emission->LogProbTable(prefix);
   hmm::InferenceWorkspace ws;
   double ll = 0.0;
-  EXPECT_TRUE(hmm::TryLogLikelihood(model.pi, model.a, log_b, &ws, &ll).ok());
+  EXPECT_TRUE(hmm::TryLogLikelihoodRows(model.pi, model.a,
+                                        hmm::MatrixLogBRows(log_b), &ws, &ll)
+                  .ok());
   return ll;
 }
 
@@ -548,8 +550,8 @@ TEST(SessionManagerTest, StaleHandleResolvesNotFoundEverywhere) {
   EXPECT_TRUE(mgr.IsLive(recreated.value()));
 }
 
-// Emission wrapper whose state-0 LogProb can be made to block: armed, the
-// next evaluation parks on a condition variable until the test releases
+// Emission wrapper whose LogProbRow can be made to block: armed, the next
+// row evaluation parks on a condition variable until the test releases
 // it, which pins a Push in its in-flight window for as long as the test
 // needs.
 struct Gate {
@@ -567,9 +569,9 @@ class GateEmission : public prob::EmissionModel<double> {
 
   size_t num_states() const override { return inner_->num_states(); }
 
-  double LogProb(size_t state, const double& y) const override {
-    if (state == 0) MaybeBlock();
-    return inner_->LogProb(state, y);
+  void LogProbRow(const double& y, double* out) const override {
+    MaybeBlock();
+    inner_->LogProbRow(y, out);
   }
 
   double Sample(size_t state, prob::Rng& rng) const override {
