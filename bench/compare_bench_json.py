@@ -11,6 +11,12 @@ emits). Benchmarks are matched by full name (including args, e.g.
 prints old/new wall time and the ratio, and flags entries whose slowdown
 exceeds --threshold (default 1.25x).
 
+A name's wall time is the median over its repetitions (every iteration
+row under that name, e.g. from --benchmark_repetitions). A snapshot
+written with --benchmark_report_aggregates_only has no iteration rows;
+its "median" aggregate rows are read under their run_name instead. Other
+aggregates (mean, stddev, cv) are ignored.
+
 Benchmarks present in only one snapshot get an explicit added/removed
 section. Removed benches (in OLD but not NEW) always exit 1: a bench
 that silently disappears is lost coverage, not a timing trend, so it
@@ -26,18 +32,24 @@ artifact never blocks a merge.
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
 
 def load_benchmarks(root):
-    """Returns {benchmark name: real_time in ns} across all snapshots."""
+    """Returns {benchmark name: median real_time in ns} across all snapshots.
+
+    Iteration rows of one name are its repetitions; a name with none falls
+    back to its "median" aggregate rows.
+    """
     root = Path(root)
     if root.is_dir():
         files = sorted(root.rglob("BENCH_*.json"))
     else:
         files = [root]
-    results = {}
+    repetitions = {}
+    medians = {}
     for path in files:
         try:
             doc = json.loads(path.read_text())
@@ -45,10 +57,14 @@ def load_benchmarks(root):
             print(f"warning: skipping {path}: {err}", file=sys.stderr)
             continue
         for bench in doc.get("benchmarks", []):
-            # Aggregate rows (mean/median/stddev) would double-count.
-            if bench.get("run_type") == "aggregate":
-                continue
             name = bench.get("name")
+            rows = repetitions
+            if bench.get("run_type") == "aggregate":
+                # Only the median aggregate stands in for repetitions.
+                if bench.get("aggregate_name") != "median":
+                    continue
+                name = bench.get("run_name")
+                rows = medians
             time = bench.get("real_time")
             if name is None or time is None:
                 continue
@@ -57,8 +73,11 @@ def load_benchmarks(root):
             if scale is None:
                 print(f"warning: {name}: unknown unit {unit}", file=sys.stderr)
                 continue
-            results[name] = time * scale
-    return results
+            rows.setdefault(name, []).append(time * scale)
+    for name, times in medians.items():
+        repetitions.setdefault(name, times)
+    return {name: statistics.median(times)
+            for name, times in repetitions.items()}
 
 
 def format_ns(ns):

@@ -10,8 +10,10 @@
 // per-row allocating simplex projections.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "optim/projected_gradient.h"
 #include "optim/simplex_projection.h"
 #include "prob/rng.h"
+#include "util/check.h"
 
 namespace {
 
@@ -122,9 +125,28 @@ linalg::Matrix BaselineKernel(const linalg::Matrix& powed) {
   return kernel;
 }
 
+// Pre-workspace Eq. 2 normalization: a staged inverse-sqrt diagonal and a
+// full k x k rescale pass.
+void BaselineNormalizeKernel(linalg::Matrix* kernel) {
+  DHMM_CHECK(kernel != nullptr && kernel->rows() == kernel->cols());
+  const size_t k = kernel->rows();
+  linalg::Vector inv_sqrt_diag(k);
+  for (size_t i = 0; i < k; ++i) {
+    double d = (*kernel)(i, i);
+    DHMM_CHECK_MSG(d > 0.0, "kernel diagonal must be positive");
+    inv_sqrt_diag[i] = 1.0 / std::sqrt(d);
+  }
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = 0; j < k; ++j) {
+      (*kernel)(i, j) *= inv_sqrt_diag[i] * inv_sqrt_diag[j];
+    }
+  }
+  for (size_t i = 0; i < k; ++i) (*kernel)(i, i) = 1.0;
+}
+
 double BaselineLogDet(const linalg::Matrix& rows, double rho) {
   linalg::Matrix kernel = BaselineKernel(BaselinePowed(rows, rho));
-  dpp::NormalizeKernel(&kernel);
+  BaselineNormalizeKernel(&kernel);
   linalg::LuDecomposition lu(kernel);
   if (lu.IsSingular() || lu.DeterminantSign() <= 0) {
     return -std::numeric_limits<double>::infinity();
@@ -184,6 +206,75 @@ double BaselineObjective(const linalg::Matrix& a, const linalg::Matrix& counts,
   return obj;
 }
 
+// Pre-workspace Algorithm-1 ascent: separate objective and gradient
+// callbacks, a fresh gradient matrix per iteration and a fresh trial and
+// candidate matrix per line-search probe.
+optim::ProjectedGradientResult BaselineAscent(
+    const linalg::Matrix& init,
+    const std::function<double(const linalg::Matrix&)>& objective,
+    const std::function<bool(const linalg::Matrix&, linalg::Matrix*)>&
+        gradient,
+    const std::function<void(linalg::Matrix*)>& project,
+    const optim::ProjectedGradientOptions& options) {
+  DHMM_CHECK(options.max_iters > 0);
+  optim::ProjectedGradientResult result;
+  result.argmax = init;
+  result.objective = objective(init);
+  DHMM_CHECK_MSG(std::isfinite(result.objective),
+                 "projected gradient needs a feasible finite starting point");
+  double step = optim::kInitialStep;
+  int small_gain_streak = 0;
+  linalg::Matrix grad;
+  for (int iter = 0; iter < options.max_iters; ++iter) {
+    if (!gradient(result.argmax, &grad)) break;
+    bool accepted = false;
+    linalg::Matrix candidate;
+    double cand_obj = 0.0;
+    double search_start = step;
+    double accepted_step = step;
+    int extra_probes = 3;
+    for (int bt = 0; bt < optim::kMaxBacktracks && step >= optim::kMinStep;
+         ++bt) {
+      linalg::Matrix trial = result.argmax + grad * step;
+      project(&trial);
+      double trial_obj = objective(trial);
+      if (std::isfinite(trial_obj) && trial_obj > result.objective &&
+          (!accepted || trial_obj > cand_obj)) {
+        accepted = true;
+        candidate = std::move(trial);
+        cand_obj = trial_obj;
+        accepted_step = step;
+      }
+      if (accepted && --extra_probes < 0) break;
+      step *= optim::kBacktrackFactor;
+    }
+    if (!accepted) {
+      if (search_start > optim::kInitialStep) {
+        step = optim::kInitialStep;
+        continue;
+      }
+      result.converged = true;
+      break;
+    }
+    step = accepted_step;
+    double gain = cand_obj - result.objective;
+    result.argmax = std::move(candidate);
+    result.objective = cand_obj;
+    ++result.iterations;
+    step = std::min(step * optim::kGrowFactor, optim::kInitialStep * 1e8);
+    if (gain < options.tol) {
+      step = std::max(step, optim::kInitialStep);
+      if (++small_gain_streak >= 3) {
+        result.converged = true;
+        break;
+      }
+    } else {
+      small_gain_streak = 0;
+    }
+  }
+  return result;
+}
+
 core::TransitionUpdateResult BaselineUpdateTransitions(
     const linalg::Matrix& a_init, const linalg::Matrix& counts,
     const core::TransitionUpdateOptions& options) {
@@ -230,8 +321,8 @@ core::TransitionUpdateResult BaselineUpdateTransitions(
     BaselineProjectFeasible(a, options.row_floor);
   };
 
-  optim::ProjectedGradientResult pg = optim::ProjectedGradientAscent(
-      start, objective, gradient, project, options.ascent);
+  optim::ProjectedGradientResult pg =
+      BaselineAscent(start, objective, gradient, project, options.ascent);
   core::TransitionUpdateResult result;
   result.a = std::move(pg.argmax);
   result.objective = pg.objective;

@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "hmm/model.h"
 #include "hmm/sampler.h"
 #include "hmm/sequence.h"
+#include "obs/metrics.h"
 #include "prob/gaussian_emission.h"
 #include "prob/rng.h"
 #include "serve/decode_service.h"
@@ -83,6 +85,9 @@ void BM_DecodeService(benchmark::State& state) {
   serve::DecodeService<double> service(w.model, opts);
   std::vector<serve::DecodeFuture<double>> futures;
   futures.reserve(w.data.size());
+  obs::Registry& reg = obs::Registry::Global();
+  const uint64_t requests_before = reg.GetCounter("decode.requests")->Value();
+  const uint64_t batches_before = reg.GetCounter("decode.batches")->Value();
   for (auto _ : state) {
     for (const auto& seq : w.data) {
       futures.push_back(service.Submit(serve::DecodeKind::kViterbi, seq.obs));
@@ -97,8 +102,11 @@ void BM_DecodeService(benchmark::State& state) {
   state.counters["threads"] = threads;
   // Coalescing observability: near max_batch means the dispatcher actually
   // amortizes fan-out over full batches under burst load.
-  state.counters["largest_batch"] =
-      static_cast<double>(service.largest_batch());
+  state.counters["batch_size_mean"] =
+      static_cast<double>(reg.GetCounter("decode.requests")->Value() -
+                          requests_before) /
+      static_cast<double>(reg.GetCounter("decode.batches")->Value() -
+                          batches_before);
 }
 BENCHMARK(BM_DecodeService)
     ->ArgNames({"k", "threads"})

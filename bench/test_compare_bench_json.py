@@ -6,9 +6,10 @@ bench/` picks it up where available, but runnable standalone —
 `python3 bench/test_compare_bench_json.py` — which is how the CI
 bench-smoke leg invokes it, since the runners carry no pytest.
 
-The contract under test: unit scaling and aggregate-row skipping in
-load_benchmarks, and the exit-code policy — removed benches always fail,
-regressions fail only under --strict, added benches never fail.
+The contract under test: unit scaling, the median over repetitions and
+the median-aggregate fallback in load_benchmarks, and the exit-code
+policy — removed benches always fail, regressions fail only under
+--strict, added benches never fail.
 """
 
 import contextlib
@@ -66,6 +67,48 @@ def test_load_benchmarks_scales_units_and_skips_aggregates():
         )
         loaded = compare.load_benchmarks(d)
     assert loaded == {"BM_ns": 10.0, "BM_us": 2000.0, "BM_ms": 3000000.0}
+
+
+def test_repetitions_load_as_their_median():
+    # Three repetitions of one bench (e.g. --benchmark_repetitions=3): the
+    # median, not the last row, stands for the bench. Aggregate rows that
+    # Google Benchmark appends after them change nothing.
+    with tempfile.TemporaryDirectory() as d:
+        _write_snapshot(
+            d,
+            "reps",
+            [
+                ("BM_a", 100.0, "ns", "iteration"),
+                ("BM_a", 200.0, "ns", "iteration"),
+                ("BM_a", 900.0, "ns", "iteration"),
+                ("BM_a_mean", 400.0, "ns", "aggregate"),
+            ],
+        )
+        loaded = compare.load_benchmarks(d)
+    assert loaded == {"BM_a": 200.0}, loaded
+
+
+def test_aggregates_only_snapshot_reads_its_medians():
+    # --benchmark_report_aggregates_only writes no iteration rows: each
+    # bench is its "median" row under the run name, so it compares against
+    # a plain snapshot instead of reading as removed.
+    doc = {
+        "benchmarks": [
+            {"name": f"BM_a_{agg}", "run_name": "BM_a", "real_time": t,
+             "time_unit": "us", "run_type": "aggregate",
+             "aggregate_name": agg}
+            for agg, t in (("mean", 3.0), ("median", 2.0), ("stddev", 0.5),
+                           ("cv", 0.1))
+        ]
+    }
+    with tempfile.TemporaryDirectory() as old, \
+            tempfile.TemporaryDirectory() as new:
+        _write_snapshot(old, "x", [("BM_a", 2000.0, "ns", "iteration")])
+        (Path(new) / "BENCH_x.json").write_text(json.dumps(doc))
+        assert compare.load_benchmarks(new) == {"BM_a": 2000.0}
+        code, out = _run_main(old, new, "--strict")
+    assert code == 0, out
+    assert "removed" not in out, out
 
 
 def test_identical_snapshots_pass():

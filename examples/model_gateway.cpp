@@ -17,6 +17,7 @@
 #include "hmm/model.h"
 #include "hmm/sampler.h"
 #include "hmm/sequence.h"
+#include "obs/metrics.h"
 #include "prob/gaussian_emission.h"
 #include "prob/rng.h"
 #include "serve/frontend.h"
@@ -93,7 +94,11 @@ int main(int argc, char** argv) {
               "pinned)\n",
               num_models, registry.resident_count(), ropts.max_resident);
 
-  // 2. The wire front-end on an ephemeral loopback port.
+  // 2. The wire front-end on an ephemeral loopback port. It counts into
+  // the process-wide metrics registry; this run's share is the growth
+  // from here on.
+  const obs::Snapshot before =
+      obs::Registry::Global().TakeSnapshot("frontend.");
   serve::FrontEnd<double> frontend(&registry);
   st = frontend.Start();
   if (!st.ok()) {
@@ -174,11 +179,17 @@ int main(int argc, char** argv) {
     }
   }
 
+  const obs::Snapshot after =
+      obs::Registry::Global().TakeSnapshot("frontend.");
+  const auto count = [&](const char* name) {
+    return static_cast<unsigned long long>(after.ValueOf(name) -
+                                           before.ValueOf(name));
+  };
   std::printf("served=%llu shed=%llu deadline_expired=%llu "
               "routing_errors=%llu\n",
-              static_cast<unsigned long long>(frontend.requests_served()),
-              static_cast<unsigned long long>(frontend.requests_shed()),
-              static_cast<unsigned long long>(frontend.deadline_expired()),
-              static_cast<unsigned long long>(frontend.routing_errors()));
+              count("frontend.requests_served"),
+              count("frontend.requests_shed"),
+              count("frontend.deadline_expired"),
+              count("frontend.routing_errors"));
   return 0;
 }

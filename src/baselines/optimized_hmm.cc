@@ -9,6 +9,13 @@
 
 namespace dhmm::baselines {
 
+namespace {
+
+constexpr double kValidationFraction = 0.15;
+constexpr uint64_t kTuningSeed = 11;
+
+}  // namespace
+
 OptimizedHmm::OptimizedHmm(size_t num_states, size_t dims,
                            OptimizedHmmOptions options)
     : num_states_(num_states), dims_(dims), options_(std::move(options)) {
@@ -30,11 +37,13 @@ hmm::HmmModel<prob::BinaryObs> OptimizedHmm::FitCounts(
 
 void OptimizedHmm::Fit(const hmm::Dataset<prob::BinaryObs>& data) {
   DHMM_CHECK(data.size() >= 10);
-  // Deterministic validation split.
-  prob::Rng rng(options_.tuning_seed);
+  // Deterministic validation split: a fixed-seed draw of
+  // kValidationFraction of the training sequences is held out for the grid
+  // search.
+  prob::Rng rng(kTuningSeed);
   std::vector<size_t> perm = rng.Permutation(data.size());
   size_t n_val = std::max<size_t>(
-      1, static_cast<size_t>(options_.validation_fraction *
+      1, static_cast<size_t>(kValidationFraction *
                              static_cast<double>(data.size())));
   hmm::Dataset<prob::BinaryObs> train, val;
   for (size_t i = 0; i < perm.size(); ++i) {

@@ -21,9 +21,6 @@ struct OptimizedHmmOptions {
   std::vector<double> emission_weights = {0.25, 0.5, 0.75, 1.0};
   /// Candidate transition pseudo-counts.
   std::vector<double> transition_pseudo_counts = {0.1, 1.0};
-  /// Fraction of training sequences held out for the grid search.
-  double validation_fraction = 0.15;
-  uint64_t tuning_seed = 11;
 };
 
 /// \brief Supervised HMM with tuned smoothing and emission weighting.

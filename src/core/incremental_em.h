@@ -69,9 +69,6 @@ struct IncrementalEmOptions {
   /// Sequence length at which AccumulateBatch switches to the checkpointed
   /// forward-backward (see hmm::BatchOptions). 0 disables.
   size_t checkpoint_threshold_frames = hmm::kDefaultCheckpointThresholdFrames;
-  /// StepReady() gate: frames to accumulate before a Step is suggested.
-  /// 0 means the caller paces Steps manually.
-  uint64_t min_frames_per_step = 0;
 
   Status Validate() const {
     if (!(alpha >= 0.0)) {
@@ -169,14 +166,6 @@ class IncrementalEmTrainer {
   uint64_t frames_accumulated() const {
     std::lock_guard<std::mutex> lock(mu_);
     return acc_.frames;
-  }
-
-  /// True when at least min_frames_per_step frames have accumulated
-  /// (always false at 0 frames, and when the gate is disabled).
-  bool StepReady() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return options_.min_frames_per_step > 0 &&
-           acc_.frames >= options_.min_frames_per_step;
   }
 
   /// M-steps performed so far.

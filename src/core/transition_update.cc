@@ -13,6 +13,10 @@ namespace dhmm::core {
 namespace {
 
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+// When the starting A has (numerically) coincident rows the prior is -inf;
+// the update mixes in this much uniform noise, doubling per attempt, to
+// restore feasibility.
+constexpr double kFeasibilityJitter = 1e-3;
 
 // Count term of Eq. 13: sum_ij C_ij log A_ij, with the raw count gradient
 // C_ij / A_ij optionally written alongside (grad may be null). Returns -inf
@@ -305,7 +309,7 @@ void UpdateTransitions(const linalg::Matrix& a_init,
       obj_start = obj_ml;
     }
   }
-  double jitter = options.feasibility_jitter;
+  double jitter = kFeasibilityJitter;
   for (int attempt = 0; attempt < 40 && obj_start == kNegInf; ++attempt) {
     const size_t n = ws->start.cols();
     for (size_t i = 0; i < ws->start.rows(); ++i) {

@@ -32,9 +32,6 @@ struct TransitionUpdateOptions {
   double row_floor = 1e-10;
   /// Inner projected-gradient-ascent controls (Algorithm 1's loop).
   optim::ProjectedGradientOptions ascent;
-  /// When the starting A has (numerically) coincident rows the prior is -inf;
-  /// the update mixes in this much uniform noise to restore feasibility.
-  double feasibility_jitter = 1e-3;
 };
 
 /// Diagnostics from one update.

@@ -67,24 +67,6 @@ void ProductKernel(const linalg::Matrix& rows, double rho,
   }
 }
 
-void NormalizeKernel(linalg::Matrix* kernel) {
-  DHMM_CHECK(kernel != nullptr && kernel->rows() == kernel->cols());
-  const size_t k = kernel->rows();
-  linalg::Vector inv_sqrt_diag(k);
-  for (size_t i = 0; i < k; ++i) {
-    double d = (*kernel)(i, i);
-    DHMM_CHECK_MSG(d > 0.0, "kernel diagonal must be positive");
-    inv_sqrt_diag[i] = 1.0 / std::sqrt(d);
-  }
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t j = 0; j < k; ++j) {
-      (*kernel)(i, j) *= inv_sqrt_diag[i] * inv_sqrt_diag[j];
-    }
-  }
-  // Pin the diagonal at exactly 1 against roundoff.
-  for (size_t i = 0; i < k; ++i) (*kernel)(i, i) = 1.0;
-}
-
 linalg::Matrix NormalizedKernel(const linalg::Matrix& rows, double rho) {
   KernelWorkspace ws;
   NormalizedKernel(rows, rho, &ws);

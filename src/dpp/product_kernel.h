@@ -32,9 +32,6 @@ linalg::Matrix ProductKernel(const linalg::Matrix& rows,
 linalg::Matrix NormalizedKernel(const linalg::Matrix& rows,
                                 double rho = kDefaultRho);
 
-/// Normalizes an already-computed unnormalized kernel in place.
-void NormalizeKernel(linalg::Matrix* kernel);
-
 /// \brief Workspace overload: builds ws->powed (floored rows^rho) and the
 /// unnormalized kernel ws->kernel = P P^T without allocating once the
 /// workspace buffers have grown to the row shape.
@@ -42,7 +39,7 @@ void ProductKernel(const linalg::Matrix& rows, double rho,
                    KernelWorkspace* ws);
 
 /// \brief Workspace overload of NormalizedKernel: ProductKernel into the
-/// workspace, then NormalizeKernel on ws->kernel in place.
+/// workspace, then Eq. 2 on ws->kernel in place.
 void NormalizedKernel(const linalg::Matrix& rows, double rho,
                       KernelWorkspace* ws);
 

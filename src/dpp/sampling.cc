@@ -74,25 +74,6 @@ std::vector<size_t> SampleFromEigenvectors(linalg::Matrix v, prob::Rng& rng) {
 
 }  // namespace
 
-std::vector<size_t> SampleDpp(const linalg::Matrix& l_kernel, prob::Rng& rng) {
-  DHMM_CHECK(l_kernel.rows() == l_kernel.cols());
-  linalg::SymmetricEigen eig(l_kernel);
-  const linalg::Vector& lambda = eig.eigenvalues();
-  const size_t n = lambda.size();
-  // Phase 1: include eigenvector c independently with prob lambda/(1+lambda).
-  std::vector<size_t> chosen;
-  for (size_t c = 0; c < n; ++c) {
-    double l = std::max(lambda[c], 0.0);  // clamp tiny negative roundoff
-    if (rng.Uniform() < l / (1.0 + l)) chosen.push_back(c);
-  }
-  if (chosen.empty()) return {};
-  linalg::Matrix v(n, chosen.size());
-  for (size_t c = 0; c < chosen.size(); ++c) {
-    v.SetCol(c, eig.eigenvectors().Col(chosen[c]));
-  }
-  return SampleFromEigenvectors(std::move(v), rng);
-}
-
 std::vector<size_t> SampleKDpp(const linalg::Matrix& l_kernel, size_t k,
                                prob::Rng& rng) {
   DHMM_CHECK(l_kernel.rows() == l_kernel.cols());

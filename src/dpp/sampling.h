@@ -1,5 +1,5 @@
-// Exact sampling from discrete DPPs and k-DPPs (Hough et al.; Kulesza &
-// Taskar Algorithms 1 and 8). Background machinery from the paper's
+// Exact sampling from discrete k-DPPs (Hough et al.; Kulesza & Taskar
+// Algorithms 1 and 8). Background machinery from the paper's
 // §2.2/§3.1;
 // used by the diversity-playground example and by tests that validate the
 // repulsion property of the kernels the dHMM prior is built on.
@@ -12,11 +12,6 @@
 #include "prob/rng.h"
 
 namespace dhmm::dpp {
-
-/// \brief Draws a subset of {0..n-1} from the L-ensemble DPP with kernel L.
-///
-/// L must be symmetric positive semidefinite. P(Y) ∝ det(L_Y).
-std::vector<size_t> SampleDpp(const linalg::Matrix& l_kernel, prob::Rng& rng);
 
 /// \brief Draws an exactly-k-subset from the k-DPP with kernel L (Eq. 1).
 ///

@@ -9,89 +9,6 @@
 
 namespace dhmm::optim {
 
-ProjectedGradientResult ProjectedGradientAscent(
-    const linalg::Matrix& init, const MatrixObjective& objective,
-    const MatrixGradient& gradient, const MatrixProjection& project,
-    const ProjectedGradientOptions& options) {
-  DHMM_CHECK(options.max_iters > 0);
-  DHMM_CHECK(options.initial_step > 0.0);
-  DHMM_CHECK(options.backtrack_factor > 0.0 && options.backtrack_factor < 1.0);
-
-  ProjectedGradientResult result;
-  result.argmax = init;
-  result.objective = objective(init);
-  DHMM_CHECK_MSG(std::isfinite(result.objective),
-                 "projected gradient needs a feasible finite starting point");
-
-  double step = options.initial_step;
-  int small_gain_streak = 0;
-  linalg::Matrix grad;
-  for (int iter = 0; iter < options.max_iters; ++iter) {
-    if (!gradient(result.argmax, &grad)) break;
-
-    // Backtracking line search on the projected step. Once an improving
-    // candidate is found, probe a few more step sizes and keep the best —
-    // the first improving step after a long shrink is often a microscopic
-    // gain just inside the feasible region, while a nearby step does far
-    // better.
-    bool accepted = false;
-    linalg::Matrix candidate;
-    double cand_obj = 0.0;
-    double search_start = step;
-    double accepted_step = step;
-    int extra_probes = 3;
-    for (int bt = 0; bt < options.max_backtracks && step >= options.min_step;
-         ++bt) {
-      linalg::Matrix trial = result.argmax + grad * step;
-      project(&trial);
-      double trial_obj = objective(trial);
-      if (std::isfinite(trial_obj) && trial_obj > result.objective &&
-          (!accepted || trial_obj > cand_obj)) {
-        accepted = true;
-        candidate = std::move(trial);
-        cand_obj = trial_obj;
-        accepted_step = step;
-      }
-      if (accepted && --extra_probes < 0) break;
-      step *= options.backtrack_factor;
-    }
-    if (!accepted) {
-      // A grown step can exceed what the backtrack budget reaches back down
-      // from; retry once from the configured initial step before concluding
-      // that this is a local maximum.
-      if (search_start > options.initial_step) {
-        step = options.initial_step;
-        continue;
-      }
-      result.converged = true;  // no improving step exists: local maximum
-      break;
-    }
-    step = accepted_step;
-
-    double gain = cand_obj - result.objective;
-    result.argmax = std::move(candidate);
-    result.objective = cand_obj;
-    ++result.iterations;
-    // Adaptive step recovery, capped so the next backtracking search can
-    // always reach small steps within its budget.
-    step = std::min(step * options.grow_factor, options.initial_step * 1e8);
-
-    // A single small gain can be an artifact of a line search that just
-    // shrank the step; reset the step and require a streak of small gains at
-    // full step size before declaring convergence.
-    if (gain < options.tol) {
-      step = std::max(step, options.initial_step);
-      if (++small_gain_streak >= 3) {
-        result.converged = true;
-        break;
-      }
-    } else {
-      small_gain_streak = 0;
-    }
-  }
-  return result;
-}
-
 void ProjectedGradientAscent(const linalg::Matrix& init,
                              const MatrixObjective& objective,
                              const MatrixValueGradient& value_and_grad,
@@ -100,14 +17,8 @@ void ProjectedGradientAscent(const linalg::Matrix& init,
                              ProjectedGradientWorkspace* ws,
                              ProjectedGradientResult* result) {
   DHMM_CHECK(options.max_iters > 0);
-  DHMM_CHECK(options.initial_step > 0.0);
-  DHMM_CHECK(options.backtrack_factor > 0.0 && options.backtrack_factor < 1.0);
   DHMM_CHECK(ws != nullptr && result != nullptr);
 
-  // Same ascent/line-search structure as the callback overload above; kept
-  // in sync by tests (the two must find the same local maxima). Differences:
-  // the fused oracle supplies objective and gradient together, and every
-  // matrix is a reused workspace/result buffer swapped through the loop.
   result->argmax = init;
   result->iterations = 0;
   result->converged = false;
@@ -117,18 +28,22 @@ void ProjectedGradientAscent(const linalg::Matrix& init,
                  "projected gradient needs a feasible finite starting point");
   result->objective = value;
 
-  double step = options.initial_step;
+  double step = kInitialStep;
   int small_gain_streak = 0;
   for (int iter = 0; iter < options.max_iters; ++iter) {
     if (!has_grad) break;
 
+    // Backtracking line search on the projected step. Once an improving
+    // candidate is found, probe a few more step sizes and keep the best —
+    // the first improving step after a long shrink is often a microscopic
+    // gain just inside the feasible region, while a nearby step does far
+    // better.
     bool accepted = false;
     double cand_obj = 0.0;
     double search_start = step;
     double accepted_step = step;
     int extra_probes = 3;
-    for (int bt = 0; bt < options.max_backtracks && step >= options.min_step;
-         ++bt) {
+    for (int bt = 0; bt < kMaxBacktracks && step >= kMinStep; ++bt) {
       ws->trial = result->argmax;
       ws->trial.AddScaled(ws->grad, step);
       project(&ws->trial);
@@ -141,11 +56,14 @@ void ProjectedGradientAscent(const linalg::Matrix& init,
         accepted_step = step;
       }
       if (accepted && --extra_probes < 0) break;
-      step *= options.backtrack_factor;
+      step *= kBacktrackFactor;
     }
     if (!accepted) {
-      if (search_start > options.initial_step) {
-        step = options.initial_step;
+      // A grown step can exceed what the backtrack budget reaches back down
+      // from; retry once from the initial step before concluding that this
+      // is a local maximum.
+      if (search_start > kInitialStep) {
+        step = kInitialStep;
         continue;
       }
       result->converged = true;  // no improving step exists: local maximum
@@ -157,10 +75,15 @@ void ProjectedGradientAscent(const linalg::Matrix& init,
     std::swap(result->argmax, ws->candidate);
     result->objective = cand_obj;
     ++result->iterations;
-    step = std::min(step * options.grow_factor, options.initial_step * 1e8);
+    // Adaptive step recovery, capped so the next backtracking search can
+    // always reach small steps within its budget.
+    step = std::min(step * kGrowFactor, kInitialStep * 1e8);
 
+    // A single small gain can be an artifact of a line search that just
+    // shrank the step; reset the step and require a streak of small gains at
+    // full step size before declaring convergence.
     if (gain < options.tol) {
-      step = std::max(step, options.initial_step);
+      step = std::max(step, kInitialStep);
       if (++small_gain_streak >= 3) {
         result->converged = true;
         break;

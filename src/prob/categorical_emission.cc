@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "prob/logsumexp.h"
 #include "util/check.h"
@@ -57,7 +58,12 @@ void CategoricalEmission::BeginAccumulate() {
 
 void CategoricalEmission::Accumulate(const int& y, const linalg::Vector& q) {
   DHMM_DCHECK(q.size() == b_.rows());
-  DHMM_DCHECK(y >= 0 && static_cast<size_t>(y) < b_.cols());
+  // Supervised fits reach here with dataset symbols and no forward pass in
+  // front, so the bound is checked in every build.
+  DHMM_CHECK_MSG(y >= 0 && static_cast<size_t>(y) < b_.cols(),
+                 ("symbol " + std::to_string(y) + " outside the vocabulary " +
+                  "of V = " + std::to_string(b_.cols()))
+                     .c_str());
   double* counts = acc_.row_data(static_cast<size_t>(y));
   for (size_t i = 0; i < q.size(); ++i) counts[i] += q[i];
 }

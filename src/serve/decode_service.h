@@ -36,7 +36,6 @@
 #define DHMM_SERVE_DECODE_SERVICE_H_
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -186,11 +185,16 @@ class DecodeFuture {
 template <typename Obs>
 class DecodeService {
  public:
+  /// `model` serves as version `model_version`. A ModelRegistry passes its
+  /// entry's version, so a service it recreates after an eviction keeps
+  /// the registry's count.
   explicit DecodeService(std::shared_ptr<const hmm::HmmModel<Obs>> model,
-                         const DecodeServiceOptions& options = {})
+                         const DecodeServiceOptions& options = {},
+                         uint64_t model_version = 1)
       : options_(options),
         pool_(options.num_threads),
-        workers_(static_cast<size_t>(pool_.num_threads())) {
+        workers_(static_cast<size_t>(pool_.num_threads())),
+        model_version_(model_version) {
     const Status opt_st = options.Validate();
     DHMM_CHECK_MSG(opt_st.ok(), opt_st.message().c_str());
     DHMM_CHECK_MSG(model != nullptr, "DecodeService requires a model");
@@ -297,7 +301,8 @@ class DecodeService {
     return model_;
   }
 
-  /// Bumped by every successful UpdateModel/ReloadModel; starts at 1.
+  /// Bumped by every successful UpdateModel/ReloadModel; starts at the
+  /// constructor's `model_version`.
   uint64_t model_version() const {
     std::lock_guard<std::mutex> lock(mu_);
     return model_version_;
@@ -325,17 +330,6 @@ class DecodeService {
   /// text (obs/metrics.h). Allocates; for diagnostics, not the hot path.
   std::string StatsString() const {
     return obs::RenderText(obs::Registry::Global().TakeSnapshot("decode."));
-  }
-
-  // Counters (dispatcher-written, safe to read from any thread).
-  uint64_t requests_served() const {
-    return requests_served_.load(std::memory_order_relaxed);
-  }
-  uint64_t batches_dispatched() const {
-    return batches_dispatched_.load(std::memory_order_relaxed);
-  }
-  size_t largest_batch() const {
-    return largest_batch_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -447,13 +441,6 @@ class DecodeService {
       // The dispatcher participates as worker 0, so num_threads == 1 runs
       // the whole batch inline with no cross-thread traffic.
       pool_.ParallelFor(batch_.size(), batch_fn_);
-      // Counters first: a hook (or a Wait() that returns) must already see
-      // this batch counted.
-      requests_served_.fetch_add(batch_.size(), std::memory_order_relaxed);
-      batches_dispatched_.fetch_add(1, std::memory_order_relaxed);
-      if (batch_.size() > largest_batch_.load(std::memory_order_relaxed)) {
-        largest_batch_.store(batch_.size(), std::memory_order_relaxed);
-      }
       CompleteBatch();
       batch_model_.reset();  // drop the snapshot promptly after the batch
     }
@@ -576,9 +563,6 @@ class DecodeService {
   Clock::time_point batch_cut_;
 
   std::thread dispatcher_;
-  std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> batches_dispatched_{0};
-  std::atomic<size_t> largest_batch_{0};
 
   // Process-wide metrics (obs/metrics.h): registered once at construction,
   // bumped with relaxed atomics on the hot path. One per-kind slot per wire

@@ -115,7 +115,8 @@ struct FrontEndOptions {
 ///
 /// The registry is borrowed and must outlive the front-end. Start() binds
 /// and spins up the IO thread; Stop() (or the destructor) drains and shuts
-/// it down. Counters are readable from any thread.
+/// it down. Its counters live in the process-wide obs::Registry under the
+/// "frontend." prefix.
 template <typename Obs>
 class FrontEnd {
  public:
@@ -129,6 +130,10 @@ class FrontEnd {
     obs::Registry& obs_reg = obs::Registry::Global();
     m_frames_accepted_ = obs_reg.GetCounter("frontend.frames_accepted");
     m_frames_malformed_ = obs_reg.GetCounter("frontend.frames_malformed");
+    m_bad_headers_ = obs_reg.GetCounter("frontend.bad_headers");
+    m_oversized_frames_ = obs_reg.GetCounter("frontend.oversized_frames");
+    m_conns_accepted_ = obs_reg.GetCounter("frontend.connections_accepted");
+    m_conns_rejected_ = obs_reg.GetCounter("frontend.connections_rejected");
     m_requests_shed_ = obs_reg.GetCounter("frontend.requests_shed");
     m_deadline_expired_ = obs_reg.GetCounter("frontend.deadline_expired");
     m_requests_served_ = obs_reg.GetCounter("frontend.requests_served");
@@ -232,17 +237,6 @@ class FrontEnd {
         obs::Registry::Global().TakeSnapshot("frontend."));
   }
 
-  // Counters. Per-instance (tests assert absolute values on a fresh
-  // front end); the obs registry accumulates the same events
-  // process-wide under the "frontend." prefix.
-  uint64_t requests_served() const { return Load(requests_served_); }
-  uint64_t requests_shed() const { return Load(requests_shed_); }
-  uint64_t deadline_expired() const { return Load(deadline_expired_); }
-  uint64_t routing_errors() const { return Load(routing_errors_); }
-  uint64_t protocol_errors() const { return Load(protocol_errors_); }
-  uint64_t connections_accepted() const { return Load(connections_accepted_); }
-  uint64_t connections_rejected() const { return Load(connections_rejected_); }
-
  private:
   using Clock = std::chrono::steady_clock;
 
@@ -277,13 +271,6 @@ class FrontEnd {
     std::vector<uint8_t> wbuf;
     size_t woff = 0;  // first unsent byte in wbuf
   };
-
-  static uint64_t Load(const std::atomic<uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  }
-  static void Bump(std::atomic<uint64_t>& a) {
-    a.fetch_add(1, std::memory_order_relaxed);
-  }
 
   static Status Errno(const char* what) {
     return Status::Internal(std::string(what) + ": " +
@@ -373,7 +360,7 @@ class FrontEnd {
       if (fd < 0) return;  // EAGAIN or transient error: next poll retries
       if (open_conns_ >= options_.max_connections) {
         ::close(fd);
-        Bump(connections_rejected_);
+        m_conns_rejected_->Add();
         continue;
       }
       SetNonBlocking(fd);
@@ -395,7 +382,7 @@ class FrontEnd {
       c.wbuf.clear();
       c.woff = 0;
       ++open_conns_;
-      Bump(connections_accepted_);
+      m_conns_accepted_->Add();
     }
   }
 
@@ -444,12 +431,12 @@ class FrontEnd {
       if (!hs.ok()) {
         // Bad magic / version / absurd length: the stream has no
         // trustworthy framing left, so there is nothing to respond to.
-        Bump(protocol_errors_);
+        m_bad_headers_->Add();
         CloseConn(idx);
         break;
       }
       if (h.payload_len > options_.max_payload_bytes) {
-        Bump(protocol_errors_);
+        m_oversized_frames_->Add();
         SynthesizeError(
             c, h,
             Status::OutOfRange("request payload exceeds the front-end "
@@ -485,7 +472,6 @@ class FrontEnd {
     if (!ps.ok()) {
       // Framing is intact (the header parsed and the length matched), so
       // the connection survives a bad payload: respond and move on.
-      Bump(protocol_errors_);
       m_frames_malformed_->Add();
       SynthesizeError(c, h, ps);
       FlushConn(idx);
@@ -506,12 +492,10 @@ class FrontEnd {
       // not a model decode. Allocates (the rendered text) — an operator
       // surface, not a steady-state path.
       r.text = obs::RenderText(obs::Registry::Global().TakeSnapshot());
-      Bump(requests_served_);
       m_requests_served_->Add();
     } else if (kind == DecodeKind::kSessionPush) {
       HandleSessionPush(c, h.model, slot->obs, &r);
     } else if (inflight_ >= options_.queue_capacity) {
-      Bump(requests_shed_);
       m_requests_shed_->Add();
       SynthesizeError(c, h,
                       Status::Unavailable("request queue full — shed"));
@@ -541,7 +525,6 @@ class FrontEnd {
         slot->service->Submit(req, CompletionHook{&OnDecoded, slot});
         return;
       }
-      Bump(routing_errors_);
       m_routing_errors_->Add();
       r.status = svc.status();
     }
@@ -563,10 +546,8 @@ class FrontEnd {
     r.value = result.value;
     r.model_version = result.model_version;
     if (r.status.code() == StatusCode::kDeadlineExceeded) {
-      Bump(self->deadline_expired_);
       self->m_deadline_expired_->Add();
     } else {
-      Bump(self->requests_served_);
       self->m_requests_served_->Add();
     }
     // At most queue_capacity slots are in flight and the ring holds that
@@ -679,7 +660,6 @@ class FrontEnd {
   void HandleSessionPush(Conn& c, ModelId model, const std::vector<Obs>& frames,
                          DecodeResponse* r) {
     if (sessions_ == nullptr || model != session_model_) {
-      Bump(routing_errors_);
       m_routing_errors_->Add();
       if (sessions_ == nullptr) {
         r->status = Status::FailedPrecondition(
@@ -699,7 +679,6 @@ class FrontEnd {
     }
     if (!st.ok()) {
       DestroySession(c);
-      Bump(routing_errors_);
       m_routing_errors_->Add();
       r->status = std::move(st);
       r->path.clear();
@@ -710,7 +689,6 @@ class FrontEnd {
       if (ll.ok()) r->value = ll.value();
     }
     r->model_version = sessions_->model_version();
-    Bump(requests_served_);
     m_requests_served_->Add();
   }
 
@@ -769,7 +747,11 @@ class FrontEnd {
 
   // Obs metric pointers, resolved once at construction (see metrics.h).
   obs::Counter* m_frames_accepted_ = nullptr;
-  obs::Counter* m_frames_malformed_ = nullptr;
+  obs::Counter* m_frames_malformed_ = nullptr;  // framing intact, bad payload
+  obs::Counter* m_bad_headers_ = nullptr;       // connection closed
+  obs::Counter* m_oversized_frames_ = nullptr;  // OutOfRange, then closed
+  obs::Counter* m_conns_accepted_ = nullptr;
+  obs::Counter* m_conns_rejected_ = nullptr;    // past max_connections
   obs::Counter* m_requests_shed_ = nullptr;
   obs::Counter* m_deadline_expired_ = nullptr;
   obs::Counter* m_requests_served_ = nullptr;
@@ -779,14 +761,6 @@ class FrontEnd {
   // is kept for existing readers of the metric).
   obs::Gauge* m_ring_occupancy_ = nullptr;
   obs::Histogram* m_latency_us_ = nullptr;
-
-  std::atomic<uint64_t> requests_served_{0};
-  std::atomic<uint64_t> requests_shed_{0};
-  std::atomic<uint64_t> deadline_expired_{0};
-  std::atomic<uint64_t> routing_errors_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_rejected_{0};
 };
 
 }  // namespace dhmm::serve

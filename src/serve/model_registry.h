@@ -100,10 +100,10 @@ class ModelRegistry {
           "model id already registered: " + std::to_string(id));
     }
     Entry& e = it->second;
-    e.service =
-        std::make_shared<DecodeService<Obs>>(std::move(model), options_.service);
-    e.pinned = pinned;
     e.version = 1;
+    e.service = std::make_shared<DecodeService<Obs>>(
+        std::move(model), options_.service, e.version);
+    e.pinned = pinned;
     e.tick = ++tick_;
     EnforceCapLocked();
     return Status::OK();
@@ -138,13 +138,13 @@ class ModelRegistry {
     auto it = entries_.find(id);
     if (it == entries_.end()) return UnknownModel(id);
     Entry& e = it->second;
+    ++e.version;
     if (e.service != nullptr) {
       e.service->UpdateModel(std::move(model));
     } else {
-      e.service = std::make_shared<DecodeService<Obs>>(std::move(model),
-                                                       options_.service);
+      e.service = std::make_shared<DecodeService<Obs>>(
+          std::move(model), options_.service, e.version);
     }
-    ++e.version;
     e.tick = ++tick_;
     EnforceCapLocked();
     return Status::OK();
@@ -192,8 +192,9 @@ class ModelRegistry {
 
   /// \brief The request path: returns the model's DecodeService and marks
   /// it most-recently-used. NotFound for unknown ids; an evicted model
-  /// with a remembered checkpoint path is cold-loaded transparently,
-  /// one without is Unavailable. No allocation on the resident path.
+  /// with a remembered checkpoint path is cold-loaded transparently as a
+  /// new snapshot under the next version, one without is Unavailable. No
+  /// allocation on the resident path.
   Result<std::shared_ptr<DecodeService<Obs>>> Acquire(ModelId id) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(id);
@@ -212,7 +213,7 @@ class ModelRegistry {
       e.service = std::make_shared<DecodeService<Obs>>(
           std::make_shared<const hmm::HmmModel<Obs>>(
               std::move(loaded).value()),
-          options_.service);
+          options_.service, ++e.version);
       m_cold_loads_->Add();
       // The cold load made a new resident: someone else may have to go.
       e.tick = ++tick_;
@@ -250,34 +251,6 @@ class ModelRegistry {
     return Status::OK();
   }
 
-  /// \brief Evicts the least-recently-acquired unpinned resident model —
-  /// the manual form of the residency-cap sweep. Typed failures, never an
-  /// abort: FailedPrecondition both when nothing is resident and when
-  /// every resident model is pinned (tests/frontend_test.cc pins the
-  /// all-pinned case).
-  Status EvictLru() {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t resident = 0;
-    Entry* victim = nullptr;
-    for (auto& [id, e] : entries_) {
-      if (e.service == nullptr) continue;
-      ++resident;
-      if (e.pinned) continue;
-      if (victim == nullptr || e.tick < victim->tick) victim = &e;
-    }
-    if (resident == 0) {
-      return Status::FailedPrecondition("no resident models to evict");
-    }
-    if (victim == nullptr) {
-      return Status::FailedPrecondition(
-          "every resident model is pinned — nothing evictable");
-    }
-    victim->service.reset();  // drains in-flight work in the destructor
-    m_evictions_->Add();
-    RefreshResidentLocked();
-    return Status::OK();
-  }
-
   /// The "registry." slice of the process-wide metrics snapshot, rendered
   /// as text (obs/metrics.h). Allocates; for diagnostics, not the hot path.
   std::string StatsString() const {
@@ -286,7 +259,8 @@ class ModelRegistry {
   }
 
   /// Per-model version: 1 at Register, bumped by every UpdateModel /
-  /// ReloadModel. Survives eviction.
+  /// ReloadModel and every cold load. Survives eviction. Every response
+  /// the model's service answers carries it as `model_version`.
   Result<uint64_t> ModelVersion(ModelId id) const {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(id);
@@ -327,8 +301,8 @@ class ModelRegistry {
   // Evicts least-recently-acquired unpinned residents until the cap
   // holds. Caller holds mu_. Stops early when only pinned models remain —
   // pinned-hot capacity overrides the cap by design. Every path that
-  // changes residency funnels through here (or the explicit Evict forms),
-  // so the resident gauge is refreshed on the way out.
+  // changes residency funnels through here (or Evict), so the resident
+  // gauge is refreshed on the way out.
   void EnforceCapLocked() {
     for (;;) {
       size_t resident = 0;

@@ -85,20 +85,11 @@ struct SessionManagerOptions {
   /// Finish, one O(T * k^2) sweep). Ring storage is (L + 1) x k doubles
   /// per session, so the lag is bounded by kMaxLag.
   size_t lag = 8;
-  /// Slot records per pool slab: larger slabs mean fewer pool growth
-  /// events on the way to the high-water mark.
-  size_t sessions_per_slab = 1024;
-  /// Ring blocks per arena slab (util::SlabArena blocks_per_slab).
-  size_t arena_blocks_per_slab = 1024;
 
   Status Validate() const {
     if (lag > kMaxLag) {
       return Status::InvalidArgument(
           "SessionManagerOptions::lag is absurdly large");
-    }
-    if (sessions_per_slab == 0 || arena_blocks_per_slab == 0) {
-      return Status::InvalidArgument(
-          "SessionManagerOptions slab sizes must be non-zero");
     }
     return Status::OK();
   }
@@ -141,9 +132,8 @@ class SessionManager {
       if (slot_count_ >= kMaxSessions) {
         return Status::Unavailable("session pool exhausted");
       }
-      if (slot_count_ % options_.sessions_per_slab == 0) {
-        slot_slabs_.push_back(
-            std::make_unique<Slot[]>(options_.sessions_per_slab));
+      if (slot_count_ % kSessionsPerSlab == 0) {
+        slot_slabs_.push_back(std::make_unique<Slot[]>(kSessionsPerSlab));
       }
       idx = static_cast<uint32_t>(slot_count_++);
     }
@@ -363,6 +353,10 @@ class SessionManager {
 
  private:
   static constexpr size_t kMaxSessions = size_t{1} << 31;
+  // Slot records per pool slab and ring blocks per arena slab: larger
+  // slabs mean fewer growth events on the way to the high-water mark.
+  static constexpr size_t kSessionsPerSlab = 1024;
+  static constexpr size_t kArenaBlocksPerSlab = 1024;
   static constexpr const char* kUnknownSession =
       "unknown or evicted session handle";
 
@@ -415,8 +409,7 @@ class SessionManager {
   }
 
   Slot& SlotAt(size_t idx) {
-    return slot_slabs_[idx / options_.sessions_per_slab]
-                      [idx % options_.sessions_per_slab];
+    return slot_slabs_[idx / kSessionsPerSlab][idx % kSessionsPerSlab];
   }
 
   Slot* ResolveLocked(SessionHandle h) {
@@ -453,7 +446,7 @@ class SessionManager {
       it = arenas_
                .emplace(block_bytes,
                         std::make_unique<util::SlabArena>(
-                            block_bytes, options_.arena_blocks_per_slab))
+                            block_bytes, kArenaBlocksPerSlab))
                .first;
     }
     return it->second.get();

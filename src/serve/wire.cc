@@ -7,14 +7,14 @@ namespace dhmm::serve::wire {
 
 namespace {
 
-using internal::GetU16;
-using internal::GetU32;
-using internal::GetU64;
-using internal::GetF64;
-using internal::PutU16;
-using internal::PutU32;
-using internal::PutU64;
-using internal::PutF64;
+using util::GetU16;
+using util::GetU32;
+using util::GetU64;
+using util::GetF64;
+using util::PutU16;
+using util::PutU32;
+using util::PutU64;
+using util::PutF64;
 
 // Response payload layout after the frame header (see wire.h).
 constexpr size_t kResponseFixed = 2 + 2 + 8 + 8 + 4;  // up to path entries

@@ -46,11 +46,11 @@
 #define DHMM_SERVE_WIRE_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "serve/request.h"
+#include "util/little_endian.h"
 #include "util/status.h"
 
 namespace dhmm::serve::wire {
@@ -84,43 +84,6 @@ struct FrameHeader {
 
 namespace internal {
 
-// Byte-wise little-endian primitives: endian-independent by construction.
-inline void PutU16(uint16_t v, uint8_t* p) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-}
-inline void PutU32(uint32_t v, uint8_t* p) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-  p[2] = static_cast<uint8_t>(v >> 16);
-  p[3] = static_cast<uint8_t>(v >> 24);
-}
-inline void PutU64(uint64_t v, uint8_t* p) {
-  PutU32(static_cast<uint32_t>(v), p);
-  PutU32(static_cast<uint32_t>(v >> 32), p + 4);
-}
-inline void PutF64(double v, uint8_t* p) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits, p);
-}
-inline uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (uint16_t{p[1]} << 8));
-}
-inline uint32_t GetU32(const uint8_t* p) {
-  return p[0] | (uint32_t{p[1]} << 8) | (uint32_t{p[2]} << 16) |
-         (uint32_t{p[3]} << 24);
-}
-inline uint64_t GetU64(const uint8_t* p) {
-  return GetU32(p) | (uint64_t{GetU32(p + 4)} << 32);
-}
-inline double GetF64(const uint8_t* p) {
-  const uint64_t bits = GetU64(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 /// Grows `*out` by `n` bytes and returns a pointer to the new region.
 inline uint8_t* Extend(std::vector<uint8_t>* out, size_t n) {
   const size_t base = out->size();
@@ -137,15 +100,19 @@ struct ObsCodec;
 template <>
 struct ObsCodec<double> {
   static constexpr size_t kSize = 8;
-  static void Put(double v, uint8_t* p) { PutF64(v, p); }
-  static double Get(const uint8_t* p) { return GetF64(p); }
+  static void Put(double v, uint8_t* p) { util::PutF64(v, p); }
+  static double Get(const uint8_t* p) { return util::GetF64(p); }
 };
 
 template <>
 struct ObsCodec<int> {
   static constexpr size_t kSize = 4;
-  static void Put(int v, uint8_t* p) { PutU32(static_cast<uint32_t>(v), p); }
-  static int Get(const uint8_t* p) { return static_cast<int>(GetU32(p)); }
+  static void Put(int v, uint8_t* p) {
+    util::PutU32(static_cast<uint32_t>(v), p);
+  }
+  static int Get(const uint8_t* p) {
+    return static_cast<int>(util::GetU32(p));
+  }
 };
 
 }  // namespace internal
@@ -183,7 +150,7 @@ Status EncodeRequest(const DecodeRequest<Obs>& req,
   uint8_t* p = internal::Extend(out, kHeaderSize + payload);
   EncodeHeader(h, p);
   p += kHeaderSize;
-  internal::PutU32(static_cast<uint32_t>(count), p);
+  util::PutU32(static_cast<uint32_t>(count), p);
   p += 4;
   for (size_t i = 0; i < count; ++i, p += Codec::kSize) {
     Codec::Put((*req.obs)[i], p);
@@ -215,7 +182,7 @@ Status DecodeRequestPayload(const FrameHeader& h, const uint8_t* payload,
     return Status::InvalidArgument("request payload shorter than its "
                                    "observation count");
   }
-  const uint32_t count = internal::GetU32(payload);
+  const uint32_t count = util::GetU32(payload);
   if (size - 4 != size_t{count} * Codec::kSize) {
     return Status::InvalidArgument("request payload length does not match "
                                    "its observation count");

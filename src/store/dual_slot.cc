@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "store/crc32c.h"
 #include "util/fsio.h"
+#include "util/little_endian.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/stat.h>
@@ -20,29 +21,6 @@ namespace {
 constexpr const char* kSlotFileName[2] = {"slot_a.dhmms", "slot_b.dhmms"};
 constexpr const char* kManifestFileName = "MANIFEST";
 
-void StoreU32(unsigned char* p, uint32_t v) {
-  p[0] = static_cast<unsigned char>(v);
-  p[1] = static_cast<unsigned char>(v >> 8);
-  p[2] = static_cast<unsigned char>(v >> 16);
-  p[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void StoreU64(unsigned char* p, uint64_t v) {
-  StoreU32(p, static_cast<uint32_t>(v));
-  StoreU32(p + 4, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t LoadU32(const unsigned char* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-uint64_t LoadU64(const unsigned char* p) {
-  return static_cast<uint64_t>(LoadU32(p)) |
-         (static_cast<uint64_t>(LoadU32(p + 4)) << 32);
-}
-
 /// Best-effort manifest read. Any defect — missing file, short read, bad
 /// magic/version/CRC, out-of-range slot — returns false: the manifest is
 /// only a tie-breaking hint and Open() re-derives truth from the slots.
@@ -55,12 +33,12 @@ bool ReadManifestHint(const std::string& path, int* active, uint64_t* seq) {
   if (std::memcmp(buf, kSlotManifestMagic, sizeof(kSlotManifestMagic)) != 0) {
     return false;
   }
-  if (LoadU32(buf + 8) != kSlotManifestVersion) return false;
-  if (LoadU32(buf + 24) != Crc32c(buf, 24)) return false;
-  const uint32_t slot = LoadU32(buf + 12);
+  if (util::GetU32(buf + 8) != kSlotManifestVersion) return false;
+  if (util::GetU32(buf + 24) != Crc32c(buf, 24)) return false;
+  const uint32_t slot = util::GetU32(buf + 12);
   if (slot > 1) return false;
   *active = static_cast<int>(slot);
-  *seq = LoadU64(buf + 16);
+  *seq = util::GetU64(buf + 16);
   return true;
 }
 
@@ -148,10 +126,10 @@ Result<DualSlotStore> DualSlotStore::Open(const std::string& dir) {
 Status DualSlotStore::CommitManifest(int slot, uint64_t sequence) {
   unsigned char buf[kSlotManifestBytes];
   std::memcpy(buf, kSlotManifestMagic, sizeof(kSlotManifestMagic));
-  StoreU32(buf + 8, kSlotManifestVersion);
-  StoreU32(buf + 12, static_cast<uint32_t>(slot));
-  StoreU64(buf + 16, sequence);
-  StoreU32(buf + 24, Crc32c(buf, 24));
+  util::PutU32(kSlotManifestVersion, buf + 8);
+  util::PutU32(static_cast<uint32_t>(slot), buf + 12);
+  util::PutU64(sequence, buf + 16);
+  util::PutU32(Crc32c(buf, 24), buf + 24);
   return util::AtomicWriteFile(dir_ + "/" + kManifestFileName, buf,
                                sizeof(buf));
 }

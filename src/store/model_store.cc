@@ -14,41 +14,16 @@
 
 #include "store/crc32c.h"
 #include "util/fsio.h"
+#include "util/little_endian.h"
 
 namespace dhmm::store {
 
 namespace {
 
-// Byte-wise little-endian codec, the same idiom as serve/wire.cc: the file
-// format is defined in bytes, not in host integers, so a big-endian host
-// reads and writes the identical file (payload doubles are a separate
-// story — the header flag records their endianness and the codec layer
-// rejects a mismatch rather than byte-swapping numerics).
-void StoreU32(unsigned char* p, uint32_t v) {
-  p[0] = static_cast<unsigned char>(v);
-  p[1] = static_cast<unsigned char>(v >> 8);
-  p[2] = static_cast<unsigned char>(v >> 16);
-  p[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void StoreU64(unsigned char* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<unsigned char>(v >> (8 * i));
-  }
-}
-
-uint32_t LoadU32(const unsigned char* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-}
-
-uint64_t LoadU64(const unsigned char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
+// Header and manifest integers go through util/little_endian.h, so a
+// big-endian host reads and writes the identical file. Payload doubles are
+// a separate story: the header flag records their endianness and the codec
+// layer rejects a mismatch rather than byte-swapping numerics.
 bool HostIsLittleEndian() {
   const uint32_t probe = 1;
   unsigned char byte0;
@@ -194,25 +169,25 @@ Status ModelStoreWriter::BuildImage(uint64_t sequence_number,
     const size_t bytes = s.rows * s.cols * sizeof(double);
     std::memcpy(base + offsets[i], s.data, bytes);
     unsigned char* e = manifest + i * kStoreManifestEntryBytes;
-    StoreU32(e, static_cast<uint32_t>(s.id));
-    StoreU32(e + 4, Crc32c(base + offsets[i], bytes));
-    StoreU64(e + 8, offsets[i]);
-    StoreU64(e + 16, bytes);
-    StoreU64(e + 24, s.rows);
-    StoreU64(e + 32, s.cols);
+    util::PutU32(static_cast<uint32_t>(s.id), e);
+    util::PutU32(Crc32c(base + offsets[i], bytes), e + 4);
+    util::PutU64(offsets[i], e + 8);
+    util::PutU64(bytes, e + 16);
+    util::PutU64(s.rows, e + 24);
+    util::PutU64(s.cols, e + 32);
   }
 
   std::memcpy(base, kStoreMagic, sizeof(kStoreMagic));
-  StoreU32(base + 8, kStoreFormatVersion);
-  StoreU32(base + 12, kStoreFlagLittleEndian);
-  StoreU64(base + 16, sequence_number);
-  StoreU32(base + 24, emission_type);
-  StoreU32(base + 28, num_states);
-  StoreU32(base + 32, static_cast<uint32_t>(n));
-  StoreU32(base + 36, Crc32c(manifest, manifest_bytes));
-  StoreU64(base + 40, file_size);
+  util::PutU32(kStoreFormatVersion, base + 8);
+  util::PutU32(kStoreFlagLittleEndian, base + 12);
+  util::PutU64(sequence_number, base + 16);
+  util::PutU32(emission_type, base + 24);
+  util::PutU32(num_states, base + 28);
+  util::PutU32(static_cast<uint32_t>(n), base + 32);
+  util::PutU32(Crc32c(manifest, manifest_bytes), base + 36);
+  util::PutU64(file_size, base + 40);
   // Bytes 48..59 reserved, already zero.
-  StoreU32(base + 60, Crc32c(base, 60));
+  util::PutU32(Crc32c(base, 60), base + 60);
   return Status::OK();
 }
 
@@ -243,29 +218,29 @@ Result<ModelStoreReader> ModelStoreReader::Open(const std::string& path) {
   if (std::memcmp(base, kStoreMagic, sizeof(kStoreMagic)) != 0) {
     return Status::IOError("store: bad magic: " + path);
   }
-  if (LoadU32(base + 60) != Crc32c(base, 60)) {
+  if (util::GetU32(base + 60) != Crc32c(base, 60)) {
     return Status::IOError("store: header checksum mismatch: " + path);
   }
   // Past the header CRC every field is trustworthy-as-written; the checks
   // below catch version/host mismatches and truncation after the header.
-  if (LoadU32(base + 8) != kStoreFormatVersion) {
+  if (util::GetU32(base + 8) != kStoreFormatVersion) {
     return Status::IOError("store: unsupported format version: " + path);
   }
-  if ((LoadU32(base + 12) & kStoreFlagLittleEndian) == 0 ||
+  if ((util::GetU32(base + 12) & kStoreFlagLittleEndian) == 0 ||
       !HostIsLittleEndian()) {
     return Status::IOError("store: payload endianness mismatch: " + path);
   }
-  reader.sequence_number_ = LoadU64(base + 16);
-  reader.emission_type_ = LoadU32(base + 24);
-  reader.num_states_ = LoadU32(base + 28);
+  reader.sequence_number_ = util::GetU64(base + 16);
+  reader.emission_type_ = util::GetU32(base + 24);
+  reader.num_states_ = util::GetU32(base + 28);
   if (reader.num_states_ == 0 || reader.num_states_ > kStoreMaxStates) {
     return Status::IOError("store: bad state count: " + path);
   }
-  const uint32_t n = LoadU32(base + 32);
+  const uint32_t n = util::GetU32(base + 32);
   if (n == 0 || n > kStoreMaxSections) {
     return Status::IOError("store: bad section count: " + path);
   }
-  if (LoadU64(base + 40) != size) {
+  if (util::GetU64(base + 40) != size) {
     return Status::IOError("store: truncated file: " + path);
   }
   const size_t manifest_bytes = n * kStoreManifestEntryBytes;
@@ -273,19 +248,19 @@ Result<ModelStoreReader> ModelStoreReader::Open(const std::string& path) {
     return Status::IOError("store: truncated manifest: " + path);
   }
   const unsigned char* manifest = base + kStoreHeaderBytes;
-  if (LoadU32(base + 36) != Crc32c(manifest, manifest_bytes)) {
+  if (util::GetU32(base + 36) != Crc32c(manifest, manifest_bytes)) {
     return Status::IOError("store: manifest checksum mismatch: " + path);
   }
   reader.entries_.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
     const unsigned char* e = manifest + i * kStoreManifestEntryBytes;
     Entry& entry = reader.entries_[i];
-    entry.id = LoadU32(e);
-    entry.crc = LoadU32(e + 4);
-    entry.offset = LoadU64(e + 8);
-    entry.bytes = LoadU64(e + 16);
-    entry.rows = LoadU64(e + 24);
-    entry.cols = LoadU64(e + 32);
+    entry.id = util::GetU32(e);
+    entry.crc = util::GetU32(e + 4);
+    entry.offset = util::GetU64(e + 8);
+    entry.bytes = util::GetU64(e + 16);
+    entry.rows = util::GetU64(e + 24);
+    entry.cols = util::GetU64(e + 32);
     // Division-form shape check so hostile rows/cols cannot overflow the
     // u64 product into a "consistent" value.
     const uint64_t elems = entry.bytes / sizeof(double);

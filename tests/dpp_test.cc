@@ -262,28 +262,6 @@ TEST(DppSamplingTest, KDppHasExactCardinality) {
   }
 }
 
-TEST(DppSamplingTest, SampleDppItemsInRange) {
-  prob::Rng rng(32);
-  linalg::Matrix l = linalg::Matrix::Identity(5) * 2.0;
-  for (int trial = 0; trial < 20; ++trial) {
-    auto subset = SampleDpp(l, rng);
-    for (size_t item : subset) EXPECT_LT(item, 5u);
-  }
-}
-
-TEST(DppSamplingTest, IdentityKernelMarginals) {
-  // For L = c*I the items are independent with inclusion prob c/(1+c).
-  prob::Rng rng(33);
-  linalg::Matrix l = linalg::Matrix::Identity(4) * 3.0;
-  int count = 0;
-  const int trials = 4000;
-  for (int t = 0; t < trials; ++t) {
-    count += static_cast<int>(SampleDpp(l, rng).size());
-  }
-  double rate = count / (4.0 * trials);
-  EXPECT_NEAR(rate, 0.75, 0.03);
-}
-
 TEST(DppSamplingTest, RepulsionBeatsIndependentSampling) {
   // Two highly similar items (0,1) and one dissimilar (2): a 2-DPP should
   // pick {0,2} or {1,2} far more often than {0,1}.

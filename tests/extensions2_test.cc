@@ -1,13 +1,10 @@
-// Tests for the second extension wave: DPP marginal kernels, chain
-// diagnostics, and the Gaussian-mixture emission family.
+// Tests for the second extension wave: chain diagnostics and the
+// Gaussian-mixture emission family.
 #include <cmath>
 #include <memory>
 
 #include <gtest/gtest.h>
 
-#include "dpp/marginal.h"
-#include "linalg/eigen_sym.h"
-#include "dpp/sampling.h"
 #include "hmm/diagnostics.h"
 #include "hmm/model.h"
 #include "hmm/sampler.h"
@@ -17,90 +14,6 @@
 
 namespace dhmm {
 namespace {
-
-linalg::Matrix RandomPsd(size_t n, uint64_t seed, double ridge = 0.2) {
-  prob::Rng rng(seed);
-  linalg::Matrix g(n, n);
-  for (size_t i = 0; i < n; ++i)
-    for (size_t j = 0; j < n; ++j) g(i, j) = rng.Gaussian();
-  linalg::Matrix l = g.MatMul(g.Transposed());
-  for (size_t i = 0; i < n; ++i) l(i, i) += ridge;
-  return l;
-}
-
-// ---------------------------------------------------------- DPP marginal ---
-
-TEST(DppMarginalTest, IdentityLGivesHalfInclusion) {
-  // L = I: K = I (I + I)^{-1} = I/2; every item included with prob 1/2.
-  linalg::Matrix l = linalg::Matrix::Identity(4);
-  linalg::Vector p = dpp::InclusionProbabilities(l);
-  for (size_t i = 0; i < 4; ++i) EXPECT_NEAR(p[i], 0.5, 1e-12);
-  EXPECT_NEAR(dpp::ExpectedCardinality(l), 2.0, 1e-12);
-}
-
-TEST(DppMarginalTest, MarginalKernelEigenvalueMap) {
-  // K and L share eigenvectors with eigenvalue map lambda -> lambda/(1+lambda).
-  linalg::Matrix l = RandomPsd(5, 1);
-  linalg::Matrix k = dpp::MarginalKernel(l);
-  linalg::SymmetricEigen le(l), ke(k);
-  for (size_t i = 0; i < 5; ++i) {
-    double lam = std::max(le.eigenvalues()[i], 0.0);
-    EXPECT_NEAR(ke.eigenvalues()[i], lam / (1.0 + lam), 1e-8);
-  }
-}
-
-TEST(DppMarginalTest, InclusionMatchesSampling) {
-  linalg::Matrix l = RandomPsd(4, 2, 0.5);
-  linalg::Vector p = dpp::InclusionProbabilities(l);
-  prob::Rng rng(3);
-  linalg::Vector counts(4);
-  const int trials = 20000;
-  for (int t = 0; t < trials; ++t) {
-    for (size_t item : dpp::SampleDpp(l, rng)) counts[item] += 1.0;
-  }
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(counts[i] / trials, p[i], 0.02) << "item " << i;
-  }
-}
-
-TEST(DppMarginalTest, PairInclusionShowsRepulsion) {
-  // P(i, j both in Y) <= P(i) P(j): negative association.
-  linalg::Matrix l = RandomPsd(5, 4, 0.5);
-  linalg::Matrix k = dpp::MarginalKernel(l);
-  for (size_t i = 0; i < 5; ++i) {
-    for (size_t j = i + 1; j < 5; ++j) {
-      double pij = dpp::PairInclusionProbability(k, i, j);
-      EXPECT_LE(pij, k(i, i) * k(j, j) + 1e-12);
-      EXPECT_GE(pij, -1e-12);
-    }
-  }
-}
-
-TEST(DppMarginalTest, DppLogProbNormalizes) {
-  // Sum of P(Y) over all subsets of a 4-item ground set is 1.
-  linalg::Matrix l = RandomPsd(4, 5, 0.3);
-  double total = 0.0;
-  for (int mask = 0; mask < 16; ++mask) {
-    std::vector<size_t> subset;
-    for (size_t i = 0; i < 4; ++i) {
-      if (mask & (1 << i)) subset.push_back(i);
-    }
-    total += std::exp(dpp::DppLogProb(l, subset));
-  }
-  EXPECT_NEAR(total, 1.0, 1e-8);
-}
-
-TEST(DppMarginalTest, ExpectedCardinalityMatchesSampling) {
-  linalg::Matrix l = RandomPsd(6, 6, 0.4);
-  double expected = dpp::ExpectedCardinality(l);
-  prob::Rng rng(7);
-  double total = 0.0;
-  const int trials = 10000;
-  for (int t = 0; t < trials; ++t) {
-    total += static_cast<double>(dpp::SampleDpp(l, rng).size());
-  }
-  EXPECT_NEAR(total / trials, expected, 0.08);
-}
 
 // ------------------------------------------------------------ Diagnostics ---
 

@@ -266,6 +266,16 @@ class FrontEndTest : public ::testing::Test {
     return svc.ok() ? std::move(svc).value() : nullptr;
   }
 
+  // How much the process-wide counter `name` grew during this test: the
+  // "frontend." counters are shared by every front end in the process.
+  uint64_t Delta(const std::string& name) const {
+    const obs::Snapshot now =
+        obs::Registry::Global().TakeSnapshot("frontend.");
+    return static_cast<uint64_t>(now.ValueOf(name) - before_.ValueOf(name));
+  }
+
+  const obs::Snapshot before_ =
+      obs::Registry::Global().TakeSnapshot("frontend.");
   serve::ModelRegistry<double> registry_;
   std::unique_ptr<serve::FrontEnd<double>> frontend_;
 };
@@ -322,7 +332,8 @@ TEST_F(FrontEndTest, LoopbackBitwiseMatchesOfflineForEveryModel) {
       ++next_id;
     }
   }
-  EXPECT_EQ(frontend_->requests_served(), next_id - 1);
+  EXPECT_EQ(Delta("frontend.requests_served"), next_id - 1);
+  EXPECT_EQ(Delta("frontend.connections_accepted"), 1u);
 }
 
 TEST_F(FrontEndTest, PipelinedRequestsAcrossModelsKeepTheirIds) {
@@ -418,7 +429,7 @@ TEST_F(FrontEndTest, UnknownModelIsTypedNotFound) {
           .ok());
   EXPECT_EQ(resp.status.code(), StatusCode::kNotFound);
   EXPECT_EQ(resp.request_id, 7u);
-  EXPECT_EQ(frontend_->routing_errors(), 1u);
+  EXPECT_EQ(Delta("frontend.routing_errors"), 1u);
 
   // The connection survives a routing error.
   ASSERT_TRUE(
@@ -448,7 +459,7 @@ TEST_F(FrontEndTest, ExpiredDeadlineIsTypedDeadlineExceeded) {
   ASSERT_TRUE(client.Receive(&resp).ok());
   EXPECT_EQ(resp.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(resp.request_id, 11u);
-  EXPECT_EQ(frontend_->deadline_expired(), 1u);
+  EXPECT_EQ(Delta("frontend.deadline_expired"), 1u);
 
   // An ample deadline decodes normally.
   req.deadline_micros = 60'000'000;
@@ -477,7 +488,7 @@ TEST_F(FrontEndTest, FullQueueShedsWithTypedUnavailable) {
             .ok());
   }
   // Wait until the IO thread has processed (and shed) the overflow.
-  for (int spin = 0; spin < 200 && frontend_->requests_shed() < kTotal - 2;
+  for (int spin = 0; spin < 200 && Delta("frontend.requests_shed") < kTotal - 2;
        ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -496,7 +507,7 @@ TEST_F(FrontEndTest, FullQueueShedsWithTypedUnavailable) {
   }
   EXPECT_EQ(ok, 2u);
   EXPECT_EQ(shed, kTotal - 2);
-  EXPECT_EQ(frontend_->requests_shed(), kTotal - 2);
+  EXPECT_EQ(Delta("frontend.requests_shed"), kTotal - 2);
 }
 
 TEST_F(FrontEndTest, MalformedPayloadGetsTypedErrorAndConnectionSurvives) {
@@ -518,7 +529,9 @@ TEST_F(FrontEndTest, MalformedPayloadGetsTypedErrorAndConnectionSurvives) {
   ASSERT_TRUE(client.Receive(&resp).ok());
   EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(resp.request_id, 21u);
-  EXPECT_EQ(frontend_->protocol_errors(), 1u);
+  EXPECT_EQ(Delta("frontend.frames_malformed"), 1u);
+  EXPECT_EQ(Delta("frontend.bad_headers"), 0u);
+  EXPECT_EQ(Delta("frontend.oversized_frames"), 0u);
 
   // Framing was intact, so the connection keeps working.
   ASSERT_TRUE(
@@ -536,6 +549,8 @@ TEST_F(FrontEndTest, GarbageHeaderClosesConnection) {
   ASSERT_TRUE(client.SendRaw(garbage.data(), garbage.size()).ok());
   serve::DecodeResponse resp;
   EXPECT_FALSE(client.Receive(&resp).ok());  // server closed the stream
+  EXPECT_EQ(Delta("frontend.bad_headers"), 1u);
+  EXPECT_EQ(Delta("frontend.frames_malformed"), 0u);
 
   // The server itself is unharmed: a fresh connection decodes fine.
   const std::vector<double> obs = {0.5, 1.5};
@@ -568,6 +583,8 @@ TEST_F(FrontEndTest, OversizedPayloadGetsOutOfRangeThenClose) {
   ASSERT_TRUE(client.Receive(&resp).ok());
   EXPECT_EQ(resp.status.code(), StatusCode::kOutOfRange);
   EXPECT_EQ(resp.request_id, 41u);
+  EXPECT_EQ(Delta("frontend.oversized_frames"), 1u);
+  EXPECT_EQ(Delta("frontend.bad_headers"), 0u);
   // After the typed response the connection is gone (its framing cannot
   // be resynchronized past an unread payload).
   EXPECT_FALSE(client.Receive(&resp).ok());
@@ -602,33 +619,43 @@ TEST_F(FrontEndTest, SteadyStateWireRoundTripIsAllocationFree) {
       << "steady-state wire round trips must not allocate";
 }
 
-TEST_F(FrontEndTest, HotSwapDuringTrafficServesBothVersions) {
+TEST_F(FrontEndTest, HotSwapAndColdLoadServeTheRegistryVersion) {
+  // Every response carries the registry's version of the model that
+  // served it: 1 at registration, then one more per swap and per cold
+  // load.
+  const std::string path = TempPath("served_version.dhmms");
   auto m1 = MakeModel(3, 99);
   auto m2 = MakeModel(3, 100);
-  ASSERT_TRUE(registry_.Register(1, m1).ok());
+  ASSERT_TRUE(store::WriteModel(*m1, 1, path).ok());
+  ASSERT_TRUE(registry_.RegisterFromFile(1, path).ok());
   StartFrontEnd();
   serve::WireClient client;
   ASSERT_TRUE(client.Connect(frontend_->port()).ok());
   const std::vector<double> obs = MakeObs(*m1, 14, 101);
+  const OfflineRef ref1 = Offline(*m1, obs);
+  const OfflineRef ref2 = Offline(*m2, obs);
 
   serve::DecodeResponse resp;
-  ASSERT_TRUE(
-      client.Call(Request(1, serve::DecodeKind::kViterbi, &obs, 51), &resp)
-          .ok());
-  ASSERT_TRUE(resp.status.ok());
-  const OfflineRef ref1 = Offline(*m1, obs);
-  EXPECT_EQ(resp.path, ref1.viterbi.path);
-  EXPECT_EQ(resp.value, ref1.viterbi.log_joint);
+  const auto serve_and_check = [&](uint64_t id, const OfflineRef& ref,
+                                   uint64_t version) {
+    ASSERT_TRUE(
+        client.Call(Request(1, serve::DecodeKind::kViterbi, &obs, id), &resp)
+            .ok());
+    ASSERT_TRUE(resp.status.ok());
+    EXPECT_EQ(resp.path, ref.viterbi.path);
+    EXPECT_EQ(resp.value, ref.viterbi.log_joint);
+    EXPECT_EQ(resp.model_version, version);
+    EXPECT_EQ(registry_.ModelVersion(1).value_or(0), version);
+  };
+  serve_and_check(51, ref1, 1);
 
   ASSERT_TRUE(registry_.UpdateModel(1, m2).ok());
-  ASSERT_TRUE(
-      client.Call(Request(1, serve::DecodeKind::kViterbi, &obs, 52), &resp)
-          .ok());
-  ASSERT_TRUE(resp.status.ok());
-  const OfflineRef ref2 = Offline(*m2, obs);
-  EXPECT_EQ(resp.path, ref2.viterbi.path);
-  EXPECT_EQ(resp.value, ref2.viterbi.log_joint);
-  EXPECT_GT(resp.model_version, 1u);  // the swap is visible on the wire
+  serve_and_check(52, ref2, 2);  // the swap is visible on the wire
+
+  // Evicted, the model cold-loads its checkpoint (m1) on the next request.
+  ASSERT_TRUE(registry_.Evict(1).ok());
+  serve_and_check(53, ref1, 3);
+  std::filesystem::remove(path);
 }
 
 // ------------------------------------------------- sessions on the wire ---
@@ -861,11 +888,11 @@ TEST_F(FrontEndTest, ConnectionCapClosesExcessClientAndFreesSlotOnDisconnect) {
   ASSERT_TRUE(third.Connect(frontend_->port()).ok());
   serve::DecodeResponse resp;
   EXPECT_EQ(third.Receive(&resp).code(), StatusCode::kUnavailable);
-  for (int spin = 0; spin < 2000 && frontend_->connections_rejected() != 1;
-       ++spin) {
+  for (int spin = 0;
+       spin < 2000 && Delta("frontend.connections_rejected") != 1; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(frontend_->connections_rejected(), 1u);
+  EXPECT_EQ(Delta("frontend.connections_rejected"), 1u);
   EXPECT_TRUE(served(second, 3));  // the open clients are unharmed
 
   // A disconnect frees its slot. The IO thread may accept a new client
@@ -920,7 +947,7 @@ TEST_F(FrontEndTest, StopDrainsRequestsHeldInAPausedService) {
   });
   frontend_->Stop();
   resumer.join();
-  EXPECT_EQ(frontend_->requests_served(), kHeld);
+  EXPECT_EQ(Delta("frontend.requests_served"), kHeld);
 
   // The drained responses went out before the connection closed.
   for (uint64_t i = 0; i < kHeld; ++i) {
@@ -1029,26 +1056,6 @@ TEST(WireClientReceiveTest, MidFrameDeadlineKeepsTheFrameForTheNextReceive) {
 }
 
 // ------------------------------------------------- registry LRU edge cases ---
-
-TEST(ModelRegistryTest, EvictLruIsTypedWhenNothingIsEvictable) {
-  serve::ModelRegistry<double> registry;
-  // Empty registry: nothing resident.
-  EXPECT_EQ(registry.EvictLru().code(), StatusCode::kFailedPrecondition);
-
-  ASSERT_TRUE(registry.Register(1, MakeModel(3, 161), /*pinned=*/true).ok());
-  ASSERT_TRUE(registry.Register(2, MakeModel(3, 162), /*pinned=*/true).ok());
-  // Every resident model pinned: a typed refusal, never an abort.
-  EXPECT_EQ(registry.EvictLru().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(registry.resident_count(), 2u);
-
-  // One unpinned model makes it the (only) LRU victim.
-  ASSERT_TRUE(registry.Pin(2, false).ok());
-  EXPECT_TRUE(registry.EvictLru().ok());
-  EXPECT_EQ(registry.resident_count(), 1u);
-  // 2 had no checkpoint path, so acquiring it now is a typed Unavailable.
-  EXPECT_EQ(registry.Acquire(2).code(), StatusCode::kUnavailable);
-  EXPECT_TRUE(registry.Acquire(1).ok());
-}
 
 TEST(ModelRegistryTest, ColdReloadRacingUpdateModelStaysCoherent) {
   const std::string path = TempPath("registry_race.dhmms");

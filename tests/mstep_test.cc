@@ -19,7 +19,6 @@
 #include "dpp/logdet.h"
 #include "eval/crossval.h"
 #include "hmm/sampler.h"
-#include "optim/projected_gradient.h"
 #include "optim/simplex_projection.h"
 #include "prob/categorical_emission.h"
 #include "prob/rng.h"
@@ -181,47 +180,7 @@ TEST(MStepWorkspaceTest, ConvenienceOverloadMatchesWorkspacePath) {
   EXPECT_EQ(legacy.objective, with_ws.objective);
 }
 
-// -------------------------------------------- projected-gradient overloads --
-
-TEST(ProjectedGradientWorkspaceTest, MatchesCallbackOverload) {
-  // Concave quadratic with a simplex-projected feasible set: both overloads
-  // must walk the identical trajectory.
-  prob::Rng rng(50);
-  linalg::Matrix target = rng.RandomStochasticMatrix(3, 3, 0.7);
-  linalg::Matrix init(3, 3, 1.0 / 3.0);
-
-  optim::MatrixObjective objective = [&](const linalg::Matrix& a) {
-    return -a.squared_distance(target);
-  };
-  optim::MatrixGradient gradient = [&](const linalg::Matrix& a,
-                                       linalg::Matrix* g) {
-    *g = (target - a) * 2.0;
-    return true;
-  };
-  optim::MatrixValueGradient value_and_grad =
-      [&](const linalg::Matrix& a, double* value, linalg::Matrix* g) {
-        *value = -a.squared_distance(target);
-        *g = (target - a) * 2.0;
-        return true;
-      };
-  optim::MatrixProjection project = [](linalg::Matrix* a) {
-    optim::ProjectRowsToSimplex(a);
-  };
-
-  optim::ProjectedGradientOptions options;
-  optim::ProjectedGradientResult legacy =
-      optim::ProjectedGradientAscent(init, objective, gradient, project,
-                                     options);
-  optim::ProjectedGradientWorkspace ws;
-  optim::ProjectedGradientResult fused;
-  optim::ProjectedGradientAscent(init, objective, value_and_grad, project,
-                                 options, &ws, &fused);
-
-  EXPECT_EQ(fused.objective, legacy.objective);
-  EXPECT_EQ(fused.iterations, legacy.iterations);
-  EXPECT_EQ(fused.converged, legacy.converged);
-  EXPECT_TRUE(fused.argmax == legacy.argmax);
-}
+// --------------------------------------------- simplex-projection overloads --
 
 TEST(ProjectedGradientWorkspaceTest, ScratchSimplexProjectionIsBitwise) {
   prob::Rng rng(60);

@@ -115,6 +115,26 @@ TEST(SimplexProjectionTest, MatrixRowsProjected) {
 
 // ------------------------------------------------- ProjectedGradientAscent ---
 
+// Runs the ascent with a value-and-gradient oracle built from `objective`
+// and `gradient`; `gradient` returns false where it is undefined.
+template <typename Objective, typename Gradient>
+ProjectedGradientResult Ascend(const linalg::Matrix& init,
+                               const Objective& objective,
+                               const Gradient& gradient,
+                               const MatrixProjection& project,
+                               const ProjectedGradientOptions& options = {}) {
+  MatrixValueGradient value_and_grad =
+      [&](const linalg::Matrix& a, double* value, linalg::Matrix* grad) {
+        *value = objective(a);
+        return gradient(a, grad);
+      };
+  ProjectedGradientWorkspace ws;
+  ProjectedGradientResult result;
+  ProjectedGradientAscent(init, objective, value_and_grad, project, options,
+                          &ws, &result);
+  return result;
+}
+
 TEST(ProjectedGradientTest, ConcaveQuadraticOnSimplexRow) {
   // maximize -||a - t||^2 over the simplex (1x3 matrix); optimum = proj(t).
   linalg::Vector target{0.6, 0.9, -0.5};
@@ -136,8 +156,7 @@ TEST(ProjectedGradientTest, ConcaveQuadraticOnSimplexRow) {
   ProjectedGradientOptions opts;
   opts.tol = 1e-12;
   opts.max_iters = 500;
-  auto result = ProjectedGradientAscent(init, objective, gradient, project,
-                                        opts);
+  auto result = Ascend(init, objective, gradient, project, opts);
   linalg::Vector expected = ProjectToSimplex(target);
   for (size_t j = 0; j < 3; ++j) {
     EXPECT_NEAR(result.argmax(0, j), expected[j], 1e-5);
@@ -168,7 +187,7 @@ TEST(ProjectedGradientTest, ObjectiveNeverDecreases) {
     }
   };
   linalg::Matrix init(1, 3, 1.0 / 3.0);
-  auto result = ProjectedGradientAscent(init, objective, gradient, project);
+  auto result = Ascend(init, objective, gradient, project);
   // The analytic optimum is counts normalized: (0.3, 0.1, 0.6).
   EXPECT_NEAR(result.argmax(0, 0), 0.3, 1e-3);
   EXPECT_NEAR(result.argmax(0, 1), 0.1, 1e-3);
@@ -189,7 +208,7 @@ TEST(ProjectedGradientTest, InfeasibleCandidatesAreRejected) {
   };
   auto project = [](linalg::Matrix* a) { ProjectRowsToSimplex(a); };
   linalg::Matrix init(1, 2, 0.5);
-  auto result = ProjectedGradientAscent(init, objective, gradient, project);
+  auto result = Ascend(init, objective, gradient, project);
   EXPECT_GT(result.argmax(0, 0), 0.5);
   EXPECT_LE(result.argmax(0, 0), 0.8);
 }
@@ -202,7 +221,7 @@ TEST(ProjectedGradientTest, ZeroGradientStopsImmediately) {
   };
   auto project = [](linalg::Matrix* a) { ProjectRowsToSimplex(a); };
   linalg::Matrix init(1, 2, 0.5);
-  auto result = ProjectedGradientAscent(init, objective, gradient, project);
+  auto result = Ascend(init, objective, gradient, project);
   EXPECT_EQ(result.iterations, 0);
   EXPECT_DOUBLE_EQ(result.objective, 1.0);
 }
@@ -212,7 +231,7 @@ TEST(ProjectedGradientTest, GradientFailureReturnsStart) {
   auto gradient = [](const linalg::Matrix&, linalg::Matrix*) { return false; };
   auto project = [](linalg::Matrix*) {};
   linalg::Matrix init(1, 2, 0.5);
-  auto result = ProjectedGradientAscent(init, objective, gradient, project);
+  auto result = Ascend(init, objective, gradient, project);
   EXPECT_EQ(result.iterations, 0);
   EXPECT_DOUBLE_EQ(result.argmax(0, 0), 0.5);
 }

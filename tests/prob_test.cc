@@ -1,11 +1,13 @@
 #include <climits>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "hmm/supervised.h"
 #include "prob/bernoulli_emission.h"
 #include "prob/categorical_emission.h"
 #include "prob/gaussian_emission.h"
@@ -323,6 +325,22 @@ TEST(CategoricalEmissionTest, PseudoCountSmoothsUnseenSymbols) {
   e.FinishAccumulate();
   EXPECT_GT(e.b()(0, 1), 0.0);
   EXPECT_TRUE(std::isfinite(Row(e, 1)[0]));
+}
+
+TEST(CategoricalEmissionTest, OutOfVocabularyTrainingSymbolAborts) {
+  // A supervised fit hands dataset symbols to Accumulate with no forward
+  // pass in front: a symbol outside [0, V) must stop the fit with a
+  // message, not write outside the expected-count table.
+  const auto fit = [](int symbol) {
+    hmm::Dataset<int> data(1);
+    data[0].obs = {0, symbol, 4};
+    data[0].labels = {0, 1, 2};
+    hmm::FitSupervised<int>(
+        data, 3,
+        std::make_unique<CategoricalEmission>(linalg::Matrix(3, 5, 0.2)));
+  };
+  EXPECT_DEATH(fit(7), "symbol 7 outside the vocabulary of V = 5");
+  EXPECT_DEATH(fit(-1), "symbol -1 outside the vocabulary of V = 5");
 }
 
 TEST(CategoricalEmissionTest, SampleFrequencies) {

@@ -41,6 +41,7 @@
 #include "hmm/posterior_decoding.h"
 #include "hmm/sampler.h"
 #include "hmm/sequence.h"
+#include "obs/metrics.h"
 #include "prob/categorical_emission.h"
 #include "prob/gaussian_emission.h"
 #include "prob/gmm_emission.h"
@@ -89,6 +90,11 @@ bool SameBits(double x, double y) {
   return std::memcmp(&x, &y, sizeof(double)) == 0;
 }
 
+// A process-wide counter's value; tests read its growth over a window.
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().GetCounter(name)->Value();
+}
+
 // ----------------------------------------------------------- DecodeService ---
 
 TEST(DecodeServiceTest, BitwiseMatchesOfflineForEveryWorkerAndBatchSize) {
@@ -103,6 +109,11 @@ TEST(DecodeServiceTest, BitwiseMatchesOfflineForEveryWorkerAndBatchSize) {
       opts.num_threads = threads;
       opts.max_batch = max_batch;
       serve::DecodeService<double> service(model, opts);
+      const uint64_t requests_before = CounterValue("decode.requests");
+      const uint64_t batches_before = CounterValue("decode.batches");
+      // Held dispatch queues every request first, so the batch cap alone
+      // decides how many batches run.
+      service.PauseDispatch();
       std::vector<serve::DecodeFuture<double>> futures;
       for (const auto& seq : data) {
         futures.push_back(
@@ -112,6 +123,7 @@ TEST(DecodeServiceTest, BitwiseMatchesOfflineForEveryWorkerAndBatchSize) {
         futures.push_back(
             service.Submit(serve::DecodeKind::kLogLikelihood, seq.obs));
       }
+      service.ResumeDispatch();
       for (size_t s = 0; s < data.size(); ++s) {
         const serve::DecodeResponse& vit = futures[3 * s].Wait();
         ASSERT_TRUE(vit.status.ok());
@@ -129,8 +141,10 @@ TEST(DecodeServiceTest, BitwiseMatchesOfflineForEveryWorkerAndBatchSize) {
         EXPECT_EQ(ll.value, refs[s].log_likelihood);
       }
       futures.clear();  // release slots before the service dies
-      EXPECT_EQ(service.requests_served(), 3 * data.size());
-      EXPECT_LE(service.largest_batch(), max_batch);
+      const uint64_t requests = 3 * data.size();
+      EXPECT_EQ(CounterValue("decode.requests") - requests_before, requests);
+      EXPECT_EQ(CounterValue("decode.batches") - batches_before,
+                (requests + max_batch - 1) / max_batch);
     }
   }
 }
@@ -548,6 +562,7 @@ TEST(DecodeServiceTest, HookFormCompletesInSlotOrderBitwise) {
   opts.num_threads = 2;
   opts.max_batch = 4;
   serve::DecodeService<double> service(model, opts);
+  const uint64_t requests_before = CounterValue("decode.requests");
   HookLog log;
   // Two rounds: the second runs on slots the first recycled (a slot that
   // never came back would trip the destructor's outstanding-slot check).
@@ -572,7 +587,8 @@ TEST(DecodeServiceTest, HookFormCompletesInSlotOrderBitwise) {
     EXPECT_EQ(r.path, ref.viterbi.path);
     EXPECT_EQ(r.value, ref.viterbi.log_joint);
   }
-  EXPECT_EQ(service.requests_served(), 2 * data.size());
+  EXPECT_EQ(CounterValue("decode.requests") - requests_before,
+            2 * data.size());
 }
 
 TEST(DecodeServiceTest, ExpiredDeadlineAnsweredAtBatchCutWithoutDecoding) {

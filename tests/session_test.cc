@@ -156,21 +156,6 @@ TEST(IncrementalEmTest, StepWithNothingAccumulatedIsANoOp) {
   EXPECT_EQ(trainer.steps(), 0u);
 }
 
-TEST(IncrementalEmTest, StepReadyGatesOnAccumulatedFrames) {
-  auto init = MakeModel(3, 82);
-  hmm::Dataset<double> data = MakeData(*init, 2, 10, 83);
-  core::IncrementalEmOptions io;
-  io.min_frames_per_step = 15;
-  core::IncrementalEmTrainer<double> trainer(init, io);
-  EXPECT_FALSE(trainer.StepReady());
-  trainer.AccumulateBatch({data[0]});
-  EXPECT_FALSE(trainer.StepReady());  // 10 < 15
-  trainer.AccumulateBatch({data[1]});
-  EXPECT_TRUE(trainer.StepReady());  // 20 >= 15
-  trainer.Step();
-  EXPECT_FALSE(trainer.StepReady());
-}
-
 // ----------------------------------------------------- session decodes ------
 
 TEST(SessionManagerTest, FullLagDecodesMatchOfflineBitwiseForEveryPusherCount) {
@@ -436,8 +421,6 @@ TEST(SessionManagerTest, SteadyStatePushAndCreateDestroyAreAllocationFree) {
   hmm::Dataset<double> data = MakeData(*model, 1, 64, 102);
   serve::SessionManagerOptions opts;
   opts.lag = 4;
-  opts.sessions_per_slab = 8;
-  opts.arena_blocks_per_slab = 8;
   serve::SessionManager<double> mgr(model, opts);
 
   // Warm-up: reach the pool's and the arena's high-water marks, including
