@@ -20,7 +20,6 @@
 
 #include "core/transition_update.h"
 #include "dpp/logdet.h"
-#include "linalg/lu.h"
 #include "linalg/matrix.h"
 #include "optim/projected_gradient.h"
 #include "optim/simplex_projection.h"
@@ -71,6 +70,84 @@ std::vector<MStepInputs> MakeBatch(size_t k) {
 // matrices, exactly as the shipped code did before the workspace stack.
 
 constexpr double kProbFloor = 1e-12;
+
+// The pre-PR partial-pivot LU, reduced to the operations the baseline calls:
+// factor a copy (PA = LU, unit-diagonal L below, U on and above the
+// diagonal), test for a zero pivot or a non-positive determinant, log |det|,
+// and one vector solve.
+class BaselineLu {
+ public:
+  explicit BaselineLu(const linalg::Matrix& a) : lu_(a), piv_(a.rows()) {
+    const size_t n = lu_.rows();
+    for (size_t i = 0; i < n; ++i) piv_[i] = i;
+    for (size_t col = 0; col < n; ++col) {
+      size_t pivot = col;
+      double best = std::fabs(lu_(col, col));
+      for (size_t r = col + 1; r < n; ++r) {
+        const double v = std::fabs(lu_(r, col));
+        if (v > best) {
+          best = v;
+          pivot = r;
+        }
+      }
+      if (pivot != col) {
+        for (size_t c = 0; c < n; ++c) std::swap(lu_(pivot, c), lu_(col, c));
+        std::swap(piv_[pivot], piv_[col]);
+        pivot_sign_ = -pivot_sign_;
+      }
+      const double d = lu_(col, col);
+      if (d == 0.0 || !std::isfinite(d)) {
+        singular_ = true;
+        continue;
+      }
+      for (size_t r = col + 1; r < n; ++r) {
+        const double f = lu_(r, col) / d;
+        lu_(r, col) = f;
+        if (f == 0.0) continue;
+        for (size_t c = col + 1; c < n; ++c) lu_(r, c) -= f * lu_(col, c);
+      }
+    }
+  }
+
+  // True for a zero pivot or det <= 0: the baseline's -inf / reject test.
+  bool NonPositiveDeterminant() const {
+    if (singular_) return true;
+    int sign = pivot_sign_;
+    for (size_t i = 0; i < lu_.rows(); ++i) {
+      if (lu_(i, i) < 0.0) sign = -sign;
+    }
+    return sign <= 0;
+  }
+
+  double LogAbsDeterminant() const {
+    double s = 0.0;
+    for (size_t i = 0; i < lu_.rows(); ++i) s += std::log(std::fabs(lu_(i, i)));
+    return s;
+  }
+
+  linalg::Vector Solve(const linalg::Vector& b) const {
+    const size_t n = lu_.rows();
+    linalg::Vector x(n);
+    for (size_t i = 0; i < n; ++i) x[i] = b[piv_[i]];
+    for (size_t i = 1; i < n; ++i) {
+      double s = x[i];
+      for (size_t j = 0; j < i; ++j) s -= lu_(i, j) * x[j];
+      x[i] = s;
+    }
+    for (size_t ii = n; ii-- > 0;) {
+      double s = x[ii];
+      for (size_t j = ii + 1; j < n; ++j) s -= lu_(ii, j) * x[j];
+      x[ii] = s / lu_(ii, ii);
+    }
+    return x;
+  }
+
+ private:
+  linalg::Matrix lu_;
+  std::vector<size_t> piv_;
+  int pivot_sign_ = 1;
+  bool singular_ = false;
+};
 
 // Pre-PR feasibility projection: per-row allocating simplex projection
 // (Row copy -> ProjectToSimplex -> SetRow) followed by the whole-row
@@ -147,8 +224,8 @@ void BaselineNormalizeKernel(linalg::Matrix* kernel) {
 double BaselineLogDet(const linalg::Matrix& rows, double rho) {
   linalg::Matrix kernel = BaselineKernel(BaselinePowed(rows, rho));
   BaselineNormalizeKernel(&kernel);
-  linalg::LuDecomposition lu(kernel);
-  if (lu.IsSingular() || lu.DeterminantSign() <= 0) {
+  BaselineLu lu(kernel);
+  if (lu.NonPositiveDeterminant()) {
     return -std::numeric_limits<double>::infinity();
   }
   return lu.LogAbsDeterminant();
@@ -161,10 +238,10 @@ bool BaselineGradLogDet(const linalg::Matrix& rows, double rho,
   *grad = linalg::Matrix(kk, d);
   linalg::Matrix powed = BaselinePowed(rows, rho);
   linalg::Matrix kernel = BaselineKernel(powed);
-  linalg::LuDecomposition lu(kernel);
-  if (lu.IsSingular() || lu.DeterminantSign() <= 0) return false;
+  BaselineLu lu(kernel);
+  if (lu.NonPositiveDeterminant()) return false;
   // Pre-PR inverse: column-by-column vector solves through Col/SetCol
-  // temporaries (what LuDecomposition::Inverse did before InverseInto).
+  // temporaries.
   linalg::Matrix ident = linalg::Matrix::Identity(kk);
   linalg::Matrix kinv(kk, kk);
   for (size_t c = 0; c < kk; ++c) {

@@ -167,11 +167,6 @@ struct AscentContext {
 
 }  // namespace
 
-void ProjectFeasible(linalg::Matrix* a, double row_floor) {
-  linalg::Vector scratch;
-  ProjectFeasible(a, row_floor, &scratch);
-}
-
 void ProjectFeasible(linalg::Matrix* a, double row_floor,
                      linalg::Vector* scratch) {
   optim::ProjectRowsToSimplex(a, scratch);
@@ -222,13 +217,6 @@ void ProjectFeasible(linalg::Matrix* a, double row_floor,
       }
     }
   }
-}
-
-double TransitionObjective(const linalg::Matrix& a,
-                           const linalg::Matrix& counts,
-                           const TransitionUpdateOptions& options) {
-  dpp::KernelWorkspace ws;
-  return TransitionObjective(a, counts, options, &ws);
 }
 
 double TransitionObjective(const linalg::Matrix& a,

@@ -43,9 +43,9 @@ struct TransitionUpdateResult {
   bool converged = false;
 };
 
-/// \brief Grow-only scratch for the whole M-step stack: kernel/LU buffers
-/// for the diversity prior, trial/gradient matrices for the inner ascent,
-/// and staging matrices for the feasible start.
+/// \brief Grow-only scratch for the whole M-step stack: kernel/Cholesky
+/// buffers for the diversity prior, trial/gradient matrices for the inner
+/// ascent, and staging matrices for the feasible start.
 ///
 /// One workspace per worker thread (mirroring hmm::InferenceWorkspace in the
 /// E-step engine): after the first UpdateTransitions call at a given k, the
@@ -53,7 +53,7 @@ struct TransitionUpdateResult {
 /// thread-safe; contents are fully overwritten per call, so a workspace can
 /// move freely between state counts and training runs.
 struct TransitionUpdateWorkspace {
-  dpp::KernelWorkspace kernel;            ///< kernel/LU/K^{-1}P buffers
+  dpp::KernelWorkspace kernel;            ///< kernel/Cholesky/K^{-1}P buffers
   optim::ProjectedGradientWorkspace ascent;  ///< trial/grad/candidate
   optim::ProjectedGradientResult pg;      ///< reused inner-ascent result slot
   linalg::Matrix raw_grad;   ///< Euclidean gradient g of Eq. 15 / Eq. 18
@@ -75,15 +75,10 @@ struct TransitionUpdateWorkspace {
   bool accepted_valid = false;        ///< reset by every UpdateTransitions
 };
 
-/// \brief The penalized objective F(A) itself (for tests and diagnostics).
-/// Returns -inf outside the feasible region (zero prob where C > 0, or a
-/// singular kernel).
-double TransitionObjective(const linalg::Matrix& a,
-                           const linalg::Matrix& counts,
-                           const TransitionUpdateOptions& options);
-
-/// Workspace overload used by every line-search probe; allocation-free at
-/// steady state and bitwise-identical to what UpdateTransitions maximizes.
+/// \brief The penalized objective F(A) itself, as every line-search probe
+/// evaluates it: allocation-free at steady state and bitwise-identical to
+/// what UpdateTransitions maximizes. Returns -inf outside the feasible
+/// region (zero prob where C > 0, or a singular kernel).
 double TransitionObjective(const linalg::Matrix& a,
                            const linalg::Matrix& counts,
                            const TransitionUpdateOptions& options,
@@ -96,10 +91,8 @@ double TransitionObjective(const linalg::Matrix& a,
 /// post-condition `a(i, j) >= row_floor` genuinely holds — naively
 /// renormalizing the whole row after flooring divides by a sum > 1 and can
 /// push just-floored entries straight back under the floor.
-/// Requires row_floor * cols < 1.
-void ProjectFeasible(linalg::Matrix* a, double row_floor);
-
-/// Allocation-free overload; `scratch` is grow-only sort/flag storage.
+/// Requires row_floor * cols < 1. Allocation-free: `scratch` is grow-only
+/// sort/flag storage.
 void ProjectFeasible(linalg::Matrix* a, double row_floor,
                      linalg::Vector* scratch);
 
@@ -114,11 +107,11 @@ TransitionUpdateResult UpdateTransitions(
 
 /// \brief Workspace overload — the steady-state training hot path.
 ///
-/// Objective and gradient are fused (one kernel build + one LU factorization
-/// per evaluation via dpp::LogDetAndGrad), every intermediate lives in `ws`,
-/// and `result` fields are overwritten in place. Calling this repeatedly
-/// with the same workspace and result performs no heap allocation after the
-/// first call at a given k.
+/// Objective and gradient are fused (one kernel build + one Cholesky
+/// factorization per evaluation via dpp::LogDetAndGrad), every intermediate
+/// lives in `ws`, and `result` fields are overwritten in place. Calling this
+/// repeatedly with the same workspace and result performs no heap
+/// allocation after the first call at a given k.
 void UpdateTransitions(const linalg::Matrix& a_init,
                        const linalg::Matrix& counts,
                        const TransitionUpdateOptions& options,

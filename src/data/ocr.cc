@@ -76,19 +76,6 @@ OcrDataset GenerateOcrDataset(const OcrOptions& options) {
   return out;
 }
 
-std::string RenderGlyphAscii(const prob::BinaryObs& obs) {
-  DHMM_CHECK(obs.size() == kGlyphDims);
-  std::string out;
-  out.reserve((kGlyphCols + 1) * kGlyphRows);
-  for (size_t r = 0; r < kGlyphRows; ++r) {
-    for (size_t c = 0; c < kGlyphCols; ++c) {
-      out += obs[r * kGlyphCols + c] ? '#' : '.';
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 std::string RenderWordAscii(const std::vector<prob::BinaryObs>& glyphs) {
   DHMM_CHECK(!glyphs.empty());
   std::string out;

@@ -59,9 +59,6 @@ hmm::Sequence<prob::BinaryObs> RenderWord(const std::string& word,
 /// common words) and renders each with independent noise.
 OcrDataset GenerateOcrDataset(const OcrOptions& options);
 
-/// \brief ASCII rendering of one 128-dim observation (16 lines of 8 chars).
-std::string RenderGlyphAscii(const prob::BinaryObs& obs);
-
 /// \brief Side-by-side ASCII rendering of a whole word (Table 3 style).
 std::string RenderWordAscii(const std::vector<prob::BinaryObs>& glyphs);
 

@@ -19,9 +19,8 @@ namespace dhmm::dpp {
 /// \brief Grow-only scratch buffers for kernel construction, factorization,
 /// and the fused log-det + gradient evaluation.
 ///
-/// The kernel is a Gram matrix (P P^T), so the workspace factorizes it by
-/// Cholesky — half the flops of the pivoted LU the allocating entry points
-/// historically used, and failure of the factorization *is* the
+/// The kernel is a Gram matrix (P P^T), so every entry point factorizes it
+/// by Cholesky, and failure of the factorization *is* the
 /// numerically-singular test. Thread-compatible, not thread-safe: one
 /// workspace serves one worker. Contents are fully overwritten by each
 /// entry point that uses them, so a workspace can be shared freely across

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "linalg/lu.h"
 #include "util/check.h"
 
 namespace dhmm::dpp {
@@ -31,12 +30,8 @@ double LogDetFromFactoredKernel(KernelWorkspace* ws) {
 }  // namespace
 
 double LogDetNormalizedKernel(const linalg::Matrix& rows, double rho) {
-  linalg::Matrix kernel = NormalizedKernel(rows, rho);
-  linalg::LuDecomposition lu(kernel);
-  if (lu.IsSingular() || lu.DeterminantSign() <= 0) {
-    return kNegInf;
-  }
-  return lu.LogAbsDeterminant();
+  KernelWorkspace ws;
+  return LogDetNormalizedKernel(rows, rho, &ws);
 }
 
 double LogDetNormalizedKernel(const linalg::Matrix& rows, double rho,
@@ -109,27 +104,17 @@ bool PaperGradLogDet(const linalg::Matrix& rows, linalg::Matrix* grad) {
   const size_t d = rows.cols();
   *grad = linalg::Matrix(k, d);
 
-  linalg::Matrix kernel = NormalizedKernel(rows, /*rho=*/0.5);
-  linalg::LuDecomposition lu(kernel);
-  if (lu.IsSingular() || lu.DeterminantSign() <= 0) {
-    return false;
-  }
-  linalg::Matrix kinv = lu.Inverse();
+  KernelWorkspace ws;
+  NormalizedKernel(rows, /*rho=*/0.5, &ws);
+  if (!ws.chol.FactorizeInto(ws.kernel)) return false;
+  // K~ is symmetric, so sum_m [K~^{-1}]_mi sqrt(A_mj) = [K~^{-1} P]_ij with
+  // P = ws.powed (floored square roots): one solve, no explicit inverse.
+  ws.chol.SolveInto(ws.powed, &ws.kinv_p);
 
   for (size_t i = 0; i < k; ++i) {
     for (size_t j = 0; j < d; ++j) {
-      double aij = rows(i, j);
-      if (aij < kProbFloor) {
-        (*grad)(i, j) = 0.0;
-        continue;
-      }
-      double s = 0.0;
-      for (size_t mrow = 0; mrow < k; ++mrow) {
-        double amj = rows(mrow, j);
-        if (amj < kProbFloor) amj = kProbFloor;
-        s += kinv(mrow, i) * std::sqrt(amj);
-      }
-      (*grad)(i, j) = 0.5 * s / std::sqrt(aij);
+      if (rows(i, j) < kProbFloor) continue;  // flat (floored) region
+      (*grad)(i, j) = 0.5 * ws.kinv_p(i, j) / ws.powed(i, j);
     }
   }
   return true;

@@ -8,10 +8,12 @@
 
 namespace dhmm::dpp {
 
-/// \brief log det K~_A for the normalized product kernel over rows of A.
+/// \brief log det K~_A for the normalized product kernel over rows of A:
+/// one call of the workspace overload below, so both return the same bits.
 ///
-/// Returns -infinity when the kernel is numerically singular (e.g. two rows
-/// identical), which is exactly the configuration the prior penalizes.
+/// Returns -infinity when the kernel is not numerically positive definite
+/// (e.g. two rows identical), which is exactly the configuration the prior
+/// penalizes.
 double LogDetNormalizedKernel(const linalg::Matrix& rows,
                               double rho = kDefaultRho);
 
@@ -27,33 +29,30 @@ double LogDetNormalizedKernel(const linalg::Matrix& rows,
 ///
 /// Entries below kProbFloor sit in the floored (flat) region of the kernel
 /// and receive zero gradient. Returns false (and a zero matrix) when the
-/// kernel is singular so callers can backtrack.
+/// kernel is not positive definite so callers can backtrack.
 bool GradLogDetNormalizedKernel(const linalg::Matrix& rows, double rho,
                                 linalg::Matrix* grad);
 
 /// \brief Workspace overload of LogDetNormalizedKernel for line-search
-/// probes: one kernel build plus one factorization, all into ws buffers, no
-/// heap allocation at steady state.
+/// probes: one kernel build plus one Cholesky factorization, all into ws
+/// buffers, no heap allocation at steady state.
 ///
 /// Factorizes the *unnormalized* kernel K and uses
-///   log det K~ = log det K - sum_i log K_ii,
-/// which agrees with the allocating overload to roundoff (the two paths
-/// differ in the last bits, not in value). Returns -infinity when the kernel
-/// is numerically singular.
+///   log det K~ = log det K - sum_i log K_ii.
+/// Returns -infinity when K is not numerically positive definite.
 double LogDetNormalizedKernel(const linalg::Matrix& rows, double rho,
                               KernelWorkspace* ws);
 
 /// \brief Fused objective + gradient (the Algorithm-1 hot path): computes
-/// log det K~_A *and* its gradient from a single kernel build and LU
+/// log det K~_A *and* its gradient from a single kernel build and Cholesky
 /// factorization, where the separate entry points above each rebuild and
 /// refactorize the same kernel.
 ///
-/// The log-det lands in *log_det (identical bits to the workspace overload
-/// of LogDetNormalizedKernel); the gradient of GradLogDetNormalizedKernel is
-/// reproduced with K^{-1}P obtained by direct LU solves instead of an
-/// explicit inverse (equal to the separate path to roundoff). Returns false
-/// with *log_det = -infinity when the kernel is singular; `grad` contents
-/// are then unspecified.
+/// The log-det lands in *log_det (identical bits to LogDetNormalizedKernel);
+/// the gradient is GradLogDetNormalizedKernel's (which delegates here), with
+/// K^{-1}P obtained by direct Cholesky solves instead of an explicit
+/// inverse. Returns false with *log_det = -infinity when the kernel is not
+/// positive definite; `grad` contents are then unspecified.
 bool LogDetAndGrad(const linalg::Matrix& rows, double rho,
                    KernelWorkspace* ws, double* log_det,
                    linalg::Matrix* grad);
@@ -68,10 +67,12 @@ void GradLogDetFromFactoredWorkspace(const linalg::Matrix& rows, double rho,
                                      linalg::Matrix* grad);
 
 /// \brief The paper's literal Eq. 15 prior-gradient formula (rho = 0.5):
-///   d/dA_ij = (1/2) sum_m [K~^{-1}]_mi sqrt(A_mj) / sqrt(A_ij).
+///   d/dA_ij = (1/2) sum_m [K~^{-1}]_mi sqrt(A_mj) / sqrt(A_ij),
+/// with the sum taken as one Cholesky solve K~ M = P (no explicit inverse).
 ///
 /// Kept alongside the exact gradient for the fidelity ablation bench; both
 /// directions agree after simplex projection (see GradLogDetNormalizedKernel).
+/// Returns false (and a zero matrix) when K~ is not positive definite.
 bool PaperGradLogDet(const linalg::Matrix& rows, linalg::Matrix* grad);
 
 }  // namespace dhmm::dpp

@@ -7,12 +7,6 @@
 
 namespace dhmm::dpp {
 
-linalg::Matrix ProductKernel(const linalg::Matrix& rows, double rho) {
-  KernelWorkspace ws;
-  ProductKernel(rows, rho, &ws);
-  return std::move(ws.kernel);
-}
-
 void ProductKernel(const linalg::Matrix& rows, double rho,
                    KernelWorkspace* ws) {
   DHMM_CHECK(ws != nullptr);

@@ -16,14 +16,6 @@ inline constexpr double kDefaultRho = 0.5;
 /// powers; keeps gradients finite when simplex projection zeroes an entry.
 inline constexpr double kProbFloor = 1e-12;
 
-/// \brief Unnormalized probability product kernel matrix.
-///
-/// K_ij = sum_x P(x|A_i)^rho * P(x|A_j)^rho where rows of `rows` parameterize
-/// discrete distributions (they need not be exactly normalized; entries are
-/// floored at kProbFloor).
-linalg::Matrix ProductKernel(const linalg::Matrix& rows,
-                             double rho = kDefaultRho);
-
 /// \brief Normalized correlation kernel (Eq. 2):
 ///   K~_ij = K_ij / sqrt(K_ii * K_jj).
 ///
@@ -32,8 +24,11 @@ linalg::Matrix ProductKernel(const linalg::Matrix& rows,
 linalg::Matrix NormalizedKernel(const linalg::Matrix& rows,
                                 double rho = kDefaultRho);
 
-/// \brief Workspace overload: builds ws->powed (floored rows^rho) and the
-/// unnormalized kernel ws->kernel = P P^T without allocating once the
+/// \brief Unnormalized probability product kernel matrix, into `ws`:
+/// ws->powed holds the floored rows raised to rho, and ws->kernel = P P^T,
+/// i.e. K_ij = sum_x P(x|A_i)^rho * P(x|A_j)^rho where rows of `rows`
+/// parameterize discrete distributions (they need not be exactly
+/// normalized; entries are floored at kProbFloor). Allocation-free once the
 /// workspace buffers have grown to the row shape.
 void ProductKernel(const linalg::Matrix& rows, double rho,
                    KernelWorkspace* ws);

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "dpp/esp.h"
+#include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
-#include "linalg/lu.h"
 #include "util/check.h"
 
 namespace dhmm::dpp {
@@ -124,7 +125,18 @@ double KDppLogProb(const linalg::Matrix& l_kernel,
   }
   linalg::Vector esp = ElementarySymmetric(lambda, k);
   DHMM_CHECK(esp[k] > 0.0);
-  return linalg::LogAbsDeterminant(sub) - std::log(esp[k]);
+  // L is PSD, so det(L_Y) > 0 exactly when L_Y is positive definite. A
+  // repeated item gives L_Y two equal rows, det 0, yet roundoff can leave
+  // its Cholesky factor a tiny positive last pivot, so test for it first.
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  std::vector<size_t> sorted = subset;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+    return kNegInf;
+  }
+  linalg::CholeskyDecomposition chol(sub);
+  if (!chol.ok()) return kNegInf;
+  return chol.LogDeterminant() - std::log(esp[k]);
 }
 
 }  // namespace dhmm::dpp

@@ -19,8 +19,10 @@ namespace dhmm::dpp {
 std::vector<size_t> SampleKDpp(const linalg::Matrix& l_kernel, size_t k,
                                prob::Rng& rng);
 
-/// \brief Probability density assigned by the k-DPP (Eq. 1):
-///   P^k_L(Y) = det(L_Y) / e_k(lambda).
+/// \brief Log probability the k-DPP (Eq. 1) assigns to `subset`:
+///   log P^k_L(Y) = log det(L_Y) - log e_k(lambda),
+/// -infinity when L_Y is singular (a repeated item, or linearly dependent
+/// items as far as a Cholesky factorization can tell).
 double KDppLogProb(const linalg::Matrix& l_kernel,
                    const std::vector<size_t>& subset);
 

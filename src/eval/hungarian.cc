@@ -70,15 +70,4 @@ std::vector<int> SolveMaxAssignment(const linalg::Matrix& value) {
   return SolveAssignment(neg);
 }
 
-double AssignmentCost(const linalg::Matrix& cost,
-                      const std::vector<int>& assign) {
-  DHMM_CHECK(assign.size() == cost.rows());
-  double total = 0.0;
-  for (size_t r = 0; r < assign.size(); ++r) {
-    DHMM_CHECK(assign[r] >= 0 && static_cast<size_t>(assign[r]) < cost.cols());
-    total += cost(r, static_cast<size_t>(assign[r]));
-  }
-  return total;
-}
-
 }  // namespace dhmm::eval

@@ -18,10 +18,6 @@ std::vector<int> SolveAssignment(const linalg::Matrix& cost);
 /// \brief Maximum-total-value assignment (negates and delegates).
 std::vector<int> SolveMaxAssignment(const linalg::Matrix& value);
 
-/// Total cost of an assignment under a cost matrix.
-double AssignmentCost(const linalg::Matrix& cost,
-                      const std::vector<int>& assign);
-
 }  // namespace dhmm::eval
 
 #endif  // DHMM_EVAL_HUNGARIAN_H_

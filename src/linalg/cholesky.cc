@@ -53,27 +53,6 @@ double CholeskyDecomposition::LogDeterminant() const {
   return 2.0 * s;
 }
 
-Vector CholeskyDecomposition::Solve(const Vector& b) const {
-  DHMM_CHECK(ok_);
-  DHMM_CHECK(b.size() == l_.rows());
-  const size_t n = l_.rows();
-  // Forward: L y = b.
-  Vector y(n);
-  for (size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (size_t j = 0; j < i; ++j) s -= l_(i, j) * y[j];
-    y[i] = s / l_(i, i);
-  }
-  // Backward: L^T x = y.
-  Vector x(n);
-  for (size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (size_t j = ii + 1; j < n; ++j) s -= l_(j, ii) * x[j];
-    x[ii] = s / l_(ii, ii);
-  }
-  return x;
-}
-
 void CholeskyDecomposition::SolveInto(const Matrix& b, Matrix* x) const {
   DHMM_CHECK(ok_);
   DHMM_CHECK(x != nullptr && x != &b);
@@ -83,8 +62,7 @@ void CholeskyDecomposition::SolveInto(const Matrix& b, Matrix* x) const {
   x->Resize(n, m);
   // Forward: L Y = B, all right-hand sides together, inner loops along
   // contiguous rows. Each row is scaled by a precomputed reciprocal pivot —
-  // one divide per row instead of one per element (results differ from the
-  // Vector overload by at most an ulp).
+  // one divide per row instead of one per element.
   for (size_t i = 0; i < n; ++i) {
     const double* src = b.row_data(i);
     double* xi = x->row_data(i);

@@ -35,9 +35,6 @@ class CholeskyDecomposition {
   /// log det A = 2 * sum_i log L_ii. Precondition: ok().
   double LogDeterminant() const;
 
-  /// Solves A x = b via two triangular solves. Precondition: ok().
-  Vector Solve(const Vector& b) const;
-
   /// Solves A X = B into caller-owned x (Resize()d; b and x must be
   /// distinct), all right-hand sides advancing together along contiguous
   /// rows. Precondition: ok().

@@ -206,12 +206,6 @@ bool IsaAvailable(Isa isa) {
   return TablesOrNull(isa) != nullptr && CpuSupports(isa);
 }
 
-const KernelTable& TableFor(Isa isa) {
-  const internal::IsaTables* t = TablesOrNull(isa);
-  DHMM_CHECK_MSG(t != nullptr, "ISA variant not compiled into this binary");
-  return *t->generic;
-}
-
 const KernelTable& TableFor(Isa isa, std::size_t k) {
   const internal::IsaTables* t = TablesOrNull(isa);
   DHMM_CHECK_MSG(t != nullptr, "ISA variant not compiled into this binary");

@@ -121,11 +121,11 @@ std::vector<Isa> CompiledIsas();
 /// True when `isa` is both compiled in and supported by this CPU.
 bool IsaAvailable(Isa isa);
 
-/// Variant tables for a specific ISA regardless of what is active — the
-/// parity tests and per-ISA benches call variants through these. `isa`
-/// must be compiled in (CHECK-failure otherwise); running a table on a
-/// CPU that lacks the ISA is the caller's responsibility (IsaAvailable).
-const KernelTable& TableFor(Isa isa);
+/// ForK(k) for a specific ISA regardless of what is active (k = 0 gives
+/// the variable-length table) — the parity tests and per-ISA benches call
+/// variants through this. `isa` must be compiled in (CHECK-failure
+/// otherwise); running a table on a CPU that lacks the ISA is the caller's
+/// responsibility (IsaAvailable).
 const KernelTable& TableFor(Isa isa, std::size_t k);
 
 /// One-line resolution report, e.g.

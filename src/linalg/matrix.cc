@@ -5,7 +5,6 @@
 
 #include "linalg/kernels.h"
 #include "linalg/kernels_dispatch.h"
-#include "util/string_util.h"
 
 namespace dhmm::linalg {
 
@@ -22,12 +21,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
 Matrix Matrix::Identity(size_t n) {
   Matrix m(n, n);
   for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::Diagonal(const Vector& diag) {
-  Matrix m(diag.size(), diag.size());
-  for (size_t i = 0; i < diag.size(); ++i) m(i, i) = diag[i];
   return m;
 }
 
@@ -71,12 +64,6 @@ Matrix& Matrix::operator+=(const Matrix& other) {
   return *this;
 }
 
-Matrix& Matrix::operator-=(const Matrix& other) {
-  DHMM_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
 Matrix& Matrix::AddScaled(const Matrix& other, double scale) {
   DHMM_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
   for (size_t i = 0; i < data_.size(); ++i) {
@@ -106,14 +93,6 @@ Matrix Matrix::MatMul(const Matrix& other) const {
   return out;
 }
 
-Vector Matrix::MatVec(const Vector& v) const {
-  DHMM_CHECK(cols_ == v.size());
-  Vector out(rows_);
-  kernels::Active().mat_vec_col(data_.data(), v.data(), rows_, cols_,
-                                out.data());
-  return out;
-}
-
 Matrix Matrix::Transposed() const {
   Matrix out(cols_, rows_);
   kernels::TransposeInto(data_.data(), rows_, cols_, out.data());
@@ -130,12 +109,6 @@ double Matrix::max_abs() const {
   double m = 0.0;
   for (double v : data_) m = std::max(m, std::fabs(v));
   return m;
-}
-
-double Matrix::frobenius_norm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
 }
 
 double Matrix::squared_distance(const Matrix& other) const {
@@ -161,14 +134,6 @@ bool Matrix::IsRowStochastic(double tol) const {
   return true;
 }
 
-bool Matrix::IsSymmetric(double tol) const {
-  if (rows_ != cols_) return false;
-  for (size_t i = 0; i < rows_; ++i)
-    for (size_t j = i + 1; j < cols_; ++j)
-      if (std::fabs((*this)(i, j) - (*this)(j, i)) > tol) return false;
-  return true;
-}
-
 void Matrix::NormalizeRows() {
   for (size_t r = 0; r < rows_; ++r) {
     double* row = row_data(r);
@@ -180,18 +145,6 @@ void Matrix::NormalizeRows() {
       for (size_t c = 0; c < cols_; ++c) row[c] = 1.0 / cols_;
     }
   }
-}
-
-std::string Matrix::ToString(int precision) const {
-  std::string out;
-  for (size_t r = 0; r < rows_; ++r) {
-    out += "[";
-    for (size_t c = 0; c < cols_; ++c) {
-      out += StrFormat(" %.*f", precision, (*this)(r, c));
-    }
-    out += " ]\n";
-  }
-  return out;
 }
 
 }  // namespace dhmm::linalg

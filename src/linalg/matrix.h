@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 
 #include "linalg/aligned.h"
 #include "linalg/vector.h"
@@ -35,8 +34,6 @@ class Matrix {
 
   /// Identity matrix of size n.
   static Matrix Identity(size_t n);
-  /// Matrix with the given vector on the diagonal.
-  static Matrix Diagonal(const Vector& diag);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -85,20 +82,16 @@ class Matrix {
   // --- arithmetic ----------------------------------------------------------
 
   Matrix& operator+=(const Matrix& other);
-  Matrix& operator-=(const Matrix& other);
   Matrix& operator*=(double s);
   /// In-place `*this += other * scale` without a temporary — the hot-loop
   /// form of a gradient step (trial = iterate + grad * step).
   Matrix& AddScaled(const Matrix& other, double scale);
   friend Matrix operator+(Matrix a, const Matrix& b) { return a += b; }
-  friend Matrix operator-(Matrix a, const Matrix& b) { return a -= b; }
   friend Matrix operator*(Matrix a, double s) { return a *= s; }
   friend Matrix operator*(double s, Matrix a) { return a *= s; }
 
   /// Matrix product; inner dimensions must agree.
   Matrix MatMul(const Matrix& other) const;
-  /// Matrix-vector product; v.size() must equal cols().
-  Vector MatVec(const Vector& v) const;
   /// Transpose copy.
   Matrix Transposed() const;
 
@@ -108,22 +101,15 @@ class Matrix {
   double sum() const;
   /// Maximum absolute entry (infinity norm of vec(M)).
   double max_abs() const;
-  /// Frobenius norm.
-  double frobenius_norm() const;
   /// Squared Frobenius distance to another same-shape matrix.
   double squared_distance(const Matrix& other) const;
 
   /// True when every row is a probability distribution within tolerance.
   bool IsRowStochastic(double tol = 1e-9) const;
-  /// True when symmetric within tolerance (square only).
-  bool IsSymmetric(double tol = 1e-12) const;
 
   /// Normalizes every row to sum to one; rows with non-positive mass are set
   /// uniform (this matches EM practice for states with zero expected counts).
   void NormalizeRows();
-
-  /// Multi-line debug rendering with the given precision.
-  std::string ToString(int precision = 4) const;
 
   friend bool operator==(const Matrix& a, const Matrix& b) {
     return a.rows_ == b.rows_ && a.cols_ == b.cols_ && a.data_ == b.data_;

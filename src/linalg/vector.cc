@@ -1,6 +1,5 @@
 #include "linalg/vector.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "linalg/kernels.h"
@@ -20,42 +19,9 @@ double Vector::norm() const {
   return std::sqrt(s);
 }
 
-double Vector::max() const {
-  DHMM_CHECK(!data_.empty());
-  return *std::max_element(data_.begin(), data_.end());
-}
-
-double Vector::min() const {
-  DHMM_CHECK(!data_.empty());
-  return *std::min_element(data_.begin(), data_.end());
-}
-
-size_t Vector::argmax() const {
-  DHMM_CHECK(!data_.empty());
-  return static_cast<size_t>(
-      std::max_element(data_.begin(), data_.end()) - data_.begin());
-}
-
 double Vector::dot(const Vector& other) const {
   DHMM_CHECK(size() == other.size());
   return kernels::Active().dot(data_.data(), other.data_.data(), size());
-}
-
-Vector& Vector::operator*=(double s) {
-  for (double& v : data_) v *= s;
-  return *this;
-}
-
-Vector& Vector::operator+=(const Vector& other) {
-  DHMM_CHECK(size() == other.size());
-  for (size_t i = 0; i < size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Vector& Vector::operator-=(const Vector& other) {
-  DHMM_CHECK(size() == other.size());
-  for (size_t i = 0; i < size(); ++i) data_[i] -= other.data_[i];
-  return *this;
 }
 
 void Vector::NormalizeToSimplex() {

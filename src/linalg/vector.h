@@ -60,29 +60,11 @@ class Vector {
   double sum() const;
   /// Euclidean (L2) norm.
   double norm() const;
-  /// Maximum entry; precondition: non-empty.
-  double max() const;
-  /// Minimum entry; precondition: non-empty.
-  double min() const;
-  /// Index of the maximum entry; precondition: non-empty.
-  size_t argmax() const;
   /// Dot product; sizes must match.
   double dot(const Vector& other) const;
 
-  /// In-place scale.
-  Vector& operator*=(double s);
-  /// In-place add; sizes must match.
-  Vector& operator+=(const Vector& other);
-  /// In-place subtract; sizes must match.
-  Vector& operator-=(const Vector& other);
-
   /// Normalizes entries to sum to 1; precondition: sum() > 0.
   void NormalizeToSimplex();
-
-  friend Vector operator+(Vector a, const Vector& b) { return a += b; }
-  friend Vector operator-(Vector a, const Vector& b) { return a -= b; }
-  friend Vector operator*(Vector a, double s) { return a *= s; }
-  friend Vector operator*(double s, Vector a) { return a *= s; }
 
  private:
   AlignedBuffer data_;

@@ -21,7 +21,7 @@ using MatrixProjection = std::function<void(linalg::Matrix*)>;
 /// gradient to *grad (Resize()d in place). Returns false when the gradient
 /// is undefined at `a` (e.g. a singular DPP kernel); the ascent then stops
 /// and returns its current iterate. The point of fusing: the dHMM objective
-/// and its gradient share one kernel build and one LU factorization
+/// and its gradient share one kernel build and one Cholesky factorization
 /// (dpp::LogDetAndGrad), where separate callbacks each redo both.
 using MatrixValueGradient =
     std::function<bool(const linalg::Matrix&, double*, linalg::Matrix*)>;

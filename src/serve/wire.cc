@@ -144,13 +144,4 @@ Status DecodeResponsePayload(const FrameHeader& h, const uint8_t* payload,
   return Status::OK();
 }
 
-Status DecodeResponseFrame(const uint8_t* data, size_t size,
-                           FrameHeader* h, DecodeResponse* resp) {
-  DHMM_RETURN_NOT_OK(DecodeHeader(data, size, h));
-  if (size - kHeaderSize < h->payload_len) {
-    return Status::InvalidArgument("truncated response frame");
-  }
-  return DecodeResponsePayload(*h, data + kHeaderSize, h->payload_len, resp);
-}
-
 }  // namespace dhmm::serve::wire

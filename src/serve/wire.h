@@ -206,11 +206,6 @@ Status EncodeResponse(const DecodeResponse& resp, ModelId model,
 Status DecodeResponsePayload(const FrameHeader& h, const uint8_t* payload,
                              size_t size, DecodeResponse* resp);
 
-/// \brief Convenience for clients and tests: header + payload decode of a
-/// whole response frame in one call. `size` must cover the whole frame.
-Status DecodeResponseFrame(const uint8_t* data, size_t size,
-                           FrameHeader* h, DecodeResponse* resp);
-
 }  // namespace dhmm::serve::wire
 
 #endif  // DHMM_SERVE_WIRE_H_

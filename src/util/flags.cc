@@ -1,6 +1,5 @@
 #include "util/flags.h"
 
-#include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -10,18 +9,6 @@
 #include "util/string_util.h"
 
 namespace dhmm {
-
-namespace {
-
-std::string Lowered(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
-}  // namespace
 
 Status FlagParser::Parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -44,15 +31,6 @@ std::string FlagParser::GetString(const std::string& key,
                                   const std::string& def) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;
-  read_.insert(key);
-  return it->second;
-}
-
-Result<std::string> FlagParser::GetString(const std::string& key) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
-    return Status::NotFound("flag --" + key + " not set");
-  }
   read_.insert(key);
   return it->second;
 }
@@ -122,29 +100,6 @@ double FlagParser::GetDouble(const std::string& key, double def) const {
   if (r.ok()) return r.value();
   std::fprintf(stderr, "warning: %s; using default %g\n",
                r.status().message().c_str(), def);
-  return def;
-}
-
-Result<bool> FlagParser::GetBool(const std::string& key) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
-    return Status::NotFound("flag --" + key + " not set");
-  }
-  read_.insert(key);
-  const std::string v = Lowered(it->second);
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  return Status::InvalidArgument("--" + key + "=" + it->second +
-                                 " is not a boolean (use true/false, 1/0, "
-                                 "yes/no, or on/off)");
-}
-
-bool FlagParser::GetBool(const std::string& key, bool def) const {
-  if (!Has(key)) return def;
-  Result<bool> r = GetBool(key);
-  if (r.ok()) return r.value();
-  std::fprintf(stderr, "warning: %s; using default %s\n",
-               r.status().message().c_str(), def ? "true" : "false");
   return def;
 }
 

@@ -28,21 +28,18 @@ class FlagParser {
 
   /// Typed getters with defaults. Returns the default when the flag is
   /// absent. A present-but-malformed value (not a number, empty `--x=`,
-  /// overflow, unknown bool spelling) prints a clear error to stderr and
-  /// falls back to the default — it never aborts the process and never
-  /// silently parses as 0. Tools that want to fail instead should use the
-  /// strict single-argument overloads below.
+  /// overflow) prints a clear error to stderr and falls back to the
+  /// default — it never aborts the process and never silently parses as 0.
+  /// Tools that want to fail instead should use the strict single-argument
+  /// overloads below.
   std::string GetString(const std::string& key, const std::string& def) const;
   int GetInt(const std::string& key, int def) const;
   double GetDouble(const std::string& key, double def) const;
-  bool GetBool(const std::string& key, bool def) const;
 
   /// Strict getters: NotFound when the flag is absent, InvalidArgument when
   /// the value is empty, unparseable, or out of range for the target type.
-  Result<std::string> GetString(const std::string& key) const;
   Result<int> GetInt(const std::string& key) const;
   Result<double> GetDouble(const std::string& key) const;
-  Result<bool> GetBool(const std::string& key) const;
 
   /// True if the flag appeared on the command line (marks it as read).
   bool Has(const std::string& key) const {

@@ -42,16 +42,4 @@ std::string PadRight(const std::string& s, size_t width) {
   return s + std::string(width - s.size(), ' ');
 }
 
-std::vector<std::string> StrSplit(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 }  // namespace dhmm

@@ -24,9 +24,6 @@ std::string PadLeft(const std::string& s, size_t width);
 /// Right-pads `s` with spaces up to `width`.
 std::string PadRight(const std::string& s, size_t width);
 
-/// Splits on a single character, keeping empty fields.
-std::vector<std::string> StrSplit(const std::string& s, char sep);
-
 }  // namespace dhmm
 
 #endif  // DHMM_UTIL_STRING_UTIL_H_

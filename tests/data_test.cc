@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -123,7 +124,8 @@ TEST(PosCorpusTest, TagFrequenciesTrackPaperProfile) {
   const auto& table = PaperPosTagTable();
   double total = 93636.0;
   // The big classes must land near the paper's shares; NOUN is the heaviest.
-  EXPECT_EQ(hist.argmax(), 0u);
+  const double* shares = hist.data();
+  EXPECT_EQ(std::max_element(shares, shares + hist.size()), shares);
   for (size_t i = 0; i < kNumPosTags; ++i) {
     double target = table[i].paper_frequency / total;
     if (target > 0.02) {
@@ -140,7 +142,8 @@ TEST(PosCorpusTest, GroundTruthTransitionsEncodeLinguistics) {
   // DET -> NOUN must dominate DET -> VERB (indices: NOUN 0, VERB 5, DET 6).
   EXPECT_GT(gt.a(6, 0), 3.0 * gt.a(6, 5));
   // MODAL (4) -> VERB (5) is the strongest MODAL transition.
-  EXPECT_EQ(gt.a.Row(4).argmax(), 5u);
+  const double* modal = gt.a.row_data(4);
+  EXPECT_EQ(std::max_element(modal, modal + gt.a.cols()), modal + 5);
   EXPECT_TRUE(gt.a.IsRowStochastic(1e-9));
 }
 
@@ -283,7 +286,7 @@ TEST(OcrTest, DatasetDeterministicForSeed) {
 
 TEST(OcrTest, AsciiRenderingRoundTrip) {
   const auto& g = GlyphTemplate(0);
-  std::string art = RenderGlyphAscii(g);
+  std::string art = RenderWordAscii({g});
   // 16 lines of 8 chars + newlines.
   EXPECT_EQ(art.size(), (kGlyphCols + 1) * kGlyphRows);
   size_t hashes = 0;

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -9,7 +10,6 @@
 #include "dpp/product_kernel.h"
 #include "dpp/sampling.h"
 #include "linalg/eigen_sym.h"
-#include "linalg/lu.h"
 #include "prob/rng.h"
 
 namespace dhmm::dpp {
@@ -19,6 +19,24 @@ linalg::Matrix RandomStochastic(size_t k, size_t d, uint64_t seed,
                                 double conc = 2.0) {
   prob::Rng rng(seed);
   return rng.RandomStochasticMatrix(k, d, conc);
+}
+
+// Test-local determinant oracle: cofactor expansion along the first row,
+// for the small (at most 4 x 4) matrices these tests build.
+double Det(const linalg::Matrix& m) {
+  const size_t n = m.rows();
+  if (n == 1) return m(0, 0);
+  double det = 0.0;
+  for (size_t c = 0; c < n; ++c) {
+    linalg::Matrix minor(n - 1, n - 1);
+    for (size_t i = 1; i < n; ++i) {
+      for (size_t j = 0, mj = 0; j < n; ++j) {
+        if (j != c) minor(i - 1, mj++) = m(i, j);
+      }
+    }
+    det += (c % 2 == 0 ? 1.0 : -1.0) * m(0, c) * Det(minor);
+  }
+  return det;
 }
 
 // ---------------------------------------------------------- ProductKernel ---
@@ -32,7 +50,7 @@ TEST(ProductKernelTest, DiagonalOfNormalizedKernelIsOne) {
 TEST(ProductKernelTest, SymmetricAndBounded) {
   linalg::Matrix a = RandomStochastic(6, 8, 2);
   linalg::Matrix k = NormalizedKernel(a);
-  EXPECT_TRUE(k.IsSymmetric(1e-12));
+  EXPECT_EQ(k, k.Transposed());
   for (size_t i = 0; i < 6; ++i) {
     for (size_t j = 0; j < 6; ++j) {
       EXPECT_GE(k(i, j), 0.0);
@@ -53,7 +71,7 @@ TEST(ProductKernelTest, IdenticalRowsGiveUnitOffDiagonal) {
   linalg::Matrix k = NormalizedKernel(a);
   EXPECT_NEAR(k(0, 1), 1.0, 1e-12);
   // And the determinant of the kernel vanishes.
-  EXPECT_NEAR(linalg::Determinant(k), 0.0, 1e-12);
+  EXPECT_NEAR(Det(k), 0.0, 1e-12);
 }
 
 TEST(ProductKernelTest, OrthogonalRowsGiveIdentityKernel) {
@@ -61,7 +79,7 @@ TEST(ProductKernelTest, OrthogonalRowsGiveIdentityKernel) {
   linalg::Matrix k = NormalizedKernel(a);
   // Disjoint supports: off-diagonal is (numerically) the floor -> ~0.
   EXPECT_LT(k(0, 1), 1e-5);
-  EXPECT_NEAR(linalg::Determinant(k), 1.0, 1e-4);
+  EXPECT_NEAR(Det(k), 1.0, 1e-4);
 }
 
 TEST(ProductKernelTest, PositiveSemidefinite) {
@@ -86,10 +104,11 @@ TEST(ProductKernelTest, ScaleInvarianceOfNormalizedKernel) {
 
 TEST(ProductKernelTest, UnnormalizedDiagonalIsRowPowerSum) {
   linalg::Matrix a{{0.25, 0.75}};
-  linalg::Matrix k = ProductKernel(a, 0.5);
-  EXPECT_NEAR(k(0, 0), 0.25 + 0.75, 1e-12);  // rho=0.5: sum of entries
-  linalg::Matrix k2 = ProductKernel(a, 1.0);
-  EXPECT_NEAR(k2(0, 0), 0.25 * 0.25 + 0.75 * 0.75, 1e-12);
+  KernelWorkspace ws;
+  ProductKernel(a, 0.5, &ws);
+  EXPECT_NEAR(ws.kernel(0, 0), 0.25 + 0.75, 1e-12);  // rho=0.5: entry sum
+  ProductKernel(a, 1.0, &ws);
+  EXPECT_NEAR(ws.kernel(0, 0), 0.25 * 0.25 + 0.75 * 0.75, 1e-12);
 }
 
 // ----------------------------------------------------------------- LogDet ---
@@ -227,8 +246,7 @@ TEST(EspTest, MatchesDeterminantIdentity) {
   linalg::Vector e = ElementarySymmetric(lam, 4);
   double sum = 0.0;
   for (size_t k = 0; k <= 4; ++k) sum += e[k];
-  EXPECT_NEAR(sum, linalg::Determinant(l + linalg::Matrix::Identity(4)),
-              1e-6 * (1.0 + sum));
+  EXPECT_NEAR(sum, Det(l + linalg::Matrix::Identity(4)), 1e-6 * (1.0 + sum));
 }
 
 TEST(EspTest, TableLastColumnMatchesVectorVersion) {
@@ -278,14 +296,21 @@ TEST(DppSamplingTest, RepulsionBeatsIndependentSampling) {
 }
 
 TEST(DppSamplingTest, KDppSampleFrequenciesMatchDensity) {
-  // Exhaustive check on a 4-item ground set with k=2: empirical frequencies
-  // track det(L_Y)/e_2.
+  // Exhaustive check on a 4-item ground set with k=2: KDppLogProb is
+  // log det(L_Y) - log e_2, and empirical frequencies track it.
   prob::Rng rng(35);
   linalg::Matrix g(4, 3);
   for (size_t i = 0; i < 4; ++i)
     for (size_t j = 0; j < 3; ++j) g(i, j) = rng.Gaussian();
   linalg::Matrix l = g.MatMul(g.Transposed());
   for (size_t i = 0; i < 4; ++i) l(i, i) += 0.3;
+  auto minor = [&](size_t i, size_t j) {
+    return Det(linalg::Matrix{{l(i, i), l(i, j)}, {l(j, i), l(j, j)}});
+  };
+  // e_2 of L's eigenvalues is the sum of its 2 x 2 principal minors.
+  double e2 = 0.0;
+  for (size_t i = 0; i < 4; ++i)
+    for (size_t j = i + 1; j < 4; ++j) e2 += minor(i, j);
 
   std::map<std::pair<size_t, size_t>, int> counts;
   const int trials = 20000;
@@ -295,12 +320,17 @@ TEST(DppSamplingTest, KDppSampleFrequenciesMatchDensity) {
   }
   for (size_t i = 0; i < 4; ++i) {
     for (size_t j = i + 1; j < 4; ++j) {
-      double expected = std::exp(KDppLogProb(l, {i, j}));
+      const double log_prob = KDppLogProb(l, {i, j});
+      EXPECT_NEAR(log_prob, std::log(minor(i, j)) - std::log(e2), 1e-10)
+          << "pair (" << i << "," << j << ")";
       double observed = counts[{i, j}] / static_cast<double>(trials);
-      EXPECT_NEAR(observed, expected, 0.02)
+      EXPECT_NEAR(observed, std::exp(log_prob), 0.02)
           << "pair (" << i << "," << j << ")";
     }
   }
+  // A repeated item makes L_Y singular: probability zero.
+  const double neg_inf = -std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(KDppLogProb(l, {i, i}), neg_inf);
 }
 
 TEST(DppSamplingTest, KDppLogProbsNormalize) {

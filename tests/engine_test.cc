@@ -3,6 +3,7 @@
 // cached-shifted-emissions and flat-backpointer rewrites, every batched
 // reduction must be invariant to the thread count, and MAP-EM through the
 // one EM loop must equal a loop with a separate likelihood pass bitwise.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -591,7 +592,8 @@ TEST(CheckpointedFbTest, PosteriorDecodePathsBitwiseIdentical) {
     ASSERT_TRUE(TryForwardBackward(pi, a, log_b, &ws, &fb_full).ok());
     std::vector<int> path_full(big_t);
     for (size_t t = 0; t < big_t; ++t) {
-      path_full[t] = static_cast<int>(fb_full.gamma.Row(t).argmax());
+      const double* g = fb_full.gamma.row_data(t);
+      path_full[t] = static_cast<int>(std::max_element(g, g + k) - g);
     }
     ASSERT_TRUE(TryPosteriorDecode(pi, a, log_b, &ws, &fb_decode,
                                    &path_one_panel)

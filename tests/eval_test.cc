@@ -12,6 +12,25 @@
 namespace dhmm::eval {
 namespace {
 
+// Total cost of an assignment: sum_r cost(r, assign[r]). A wrong-length
+// assignment or an out-of-range column fails the test (NaN, never a read
+// past `cost`).
+double AssignmentCost(const linalg::Matrix& cost,
+                      const std::vector<int>& assign) {
+  EXPECT_EQ(assign.size(), cost.rows());
+  if (assign.size() != cost.rows()) return std::nan("");
+  double total = 0.0;
+  for (size_t r = 0; r < assign.size(); ++r) {
+    if (assign[r] < 0 || static_cast<size_t>(assign[r]) >= cost.cols()) {
+      ADD_FAILURE() << "row " << r << " assigned to column " << assign[r]
+                    << " of " << cost.cols();
+      return std::nan("");
+    }
+    total += cost(r, static_cast<size_t>(assign[r]));
+  }
+  return total;
+}
+
 // --------------------------------------------------------------- Hungarian ---
 
 TEST(HungarianTest, TrivialDiagonal) {

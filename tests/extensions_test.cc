@@ -1,5 +1,6 @@
 // Tests for the extension modules: Dirichlet-MAP transition priors,
 // posterior decoding, and state-count selection.
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -97,7 +98,8 @@ TEST(PosteriorDecodingTest, MatchesGammaArgmax) {
   std::vector<int> path = checked::PosteriorDecode(pi, a, log_b);
   hmm::ForwardBackwardResult fb = checked::ForwardBackward(pi, a, log_b);
   for (size_t t = 0; t < 10; ++t) {
-    EXPECT_EQ(path[t], static_cast<int>(fb.gamma.Row(t).argmax()));
+    const double* g = fb.gamma.row_data(t);
+    EXPECT_EQ(path[t], static_cast<int>(std::max_element(g, g + 3) - g));
   }
 }
 

@@ -253,8 +253,10 @@ TEST(AlphaSweepIntegrationTest, OverRegularizationTradesDataFitForDiversity) {
       ml.a, counts, extreme_opts);
 
   // Count log-likelihood (the alpha = 0 objective) degrades...
-  double fit_ml = core::TransitionObjective(ml.a, counts, ml_opts);
-  double fit_extreme = core::TransitionObjective(extreme.a, counts, ml_opts);
+  dpp::KernelWorkspace ws;
+  double fit_ml = core::TransitionObjective(ml.a, counts, ml_opts, &ws);
+  double fit_extreme =
+      core::TransitionObjective(extreme.a, counts, ml_opts, &ws);
   EXPECT_GT(fit_ml, fit_extreme + 1.0);
   // ...while diversity improves.
   EXPECT_GT(extreme.log_det, ml.log_det + 0.5);

@@ -536,7 +536,7 @@ TEST(DispatchTest, CrossVariantParityGridVsScalarOracle) {
     for (klib::Isa isa : klib::CompiledIsas()) {
       if (isa == klib::Isa::kScalar || !klib::IsaAvailable(isa)) continue;
       for (const klib::KernelTable* kt :
-           {&klib::TableFor(isa, n), &klib::TableFor(isa)}) {
+           {&klib::TableFor(isa, n), &klib::TableFor(isa, 0)}) {
         const std::vector<double> got = ApplyAllKernels(*kt, n, 900 + n);
         ASSERT_EQ(got.size(), ref.size());
         for (size_t i = 0; i < got.size(); ++i) {
@@ -742,7 +742,7 @@ TEST(ViterbiBitwiseGridTest, StepEqualsColumnFormUnderEveryIsa) {
                         ref_delta.data(), ref_psi.data());
       for (klib::Isa isa : AvailableIsas()) {
         for (const klib::KernelTable* kt :
-             {&klib::TableFor(isa, k), &klib::TableFor(isa)}) {
+             {&klib::TableFor(isa, k), &klib::TableFor(isa, 0)}) {
           std::fill(delta.begin(), delta.end(), 7.0);
           std::fill(psi.begin(), psi.end(), -1);
           kt->viterbi_step(prev.data(), log_a.data(), log_b_row, k,

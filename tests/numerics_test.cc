@@ -10,7 +10,6 @@
 #include "hmm/inference.h"
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
-#include "linalg/lu.h"
 #include "optim/simplex_projection.h"
 #include "prob/logsumexp.h"
 #include "prob/rng.h"
@@ -18,7 +17,7 @@
 namespace dhmm {
 namespace {
 
-// ------------------------------------------------------------- LU stress ---
+// ------------------------------------------------------- Cholesky stress ---
 
 linalg::Matrix Hilbert(size_t n) {
   linalg::Matrix h(n, n);
@@ -28,23 +27,25 @@ linalg::Matrix Hilbert(size_t n) {
   return h;
 }
 
-TEST(NumericsTest, LuSolvesIllConditionedHilbert) {
-  // Hilbert(8) has condition number ~1e10; residual should still be small
-  // even if the error is not.
+TEST(NumericsTest, CholeskySolvesIllConditionedHilbert) {
+  // Hilbert(8) is symmetric positive definite with condition number ~1e10;
+  // residual should still be small even if the error is not.
   const size_t n = 8;
   linalg::Matrix h = Hilbert(n);
-  linalg::Vector x_true(n, 1.0);
-  linalg::Vector b = h.MatVec(x_true);
-  linalg::Vector x = linalg::LuDecomposition(h).Solve(b);
-  linalg::Vector residual = h.MatVec(x) - b;
-  EXPECT_LT(residual.norm(), 1e-10);
+  linalg::Matrix b = h.MatMul(linalg::Matrix(n, 1, 1.0));  // x_true = 1
+  linalg::CholeskyDecomposition chol(h);
+  ASSERT_TRUE(chol.ok());
+  linalg::Matrix x;
+  chol.SolveInto(b, &x);
+  EXPECT_LT(std::sqrt(h.MatMul(x).squared_distance(b)), 1e-10);
 }
 
-TEST(NumericsTest, LuDeterminantOfScaledIdentityNoOverflow) {
-  // det(1e-3 * I_100) = 1e-300 underflows; LogAbsDeterminant must not.
+TEST(NumericsTest, CholeskyLogDetOfScaledIdentityNoOverflow) {
+  // det(1e-3 * I_100) = 1e-300 underflows; LogDeterminant must not.
   linalg::Matrix m = linalg::Matrix::Identity(100) * 1e-3;
-  double logdet = linalg::LogAbsDeterminant(m);
-  EXPECT_NEAR(logdet, 100.0 * std::log(1e-3), 1e-9);
+  linalg::CholeskyDecomposition chol(m);
+  ASSERT_TRUE(chol.ok());
+  EXPECT_NEAR(chol.LogDeterminant(), 100.0 * std::log(1e-3), 1e-9);
 }
 
 TEST(NumericsTest, CholeskyOnNearSingularSpd) {

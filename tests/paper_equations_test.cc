@@ -198,14 +198,15 @@ TEST(PaperEquationsTest, Eq18TetherGradient) {
   opts.tether = &a0;
   opts.tether_weight = 7.0;
 
+  dpp::KernelWorkspace ws;
   const double h = 1e-6;
   for (size_t i = 0; i < 3; ++i) {
     for (size_t j = 0; j < 3; ++j) {
       linalg::Matrix ap = a, am = a;
       ap(i, j) += h;
       am(i, j) -= h;
-      double fd = (core::TransitionObjective(ap, counts, opts) -
-                   core::TransitionObjective(am, counts, opts)) /
+      double fd = (core::TransitionObjective(ap, counts, opts, &ws) -
+                   core::TransitionObjective(am, counts, opts, &ws)) /
                   (2.0 * h);
       double analytic =
           counts(i, j) / a(i, j) - 2.0 * 7.0 * (a(i, j) - a0(i, j));
@@ -227,7 +228,8 @@ TEST(PaperEquationsTest, Algorithm1NeverDecreasesObjective) {
     linalg::Matrix init = rng.RandomStochasticMatrix(4, 4, 2.0);
     core::TransitionUpdateOptions opts;
     opts.alpha = alpha;
-    double before = core::TransitionObjective(init, counts, opts);
+    dpp::KernelWorkspace ws;
+    double before = core::TransitionObjective(init, counts, opts, &ws);
     core::TransitionUpdateResult r =
         core::UpdateTransitions(init, counts, opts);
     EXPECT_GE(r.objective, before - 1e-9) << "alpha " << alpha;

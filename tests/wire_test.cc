@@ -25,6 +25,16 @@
 namespace dhmm::serve {
 namespace {
 
+/// Decodes one whole response frame the way WireClient::Receive does: the
+/// header, then DecodeResponsePayload over the bytes after it.
+Status DecodeWholeResponse(const uint8_t* data, size_t size,
+                           wire::FrameHeader* h, DecodeResponse* resp) {
+  Status st = wire::DecodeHeader(data, size, h);
+  if (!st.ok()) return st;
+  return wire::DecodeResponsePayload(*h, data + wire::kHeaderSize,
+                                     size - wire::kHeaderSize, resp);
+}
+
 wire::FrameHeader KnownHeader() {
   wire::FrameHeader h;
   h.kind = static_cast<uint8_t>(DecodeKind::kPosterior);
@@ -199,8 +209,7 @@ TEST(WireResponseTest, StatsTextRidesTheMessageFieldOfOkResponses) {
   ASSERT_TRUE(wire::EncodeResponse(resp, 0, &frame).ok());
   wire::FrameHeader h;
   DecodeResponse back;
-  ASSERT_TRUE(
-      wire::DecodeResponseFrame(frame.data(), frame.size(), &h, &back).ok());
+  ASSERT_TRUE(DecodeWholeResponse(frame.data(), frame.size(), &h, &back).ok());
   EXPECT_EQ(back.kind, DecodeKind::kStats);
   EXPECT_TRUE(back.status.ok());
   EXPECT_EQ(back.text, resp.text);
@@ -210,8 +219,7 @@ TEST(WireResponseTest, StatsTextRidesTheMessageFieldOfOkResponses) {
   resp.text.clear();
   frame.clear();
   ASSERT_TRUE(wire::EncodeResponse(resp, 0, &frame).ok());
-  ASSERT_TRUE(
-      wire::DecodeResponseFrame(frame.data(), frame.size(), &h, &back).ok());
+  ASSERT_TRUE(DecodeWholeResponse(frame.data(), frame.size(), &h, &back).ok());
   EXPECT_EQ(back.status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(back.status.message(), "shed");
   EXPECT_TRUE(back.text.empty());
@@ -314,7 +322,7 @@ TEST(WireResponseTest, RandomRoundTrips) {
     wire::FrameHeader h;
     DecodeResponse back;
     ASSERT_TRUE(
-        wire::DecodeResponseFrame(frame.data(), frame.size(), &h, &back).ok());
+        DecodeWholeResponse(frame.data(), frame.size(), &h, &back).ok());
     EXPECT_TRUE(h.is_response());
     EXPECT_EQ(h.model, model);
     EXPECT_EQ(back.request_id, resp.request_id);
@@ -339,7 +347,7 @@ TEST(WireResponseTest, EveryPrefixTruncationFails) {
   for (size_t n = 0; n < frame.size(); ++n) {
     wire::FrameHeader h;
     DecodeResponse back;
-    EXPECT_FALSE(wire::DecodeResponseFrame(frame.data(), n, &h, &back).ok())
+    EXPECT_FALSE(DecodeWholeResponse(frame.data(), n, &h, &back).ok())
         << "prefix " << n << " of " << frame.size();
   }
 }
@@ -378,8 +386,7 @@ TEST(WireResponseTest, OutOfEnumStatusCodeDegradesToInternal) {
   frame[wire::kHeaderSize] = 0x63;  // status code 99: a newer peer's code
   wire::FrameHeader h;
   DecodeResponse back;
-  ASSERT_TRUE(
-      wire::DecodeResponseFrame(frame.data(), frame.size(), &h, &back).ok());
+  ASSERT_TRUE(DecodeWholeResponse(frame.data(), frame.size(), &h, &back).ok());
   EXPECT_EQ(back.status.code(), StatusCode::kInternal);
   EXPECT_EQ(back.status.message(), "x");
 }
@@ -448,8 +455,7 @@ bool CheckRequestDecode(const std::vector<uint8_t>& frame) {
 bool CheckResponseDecode(const std::vector<uint8_t>& frame) {
   wire::FrameHeader h;
   DecodeResponse resp;
-  const Status st =
-      wire::DecodeResponseFrame(frame.data(), frame.size(), &h, &resp);
+  const Status st = DecodeWholeResponse(frame.data(), frame.size(), &h, &resp);
   if (!st.ok()) {
     EXPECT_TRUE(IsTypedWireError(st)) << st.ToString();
     return false;
