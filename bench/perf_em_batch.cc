@@ -9,12 +9,14 @@
 //
 // BM_BatchEStepPosShape is the shape of a paper-scale PoS fit — many short
 // categorical sentences at k = 15 — where the fixed costs per sequence and
-// per frame matter more than the k^2 kernels.
+// per frame matter more than the k^2 kernels. BM_GeneratePosCorpus samples
+// the corpus that fit trains on.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <memory>
 
+#include "data/pos_corpus.h"
 #include "hmm/engine.h"
 #include "hmm/model.h"
 #include "hmm/sampler.h"
@@ -128,6 +130,25 @@ void BM_BatchEStepPosShape(benchmark::State& state) {
                           static_cast<int64_t>(hmm::TotalFrames(data)));
 }
 BENCHMARK(BM_BatchEStepPosShape)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Ancestral sampling of the paper-scale PoS corpus: 3828 sentences of mean
+// length 24 over a 10000-word vocabulary, ground truth built included. Each
+// token is one categorical emission draw over a V = 10000 row.
+void BM_GeneratePosCorpus(benchmark::State& state) {
+  data::PosCorpusOptions options;
+  options.num_sentences = 3828;
+  options.vocab_size = 10000;
+  options.mean_length = 24.0;
+  size_t tokens = 0;
+  for (auto _ : state) {
+    data::PosCorpus corpus = data::GeneratePosCorpus(options);
+    tokens = hmm::TotalFrames(corpus.sentences);
+    benchmark::DoNotOptimize(corpus.sentences.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(tokens));
+}
+BENCHMARK(BM_GeneratePosCorpus)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

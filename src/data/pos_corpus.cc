@@ -115,9 +115,7 @@ const std::vector<PosTagInfo>& PaperPosTagTable() {
   return table;
 }
 
-hmm::HmmModel<int> BuildPosGroundTruth(const PosCorpusOptions& options,
-                                       prob::Rng& rng) {
-  (void)rng;  // reserved for future stochastic structure variation
+hmm::HmmModel<int> BuildPosGroundTruth(const PosCorpusOptions& options) {
   const size_t k = kNumPosTags;
   const linalg::Vector freq = PaperFrequencyDistribution();
 
@@ -186,7 +184,7 @@ PosCorpus GeneratePosCorpus(const PosCorpusOptions& options) {
   prob::Rng rng(options.seed);
   PosCorpus corpus;
   corpus.vocab_size = options.vocab_size;
-  corpus.ground_truth = BuildPosGroundTruth(options, rng);
+  corpus.ground_truth = BuildPosGroundTruth(options);
   for (const auto& row : PaperPosTagTable()) {
     corpus.tag_names.emplace_back(row.name);
   }

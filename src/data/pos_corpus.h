@@ -63,8 +63,7 @@ struct PosCorpus {
 /// (DET->NOUN, MODAL->VERB, ADJ->NOUN, ...) with the Table-2 frequency
 /// profile so that the stationary tag distribution tracks the paper's
 /// skewed long-tail histogram (Fig. 9's "ground-truth" curve).
-hmm::HmmModel<int> BuildPosGroundTruth(const PosCorpusOptions& options,
-                                       prob::Rng& rng);
+hmm::HmmModel<int> BuildPosGroundTruth(const PosCorpusOptions& options);
 
 /// \brief Samples a corpus from the ground truth.
 PosCorpus GeneratePosCorpus(const PosCorpusOptions& options);

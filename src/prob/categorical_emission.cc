@@ -15,7 +15,7 @@ CategoricalEmission::CategoricalEmission(linalg::Matrix b, double pseudo_count)
   DHMM_CHECK_MSG(b_.IsRowStochastic(1e-6), "emission rows must be stochastic");
   DHMM_CHECK(pseudo_count_ >= 0.0);
   b_.NormalizeRows();
-  RebuildLogTable();
+  RebuildTables();
 }
 
 CategoricalEmission CategoricalEmission::RandomInit(size_t k, size_t vocab,
@@ -26,7 +26,7 @@ CategoricalEmission CategoricalEmission::RandomInit(size_t k, size_t vocab,
       rng.RandomStochasticMatrix(k, vocab, concentration), pseudo_count);
 }
 
-void CategoricalEmission::RebuildLogTable() {
+void CategoricalEmission::RebuildTables() {
   log_bt_.Resize(b_.cols(), b_.rows());
   for (size_t v = 0; v < b_.cols(); ++v) {
     double* row = log_bt_.row_data(v);
@@ -34,6 +34,11 @@ void CategoricalEmission::RebuildLogTable() {
       const double p = b_(i, v);
       row[i] = p > 0.0 ? std::log(p) : kNegInf;
     }
+  }
+  sums_.Resize(b_.rows(), Rng::CategoricalCheckpointCount(b_.cols()));
+  for (size_t i = 0; i < b_.rows(); ++i) {
+    Rng::BuildCategoricalCheckpoints(b_.row_data(i), b_.cols(),
+                                     sums_.row_data(i));
   }
 }
 
@@ -49,7 +54,8 @@ void CategoricalEmission::LogProbRow(const int& y, double* out) const {
 
 int CategoricalEmission::Sample(size_t state, Rng& rng) const {
   DHMM_DCHECK(state < b_.rows());
-  return static_cast<int>(rng.Categorical(b_.row_data(state), b_.cols()));
+  return static_cast<int>(
+      rng.Categorical(b_.row_data(state), b_.cols(), sums_.row_data(state)));
 }
 
 void CategoricalEmission::BeginAccumulate() {
@@ -87,7 +93,7 @@ void CategoricalEmission::FinishAccumulate() {
       b_(i, v) = total[i] > 0.0 ? counts[i] / total[i] : 1.0 / vocab;
     }
   }
-  RebuildLogTable();
+  RebuildTables();
 }
 
 std::unique_ptr<EmissionModel<int>> CategoricalEmission::Clone() const {

@@ -17,7 +17,10 @@ namespace dhmm::prob {
 /// The log table and the expected counts are kept symbol-major (V x k), so
 /// a frame's emission row is one contiguous k-read and its accumulation
 /// one contiguous k-add. A symbol outside [0, V) has probability 0 under
-/// every state.
+/// every state. `Sample` draws by indexed search over each row's running-sum
+/// checkpoints (`Rng::BuildCategoricalCheckpoints`, k * ceil(V / 64)
+/// doubles), the same draws as `Rng::Categorical` over the row; they are
+/// rebuilt with the log table and never stored.
 class CategoricalEmission : public EmissionModel<int> {
  public:
   /// Constructs from a row-stochastic k x V matrix.
@@ -46,10 +49,11 @@ class CategoricalEmission : public EmissionModel<int> {
   double pseudo_count() const { return pseudo_count_; }
 
  private:
-  void RebuildLogTable();
+  void RebuildTables();
 
   linalg::Matrix b_;       // probabilities, k x V
   linalg::Matrix log_bt_;  // log b_, symbol-major: V x k
+  linalg::Matrix sums_;    // sampling checkpoints of b_ rows: k x ceil(V/64)
   double pseudo_count_;
   linalg::Matrix acc_;     // expected counts, symbol-major: V x k
 };

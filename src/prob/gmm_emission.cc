@@ -91,7 +91,7 @@ void GmmEmission::LogProbRow(const double& y, double* out) const {
 
 double GmmEmission::Sample(size_t state, Rng& rng) const {
   DHMM_DCHECK(state < num_states());
-  size_t m = rng.Categorical(weights_.Row(state));
+  size_t m = rng.Categorical(weights_.row_data(state), weights_.cols());
   return rng.Gaussian(mu_(state, m), sigma_(state, m));
 }
 

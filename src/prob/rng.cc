@@ -1,5 +1,6 @@
 #include "prob/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -17,6 +18,18 @@ uint64_t SplitMix64(uint64_t& x) {
 }
 
 inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+// The inversion loop of every categorical draw: adds w[begin..end) to acc in
+// ascending order and returns the first index whose running sum exceeds u,
+// or end when none does.
+size_t FirstSumAbove(const double* w, size_t begin, size_t end, double acc,
+                     double u) {
+  for (size_t i = begin; i < end; ++i) {
+    acc += w[i];
+    if (u < acc) return i;
+  }
+  return end;
+}
 
 }  // namespace
 
@@ -147,13 +160,41 @@ size_t Rng::Categorical(const double* w, size_t n) {
     total += w[i];
   }
   DHMM_CHECK_MSG(total > 0.0, "categorical weights must have positive mass");
-  double u = Uniform() * total;
+  const double u = Uniform() * total;
+  // No sum exceeds u on the numerical edge u == total: n - 1.
+  return std::min(FirstSumAbove(w, 0, n, 0.0, u), n - 1);
+}
+
+void Rng::BuildCategoricalCheckpoints(const double* w, size_t n,
+                                      double* checkpoints) {
   double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += w[i];
-    if (u < acc) return i;
+  for (size_t begin = 0; begin < n; begin += kCategoricalStride) {
+    const size_t end = std::min(begin + kCategoricalStride, n);
+    for (size_t i = begin; i < end; ++i) {
+      DHMM_DCHECK(w[i] >= 0.0);
+      acc += w[i];
+    }
+    *checkpoints++ = acc;
   }
-  return n - 1;  // numerical edge: u == total
+}
+
+size_t Rng::Categorical(const double* w, size_t n, const double* checkpoints) {
+  DHMM_CHECK(n > 0);
+  const size_t count = CategoricalCheckpointCount(n);
+  const double total = checkpoints[count - 1];
+  DHMM_CHECK_MSG(total > 0.0, "categorical weights must have positive mass");
+  const double u = Uniform() * total;
+  // Running sums never decrease, so the scan's first sum above u lies in the
+  // first block whose checkpoint exceeds u. The in-block scan restarts from
+  // the previous checkpoint, the scan's own sum there, and reaches the
+  // block's checkpoint at its last weight, so it stops inside the block.
+  const size_t block =
+      std::upper_bound(checkpoints, checkpoints + count, u) - checkpoints;
+  if (block == count) return n - 1;  // the scan's u == total edge
+  const size_t begin = block * kCategoricalStride;
+  const size_t end = std::min(begin + kCategoricalStride, n);
+  const double acc = block > 0 ? checkpoints[block - 1] : 0.0;
+  return FirstSumAbove(w, begin, end, acc, u);
 }
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }

@@ -58,6 +58,25 @@ class Rng {
   /// row); the same draw as the Vector form on equal weights.
   size_t Categorical(const double* w, size_t n);
 
+  /// Weights per running-sum checkpoint of a checkpointed categorical draw.
+  static constexpr size_t kCategoricalStride = 64;
+
+  /// Checkpoints over n weights: one per kCategoricalStride, rounded up.
+  static constexpr size_t CategoricalCheckpointCount(size_t n) {
+    return (n + kCategoricalStride - 1) / kCategoricalStride;
+  }
+
+  /// Writes the running sums of w[0..n) at every kCategoricalStride-th
+  /// weight and at the last one, CategoricalCheckpointCount(n) of them: the
+  /// sums the scan of Categorical(w, n) reaches, from 0.0 in ascending order.
+  static void BuildCategoricalCheckpoints(const double* w, size_t n,
+                                          double* checkpoints);
+
+  /// Categorical(w, n) by indexed search: a binary search over the
+  /// checkpoints built from w, then a scan of at most kCategoricalStride
+  /// weights. The same draw and the same generator state as the scan.
+  size_t Categorical(const double* w, size_t n, const double* checkpoints);
+
   /// Bernoulli draw with success probability p.
   bool Bernoulli(double p);
 

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -136,9 +137,8 @@ TEST(PosCorpusTest, TagFrequenciesTrackPaperProfile) {
 }
 
 TEST(PosCorpusTest, GroundTruthTransitionsEncodeLinguistics) {
-  prob::Rng rng(12);
   PosCorpusOptions opts = SmallCorpusOptions();
-  hmm::HmmModel<int> gt = BuildPosGroundTruth(opts, rng);
+  hmm::HmmModel<int> gt = BuildPosGroundTruth(opts);
   // DET -> NOUN must dominate DET -> VERB (indices: NOUN 0, VERB 5, DET 6).
   EXPECT_GT(gt.a(6, 0), 3.0 * gt.a(6, 5));
   // MODAL (4) -> VERB (5) is the strongest MODAL transition.
@@ -148,9 +148,8 @@ TEST(PosCorpusTest, GroundTruthTransitionsEncodeLinguistics) {
 }
 
 TEST(PosCorpusTest, EmissionsHaveLongTailAndAmbiguity) {
-  prob::Rng rng(13);
   PosCorpusOptions opts = SmallCorpusOptions();
-  hmm::HmmModel<int> gt = BuildPosGroundTruth(opts, rng);
+  hmm::HmmModel<int> gt = BuildPosGroundTruth(opts);
   auto* em = dynamic_cast<prob::CategoricalEmission*>(gt.emission.get());
   ASSERT_NE(em, nullptr);
   // The shared ambiguous block (first 10% of ids) has mass under every tag.
@@ -168,7 +167,33 @@ TEST(PosCorpusTest, DeterministicForSeed) {
   ASSERT_EQ(a.sentences.size(), b.sentences.size());
   for (size_t s = 0; s < a.sentences.size(); ++s) {
     EXPECT_EQ(a.sentences[s].obs, b.sentences[s].obs);
+    EXPECT_EQ(a.sentences[s].labels, b.sentences[s].labels);
   }
+}
+
+// FNV-1a over each sentence's length, tokens and labels, each as 8
+// little-endian bytes.
+uint64_t CorpusDigest(const hmm::Dataset<int>& sentences) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& s : sentences) {
+    mix(s.length());
+    for (int y : s.obs) mix(static_cast<uint64_t>(y));
+    for (int l : s.labels) mix(static_cast<uint64_t>(l));
+  }
+  return h;
+}
+
+TEST(PosCorpusTest, CorpusDigestIsPinned) {
+  // Recorded when every emission draw was a full scan of its row; the
+  // checkpointed draw must reproduce that corpus token for token.
+  EXPECT_EQ(CorpusDigest(GeneratePosCorpus(SmallCorpusOptions()).sentences),
+            0xd7b8993a5ef7d499ULL);
 }
 
 // ------------------------------------------------------------------- OCR ---

@@ -1,13 +1,19 @@
+#include <unistd.h>
+
 #include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
+#include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "hmm/model.h"
 #include "hmm/supervised.h"
 #include "prob/bernoulli_emission.h"
 #include "prob/categorical_emission.h"
@@ -15,6 +21,7 @@
 #include "prob/gmm_emission.h"
 #include "prob/logsumexp.h"
 #include "prob/rng.h"
+#include "store/model_codec.h"
 
 namespace dhmm::prob {
 namespace {
@@ -165,6 +172,78 @@ TEST(RngTest, CategoricalDrawsFromAMatrixRowInPlace) {
   Rng rng(11);
   for (size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(em.Sample(i % 4, rng), emission_draws[i]) << "draw " << i;
+  }
+  // GmmEmission::Sample draws its component from the weight row in place.
+  // Components sit 10 apart with sigma 0.01, so each draw names its
+  // component; pinned to the row-copying draw's sequence.
+  const linalg::Matrix mix = init.RandomStochasticMatrix(3, 6, 0.5);
+  linalg::Matrix mu(3, 6), sigma(3, 6, 0.01);
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t m = 0; m < 6; ++m) mu(i, m) = 10.0 * static_cast<double>(m);
+  }
+  const GmmEmission gmm(mix, mu, sigma);
+  const long gmm_draws[] = {0, 5, 4, 1, 4, 5, 2, 1, 1, 3, 2, 5};
+  Rng gmm_rng(13);
+  for (size_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(std::lround(gmm.Sample(i % 3, gmm_rng) / 10.0), gmm_draws[i])
+        << "draw " << i;
+  }
+}
+
+// Weight rows for the checkpointed-draw grid, each with positive mass for
+// every n >= 1.
+std::vector<std::vector<double>> CheckpointGridRows(size_t n, Rng& rng) {
+  const size_t stride = Rng::kCategoricalStride;
+  std::vector<std::vector<double>> rows;
+  const auto add = [&](auto weight) {
+    std::vector<double> w(n);
+    for (size_t i = 0; i < n; ++i) w[i] = weight(i);
+    rows.push_back(std::move(w));
+  };
+  const linalg::Vector dirichlet = rng.DirichletSymmetric(n, 0.5);
+  add([&](size_t i) { return dirichlet[i]; });
+  // Every odd block is all zero: consecutive checkpoints are equal.
+  add([&](size_t i) { return (i / stride) % 2 == 1 ? 0.0 : 1.0 + i % 3; });
+  // Leading and trailing zeros.
+  add([&](size_t i) { return i < n / 3 || i >= n - n / 3 ? 0.0 : 0.5; });
+  // One non-zero weight: first, on either side of a block boundary, last.
+  for (size_t at : {size_t{0}, stride - 1, stride, n - 1}) {
+    const size_t hot = std::min(at, n - 1);
+    add([&](size_t i) { return i == hot ? 0.25 : 0.0; });
+  }
+  // Subnormal weights, odd blocks zero. Their sums are exact multiples of
+  // the smallest subnormal, and so is u: u often lands exactly on a
+  // checkpoint, where the draw must skip the zero block after it.
+  add([&](size_t i) {
+    return (i / stride) % 2 == 1
+               ? 0.0
+               : std::numeric_limits<double>::denorm_min() * (1.0 + i % 7);
+  });
+  // Weights from 1e-300 to 1, interleaved: most vanish in the running sum.
+  add([&](size_t i) {
+    return std::pow(10.0, -static_cast<double>(i * 37 % 301));
+  });
+  return rows;
+}
+
+TEST(RngTest, CheckpointedCategoricalMatchesScanOnEveryLength) {
+  Rng weights_rng(404);
+  for (size_t n = 1; n <= 200; ++n) {
+    const std::vector<std::vector<double>> rows =
+        CheckpointGridRows(n, weights_rng);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const std::vector<double>& w = rows[r];
+      std::vector<double> sums(Rng::CategoricalCheckpointCount(n));
+      Rng::BuildCategoricalCheckpoints(w.data(), n, sums.data());
+      Rng scan(n * 31 + r), indexed(n * 31 + r);
+      for (int draw = 0; draw < 100; ++draw) {
+        ASSERT_EQ(indexed.Categorical(w.data(), n, sums.data()),
+                  scan.Categorical(w.data(), n))
+            << "n = " << n << ", row " << r << ", draw " << draw;
+      }
+      EXPECT_EQ(indexed.NextU64(), scan.NextU64())
+          << "n = " << n << ", row " << r;
+    }
   }
 }
 
@@ -351,6 +430,49 @@ TEST(CategoricalEmissionTest, SampleFrequencies) {
   int zeros = 0;
   for (int i = 0; i < 10000; ++i) zeros += e.Sample(0, rng) == 0;
   EXPECT_NEAR(zeros / 10000.0, 0.8, 0.02);
+}
+
+// CategoricalEmission::Sample against the scan over each row of b(), from
+// equal seeds.
+void ExpectSampleMatchesScan(const CategoricalEmission& e, uint64_t seed) {
+  Rng indexed(seed), scan(seed);
+  for (int draw = 0; draw < 600; ++draw) {
+    const size_t state = static_cast<size_t>(draw) % e.num_states();
+    ASSERT_EQ(static_cast<size_t>(e.Sample(state, indexed)),
+              scan.Categorical(e.b().row_data(state), e.vocab_size()))
+        << "draw " << draw;
+  }
+  EXPECT_EQ(indexed.NextU64(), scan.NextU64());
+}
+
+TEST(CategoricalEmissionTest, SampleMatchesScanAfterEveryRebuild) {
+  Rng rng(23);
+  CategoricalEmission e =
+      CategoricalEmission::RandomInit(3, 150, rng, /*concentration=*/0.3);
+  ExpectSampleMatchesScan(e, 1);
+  // After an M-step the draws follow the new rows.
+  e.BeginAccumulate();
+  for (int y = 0; y < 150; y += 7) {
+    e.Accumulate(y, linalg::Vector{0.5, 0.3 * (y % 2), 0.2 + y / 300.0});
+  }
+  e.FinishAccumulate();
+  ExpectSampleMatchesScan(e, 2);
+  // A store round trip rebuilds them from the stored rows.
+  hmm::HmmModel<int> model(linalg::Vector{0.2, 0.3, 0.5},
+                           rng.RandomStochasticMatrix(3, 3, 1.0),
+                           e.Clone());
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("dhmm_prob_test_" + std::to_string(::getpid()) + ".dhmms"))
+          .string();
+  ASSERT_TRUE(store::WriteModel(model, 1, path).ok());
+  auto loaded = store::ReadModelFromFile<int>(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const auto* read =
+      dynamic_cast<const CategoricalEmission*>(loaded.value().emission.get());
+  ASSERT_NE(read, nullptr);
+  ExpectSampleMatchesScan(*read, 3);
 }
 
 TEST(CategoricalEmissionTest, RandomInitIsStochastic) {
