@@ -11,7 +11,6 @@ NaiveBayesClassifier::NaiveBayesClassifier(size_t num_classes, size_t dims,
                                            double p_floor,
                                            double pseudo_count)
     : num_classes_(num_classes), pseudo_count_(pseudo_count),
-      priors_(num_classes, 1.0 / static_cast<double>(num_classes)),
       log_priors_(num_classes,
                   -std::log(static_cast<double>(num_classes))),
       emission_(linalg::Matrix(num_classes, dims, 0.5), p_floor) {
@@ -47,9 +46,8 @@ void NaiveBayesClassifier::Fit(const hmm::Dataset<prob::BinaryObs>& data) {
     }
   }
   emission_ = prob::BernoulliEmission(std::move(p));
-  priors_ = class_counts;
-  priors_.NormalizeToSimplex();
-  for (size_t c = 0; c < k; ++c) log_priors_[c] = std::log(priors_[c]);
+  class_counts.NormalizeToSimplex();  // now the class priors
+  for (size_t c = 0; c < k; ++c) log_priors_[c] = std::log(class_counts[c]);
 }
 
 int NaiveBayesClassifier::Predict(const prob::BinaryObs& obs) const {

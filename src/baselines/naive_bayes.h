@@ -35,13 +35,11 @@ class NaiveBayesClassifier {
   std::vector<int> PredictSequence(
       const std::vector<prob::BinaryObs>& obs) const;
 
-  const linalg::Vector& priors() const { return priors_; }
   const prob::BernoulliEmission& emission() const { return emission_; }
 
  private:
   size_t num_classes_;
   double pseudo_count_;
-  linalg::Vector priors_;
   linalg::Vector log_priors_;
   prob::BernoulliEmission emission_;
 };

@@ -35,8 +35,6 @@ class OptimizedHmm {
   /// Viterbi decoding with the tuned emission weight.
   std::vector<int> Decode(const std::vector<prob::BinaryObs>& obs) const;
 
-  double tuned_emission_weight() const { return emission_weight_; }
-  double tuned_pseudo_count() const { return pseudo_count_; }
   const hmm::HmmModel<prob::BinaryObs>& model() const { return model_; }
 
  private:

@@ -8,15 +8,11 @@ BatchMStepDriver::BatchMStepDriver(const BatchMStepOptions& options)
     : pool_(options.num_threads),
       workspaces_(static_cast<size_t>(pool_.num_threads())) {}
 
-void BatchMStepDriver::Run(size_t n, const UnitFn& unit_fn,
-                           const ReduceFn& reduce) {
+void BatchMStepDriver::Run(size_t n, const UnitFn& unit_fn) {
   DHMM_CHECK(unit_fn != nullptr);
   pool_.ParallelFor(n, [&](int worker, size_t unit) {
     unit_fn(workspaces_[static_cast<size_t>(worker)], unit);
   });
-  if (reduce != nullptr) {
-    for (size_t unit = 0; unit < n; ++unit) reduce(unit);
-  }
 }
 
 }  // namespace dhmm::core

@@ -5,12 +5,12 @@
 // shared state. This driver fans such units across the same util::ThreadPool
 // the E-step engine uses, hands every worker a persistent
 // core::TransitionUpdateWorkspace (so the diversified M-step inside each
-// unit stays allocation-free at steady state), and then reduces on the
-// calling thread in ascending unit order. Units are claimed dynamically, so
-// the unit -> worker assignment is nondeterministic — but because each
-// unit's output depends only on its index and the reduction order is fixed,
-// results are bitwise identical for every thread count, extending the PR 2
-// engine contract to the M-step.
+// unit stays allocation-free at steady state). Each unit writes its own
+// per-unit slot, which the caller reads in ascending unit order after Run.
+// Units are claimed dynamically, so the unit -> worker assignment is
+// nondeterministic — but because each unit's output depends only on its
+// index, results are bitwise identical for every thread count, extending
+// the PR 2 engine contract to the M-step.
 #ifndef DHMM_CORE_BATCH_MSTEP_H_
 #define DHMM_CORE_BATCH_MSTEP_H_
 
@@ -42,19 +42,12 @@ class BatchMStepDriver {
   /// alone and must not touch state shared with other units.
   using UnitFn = std::function<void(TransitionUpdateWorkspace& ws,
                                     size_t unit)>;
-  /// Sequential reduction step, called on the calling thread for
-  /// unit = 0, 1, ..., n-1 after all units complete.
-  using ReduceFn = std::function<void(size_t unit)>;
 
   explicit BatchMStepDriver(const BatchMStepOptions& options = {});
 
-  /// Resolved thread count (after the <= 0 -> hardware mapping).
-  int num_threads() const { return pool_.num_threads(); }
-
-  /// \brief Fans units [0, n) across the pool, then reduces in ascending
-  /// unit order. `reduce` may be null when units write into per-unit slots
-  /// that need no ordered combination.
-  void Run(size_t n, const UnitFn& unit_fn, const ReduceFn& reduce = nullptr);
+  /// \brief Fans units [0, n) across the pool and returns when every unit
+  /// has finished.
+  void Run(size_t n, const UnitFn& unit_fn);
 
  private:
   util::ThreadPool pool_;

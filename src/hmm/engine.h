@@ -55,14 +55,6 @@ class BatchEmEngine {
         workspaces_(static_cast<size_t>(pool_.num_threads())),
         checkpoint_threshold_frames_(options.checkpoint_threshold_frames) {}
 
-  /// Resolved thread count (after the <= 0 -> hardware mapping).
-  int num_threads() const { return pool_.num_threads(); }
-
-  /// Sequence length at which the checkpointed sweep engages (0 = never).
-  size_t checkpoint_threshold_frames() const {
-    return checkpoint_threshold_frames_;
-  }
-
   /// \brief Runs one exact E-step (scaled forward-backward per sequence).
   ///
   /// When `emission_acc` is non-null the engine calls BeginAccumulate() and
@@ -76,21 +68,6 @@ class BatchEmEngine {
     EStepStats stats;
     stats.Reset(model.num_states());
     if (emission_acc != nullptr) emission_acc->BeginAccumulate();
-    AccumulateEStep(model, data, &stats, emission_acc);
-    return stats;
-  }
-
-  /// \brief The stepwise / mini-batch entry point: one exact E-step over
-  /// `data` *added into* an existing accumulator. Does not Reset the
-  /// accumulator and does not bracket the emission model — the caller owns
-  /// the EM round (Reset + BeginAccumulate once, then any number of
-  /// mini-batches, then the M-step + FinishAccumulate). EStep above is
-  /// exactly one such round over one batch, so mini-batch EM whose batches
-  /// tile the dataset in order reproduces batch EM bitwise
-  /// (tests/session_test.cc pins this through core::IncrementalEmTrainer).
-  void AccumulateEStep(const HmmModel<Obs>& model, const Dataset<Obs>& data,
-                       EStepAccumulator* acc,
-                       prob::EmissionModel<Obs>* emission_acc = nullptr) {
     per_seq_.resize(data.size());
     // Each worker's workspace carries a TransitionCache: the first sequence a
     // worker sees after an M-step rebuilds A^T once, every later sequence
@@ -112,11 +89,12 @@ class BatchEmEngine {
     qrow_.Resize(model.num_states());
     for (size_t s = 0; s < data.size(); ++s) {
       if (Checkpointed(data[s].length())) {
-        AddCheckpointed(model, data[s], acc, emission_acc);
+        AddCheckpointed(model, data[s], &stats, emission_acc);
       } else {
-        acc->AddSequence(per_seq_[s], data[s], emission_acc, &qrow_);
+        stats.AddSequence(per_seq_[s], data[s], emission_acc, &qrow_);
       }
     }
+    return stats;
   }
 
   /// \brief Total dataset log-likelihood (forward passes fan out; the sum

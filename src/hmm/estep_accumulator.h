@@ -1,10 +1,10 @@
 // The one E-step sufficient-statistics accumulator shared by batch and
-// online (stepwise / mini-batch) EM.
+// online (stepwise) EM.
 //
-// Factored out of BatchEmEngine so that every way of gathering posteriors
-// — a full-dataset batch E-step, a sequence of mini-batches, or live
-// fixed-lag posteriors streaming out of serve::SessionManager — lands in
-// the same accumulator type and drives the same M-step. An accumulator is
+// Factored out of BatchEmEngine so that both ways of gathering posteriors
+// — a full-dataset batch E-step, or live fixed-lag posteriors streaming
+// out of serve::SessionManager — land in the same accumulator type and
+// drive the same M-step. An accumulator is
 // a plain bag of grow-only buffers: Reset(k) re-zeros it in place, every
 // Add* entry point is allocation-free after the first Reset at a given k,
 // and addition order is the caller's responsibility (the batch engine adds
@@ -15,8 +15,8 @@
 // emission families accumulate internally between BeginAccumulate() /
 // FinishAccumulate() (prob/emission.h). The caller brackets one EM round
 // with that pair and passes the emission model into AddSequence /
-// AddStreamFrame, so batch EM (one bracket per iteration) and mini-batch
-// EM (one bracket spanning many Accumulate calls) share the code path.
+// AddStreamFrame, so batch EM (one bracket per iteration) and stream EM
+// (one bracket spanning many Accumulate calls) share the code path.
 #ifndef DHMM_HMM_ESTEP_ACCUMULATOR_H_
 #define DHMM_HMM_ESTEP_ACCUMULATOR_H_
 

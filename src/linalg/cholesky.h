@@ -29,9 +29,6 @@ class CholeskyDecomposition {
   /// True when the input was symmetric positive definite (within roundoff).
   bool ok() const { return ok_; }
 
-  /// Lower-triangular factor L (upper triangle zero). Precondition: ok().
-  const Matrix& L() const { return l_; }
-
   /// log det A = 2 * sum_i log L_ii. Precondition: ok().
   double LogDeterminant() const;
 

@@ -19,8 +19,7 @@ double OffDiagonalNormSq(const Matrix& a) {
 }  // namespace
 
 SymmetricEigen::SymmetricEigen(const Matrix& a, int max_sweeps, double tol)
-    : values_(a.rows()), vectors_(Matrix::Identity(a.rows())),
-      converged_(false) {
+    : values_(a.rows()), vectors_(Matrix::Identity(a.rows())) {
   DHMM_CHECK_MSG(a.rows() == a.cols(), "eigendecomposition needs square input");
   const size_t n = a.rows();
   Matrix m = a;
@@ -34,10 +33,7 @@ SymmetricEigen::SymmetricEigen(const Matrix& a, int max_sweeps, double tol)
 
   const double thresh = tol * std::max(1.0, m.max_abs());
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    if (std::sqrt(OffDiagonalNormSq(m)) <= thresh * n) {
-      converged_ = true;
-      break;
-    }
+    if (std::sqrt(OffDiagonalNormSq(m)) <= thresh * n) break;
     for (size_t p = 0; p + 1 < n; ++p) {
       for (size_t q = p + 1; q < n; ++q) {
         double apq = m(p, q);
@@ -68,11 +64,6 @@ SymmetricEigen::SymmetricEigen(const Matrix& a, int max_sweeps, double tol)
       }
     }
   }
-  if (!converged_ &&
-      std::sqrt(OffDiagonalNormSq(m)) <= 1e-8 * (1 + m.max_abs())) {
-    converged_ = true;  // good enough for downstream use
-  }
-
   // Extract and sort ascending, permuting eigenvector columns alongside.
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});

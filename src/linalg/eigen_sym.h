@@ -26,13 +26,9 @@ class SymmetricEigen {
   /// Column i of this matrix is the eigenvector for eigenvalues()[i].
   const Matrix& eigenvectors() const { return vectors_; }
 
-  /// True when the off-diagonal norm dropped below tolerance.
-  bool converged() const { return converged_; }
-
  private:
   Vector values_;
   Matrix vectors_;
-  bool converged_;
 };
 
 }  // namespace dhmm::linalg

@@ -24,11 +24,7 @@
 
 #include <cstddef>
 
-#if defined(_MSC_VER)
-#define DHMM_RESTRICT __restrict
-#else
 #define DHMM_RESTRICT __restrict__
-#endif
 
 namespace dhmm::linalg::kernels {
 
@@ -67,12 +63,6 @@ inline std::size_t ArgMaxRow(const double* DHMM_RESTRICT x, std::size_t n) {
 /// \brief In-place x *= s.
 inline void ScaleRow(double* DHMM_RESTRICT x, std::size_t n, double s) {
   for (std::size_t i = 0; i < n; ++i) x[i] *= s;
-}
-
-/// \brief out = x * s (out must not alias x).
-inline void ScaleRowInto(const double* DHMM_RESTRICT x, double s,
-                         std::size_t n, double* DHMM_RESTRICT out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = x[i] * s;
 }
 
 /// \brief out = x .* y elementwise (out must not alias the inputs).

@@ -126,10 +126,10 @@ bool Matrix::IsRowStochastic(double tol) const {
     double s = 0.0;
     for (size_t c = 0; c < cols_; ++c) {
       double v = (*this)(r, c);
-      if (v < -tol) return false;
+      if (!(v >= -tol)) return false;  // negated >= also rejects NaN
       s += v;
     }
-    if (std::fabs(s - 1.0) > tol) return false;
+    if (!(std::fabs(s - 1.0) <= tol)) return false;
   }
   return true;
 }

@@ -37,7 +37,6 @@ class Matrix {
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
-  size_t size() const { return data_.size(); }
 
   double operator()(size_t r, size_t c) const {
     DHMM_DCHECK(r < rows_ && c < cols_);
@@ -104,7 +103,8 @@ class Matrix {
   /// Squared Frobenius distance to another same-shape matrix.
   double squared_distance(const Matrix& other) const;
 
-  /// True when every row is a probability distribution within tolerance.
+  /// True when every row is a probability distribution within tolerance;
+  /// false for a row that holds a NaN.
   bool IsRowStochastic(double tol = 1e-9) const;
 
   /// Normalizes every row to sum to one; rows with non-positive mass are set

@@ -129,15 +129,6 @@ class Histogram {
         1, std::memory_order_relaxed);
   }
 
-  /// Total samples across every stripe and bucket.
-  uint64_t Count() const noexcept {
-    uint64_t merged[kBuckets];
-    MergedCounts(merged);
-    uint64_t sum = 0;
-    for (uint64_t c : merged) sum += c;
-    return sum;
-  }
-
   /// Stripe-merged per-bucket counts.
   void MergedCounts(uint64_t out[kBuckets]) const noexcept {
     for (std::size_t b = 0; b < kBuckets; ++b) out[b] = 0;
@@ -203,13 +194,6 @@ struct Snapshot {
       if (n == name) return v;
     }
     return fallback;
-  }
-
-  bool Has(const std::string& name) const {
-    for (const auto& [n, v] : values) {
-      if (n == name) return true;
-    }
-    return false;
   }
 };
 

@@ -6,7 +6,7 @@
 // calls obs::LogStartup(), which prints exactly one unified line per
 // process and records the resolved kernel ISA as a registry gauge, so
 // the resolution is attributable both in service logs and in any stats
-// snapshot (the `kStats` wire opcode, StatsString(), BENCH_*.json).
+// snapshot (the `kStats` wire opcode, obs::RenderText, BENCH_*.json).
 #ifndef DHMM_OBS_STARTUP_H_
 #define DHMM_OBS_STARTUP_H_
 

@@ -10,11 +10,12 @@
 
 namespace dhmm::prob {
 
-CategoricalEmission::CategoricalEmission(linalg::Matrix b, double pseudo_count)
+CategoricalEmission::CategoricalEmission(linalg::Matrix b, double pseudo_count,
+                                         bool normalize_rows)
     : b_(std::move(b)), pseudo_count_(pseudo_count) {
   DHMM_CHECK_MSG(b_.IsRowStochastic(1e-6), "emission rows must be stochastic");
   DHMM_CHECK(pseudo_count_ >= 0.0);
-  b_.NormalizeRows();
+  if (normalize_rows) b_.NormalizeRows();
   RebuildTables();
 }
 

@@ -23,8 +23,12 @@ namespace dhmm::prob {
 /// rebuilt with the log table and never stored.
 class CategoricalEmission : public EmissionModel<int> {
  public:
-  /// Constructs from a row-stochastic k x V matrix.
-  explicit CategoricalEmission(linalg::Matrix b, double pseudo_count = 0.0);
+  /// Constructs from a row-stochastic k x V matrix and renormalizes its
+  /// rows, unless `normalize_rows` is false: the model store's load path
+  /// passes false, so a trained model reloads with the bits it was saved
+  /// with.
+  explicit CategoricalEmission(linalg::Matrix b, double pseudo_count = 0.0,
+                               bool normalize_rows = true);
 
   /// Random initialization: rows drawn from a symmetric Dirichlet.
   static CategoricalEmission RandomInit(size_t k, size_t vocab, Rng& rng,
@@ -32,7 +36,6 @@ class CategoricalEmission : public EmissionModel<int> {
                                         double pseudo_count = 0.0);
 
   size_t num_states() const override { return b_.rows(); }
-  size_t vocab_size() const { return b_.cols(); }
 
   void LogProbRow(const int& y, double* out) const override;
   int Sample(size_t state, Rng& rng) const override;

@@ -56,17 +56,10 @@ class EmissionModel {
   /// Deep copy.
   virtual std::unique_ptr<EmissionModel<Obs>> Clone() const = 0;
 
-  /// Fills a T x k table of log p(y_t | X_t = i) for a whole sequence.
-  linalg::Matrix LogProbTable(const std::vector<Obs>& seq) const {
-    linalg::Matrix table;
-    LogProbTableInto(seq, &table);
-    return table;
-  }
-
-  /// Allocation-free variant: resizes *table to T x k (reusing its storage
-  /// when possible) and writes row t with one LogProbRow call. This is the
-  /// hot-path entry point used by the batched EM engine's per-thread
-  /// workspaces.
+  /// Fills a T x k table of log p(y_t | X_t = i) for a whole sequence:
+  /// resizes *table to T x k (reusing its storage when possible) and writes
+  /// row t with one LogProbRow call. This is the hot-path entry point used
+  /// by the batched EM engine's per-thread workspaces.
   void LogProbTableInto(const std::vector<Obs>& seq,
                         linalg::Matrix* table) const {
     table->Resize(seq.size(), num_states());

@@ -13,7 +13,8 @@ constexpr double kLogSqrt2Pi = 0.9189385332046727;
 }  // namespace
 
 GmmEmission::GmmEmission(linalg::Matrix weights, linalg::Matrix mu,
-                         linalg::Matrix sigma, double sigma_floor)
+                         linalg::Matrix sigma, double sigma_floor,
+                         bool normalize_weights)
     : weights_(std::move(weights)), mu_(std::move(mu)),
       sigma_(std::move(sigma)), sigma_floor_(sigma_floor) {
   DHMM_CHECK(sigma_floor_ > 0.0);
@@ -21,7 +22,7 @@ GmmEmission::GmmEmission(linalg::Matrix weights, linalg::Matrix mu,
   DHMM_CHECK(weights_.cols() == mu_.cols() && mu_.cols() == sigma_.cols());
   DHMM_CHECK_MSG(weights_.IsRowStochastic(1e-6),
                  "mixture weights must be row-stochastic");
-  weights_.NormalizeRows();
+  if (normalize_weights) weights_.NormalizeRows();
   for (size_t i = 0; i < sigma_.rows(); ++i) {
     for (size_t m = 0; m < sigma_.cols(); ++m) {
       DHMM_CHECK_MSG(sigma_(i, m) > 0.0, "sigmas must be positive");
@@ -65,10 +66,11 @@ double GmmEmission::ComponentLogDensity(size_t state, size_t m,
          (-0.5 * z * z - log_sigma_(state, m) - kLogSqrt2Pi);
 }
 
-// prob::LogSumExp over the components, term for term: the same NaN check
-// and max scan, then the same ascending sum of exp(v - max). Each term is
-// recomputed rather than staged, so no scratch is needed and concurrent
-// readers of one const model share nothing mutable.
+// A log-sum-exp over the components: a NaN check and max scan, then the
+// ascending sum of exp(v - max) (tests/prob_test.cc pins it term for term
+// against its scalar oracle). Each term is recomputed rather than staged,
+// so no scratch is needed and concurrent readers of one const model share
+// nothing mutable.
 double GmmEmission::StateLogProb(size_t state, double y) const {
   const size_t m_count = num_components();
   double mx = kNegInf;

@@ -16,9 +16,10 @@ namespace dhmm::prob {
 class GmmEmission : public EmissionModel<double> {
  public:
   /// Constructs with explicit parameters: all matrices are k x M; rows of
-  /// `weights` on the simplex, sigmas positive.
+  /// `weights` on the simplex (renormalized unless `normalize_weights` is
+  /// false, as on the model store's load path), sigmas positive.
   GmmEmission(linalg::Matrix weights, linalg::Matrix mu, linalg::Matrix sigma,
-              double sigma_floor = 1e-4);
+              double sigma_floor = 1e-4, bool normalize_weights = true);
 
   /// Random initialization: means spread over [mu_lo, mu_hi], uniform
   /// weights, moderate sigmas.

@@ -1,56 +1,13 @@
-// Numerically stable log-domain reductions.
+// The log-domain zero.
 #ifndef DHMM_PROB_LOGSUMEXP_H_
 #define DHMM_PROB_LOGSUMEXP_H_
 
-#include <cmath>
 #include <limits>
-
-#include "linalg/vector.h"
 
 namespace dhmm::prob {
 
 /// Negative infinity, the log-domain zero.
 inline constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-
-// NaN contract: every reduction below is NaN-preserving — if any input is
-// NaN, the result is NaN (tests/prob_test.cc pins it). LogAdd satisfies this
-// inherently: a NaN operand falls through every `== kNegInf` short-circuit
-// and poisons the arithmetic. LogSumExp needs the explicit per-element check
-// below: its `>`-based max scan (NaN compares false against everything)
-// would otherwise skip a NaN entry, and with every other entry -inf would
-// return -inf — silently laundering corrupted upstream math into a "valid"
-// log-prob of zero.
-
-/// log(exp(a) + exp(b)) without overflow.
-///
-/// Identities: LogAdd(-inf, x) == x, LogAdd(-inf, -inf) == -inf.
-/// NaN in either operand yields NaN.
-inline double LogAdd(double a, double b) {
-  if (a == kNegInf) return b;
-  if (b == kNegInf) return a;
-  double m = a > b ? a : b;
-  return m + std::log(std::exp(a - m) + std::exp(b - m));
-}
-
-/// log sum_i exp(v[i]) over a contiguous range.
-///
-/// Returns -inf for an empty or all--inf input; NaN if any input is NaN.
-inline double LogSumExp(const double* v, size_t n) {
-  double m = kNegInf;
-  for (size_t i = 0; i < n; ++i) {
-    if (std::isnan(v[i])) return std::numeric_limits<double>::quiet_NaN();
-    m = v[i] > m ? v[i] : m;
-  }
-  if (m == kNegInf) return kNegInf;
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += std::exp(v[i] - m);
-  return m + std::log(s);
-}
-
-/// log sum_i exp(v[i]); same contract as the pointer version.
-inline double LogSumExp(const linalg::Vector& v) {
-  return LogSumExp(v.data(), v.size());
-}
 
 }  // namespace dhmm::prob
 

@@ -146,9 +146,6 @@ class DecodeFuture {
   DecodeFuture& operator=(const DecodeFuture&) = delete;
   ~DecodeFuture() { Release(); }
 
-  /// True until the slot has been released.
-  bool valid() const { return slot_ != nullptr; }
-
   /// Blocks until the request completes; the reference stays valid until
   /// Release()/destruction. Safe to call repeatedly.
   const DecodeResponse& Wait() {
@@ -308,9 +305,6 @@ class DecodeService {
     return model_version_;
   }
 
-  /// Resolved worker parallelism.
-  int num_threads() const { return pool_.num_threads(); }
-
   /// \brief Test hook: holds the dispatcher so submitted requests queue
   /// deterministically (deadline, shed, ordering and shutdown tests). The
   /// destructor overrides a pause, so it still drains.
@@ -324,12 +318,6 @@ class DecodeService {
       paused_ = false;
     }
     pending_cv_.notify_all();
-  }
-
-  /// The "decode." slice of the process-wide metrics snapshot, rendered as
-  /// text (obs/metrics.h). Allocates; for diagnostics, not the hot path.
-  std::string StatsString() const {
-    return obs::RenderText(obs::Registry::Global().TakeSnapshot("decode."));
   }
 
  private:

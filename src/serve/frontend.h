@@ -229,14 +229,6 @@ class FrontEnd {
   /// The bound port (after Start()).
   uint16_t port() const { return port_; }
 
-  /// \brief Rendered text snapshot of the front-end metric family
-  /// (obs::RenderText over the "frontend." prefix) — the in-process
-  /// counterpart of the kStats wire opcode. Allocates; not a hot path.
-  std::string StatsString() const {
-    return obs::RenderText(
-        obs::Registry::Global().TakeSnapshot("frontend."));
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
 
@@ -684,11 +676,16 @@ class FrontEnd {
       r->path.clear();
       return;
     }
-    if (c.session != kInvalidSessionHandle) {
+    if (c.session == kInvalidSessionHandle) {
+      r->model_version = sessions_->model_version();
+    } else {
+      // A session decodes on the snapshot it was created on, which an
+      // UpdateModel since then does not change.
       const Result<double> ll = sessions_->LogLikelihood(c.session);
+      const Result<uint64_t> version = sessions_->ModelVersion(c.session);
       if (ll.ok()) r->value = ll.value();
+      if (version.ok()) r->model_version = version.value();
     }
-    r->model_version = sessions_->model_version();
     m_requests_served_->Add();
   }
 

@@ -33,7 +33,6 @@
 #include <mutex>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "hmm/model.h"
 #include "obs/metrics.h"
@@ -224,40 +223,6 @@ class ModelRegistry {
     return e.service;
   }
 
-  /// \brief Marks `id` hot (never LRU-evicted) or unpins it.
-  Status Pin(ModelId id, bool pinned) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(id);
-    if (it == entries_.end()) return UnknownModel(id);
-    it->second.pinned = pinned;
-    if (!pinned) EnforceCapLocked();
-    return Status::OK();
-  }
-
-  /// \brief Explicitly drops `id`'s resident service (the entry and its
-  /// checkpoint path remain; the next Acquire cold-loads). Pinned models
-  /// refuse with FailedPrecondition.
-  Status Evict(ModelId id) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(id);
-    if (it == entries_.end()) return UnknownModel(id);
-    if (it->second.pinned) {
-      return Status::FailedPrecondition(
-          "cannot evict a pinned model: " + std::to_string(id));
-    }
-    it->second.service.reset();
-    m_evictions_->Add();
-    RefreshResidentLocked();
-    return Status::OK();
-  }
-
-  /// The "registry." slice of the process-wide metrics snapshot, rendered
-  /// as text (obs/metrics.h). Allocates; for diagnostics, not the hot path.
-  std::string StatsString() const {
-    return obs::RenderText(
-        obs::Registry::Global().TakeSnapshot("registry."));
-  }
-
   /// Per-model version: 1 at Register, bumped by every UpdateModel /
   /// ReloadModel and every cold load. Survives eviction. Every response
   /// the model's service answers carries it as `model_version`.
@@ -276,15 +241,6 @@ class ModelRegistry {
     return n;
   }
 
-  /// All registered ids (resident or evicted), ascending.
-  std::vector<ModelId> Ids() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<ModelId> ids;
-    ids.reserve(entries_.size());
-    for (const auto& [id, e] : entries_) ids.push_back(id);
-    return ids;
-  }
-
  private:
   struct Entry {
     std::shared_ptr<DecodeService<Obs>> service;  // null when evicted
@@ -301,8 +257,8 @@ class ModelRegistry {
   // Evicts least-recently-acquired unpinned residents until the cap
   // holds. Caller holds mu_. Stops early when only pinned models remain —
   // pinned-hot capacity overrides the cap by design. Every path that
-  // changes residency funnels through here (or Evict), so the resident
-  // gauge is refreshed on the way out.
+  // changes residency funnels through here, so the resident gauge is
+  // refreshed on the way out.
   void EnforceCapLocked() {
     for (;;) {
       size_t resident = 0;
@@ -320,13 +276,6 @@ class ModelRegistry {
       victim->service.reset();  // drains in-flight work in the destructor
       m_evictions_->Add();
     }
-  }
-
-  // Recounts residents into the gauge. Caller holds mu_.
-  void RefreshResidentLocked() {
-    size_t resident = 0;
-    for (const auto& [id, e] : entries_) resident += e.service != nullptr;
-    g_resident_->Set(static_cast<double>(resident));
   }
 
   const ModelRegistryOptions options_;

@@ -269,8 +269,7 @@ class SessionManager {
   void UpdateModel(std::shared_ptr<const hmm::HmmModel<Obs>> model) {
     DHMM_CHECK_MSG(model != nullptr, "SessionManager requires a model");
     std::lock_guard<std::mutex> lock(mu_);
-    ctx_ = MakeContext(std::move(model), model_version_ + 1);
-    ++model_version_;
+    ctx_ = MakeContext(std::move(model), ctx_->version + 1);
   }
 
   /// \brief Attaches the incremental-EM trainer: every label emitted by a
@@ -288,16 +287,20 @@ class SessionManager {
     return ctx_->model;
   }
 
-  /// Bumped by every UpdateModel; starts at 1.
+  /// Version of the current snapshot: 1 at construction, bumped by every
+  /// UpdateModel.
   uint64_t model_version() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return model_version_;
+    return ctx_->version;
   }
 
-  /// True while `h` resolves to a live session.
-  bool IsLive(SessionHandle h) const {
+  /// Version of the snapshot session `h` decodes with: the model_version()
+  /// at its CreateSession or last ResetSession.
+  Result<uint64_t> ModelVersion(SessionHandle h) const {
     std::lock_guard<std::mutex> lock(mu_);
-    return const_cast<SessionManager*>(this)->ResolveLocked(h) != nullptr;
+    const Slot* s = const_cast<SessionManager*>(this)->ResolveLocked(h);
+    if (s == nullptr) return Status::NotFound(kUnknownSession);
+    return s->ctx->version;
   }
 
   /// Running log P(y_0..y_{t-1}) of a session — bitwise equal to offline
@@ -317,15 +320,6 @@ class SessionManager {
     return static_cast<uint64_t>(s->frames_pushed);
   }
 
-  /// A poisoned session's error: OK while healthy, NotFound for a stale
-  /// handle, otherwise the error that poisoned the stream.
-  Status SessionStatus(SessionHandle h) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    const Slot* s = const_cast<SessionManager*>(this)->ResolveLocked(h);
-    if (s == nullptr) return Status::NotFound(kUnknownSession);
-    return s->status;
-  }
-
   /// Live sessions resident right now.
   size_t live_sessions() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -342,13 +336,6 @@ class SessionManager {
   size_t slot_capacity() const {
     std::lock_guard<std::mutex> lock(mu_);
     return slot_count_;
-  }
-
-  /// The "sessions." slice of the process-wide metrics snapshot, rendered
-  /// as text (obs/metrics.h). Allocates; for diagnostics, not the hot path.
-  std::string StatsString() const {
-    return obs::RenderText(
-        obs::Registry::Global().TakeSnapshot("sessions."));
   }
 
  private:
@@ -561,7 +548,6 @@ class SessionManager {
   size_t slot_count_ = 0;  // slots carved so far (high-water)
   size_t live_ = 0;
   uint64_t ticks_ = 0;
-  uint64_t model_version_ = 1;
   std::shared_ptr<const ModelContext> ctx_;
   // One grow-only arena per ring-block size: a model swap that changes k
   // opens a new shape without invalidating warm blocks of the old one.

@@ -102,8 +102,6 @@ class WireClient {
     recv_have_ = 0;
   }
 
-  bool connected() const { return fd_ >= 0; }
-
   /// \brief Encodes and sends one request frame. Returns without waiting
   /// for the response, so callers can pipeline.
   template <typename Obs>

@@ -1,5 +1,8 @@
 #include "store/dual_slot.h"
 
+#include <sys/stat.h>
+#include <sys/types.h>
+
 #include <cstring>
 #include <fstream>
 #include <vector>
@@ -8,11 +11,6 @@
 #include "store/crc32c.h"
 #include "util/fsio.h"
 #include "util/little_endian.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/stat.h>
-#include <sys/types.h>
-#endif
 
 namespace dhmm::store {
 
@@ -45,24 +43,15 @@ bool ReadManifestHint(const std::string& path, int* active, uint64_t* seq) {
 }  // namespace
 
 bool IsDirectory(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
   struct stat st;
   return ::stat(path.c_str(), &st) == 0 && S_ISDIR(st.st_mode);
-#else
-  (void)path;
-  return false;
-#endif
 }
 
 Result<DualSlotStore> DualSlotStore::Open(const std::string& dir) {
   if (!IsDirectory(dir)) {
-#if defined(__unix__) || defined(__APPLE__)
     if (::mkdir(dir.c_str(), 0755) != 0 && !IsDirectory(dir)) {
       return Status::IOError("cannot open or create slot directory: " + dir);
     }
-#else
-    return Status::IOError("dual-slot store requires POSIX: " + dir);
-#endif
   }
 
   DualSlotStore store;

@@ -123,9 +123,10 @@ struct EmissionCodec<int> {
         !RowsStochastic(blocks[0].data, blocks[0].rows, blocks[0].cols)) {
       return Status::IOError("store: bad categorical emission payload");
     }
+    // The rows are checked stochastic above and keep their stored bits.
     return std::unique_ptr<prob::EmissionModel<int>>(
-        std::make_unique<prob::CategoricalEmission>(CopyMatrix(blocks[0]),
-                                                    scalars[0]));
+        std::make_unique<prob::CategoricalEmission>(
+            CopyMatrix(blocks[0]), scalars[0], /*normalize_rows=*/false));
   }
 };
 
@@ -230,7 +231,7 @@ struct EmissionCodec<double> {
       return std::unique_ptr<prob::EmissionModel<double>>(
           std::make_unique<prob::GmmEmission>(
               CopyMatrix(blocks[0]), CopyMatrix(blocks[1]),
-              CopyMatrix(blocks[2]), scalars[0]));
+              CopyMatrix(blocks[2]), scalars[0], /*normalize_weights=*/false));
     }
     return Status::IOError("store: unexpected scalar emission tag " +
                            std::to_string(tag));

@@ -1,16 +1,12 @@
 #include "store/model_store.h"
 
-#include <cstring>
-#include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#include <cstdio>
-#endif
+
+#include <cstring>
+#include <utility>
 
 #include "store/crc32c.h"
 #include "util/fsio.h"
@@ -39,10 +35,9 @@ size_t AlignUp(size_t n, size_t a) { return (n + a - 1) / a * a; }
 // MappedFile
 
 MappedFile::MappedFile(MappedFile&& other) noexcept
-    : data_(other.data_), size_(other.size_), mapped_(other.mapped_) {
+    : data_(other.data_), size_(other.size_) {
   other.data_ = nullptr;
   other.size_ = 0;
-  other.mapped_ = false;
 }
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
@@ -50,27 +45,18 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
     this->~MappedFile();
     data_ = other.data_;
     size_ = other.size_;
-    mapped_ = other.mapped_;
     other.data_ = nullptr;
     other.size_ = 0;
-    other.mapped_ = false;
   }
   return *this;
 }
 
 MappedFile::~MappedFile() {
-#if defined(__unix__) || defined(__APPLE__)
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(data_, size_);
-    return;
-  }
-#endif
-  delete[] data_;
+  if (data_ != nullptr) ::munmap(data_, size_);
 }
 
 Result<MappedFile> MappedFile::Open(const std::string& path) {
   MappedFile out;
-#if defined(__unix__) || defined(__APPLE__)
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return Status::IOError("cannot open: " + path);
   struct stat st;
@@ -87,23 +73,6 @@ Result<MappedFile> MappedFile::Open(const std::string& path) {
   ::close(fd);
   if (base == MAP_FAILED) return Status::IOError("mmap failed: " + path);
   out.data_ = static_cast<unsigned char*>(base);
-  out.mapped_ = true;
-#else
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open: " + path);
-  std::fseek(f, 0, SEEK_END);
-  const long end = std::ftell(f);
-  if (end <= 0) {
-    std::fclose(f);
-    return Status::IOError("empty file: " + path);
-  }
-  std::fseek(f, 0, SEEK_SET);
-  out.size_ = static_cast<size_t>(end);
-  out.data_ = new unsigned char[out.size_];
-  const size_t got = std::fread(out.data_, 1, out.size_, f);
-  std::fclose(f);
-  if (got != out.size_) return Status::IOError("short read: " + path);
-#endif
   return out;
 }
 

@@ -84,9 +84,8 @@ struct SectionView {
   size_t size() const { return rows * cols; }
 };
 
-/// \brief Read-only byte view of a file: POSIX mmap where available
-/// (zero-copy, pages fault in on first touch), a heap read elsewhere.
-/// Move-only; unmaps/frees on destruction.
+/// \brief Read-only byte view of a file through POSIX mmap (zero-copy,
+/// pages fault in on first touch). Move-only; unmaps on destruction.
 class MappedFile {
  public:
   MappedFile() = default;
@@ -104,7 +103,6 @@ class MappedFile {
  private:
   unsigned char* data_ = nullptr;
   size_t size_ = 0;
-  bool mapped_ = false;  // true: munmap; false: delete[]
 };
 
 /// \brief Writes one store file atomically (util::AtomicWriteFile: tmp +
@@ -148,7 +146,6 @@ class ModelStoreReader {
   uint64_t sequence_number() const { return sequence_number_; }
   uint32_t emission_type() const { return emission_type_; }
   uint32_t num_states() const { return num_states_; }
-  size_t section_count() const { return entries_.size(); }
 
   /// True when the section exists in the manifest.
   bool HasSection(SectionId id) const;

@@ -11,31 +11,25 @@
 #ifndef DHMM_UTIL_FSIO_H_
 #define DHMM_UTIL_FSIO_H_
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 #include "util/status.h"
 
 namespace dhmm::util {
 
-/// \brief fsyncs a path (file or directory) where the platform supports
-/// it; no-op elsewhere. Directory fsync makes a completed rename durable.
+/// \brief fsyncs a path (file or directory). Directory fsync makes a
+/// completed rename durable.
 inline Status SyncPathToDisk(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return Status::IOError("cannot open for fsync: " + path);
   const int rc = ::fsync(fd);
   ::close(fd);
   if (rc != 0) return Status::IOError("fsync failed: " + path);
-#else
-  (void)path;
-#endif
   return Status::OK();
 }
 

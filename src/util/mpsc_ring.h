@@ -43,9 +43,6 @@ class MpscRing {
   MpscRing(const MpscRing&) = delete;
   MpscRing& operator=(const MpscRing&) = delete;
 
-  /// Slots in the ring (the rounded-up capacity).
-  size_t capacity() const { return mask_ + 1; }
-
   /// \brief Enqueues `v`. Returns false when the ring is full — the
   /// caller's backpressure signal. Safe from any number of threads.
   bool TryPush(const T& v) {

@@ -49,9 +49,10 @@ class SlabArena {
   SlabArena(SlabArena&&) = default;
   SlabArena& operator=(SlabArena&&) = default;
 
-  /// \brief Returns a block_bytes()-sized aligned block. Reuses the free
-  /// list when possible; otherwise carves from the newest slab, growing by
-  /// one slab only when every existing block is live.
+  /// \brief Returns an aligned block of the constructor's (rounded-up)
+  /// block size. Reuses the free list when possible; otherwise carves from
+  /// the newest slab, growing by one slab only when every existing block is
+  /// live.
   void* Allocate() {
     if (!free_.empty()) {
       void* p = free_.back();
@@ -75,14 +76,8 @@ class SlabArena {
     --in_use_;
   }
 
-  /// Effective (alignment-rounded) block size.
-  size_t block_bytes() const { return block_bytes_; }
-  size_t blocks_per_slab() const { return blocks_per_slab_; }
-  /// Blocks currently handed out.
-  size_t in_use() const { return in_use_; }
   /// Total blocks backed by slabs (high-water capacity).
   size_t capacity() const { return slabs_.size() * blocks_per_slab_; }
-  size_t slab_count() const { return slabs_.size(); }
 
  private:
   void AddSlab() {

@@ -119,12 +119,6 @@ class Result {
     return ok() ? Status::OK() : std::get<Status>(v_);
   }
 
-  /// Code of the underlying status — kOk exactly when ok(). Mirrors
-  /// Status::code() so call sites can switch on a Result directly.
-  StatusCode code() const {
-    return ok() ? StatusCode::kOk : std::get<Status>(v_).code();
-  }
-
   /// Access the held value. Precondition: ok().
   const T& value() const& { return std::get<T>(v_); }
   T& value() & { return std::get<T>(v_); }
@@ -132,9 +126,6 @@ class Result {
 
   /// The held value, or `fallback` on error — for callers with a safe
   /// default (mirrors std::optional::value_or).
-  T value_or(T fallback) const& {
-    return ok() ? std::get<T>(v_) : std::move(fallback);
-  }
   T value_or(T fallback) && {
     return ok() ? std::get<T>(std::move(v_)) : std::move(fallback);
   }

@@ -56,16 +56,6 @@ TEST(NaiveBayesTest, LearnsSeparableClasses) {
   EXPECT_GT(Accuracy(pred, split.test), 0.9);
 }
 
-TEST(NaiveBayesTest, PriorsReflectLetterFrequencies) {
-  data::OcrDataset ds = data::GenerateOcrDataset(SmallOcr(2, 500));
-  NaiveBayesClassifier nb(data::kNumLetters, data::kGlyphDims);
-  nb.Fit(ds.words);
-  // 'e' is the most common English letter; its prior must beat 'z'.
-  EXPECT_GT(nb.priors()[data::LetterIndex('e')],
-            nb.priors()[data::LetterIndex('z')]);
-  EXPECT_NEAR(nb.priors().sum(), 1.0, 1e-9);
-}
-
 TEST(NaiveBayesTest, DegradesWithNoiseButNotBelowChance) {
   data::OcrDataset clean = data::GenerateOcrDataset(SmallOcr(3, 300, 0.02));
   data::OcrDataset noisy = data::GenerateOcrDataset(SmallOcr(3, 300, 0.25));
@@ -100,18 +90,6 @@ TEST(OptimizedHmmTest, FitsAndDecodes) {
   std::vector<std::vector<int>> pred;
   for (const auto& seq : split.test) pred.push_back(ohmm.Decode(seq.obs));
   EXPECT_GT(Accuracy(pred, split.test), 0.5);
-}
-
-TEST(OptimizedHmmTest, TunedParametersComeFromGrid) {
-  data::OcrDataset ds = data::GenerateOcrDataset(SmallOcr(5, 300, 0.15));
-  OptimizedHmmOptions opts;
-  opts.emission_weights = {0.5, 1.0};
-  opts.transition_pseudo_counts = {0.5};
-  OptimizedHmm ohmm(data::kNumLetters, data::kGlyphDims, opts);
-  ohmm.Fit(ds.words);
-  EXPECT_TRUE(ohmm.tuned_emission_weight() == 0.5 ||
-              ohmm.tuned_emission_weight() == 1.0);
-  EXPECT_DOUBLE_EQ(ohmm.tuned_pseudo_count(), 0.5);
 }
 
 TEST(OptimizedHmmTest, BeatsNaiveBayesAtHighNoise) {

@@ -5,7 +5,8 @@
 // message on a non-OK status, exactly like a failed DHMM_CHECK. The value
 // forms run on a fresh workspace; LogLikelihood also takes a caller's
 // workspace, and Ok() checks a Try* call that writes into caller buffers
-// (the allocation-pinned suites).
+// (the allocation-pinned suites). LogProbTable returns the T x k emission
+// table that LogProbTableInto fills.
 #ifndef DHMM_TESTS_CHECKED_INFERENCE_H_
 #define DHMM_TESTS_CHECKED_INFERENCE_H_
 
@@ -13,6 +14,8 @@
 
 #include "hmm/inference.h"
 #include "hmm/posterior_decoding.h"
+#include "linalg/matrix.h"
+#include "prob/emission.h"
 #include "util/check.h"
 #include "util/status.h"
 
@@ -20,6 +23,14 @@ namespace dhmm::checked {
 
 inline void Ok(const Status& st) {
   DHMM_CHECK_MSG(st.ok(), st.message().c_str());
+}
+
+template <typename Obs>
+linalg::Matrix LogProbTable(const prob::EmissionModel<Obs>& emission,
+                            const std::vector<Obs>& seq) {
+  linalg::Matrix table;
+  emission.LogProbTableInto(seq, &table);
+  return table;
 }
 
 inline hmm::ForwardBackwardResult ForwardBackward(const linalg::Vector& pi,

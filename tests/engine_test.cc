@@ -110,7 +110,7 @@ TEST(ViterbiTest, NonFiniteScoreRejectedNotReturnedOk) {
   const linalg::Vector pi{0.5, 0.5};
   const linalg::Matrix a{{0.9, 0.1}, {0.1, 0.9}};
   const linalg::Matrix log_b =
-      emission.LogProbTable({0.1, std::nan(""), 1.9});
+      checked::LogProbTable(emission, {0.1, std::nan(""), 1.9});
   InferenceWorkspace ws;
   ViterbiResult vit;
   const Status st = TryViterbi(pi, a, log_b, &ws, &vit);
@@ -124,7 +124,7 @@ TEST(ViterbiTest, NonFiniteScoreRejectedNotReturnedOk) {
       TryLogLikelihoodRows(pi, a, MatrixLogBRows(log_b), &ws, &ll).code(),
       StatusCode::kInvalidArgument);
   // The same workspace still decodes a finite sequence.
-  const linalg::Matrix good = emission.LogProbTable({0.1, 1.0, 1.9});
+  const linalg::Matrix good = checked::LogProbTable(emission, {0.1, 1.0, 1.9});
   ASSERT_TRUE(TryViterbi(pi, a, good, &ws, &vit).ok());
   EXPECT_TRUE(std::isfinite(vit.log_joint));
 }
@@ -187,7 +187,7 @@ TEST(BatchEStepTest, MatchesHandRolledSequentialEStep) {
   linalg::Matrix trans_acc(k, k);
   double loglik = 0.0;
   for (const auto& seq : data) {
-    linalg::Matrix log_b = model.emission->LogProbTable(seq.obs);
+    linalg::Matrix log_b = checked::LogProbTable(*model.emission, seq.obs);
     ForwardBackwardResult fb =
         checked::ForwardBackward(model.pi, model.a, log_b);
     loglik += fb.log_likelihood;
@@ -223,7 +223,8 @@ TEST(BatchEStepTest, EngineReuseAcrossIterationsIsStable) {
   double ll = 0.0;
   std::vector<std::vector<int>> paths;
   for (const auto& seq : data) {
-    const linalg::Matrix log_b = model.emission->LogProbTable(seq.obs);
+    const linalg::Matrix log_b =
+        checked::LogProbTable(*model.emission, seq.obs);
     double seq_ll = 0.0;
     ASSERT_TRUE(TryLogLikelihoodRows(model.pi, model.a, MatrixLogBRows(log_b),
                                      &ws, &seq_ll)
@@ -237,11 +238,6 @@ TEST(BatchEStepTest, EngineReuseAcrossIterationsIsStable) {
   EXPECT_EQ(DatasetLogLikelihood(model, data), ll);
   EXPECT_EQ(engine.Decode(model, data), paths);
   EXPECT_EQ(DecodeDataset(model, data), paths);
-}
-
-TEST(BatchEStepTest, ZeroThreadsResolvesToHardware) {
-  BatchEmEngine<double> engine{BatchOptions{0}};
-  EXPECT_GE(engine.num_threads(), 1);
 }
 
 // ------------------------------------------- thread-count determinism ---
@@ -331,8 +327,8 @@ void ExpectModelsSameBits(const HmmModel<double>& x, const HmmModel<double>& y,
       EXPECT_TRUE(SameBits(x.a(i, j), y.a(i, j))) << "a " << i << j;
     }
   }
-  const linalg::Matrix bx = x.emission->LogProbTable(probe);
-  const linalg::Matrix by = y.emission->LogProbTable(probe);
+  const linalg::Matrix bx = checked::LogProbTable(*x.emission, probe);
+  const linalg::Matrix by = checked::LogProbTable(*y.emission, probe);
   for (size_t t = 0; t < probe.size(); ++t) {
     for (size_t i = 0; i < k; ++i) {
       EXPECT_TRUE(SameBits(bx(t, i), by(t, i))) << "log b " << t << i;
@@ -691,12 +687,9 @@ TEST(CheckpointedMemoryTest, MillionFrameEStepStaysSubTableMemory) {
   BatchEmEngine<double> engine(
       BatchOptions{/*num_threads=*/1, /*checkpoint_threshold_frames=*/4096});
   std::unique_ptr<prob::EmissionModel<double>> em_acc = model.emission->Clone();
-  em_acc->BeginAccumulate();
-  EStepStats stats;
-  stats.Reset(k);
 
   const long long before = alloc_counter::Bytes();
-  engine.AccumulateEStep(model, data, &stats, em_acc.get());
+  const EStepStats stats = engine.EStep(model, data, em_acc.get());
   const long long delta = alloc_counter::Bytes() - before;
 
   EXPECT_EQ(stats.frames, frames);

@@ -80,7 +80,7 @@ struct OfflineRef {
 OfflineRef Offline(const hmm::HmmModel<double>& m,
                    const std::vector<double>& obs) {
   OfflineRef ref;
-  linalg::Matrix log_b = m.emission->LogProbTable(obs);
+  linalg::Matrix log_b = checked::LogProbTable(*m.emission, obs);
   ref.viterbi = checked::Viterbi(m.pi, m.a, log_b);
   ref.posterior = checked::PosteriorDecode(m.pi, m.a, log_b);
   ref.log_likelihood = checked::LogLikelihood(m.pi, m.a, log_b);
@@ -104,7 +104,6 @@ TEST(ModelRegistryTest, RegisterAcquireVersionLifecycle) {
 
   EXPECT_EQ(registry.ModelVersion(1).value_or(0), 1u);
   EXPECT_EQ(registry.resident_count(), 2u);
-  EXPECT_EQ(registry.Ids(), (std::vector<serve::ModelId>{1, 2}));
 
   // Re-registering a live id is an explicit error, not a silent swap.
   EXPECT_EQ(registry.Register(1, MakeModel(3, 11)).code(),
@@ -113,10 +112,10 @@ TEST(ModelRegistryTest, RegisterAcquireVersionLifecycle) {
   ASSERT_TRUE(registry.UpdateModel(1, MakeModel(3, 12)).ok());
   EXPECT_EQ(registry.ModelVersion(1).value_or(0), 2u);
 
-  EXPECT_EQ(registry.Acquire(99).code(), StatusCode::kNotFound);
+  EXPECT_EQ(registry.Acquire(99).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(registry.UpdateModel(99, MakeModel(2, 1)).code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(registry.ModelVersion(99).code(), StatusCode::kNotFound);
+  EXPECT_EQ(registry.ModelVersion(99).status().code(), StatusCode::kNotFound);
 
   auto svc = registry.Acquire(1);
   ASSERT_TRUE(svc.ok());
@@ -177,13 +176,13 @@ TEST(ModelRegistryTest, PinnedModelsNeverEvicted) {
   ASSERT_TRUE(registry.Register(2, MakeModel(3, 42), /*pinned=*/true).ok());
   // Both pinned: the cap cannot be enforced and both stay resident.
   EXPECT_EQ(registry.resident_count(), 2u);
-  EXPECT_EQ(registry.Evict(1).code(), StatusCode::kFailedPrecondition);
 
-  // Unpinning re-applies the cap: the stale model goes.
-  ASSERT_TRUE(registry.Pin(1, false).ok());
-  EXPECT_EQ(registry.resident_count(), 1u);
-  // 1 had no checkpoint path: acquiring it is a typed Unavailable.
-  EXPECT_EQ(registry.Acquire(1).code(), StatusCode::kUnavailable);
+  // An unpinned model over the cap is the only eviction candidate: it goes.
+  ASSERT_TRUE(registry.Register(3, MakeModel(3, 43)).ok());
+  EXPECT_EQ(registry.resident_count(), 2u);
+  // 3 had no checkpoint path: acquiring it is a typed Unavailable.
+  EXPECT_EQ(registry.Acquire(3).status().code(), StatusCode::kUnavailable);
+  EXPECT_TRUE(registry.Acquire(1).ok());
   EXPECT_TRUE(registry.Acquire(2).ok());
 }
 
@@ -619,18 +618,23 @@ TEST_F(FrontEndTest, SteadyStateWireRoundTripIsAllocationFree) {
       << "steady-state wire round trips must not allocate";
 }
 
-TEST_F(FrontEndTest, HotSwapAndColdLoadServeTheRegistryVersion) {
+TEST(FrontEndVersionTest, HotSwapAndColdLoadServeTheRegistryVersion) {
   // Every response carries the registry's version of the model that
   // served it: 1 at registration, then one more per swap and per cold
-  // load.
+  // load. One model resident at a time, so registering a second evicts
+  // the first.
   const std::string path = TempPath("served_version.dhmms");
   auto m1 = MakeModel(3, 99);
   auto m2 = MakeModel(3, 100);
   ASSERT_TRUE(store::WriteModel(*m1, 1, path).ok());
-  ASSERT_TRUE(registry_.RegisterFromFile(1, path).ok());
-  StartFrontEnd();
+  serve::ModelRegistryOptions ropts;
+  ropts.max_resident = 1;
+  serve::ModelRegistry<double> registry(ropts);
+  ASSERT_TRUE(registry.RegisterFromFile(1, path).ok());
+  serve::FrontEnd<double> frontend(&registry);
+  ASSERT_TRUE(frontend.Start().ok());
   serve::WireClient client;
-  ASSERT_TRUE(client.Connect(frontend_->port()).ok());
+  ASSERT_TRUE(client.Connect(frontend.port()).ok());
   const std::vector<double> obs = MakeObs(*m1, 14, 101);
   const OfflineRef ref1 = Offline(*m1, obs);
   const OfflineRef ref2 = Offline(*m2, obs);
@@ -638,23 +642,27 @@ TEST_F(FrontEndTest, HotSwapAndColdLoadServeTheRegistryVersion) {
   serve::DecodeResponse resp;
   const auto serve_and_check = [&](uint64_t id, const OfflineRef& ref,
                                    uint64_t version) {
-    ASSERT_TRUE(
-        client.Call(Request(1, serve::DecodeKind::kViterbi, &obs, id), &resp)
-            .ok());
+    serve::DecodeRequest<double> req;
+    req.request_id = id;
+    req.model = 1;
+    req.kind = serve::DecodeKind::kViterbi;
+    req.obs = &obs;
+    ASSERT_TRUE(client.Call(req, &resp).ok());
     ASSERT_TRUE(resp.status.ok());
     EXPECT_EQ(resp.path, ref.viterbi.path);
     EXPECT_EQ(resp.value, ref.viterbi.log_joint);
     EXPECT_EQ(resp.model_version, version);
-    EXPECT_EQ(registry_.ModelVersion(1).value_or(0), version);
+    EXPECT_EQ(registry.ModelVersion(1).value_or(0), version);
   };
   serve_and_check(51, ref1, 1);
 
-  ASSERT_TRUE(registry_.UpdateModel(1, m2).ok());
+  ASSERT_TRUE(registry.UpdateModel(1, m2).ok());
   serve_and_check(52, ref2, 2);  // the swap is visible on the wire
 
   // Evicted, the model cold-loads its checkpoint (m1) on the next request.
-  ASSERT_TRUE(registry_.Evict(1).ok());
+  ASSERT_TRUE(registry.Register(2, m2).ok());
   serve_and_check(53, ref1, 3);
+  frontend.Stop();
   std::filesystem::remove(path);
 }
 
@@ -719,6 +727,73 @@ TEST_F(FrontEndTest, SessionPushRoundTripsOverTheWire) {
                   &resp)
           .ok());
   EXPECT_EQ(resp.status.code(), StatusCode::kNotFound);
+
+  frontend_.reset();  // the manager must outlive the front-end threads
+}
+
+TEST_F(FrontEndTest, SessionPushReportsTheModelVersionItDecodedWith) {
+  // UpdateModel moves only the sessions created after it: a live stream
+  // finishes on its snapshot, and its pushes report that snapshot's
+  // version, not the manager's newest.
+  auto m1 = MakeModel(4, 151);
+  auto m2 = MakeModel(4, 152);
+  ASSERT_TRUE(registry_.Register(1, m1).ok());
+  serve::SessionManagerOptions mopts;
+  mopts.lag = 2;
+  serve::SessionManager<double> sessions(m1, mopts);
+  frontend_ = std::make_unique<serve::FrontEnd<double>>(&registry_);
+  frontend_->EnableSessions(&sessions, 1);
+  ASSERT_TRUE(frontend_->Start().ok());
+
+  // In-process sessions over each model, fed what the wire sessions get.
+  serve::SessionManager<double> ref1(m1, mopts);
+  serve::SessionManager<double> ref2(m2, mopts);
+  const serve::SessionHandle h1 = ref1.CreateSession().value();
+  const serve::SessionHandle h2 = ref2.CreateSession().value();
+  const auto push = [](serve::SessionManager<double>& mgr,
+                       serve::SessionHandle h,
+                       const std::vector<double>& frames) {
+    std::vector<int> labels;
+    for (const double y : frames) {
+      int label = -1;
+      EXPECT_TRUE(mgr.Push(h, y, &label).ok());
+      if (label >= 0) labels.push_back(label);
+    }
+    return labels;
+  };
+  serve::DecodeResponse resp;
+  const auto wire_push = [&](serve::WireClient& client,
+                             const std::vector<double>& frames, uint64_t id) {
+    const auto req = Request(1, serve::DecodeKind::kSessionPush, &frames, id);
+    ASSERT_TRUE(client.Call(req, &resp).ok());
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  };
+
+  const std::vector<double> obs = MakeObs(*m1, 12, 153);
+  const std::vector<double> first(obs.begin(), obs.begin() + 6);
+  const std::vector<double> second(obs.begin() + 6, obs.end());
+  serve::WireClient a;
+  ASSERT_TRUE(a.Connect(frontend_->port()).ok());
+  wire_push(a, first, 1);
+  EXPECT_EQ(resp.path, push(ref1, h1, first));
+  EXPECT_EQ(resp.model_version, 1u);
+
+  sessions.UpdateModel(m2);
+  EXPECT_EQ(sessions.model_version(), 2u);
+
+  // A's session keeps decoding on m1, and says so.
+  wire_push(a, second, 2);
+  EXPECT_EQ(resp.path, push(ref1, h1, second));
+  EXPECT_EQ(resp.value, ref1.LogLikelihood(h1).value());  // bitwise
+  EXPECT_EQ(resp.model_version, 1u);
+
+  // A new connection's session binds to m2.
+  serve::WireClient b;
+  ASSERT_TRUE(b.Connect(frontend_->port()).ok());
+  wire_push(b, obs, 3);
+  EXPECT_EQ(resp.path, push(ref2, h2, obs));
+  EXPECT_EQ(resp.value, ref2.LogLikelihood(h2).value());  // bitwise
+  EXPECT_EQ(resp.model_version, 2u);
 
   frontend_.reset();  // the manager must outlive the front-end threads
 }
@@ -795,7 +870,7 @@ TEST(FrontEndVocabularyTest, OutOfVocabularySymbolIsTypedInvalidArgument) {
   ASSERT_TRUE(client.Connect(frontend.port()).ok());
 
   const std::vector<int> good = hmm::SampleSequence(*model, 12, rng).obs;
-  const linalg::Matrix log_b = model->emission->LogProbTable(good);
+  const linalg::Matrix log_b = checked::LogProbTable(*model->emission, good);
   const hmm::ViterbiResult vit = checked::Viterbi(model->pi, model->a, log_b);
   const std::vector<int> posterior =
       checked::PosteriorDecode(model->pi, model->a, log_b);
@@ -1062,8 +1137,12 @@ TEST(ModelRegistryTest, ColdReloadRacingUpdateModelStaysCoherent) {
   auto m1 = MakeModel(3, 171);
   auto m2 = MakeModel(3, 172);
   ASSERT_TRUE(store::WriteModel(*m1, 1, path).ok());
-  serve::ModelRegistry<double> registry;
+  // One model resident at a time: acquiring model 2 evicts model 1.
+  serve::ModelRegistryOptions opts;
+  opts.max_resident = 1;
+  serve::ModelRegistry<double> registry(opts);
   ASSERT_TRUE(registry.RegisterFromFile(1, path).ok());
+  ASSERT_TRUE(registry.RegisterFromFile(2, path).ok());
 
   // Thread A cold-loads through Acquire while thread B hot-swaps and
   // evicts the same id. Acquired services are shared_ptr snapshots, so
@@ -1084,7 +1163,7 @@ TEST(ModelRegistryTest, ColdReloadRacingUpdateModelStaysCoherent) {
   std::thread swapper([&] {
     for (int i = 0; i < 200; ++i) {
       registry.UpdateModel(1, i % 2 == 0 ? m2 : m1);
-      registry.Evict(1);  // next Acquire cold-loads from the checkpoint
+      registry.Acquire(2);  // evicts 1: its next Acquire cold-loads
     }
   });
   loader.join();
@@ -1095,7 +1174,7 @@ TEST(ModelRegistryTest, ColdReloadRacingUpdateModelStaysCoherent) {
 
   // Determinism after the dust settles: evicted state reloads the
   // checkpoint bytes (m1), bitwise.
-  registry.Evict(1);
+  ASSERT_TRUE(registry.Acquire(2).ok());
   const OfflineRef ref = Offline(*m1, obs);
   auto svc = registry.Acquire(1);
   ASSERT_TRUE(svc.ok());
@@ -1164,8 +1243,10 @@ TEST_F(FrontEndTest, StatsOpcodeReturnsRenderedSnapshotInline) {
             std::string::npos);
   EXPECT_NE(resp.text.find("startup.kernel_isa "), std::string::npos);
 
-  // The in-process accessor renders only the "frontend." prefix.
-  const std::string s = frontend_->StatsString();
+  // The in-process rendering of the "frontend." prefix holds only that
+  // family.
+  const std::string s =
+      obs::RenderText(obs::Registry::Global().TakeSnapshot("frontend."));
   EXPECT_NE(s.find("frontend.frames_accepted "), std::string::npos);
   EXPECT_EQ(s.find("startup."), std::string::npos);
 
@@ -1320,7 +1401,9 @@ TEST(WireClientConnectTest, ValidateAndRefusalAreTyped) {
   const Status st = client.Connect(dead_port);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.code(), StatusCode::kDeadlineExceeded) << st.ToString();
-  EXPECT_FALSE(client.connected());
+  // Left disconnected: a send is refused.
+  EXPECT_EQ(client.SendRaw(nullptr, 0).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(WireClientConnectTest, ConnectTimeoutIsTypedDeadlineExceeded) {
@@ -1354,7 +1437,8 @@ TEST(WireClientConnectTest, ConnectTimeoutIsTypedDeadlineExceeded) {
     }
     ASSERT_EQ(st.code(), StatusCode::kDeadlineExceeded) << st.ToString();
     EXPECT_NE(st.message().find("connect deadline"), std::string::npos);
-    EXPECT_FALSE(c->connected());
+    // Left disconnected: a send is refused.
+    EXPECT_EQ(c->SendRaw(nullptr, 0).code(), StatusCode::kFailedPrecondition);
     // The deadline was honored, not busy-failed and not ignored.
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - t0);

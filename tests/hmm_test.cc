@@ -305,6 +305,12 @@ TEST(ModelTest, ValidateAcceptsWellFormed) {
   EXPECT_EQ(m.num_states(), 3u);
 }
 
+TEST(ModelTest, ValidateRejectsNanTransitions) {
+  HmmModel<int> m = MakeCategoricalModel(2);
+  m.a(1, 0) = std::nan("");
+  EXPECT_DEATH(m.Validate(), "A must be row-stochastic");
+}
+
 // ----------------------------------------------------------------- Sampler ---
 
 TEST(SamplerTest, SequenceShapesAndLabelRanges) {

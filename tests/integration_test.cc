@@ -205,10 +205,10 @@ TEST(OcrIntegrationTest, SupervisedDiversifiedMatchesOrBeatsCounting) {
   LabelSequences gold, pred0, pred1;
   for (const auto& seq : test) {
     gold.push_back(seq.labels);
-    pred0.push_back(
-        checked::Viterbi(m0.pi, m0.a, m0.emission->LogProbTable(seq.obs)).path);
-    pred1.push_back(
-        checked::Viterbi(m1.pi, m1.a, m1.emission->LogProbTable(seq.obs)).path);
+    const linalg::Matrix b0 = checked::LogProbTable(*m0.emission, seq.obs);
+    const linalg::Matrix b1 = checked::LogProbTable(*m1.emission, seq.obs);
+    pred0.push_back(checked::Viterbi(m0.pi, m0.a, b0).path);
+    pred1.push_back(checked::Viterbi(m1.pi, m1.a, b1).path);
   }
   double acc0 = eval::FrameAccuracy(pred0, gold);
   double acc1 = eval::FrameAccuracy(pred1, gold);

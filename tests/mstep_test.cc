@@ -220,18 +220,6 @@ TEST(BatchMStepDriverTest, UnitResultsAreThreadCountInvariant) {
   }
 }
 
-TEST(BatchMStepDriverTest, ReduceRunsInAscendingUnitOrder) {
-  core::BatchMStepDriver driver(core::BatchMStepOptions{4});
-  std::vector<size_t> reduce_order;
-  driver.Run(
-      8, [](core::TransitionUpdateWorkspace&, size_t) {},
-      [&](size_t unit) { reduce_order.push_back(unit); });
-  ASSERT_EQ(reduce_order.size(), 8u);
-  for (size_t u = 0; u < reduce_order.size(); ++u) {
-    EXPECT_EQ(reduce_order[u], u);
-  }
-}
-
 hmm::Dataset<int> SmallCategoricalData(uint64_t seed) {
   prob::Rng rng(seed);
   hmm::HmmModel<int> truth(

@@ -11,7 +11,6 @@
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
 #include "optim/simplex_projection.h"
-#include "prob/logsumexp.h"
 #include "prob/rng.h"
 
 namespace dhmm {
@@ -64,7 +63,6 @@ TEST(NumericsTest, JacobiEigenOnLargerMatrix) {
     for (size_t j = 0; j < n; ++j) g(i, j) = rng.Gaussian();
   linalg::Matrix s = g + g.Transposed();
   linalg::SymmetricEigen eig(s);
-  ASSERT_TRUE(eig.converged());
   // trace preserved
   double trace = 0.0, sum = 0.0;
   for (size_t i = 0; i < n; ++i) {
@@ -76,22 +74,6 @@ TEST(NumericsTest, JacobiEigenOnLargerMatrix) {
   for (size_t i = 1; i < n; ++i) {
     EXPECT_LE(eig.eigenvalues()[i - 1], eig.eigenvalues()[i] + 1e-12);
   }
-}
-
-// ------------------------------------------------------ LogSumExp extremes ---
-
-TEST(NumericsTest, LogSumExpNoOverflowAt709) {
-  // exp(710) overflows a double; the shifted form must not.
-  linalg::Vector v{710.0, 709.0, 708.0};
-  double r = prob::LogSumExp(v);
-  EXPECT_TRUE(std::isfinite(r));
-  EXPECT_NEAR(r, 710.0 + std::log(1.0 + std::exp(-1.0) + std::exp(-2.0)),
-              1e-12);
-}
-
-TEST(NumericsTest, LogSumExpSingleElement) {
-  linalg::Vector v{-3.5};
-  EXPECT_DOUBLE_EQ(prob::LogSumExp(v), -3.5);
 }
 
 // ---------------------------------------------------- Simplex projections ---

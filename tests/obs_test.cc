@@ -30,6 +30,23 @@
 namespace dhmm {
 namespace {
 
+// Samples recorded across every bucket and stripe.
+uint64_t Count(const obs::Histogram& h) {
+  uint64_t merged[obs::Histogram::kBuckets];
+  h.MergedCounts(merged);
+  uint64_t total = 0;
+  for (uint64_t c : merged) total += c;
+  return total;
+}
+
+// True when the snapshot holds an entry named `name`.
+bool Has(const obs::Snapshot& snap, const std::string& name) {
+  for (const auto& [n, v] : snap.values) {
+    if (n == name) return true;
+  }
+  return false;
+}
+
 // ---------------------------------------------------------------- Counter ---
 
 TEST(CounterTest, AddAndValue) {
@@ -106,11 +123,11 @@ TEST(HistogramTest, BucketOfIsLogScaleAndNeverOutOfRange) {
 
 TEST(HistogramTest, CountAndQuantilesAreOrdered) {
   obs::Histogram h;
-  EXPECT_EQ(h.Count(), 0u);
+  EXPECT_EQ(Count(h), 0u);
   EXPECT_EQ(h.ValueAtQuantile(0.5), 0u);  // empty: 0, not an abort
   for (uint64_t v = 1; v <= 1000; ++v) h.Record(v);
   h.Record(~uint64_t{0});  // the clamped monster sample
-  EXPECT_EQ(h.Count(), 1001u);
+  EXPECT_EQ(Count(h), 1001u);
   const uint64_t p50 = h.ValueAtQuantile(0.5);
   const uint64_t p90 = h.ValueAtQuantile(0.9);
   const uint64_t p99 = h.ValueAtQuantile(0.99);
@@ -134,7 +151,7 @@ TEST(HistogramTest, ConcurrentRecordsNeverLoseASample) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(h.Count(), kThreads * kPerThread);
+  EXPECT_EQ(Count(h), kThreads * kPerThread);
 }
 
 // ------------------------------------------------------------- allocation ---
@@ -157,7 +174,7 @@ TEST(ObsAllocationTest, RecordingIsAllocationFree) {
   }
   (void)c->Value();
   (void)g->Value();
-  (void)h->Count();
+  (void)h->ValueAtQuantile(0.5);
   const long after = alloc_counter::Count();
   EXPECT_EQ(after - before, 0) << "metric recording touched the allocator";
 }
@@ -202,10 +219,10 @@ TEST(RegistryTest, SnapshotHonorsPrefixAndExpandsHistograms) {
   EXPECT_EQ(snap.ValueOf("obs_test.snap.requests"), 5.0);
   EXPECT_EQ(snap.ValueOf("obs_test.snap.occupancy"), 3.5);
   EXPECT_EQ(snap.ValueOf("obs_test.snap.latency.count"), 2.0);
-  EXPECT_TRUE(snap.Has("obs_test.snap.latency.p50"));
-  EXPECT_TRUE(snap.Has("obs_test.snap.latency.p90"));
-  EXPECT_TRUE(snap.Has("obs_test.snap.latency.p99"));
-  EXPECT_TRUE(snap.Has("obs_test.snap.latency.max"));
+  EXPECT_TRUE(Has(snap, "obs_test.snap.latency.p50"));
+  EXPECT_TRUE(Has(snap, "obs_test.snap.latency.p90"));
+  EXPECT_TRUE(Has(snap, "obs_test.snap.latency.p99"));
+  EXPECT_TRUE(Has(snap, "obs_test.snap.latency.max"));
   // The prefix filter excludes everything else.
   for (const auto& [name, value] : snap.values) {
     EXPECT_EQ(name.rfind("obs_test.snap.", 0), 0u) << name;
@@ -255,7 +272,7 @@ TEST(StartupTest, LinePinnedFormatAndIsaGauge) {
   obs::LogStartup();
   obs::LogStartup();
   const obs::Snapshot snap = obs::Registry::Global().TakeSnapshot("startup.");
-  ASSERT_TRUE(snap.Has("startup.kernel_isa"));
+  ASSERT_TRUE(Has(snap, "startup.kernel_isa"));
   const double isa = snap.ValueOf("startup.kernel_isa", -1.0);
   EXPECT_EQ(isa, static_cast<double>(
                      static_cast<int>(linalg::kernels::ActiveIsa())));

@@ -38,7 +38,7 @@ TEST(PaperEquationsTest, IntroStaticMixtureFactorization) {
   for (size_t t = 0; t < t_len; ++t) {
     obs.push_back(static_cast<int>(rng.UniformInt(v)));
   }
-  linalg::Matrix log_b = emission.LogProbTable(obs);
+  linalg::Matrix log_b = checked::LogProbTable(emission, obs);
   double chain_ll = checked::LogLikelihood(pi, a, log_b);
 
   // Product of independent mixture densities.
@@ -93,8 +93,8 @@ TEST(PaperEquationsTest, PiUpdateIsAveragedFirstFramePosterior) {
   // Hand-accumulate gamma(0, .) under the *initial* parameters.
   linalg::Vector expected(k);
   for (const auto& seq : data) {
-    auto fb = checked::ForwardBackward(model.pi, model.a,
-                                       model.emission->LogProbTable(seq.obs));
+    auto fb = checked::ForwardBackward(
+        model.pi, model.a, checked::LogProbTable(*model.emission, seq.obs));
     for (size_t i = 0; i < k; ++i) expected[i] += fb.gamma(0, i);
   }
   expected.NormalizeToSimplex();
@@ -143,8 +143,8 @@ TEST(PaperEquationsTest, Eq16TransitionMlUpdate) {
 
   linalg::Matrix xi(k, k);
   for (const auto& seq : data) {
-    auto fb = checked::ForwardBackward(model.pi, model.a,
-                                       model.emission->LogProbTable(seq.obs));
+    auto fb = checked::ForwardBackward(
+        model.pi, model.a, checked::LogProbTable(*model.emission, seq.obs));
     xi += fb.xi_sum;
   }
   linalg::Matrix expected = xi;

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checked_inference.h"
 #include "hmm/model.h"
 #include "hmm/supervised.h"
 #include "prob/bernoulli_emission.h"
@@ -273,6 +274,39 @@ TEST(RngTest, BernoulliFrequency) {
 
 // ------------------------------------------------------------- LogSumExp ---
 
+// The scalar log-domain reductions: the oracle GmmEmission's rows are
+// checked against below. NaN contract: if any input is NaN, the result is
+// NaN. LogAdd satisfies this inherently: a NaN operand falls through every
+// `== kNegInf` short-circuit and poisons the arithmetic. LogSumExp needs the
+// explicit per-element check: its `>`-based max scan (NaN compares false
+// against everything) would otherwise skip a NaN entry, and with every
+// other entry -inf would return -inf.
+
+// log(exp(a) + exp(b)) without overflow; LogAdd(-inf, x) == x.
+double LogAdd(double a, double b) {
+  if (a == kNegInf) return b;
+  if (b == kNegInf) return a;
+  double m = a > b ? a : b;
+  return m + std::log(std::exp(a - m) + std::exp(b - m));
+}
+
+// log sum_i exp(v[i]); -inf for an empty or all--inf input.
+double LogSumExp(const double* v, size_t n) {
+  double m = kNegInf;
+  for (size_t i = 0; i < n; ++i) {
+    if (std::isnan(v[i])) return std::numeric_limits<double>::quiet_NaN();
+    m = v[i] > m ? v[i] : m;
+  }
+  if (m == kNegInf) return kNegInf;
+  double s = 0.0;
+  for (size_t i = 0; i < n; ++i) s += std::exp(v[i] - m);
+  return m + std::log(s);
+}
+
+double LogSumExp(const linalg::Vector& v) {
+  return LogSumExp(v.data(), v.size());
+}
+
 TEST(LogSumExpTest, MatchesDirectComputation) {
   linalg::Vector v{0.0, 1.0, 2.0};
   double direct = std::log(std::exp(0.0) + std::exp(1.0) + std::exp(2.0));
@@ -284,6 +318,20 @@ TEST(LogSumExpTest, StableForLargeMagnitudes) {
   EXPECT_NEAR(LogSumExp(v), -1000.0 + std::log(2.0), 1e-9);
   linalg::Vector w{1000.0, 999.0};
   EXPECT_NEAR(LogSumExp(w), 1000.0 + std::log1p(std::exp(-1.0)), 1e-9);
+}
+
+TEST(LogSumExpTest, NoOverflowAt709) {
+  // exp(710) overflows a double; the shifted form must not.
+  linalg::Vector v{710.0, 709.0, 708.0};
+  double r = LogSumExp(v);
+  EXPECT_TRUE(std::isfinite(r));
+  EXPECT_NEAR(r, 710.0 + std::log(1.0 + std::exp(-1.0) + std::exp(-2.0)),
+              1e-12);
+}
+
+TEST(LogSumExpTest, SingleElement) {
+  linalg::Vector v{-3.5};
+  EXPECT_DOUBLE_EQ(LogSumExp(v), -3.5);
 }
 
 TEST(LogSumExpTest, HandlesNegInf) {
@@ -383,7 +431,7 @@ TEST(CategoricalEmissionTest, LogProbMatchesTable) {
   EXPECT_NEAR(Row(e, 0)[0], std::log(0.5), 1e-12);
   EXPECT_NEAR(Row(e, 2)[1], std::log(0.7), 1e-12);
   EXPECT_EQ(Row(e, 2)[0], kNegInf);
-  EXPECT_EQ(e.vocab_size(), 3u);
+  EXPECT_EQ(Row(e, 3)[1], kNegInf);  // past the 3-symbol vocabulary
 }
 
 TEST(CategoricalEmissionTest, EmFitNormalizesCounts) {
@@ -424,6 +472,14 @@ TEST(CategoricalEmissionTest, OutOfVocabularyTrainingSymbolAborts) {
   EXPECT_DEATH(fit(-1), "symbol -1 outside the vocabulary of V = 5");
 }
 
+TEST(CategoricalEmissionTest, NanRowAborts) {
+  // A NaN entry fails the stochastic check instead of being repaired into
+  // a uniform row.
+  const linalg::Matrix b{{0.5, 0.5}, {std::nan(""), 0.5}};
+  const auto make = [&b] { CategoricalEmission e(b); };
+  EXPECT_DEATH(make(), "emission rows must be stochastic");
+}
+
 TEST(CategoricalEmissionTest, SampleFrequencies) {
   CategoricalEmission e(linalg::Matrix{{0.8, 0.2}});
   Rng rng(21);
@@ -439,7 +495,7 @@ void ExpectSampleMatchesScan(const CategoricalEmission& e, uint64_t seed) {
   for (int draw = 0; draw < 600; ++draw) {
     const size_t state = static_cast<size_t>(draw) % e.num_states();
     ASSERT_EQ(static_cast<size_t>(e.Sample(state, indexed)),
-              scan.Categorical(e.b().row_data(state), e.vocab_size()))
+              scan.Categorical(e.b().row_data(state), e.b().cols()))
         << "draw " << draw;
   }
   EXPECT_EQ(indexed.NextU64(), scan.NextU64());
@@ -532,12 +588,12 @@ TEST(BernoulliEmissionTest, CloneIsDeep) {
   EXPECT_NEAR(Row(*clone, obs)[0], std::log(0.7) + std::log(0.7), 1e-12);
 }
 
-// LogProbTable row t is the LogProbRow of frame t.
+// LogProbTableInto row t is the LogProbRow of frame t.
 TEST(EmissionTableTest, LogProbTableMatchesPointwise) {
   Rng rng(24);
   CategoricalEmission e = CategoricalEmission::RandomInit(3, 5, rng);
   std::vector<int> seq = {0, 4, 2, 2, 1};
-  linalg::Matrix table = e.LogProbTable(seq);
+  linalg::Matrix table = checked::LogProbTable(e, seq);
   ASSERT_EQ(table.rows(), 5u);
   ASSERT_EQ(table.cols(), 3u);
   for (size_t t = 0; t < seq.size(); ++t) {
@@ -582,6 +638,14 @@ TEST(EmissionRowPinTest, GaussianRowMatchesPerEntryForm) {
   check(e);
 }
 
+TEST(GmmEmissionTest, NanWeightRowAborts) {
+  const linalg::Matrix weights{{0.5, 0.5}, {std::nan(""), 0.5}};
+  const linalg::Matrix mu(2, 2, 0.0);
+  const linalg::Matrix sigma(2, 2, 1.0);
+  const auto make = [&] { GmmEmission g(weights, mu, sigma); };
+  EXPECT_DEATH(make(), "mixture weights must be row-stochastic");
+}
+
 TEST(EmissionRowPinTest, GmmRowMatchesPerEntryForm) {
   // State 1's first component has zero weight.
   GmmEmission e(linalg::Matrix{{0.2, 0.5, 0.3}, {0.0, 0.6, 0.4}},
@@ -619,7 +683,7 @@ TEST(EmissionRowPinTest, CategoricalRowMatchesPerEntryForm) {
   const linalg::Matrix b{{0.5, 0.5, 0.0}, {0.1, 0.2, 0.7}};
   CategoricalEmission e(b);
   auto check = [](const CategoricalEmission& c) {
-    for (int y = 0; y < static_cast<int>(c.vocab_size()); ++y) {
+    for (int y = 0; y < static_cast<int>(c.b().cols()); ++y) {
       std::vector<double> want(c.num_states());
       for (size_t i = 0; i < want.size(); ++i) {
         const double p = c.b()(i, static_cast<size_t>(y));

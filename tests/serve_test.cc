@@ -79,7 +79,7 @@ struct OfflineRef {
 OfflineRef Offline(const hmm::HmmModel<double>& m,
                    const std::vector<double>& obs) {
   OfflineRef ref;
-  linalg::Matrix log_b = m.emission->LogProbTable(obs);
+  linalg::Matrix log_b = checked::LogProbTable(*m.emission, obs);
   ref.viterbi = checked::Viterbi(m.pi, m.a, log_b);
   ref.posterior = checked::PosteriorDecode(m.pi, m.a, log_b);
   ref.log_likelihood = checked::LogLikelihood(m.pi, m.a, log_b);

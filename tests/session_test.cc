@@ -1,9 +1,8 @@
 // The train→serve-loop contract (the PR-7 counterpart of the serve-layer
 // tests):
-//  - incremental EM: one AccumulateBatch over the full dataset followed by
-//    Step() reproduces one hmm::FitEm iteration bitwise — and tiling the
-//    dataset into ordered mini-batches changes nothing — for the ML and
-//    the DPP-diversified transition update, for every thread count,
+//  - incremental EM: Step() over the accumulated stream statistics is
+//    bitwise the hmm::MStep of the same statistics, for the ML and the
+//    DPP-diversified transition update,
 //  - SessionManager full-lag decodes and running log-likelihoods are
 //    bitwise equal to offline PosteriorDecode / LogLikelihood for every
 //    pusher-thread count and stream length,
@@ -24,6 +23,8 @@
 //    the manager.
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -35,14 +36,17 @@
 
 #include "alloc_counter.h"
 #include "checked_inference.h"
+#include "core/dhmm_trainer.h"
 #include "core/incremental_em.h"
 #include "core/transition_update.h"
+#include "hmm/estep_accumulator.h"
 #include "hmm/inference.h"
 #include "hmm/model.h"
 #include "hmm/posterior_decoding.h"
 #include "hmm/sampler.h"
 #include "hmm/sequence.h"
 #include "hmm/trainer.h"
+#include "obs/metrics.h"
 #include "prob/categorical_emission.h"
 #include "prob/gaussian_emission.h"
 #include "prob/rng.h"
@@ -68,92 +72,79 @@ hmm::Dataset<double> MakeData(const hmm::HmmModel<double>& model,
   return hmm::SampleDataset(model, count, length, rng);
 }
 
+// pi, A and the Gaussian emission's means and sigmas, bit for bit.
 void ExpectModelsBitwiseEqual(const hmm::HmmModel<double>& x,
-                              const hmm::HmmModel<double>& y,
-                              const std::vector<double>& probe) {
+                              const hmm::HmmModel<double>& y) {
   ASSERT_EQ(x.num_states(), y.num_states());
   const size_t k = x.num_states();
-  for (size_t i = 0; i < k; ++i) EXPECT_EQ(x.pi[i], y.pi[i]);
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t j = 0; j < k; ++j) EXPECT_EQ(x.a(i, j), y.a(i, j));
-  }
-  // Family-agnostic bitwise emission comparison: identical parameters
-  // produce identical log-probability tables on any probe sequence.
-  const linalg::Matrix bx = x.emission->LogProbTable(probe);
-  const linalg::Matrix by = y.emission->LogProbTable(probe);
-  for (size_t t = 0; t < probe.size(); ++t) {
-    for (size_t i = 0; i < k; ++i) EXPECT_EQ(bx(t, i), by(t, i));
-  }
+  const auto& ex = dynamic_cast<const prob::GaussianEmission&>(*x.emission);
+  const auto& ey = dynamic_cast<const prob::GaussianEmission&>(*y.emission);
+  const auto same = [](const double* p, const double* q, size_t n) {
+    return std::memcmp(p, q, n * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same(x.pi.data(), y.pi.data(), k));
+  EXPECT_TRUE(same(x.a.data(), y.a.data(), k * k));
+  EXPECT_TRUE(same(ex.mu().data(), ey.mu().data(), k));
+  EXPECT_TRUE(same(ex.sigma().data(), ey.sigma().data(), k));
 }
 
-// ---------------------------------------------------- incremental EM (ML) ---
+// ---------------------------------------------------------- incremental EM ---
 
-TEST(IncrementalEmTest, MiniBatchRoundsReproduceFitEmBitwise) {
+// Step() is hmm::MStep, the M-step hmm::FitEm runs (with the same
+// Algorithm-1 transition step when alpha > 0), over exactly the statistics
+// the stream fed in.
+TEST(IncrementalEmTest, StepIsTheMStepOfItsStreamStatistics) {
   auto init = MakeModel(4, 71);
-  hmm::Dataset<double> data = MakeData(*init, 8, 19, 72);
-  const std::vector<double>& probe = data[0].obs;
-  constexpr int kRounds = 3;
+  const size_t k = init->num_states();
+  hmm::Dataset<double> data = MakeData(*init, 3, 12, 72);
 
-  for (int threads : {1, 3}) {
-    for (double alpha : {0.0, 0.5}) {
-      // Reference: hmm::FitEm, with the paper's DPP transition update
-      // injected through the persistent workspace when alpha > 0 (the
-      // FitDiversifiedHmm wiring). tol = 0 disables early convergence so
-      // exactly kRounds iterations run.
-      core::IncrementalEmOptions io;
-      io.alpha = alpha;
-      io.num_threads = threads;
-      core::TransitionUpdateOptions uo;
-      uo.alpha = io.alpha;
-      uo.rho = io.rho;
-      uo.ascent = io.ascent;
-      uo.row_floor = io.row_floor;
-      core::TransitionUpdateWorkspace ws;
-      core::TransitionUpdateResult res;
-      hmm::EmOptions em;
-      em.max_iters = kRounds;
-      em.tol = 0.0;
-      em.num_threads = threads;
-      if (alpha > 0.0) {
-        em.transition_m_step = [&](const linalg::Matrix& counts,
-                                   linalg::Matrix* a) {
-          core::UpdateTransitions(*a, counts, uo, &ws, &res);
-          std::swap(*a, res.a);
-          return 0.0;
-        };
-      }
-      hmm::HmmModel<double> ref(*init);
-      const hmm::EmResult ref_result = hmm::FitEm(&ref, data, em);
-      ASSERT_EQ(ref_result.iterations, kRounds);
+  for (double alpha : {0.0, 0.5}) {
+    core::IncrementalEmOptions io;
+    io.alpha = alpha;
+    core::IncrementalEmTrainer<double> trainer(init, io);
 
-      // Trainer: the same rounds as ordered mini-batches. Tiling the
-      // dataset across AccumulateBatch calls must leave the statistics —
-      // and therefore the fit — bitwise unchanged.
-      core::IncrementalEmTrainer<double> trainer(init, io);
-      for (int round = 0; round < kRounds; ++round) {
-        hmm::Dataset<double> tile_a(data.begin(), data.begin() + 3);
-        hmm::Dataset<double> tile_b(data.begin() + 3, data.begin() + 5);
-        hmm::Dataset<double> tile_c(data.begin() + 5, data.end());
-        trainer.AccumulateBatch(tile_a);
-        trainer.AccumulateBatch(tile_b);
-        trainer.AccumulateBatch(tile_c);
-        EXPECT_EQ(trainer.round_log_likelihood(),
-                  ref_result.loglik_history[static_cast<size_t>(round)]);
-        EXPECT_EQ(trainer.frames_accumulated(), 8u * 19u);
-        trainer.Step();
+    // Reference: a plain accumulator and emission bracket, then MStep.
+    hmm::HmmModel<double> ref(*init);
+    hmm::EStepAccumulator acc;
+    acc.Reset(k);
+    ref.emission->BeginAccumulate();
+    core::TransitionUpdateWorkspace ws;
+    core::DiversifiedMStep diversified(io, &ws);
+    hmm::EmOptions em;
+    if (alpha > 0.0) em.transition_m_step = std::ref(diversified);
+
+    // Stream statistics: a posterior per frame, and a transition
+    // posterior's forward message and backward product per later frame.
+    prob::Rng rng(73);
+    for (const hmm::Sequence<double>& seq : data) {
+      for (size_t t = 0; t < seq.length(); ++t) {
+        const linalg::Vector gamma = rng.DirichletSymmetric(k, 1.0);
+        trainer.AccumulateStreamFrame(seq.obs[t], gamma.data(), k, t == 0);
+        acc.AddStreamFrame(gamma.data(), t == 0);
+        ref.emission->Accumulate(seq.obs[t], gamma);
+        if (t == 0) continue;
+        const linalg::Vector fwd = rng.DirichletSymmetric(k, 1.0);
+        const linalg::Vector u = rng.DirichletSymmetric(k, 1.0);
+        trainer.AccumulateStreamTransition(fwd.data(), init->a, u.data());
+        acc.AddStreamTransition(fwd.data(), init->a, u.data());
       }
-      EXPECT_EQ(trainer.steps(), static_cast<uint64_t>(kRounds));
-      ExpectModelsBitwiseEqual(*trainer.snapshot(), ref, probe);
     }
+    const auto stepped = trainer.Step();
+    hmm::MStep(em, &acc, &ref);
+    ExpectModelsBitwiseEqual(*stepped, ref);
   }
 }
 
 TEST(IncrementalEmTest, StepWithNothingAccumulatedIsANoOp) {
   auto init = MakeModel(3, 81);
   core::IncrementalEmTrainer<double> trainer(init);
-  auto before = trainer.snapshot();
-  EXPECT_EQ(trainer.Step().get(), before.get());  // same snapshot pointer
-  EXPECT_EQ(trainer.steps(), 0u);
+  obs::Registry& reg = obs::Registry::Global();
+  const auto steps = [&reg] {
+    return reg.TakeSnapshot("trainer.").ValueOf("trainer.steps");
+  };
+  const double before = steps();
+  EXPECT_EQ(trainer.Step().get(), init.get());  // the initial snapshot
+  EXPECT_EQ(steps(), before);
 }
 
 // ----------------------------------------------------- session decodes ------
@@ -170,7 +161,8 @@ TEST(SessionManagerTest, FullLagDecodesMatchOfflineBitwiseForEveryPusherCount) {
   std::vector<std::vector<int>> want_paths;
   std::vector<double> want_loglik;
   for (const auto& seq : data) {
-    const linalg::Matrix log_b = model->emission->LogProbTable(seq.obs);
+    const linalg::Matrix log_b =
+        checked::LogProbTable(*model->emission, seq.obs);
     want_paths.push_back(checked::PosteriorDecode(model->pi, model->a, log_b));
     want_loglik.push_back(checked::LogLikelihood(model->pi, model->a, log_b));
   }
@@ -239,7 +231,8 @@ TEST(SessionManagerTest, ResetSessionRestartsAStreamInPlace) {
   ASSERT_TRUE(created.ok());
   const serve::SessionHandle h = created.value();
 
-  const linalg::Matrix log_b = model->emission->LogProbTable(data[0].obs);
+  const linalg::Matrix log_b =
+      checked::LogProbTable(*model->emission, data[0].obs);
   const std::vector<int> want =
       checked::PosteriorDecode(model->pi, model->a, log_b);
 
@@ -263,7 +256,7 @@ TEST(SessionManagerTest, ResetSessionRestartsAStreamInPlace) {
 double PrefixLogLikelihood(const hmm::HmmModel<double>& model,
                            const std::vector<double>& obs, size_t n) {
   const std::vector<double> prefix(obs.begin(), obs.begin() + n);
-  const linalg::Matrix log_b = model.emission->LogProbTable(prefix);
+  const linalg::Matrix log_b = checked::LogProbTable(*model.emission, prefix);
   hmm::InferenceWorkspace ws;
   double ll = 0.0;
   EXPECT_TRUE(hmm::TryLogLikelihoodRows(model.pi, model.a,
@@ -310,7 +303,7 @@ TEST(SessionManagerTest, FixedLagEmitsOnTimeAndFinishFlushesTheRest) {
   ASSERT_EQ(labels.size(), obs.size());
   // The final `lag` frames are smoothed against the true end of the
   // sequence, so they agree exactly with offline posterior decoding.
-  const linalg::Matrix log_b = model->emission->LogProbTable(obs);
+  const linalg::Matrix log_b = checked::LogProbTable(*model->emission, obs);
   const std::vector<int> offline =
       checked::PosteriorDecode(model->pi, model->a, log_b);
   for (size_t t = obs.size() - opts.lag; t < obs.size(); ++t) {
@@ -342,7 +335,7 @@ TEST(SessionManagerTest, ZeroLagIsFilteringAndEmitsImmediately) {
   }
   // The final filtered label coincides with offline posterior decoding's
   // final frame (beta = 1 there in both).
-  const linalg::Matrix log_b = model->emission->LogProbTable(obs);
+  const linalg::Matrix log_b = checked::LogProbTable(*model->emission, obs);
   EXPECT_EQ(label, checked::PosteriorDecode(model->pi, model->a, log_b).back());
 }
 
@@ -369,13 +362,11 @@ TEST(SessionManagerTest, ImpossibleObservationPoisonsSessionNotProcess) {
   EXPECT_EQ(label, -1);
   EXPECT_EQ(mgr.FramesPushed(h).value(), 1u);  // not consumed
   EXPECT_EQ(mgr.Push(h, 1, &label).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(mgr.SessionStatus(h).code(), StatusCode::kInvalidArgument);
   std::vector<int> tail;
   EXPECT_EQ(mgr.Finish(h, &tail).code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(tail.empty());
 
   ASSERT_TRUE(mgr.ResetSession(h).ok());
-  EXPECT_TRUE(mgr.SessionStatus(h).ok());
   ASSERT_TRUE(mgr.Push(h, 1, &label).ok());
   EXPECT_GE(label, 0);
 }
@@ -406,7 +397,7 @@ TEST(SessionManagerTest, UpdateModelAndResetRestartTheStreamOnTheNewModel) {
   ASSERT_EQ(labels.size(), obs.size());
   EXPECT_EQ(mgr.LogLikelihood(h).value(),
             PrefixLogLikelihood(*model_b, obs, obs.size()));
-  const linalg::Matrix log_b = model_b->emission->LogProbTable(obs);
+  const linalg::Matrix log_b = checked::LogProbTable(*model_b->emission, obs);
   const std::vector<int> offline =
       checked::PosteriorDecode(model_b->pi, model_b->a, log_b);
   for (size_t t = obs.size() - opts.lag; t < obs.size(); ++t) {
@@ -518,19 +509,19 @@ TEST(SessionManagerTest, StaleHandleResolvesNotFoundEverywhere) {
   EXPECT_EQ(mgr.Finish(h, &tail).code(), StatusCode::kNotFound);
   EXPECT_EQ(mgr.ResetSession(h).code(), StatusCode::kNotFound);
   EXPECT_EQ(mgr.DestroySession(h).code(), StatusCode::kNotFound);
-  EXPECT_EQ(mgr.LogLikelihood(h).code(), StatusCode::kNotFound);
-  EXPECT_EQ(mgr.FramesPushed(h).code(), StatusCode::kNotFound);
-  EXPECT_EQ(mgr.SessionStatus(h).code(), StatusCode::kNotFound);
-  EXPECT_FALSE(mgr.IsLive(h));
-  EXPECT_FALSE(mgr.IsLive(serve::kInvalidSessionHandle));
+  EXPECT_EQ(mgr.LogLikelihood(h).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(mgr.FramesPushed(h).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(mgr.ModelVersion(h).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(mgr.LogLikelihood(serve::kInvalidSessionHandle).status().code(),
+            StatusCode::kNotFound);
 
   // The recycled slot's new handle carries a fresh generation, so the old
   // handle stays dead even while the slot is live again.
   auto recreated = mgr.CreateSession();
   ASSERT_TRUE(recreated.ok());
   EXPECT_NE(recreated.value(), h);
-  EXPECT_FALSE(mgr.IsLive(h));
-  EXPECT_TRUE(mgr.IsLive(recreated.value()));
+  EXPECT_EQ(mgr.LogLikelihood(h).status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(mgr.LogLikelihood(recreated.value()).ok());
 }
 
 // Emission wrapper whose LogProbRow can be made to block: armed, the next
@@ -625,8 +616,9 @@ TEST(SessionManagerTest, EvictIdleSkipsSessionsWithAnInFlightPush) {
   // Both sessions are older than the cutoff, but B's push is in flight:
   // the sweep must evict A and leave B untouched.
   EXPECT_EQ(mgr.EvictIdle(mgr.tick() + 1), 1u);
-  EXPECT_FALSE(mgr.IsLive(a.value()));
-  EXPECT_TRUE(mgr.IsLive(b.value()));
+  EXPECT_EQ(mgr.LogLikelihood(a.value()).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(mgr.LogLikelihood(b.value()).ok());
 
   // And a destroy racing the in-flight push is refused with a typed error.
   EXPECT_EQ(mgr.DestroySession(b.value()).code(),
@@ -681,10 +673,9 @@ TEST(SessionManagerTest, LiveSessionPosteriorsDriveAnImprovingHotSwap) {
       ASSERT_TRUE(mgr.Push(created.value(), y, &label).ok());
     }
   }
-  EXPECT_GT(trainer.frames_accumulated(), 0u);
-
   auto stepped = trainer.Step();
   ASSERT_NE(stepped, nullptr);
+  EXPECT_NE(stepped.get(), init.get());  // posteriors arrived: a real step
   EXPECT_GT(hmm::DatasetLogLikelihood(*stepped, data),
             hmm::DatasetLogLikelihood(*init, data));
 

@@ -18,8 +18,9 @@
 
 #include "data/toy.h"
 #include "hmm/model.h"
-#include "obs/metrics.h"
 #include "hmm/sampler.h"
+#include "hmm/trainer.h"
+#include "obs/metrics.h"
 #include "prob/bernoulli_emission.h"
 #include "prob/categorical_emission.h"
 #include "prob/gaussian_emission.h"
@@ -81,12 +82,13 @@ hmm::HmmModel<double> GaussianModel(uint64_t seed) {
   return data::ToyRandomInit(rng);
 }
 
-hmm::HmmModel<int> CategoricalModel(uint64_t seed) {
+hmm::HmmModel<int> CategoricalModel(uint64_t seed, size_t k = 4,
+                                    size_t vocab = 12) {
   prob::Rng rng(seed);
   return hmm::HmmModel<int>(
-      rng.DirichletSymmetric(4, 2.0), rng.RandomStochasticMatrix(4, 4, 2.0),
+      rng.DirichletSymmetric(k, 2.0), rng.RandomStochasticMatrix(k, k, 2.0),
       std::make_unique<prob::CategoricalEmission>(
-          prob::CategoricalEmission::RandomInit(4, 12, rng)));
+          prob::CategoricalEmission::RandomInit(k, vocab, rng)));
 }
 
 hmm::HmmModel<prob::BinaryObs> BernoulliModel(uint64_t seed) {
@@ -97,12 +99,25 @@ hmm::HmmModel<prob::BinaryObs> BernoulliModel(uint64_t seed) {
           prob::BernoulliEmission::RandomInit(3, 5, rng)));
 }
 
-hmm::HmmModel<double> GmmModel(uint64_t seed) {
+hmm::HmmModel<double> GmmModel(uint64_t seed, size_t k = 3,
+                               size_t components = 2) {
   prob::Rng rng(seed);
   return hmm::HmmModel<double>(
-      rng.DirichletSymmetric(3, 2.0), rng.RandomStochasticMatrix(3, 3, 2.0),
+      rng.DirichletSymmetric(k, 2.0), rng.RandomStochasticMatrix(k, k, 2.0),
       std::make_unique<prob::GmmEmission>(
-          prob::GmmEmission::RandomInit(3, 2, rng)));
+          prob::GmmEmission::RandomInit(k, components, rng)));
+}
+
+// `m` after one Baum-Welch iteration over 40 sequences of 30 frames sampled
+// from it: its emission rows are the ones FinishAccumulate normalized.
+template <typename Obs>
+hmm::HmmModel<Obs> Trained(hmm::HmmModel<Obs> m, uint64_t seed) {
+  prob::Rng rng(seed);
+  const hmm::Dataset<Obs> data = hmm::SampleDataset(m, 40, 30, rng);
+  hmm::EmOptions em;
+  em.max_iters = 1;
+  hmm::FitEm(&m, data, em);
+  return m;
 }
 
 bool BytesEqual(const double* a, const double* b, size_t n) {
@@ -225,18 +240,22 @@ TEST_F(StoreTest, GaussianRoundTripBitExact) {
 }
 
 TEST_F(StoreTest, CategoricalRoundTripBitExact) {
-  const auto m = CategoricalModel(12);
-  ASSERT_TRUE(store::WriteModel(m, 1, Path("m.dhmms")).ok());
-  auto r = store::ReadModelFromFile<int>(Path("m.dhmms"));
-  ASSERT_TRUE(r.ok()) << r.status().message();
-  EXPECT_TRUE(CoreEqual(m.pi, m.a, r.value().pi, r.value().a));
-  const auto& c0 = dynamic_cast<const prob::CategoricalEmission&>(*m.emission);
-  const auto& c1 =
-      dynamic_cast<const prob::CategoricalEmission&>(*r.value().emission);
-  ASSERT_EQ(c0.b().cols(), c1.b().cols());
-  EXPECT_TRUE(BytesEqual(c0.b().data(), c1.b().data(),
-                         c0.b().rows() * c0.b().cols()));
-  EXPECT_EQ(c0.pseudo_count(), c1.pseudo_count());
+  // As constructed, and as a fit leaves it.
+  for (const hmm::HmmModel<int>& m :
+       {CategoricalModel(12), Trained(CategoricalModel(7, 5, 90), 7)}) {
+    ASSERT_TRUE(store::WriteModel(m, 1, Path("m.dhmms")).ok());
+    auto r = store::ReadModelFromFile<int>(Path("m.dhmms"));
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    EXPECT_TRUE(CoreEqual(m.pi, m.a, r.value().pi, r.value().a));
+    const auto& c0 =
+        dynamic_cast<const prob::CategoricalEmission&>(*m.emission);
+    const auto& c1 =
+        dynamic_cast<const prob::CategoricalEmission&>(*r.value().emission);
+    ASSERT_EQ(c0.b().cols(), c1.b().cols());
+    EXPECT_TRUE(BytesEqual(c0.b().data(), c1.b().data(),
+                           c0.b().rows() * c0.b().cols()));
+    EXPECT_EQ(c0.pseudo_count(), c1.pseudo_count());
+  }
 }
 
 TEST_F(StoreTest, BernoulliRoundTripBitExact) {
@@ -255,19 +274,23 @@ TEST_F(StoreTest, BernoulliRoundTripBitExact) {
 }
 
 TEST_F(StoreTest, GmmRoundTripBitExact) {
-  const auto m = GmmModel(14);
-  ASSERT_TRUE(store::WriteModel(m, 1, Path("m.dhmms")).ok());
-  auto r = store::ReadModelFromFile<double>(Path("m.dhmms"));
-  ASSERT_TRUE(r.ok()) << r.status().message();
-  EXPECT_TRUE(CoreEqual(m.pi, m.a, r.value().pi, r.value().a));
-  const auto& g0 = dynamic_cast<const prob::GmmEmission&>(*m.emission);
-  const auto& g1 = dynamic_cast<const prob::GmmEmission&>(*r.value().emission);
-  ASSERT_EQ(g0.weights().cols(), g1.weights().cols());
-  const size_t n = g0.weights().rows() * g0.weights().cols();
-  EXPECT_TRUE(BytesEqual(g0.weights().data(), g1.weights().data(), n));
-  EXPECT_TRUE(BytesEqual(g0.mu().data(), g1.mu().data(), n));
-  EXPECT_TRUE(BytesEqual(g0.sigma().data(), g1.sigma().data(), n));
-  EXPECT_EQ(g0.sigma_floor(), g1.sigma_floor());
+  // As constructed, and as a fit leaves it.
+  for (const hmm::HmmModel<double>& m :
+       {GmmModel(14), Trained(GmmModel(14, 5, 4), 14)}) {
+    ASSERT_TRUE(store::WriteModel(m, 1, Path("m.dhmms")).ok());
+    auto r = store::ReadModelFromFile<double>(Path("m.dhmms"));
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    EXPECT_TRUE(CoreEqual(m.pi, m.a, r.value().pi, r.value().a));
+    const auto& g0 = dynamic_cast<const prob::GmmEmission&>(*m.emission);
+    const auto& g1 =
+        dynamic_cast<const prob::GmmEmission&>(*r.value().emission);
+    ASSERT_EQ(g0.weights().cols(), g1.weights().cols());
+    const size_t n = g0.weights().rows() * g0.weights().cols();
+    EXPECT_TRUE(BytesEqual(g0.weights().data(), g1.weights().data(), n));
+    EXPECT_TRUE(BytesEqual(g0.mu().data(), g1.mu().data(), n));
+    EXPECT_TRUE(BytesEqual(g0.sigma().data(), g1.sigma().data(), n));
+    EXPECT_EQ(g0.sigma_floor(), g1.sigma_floor());
+  }
 }
 
 TEST_F(StoreTest, WrongObservationTypeRejected) {
