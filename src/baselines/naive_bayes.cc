@@ -45,7 +45,7 @@ void NaiveBayesClassifier::Fit(const hmm::Dataset<prob::BinaryObs>& data) {
       if (p(c, j) > 1.0) p(c, j) = 1.0;
     }
   }
-  emission_ = prob::BernoulliEmission(std::move(p));
+  emission_ = prob::BernoulliEmission(std::move(p), emission_.p_floor());
   class_counts.NormalizeToSimplex();  // now the class priors
   for (size_t c = 0; c < k; ++c) log_priors_[c] = std::log(class_counts[c]);
 }

@@ -28,14 +28,12 @@ class NaiveBayesClassifier {
   /// Fits priors and per-class pixel probabilities from labeled sequences.
   void Fit(const hmm::Dataset<prob::BinaryObs>& data);
 
-  /// Classifies one frame; `obs` must have emission().dims() entries.
+  /// Classifies one frame; `obs` must have `dims` entries.
   int Predict(const prob::BinaryObs& obs) const;
 
   /// Classifies every frame of a sequence independently.
   std::vector<int> PredictSequence(
       const std::vector<prob::BinaryObs>& obs) const;
-
-  const prob::BernoulliEmission& emission() const { return emission_; }
 
  private:
   size_t num_classes_;

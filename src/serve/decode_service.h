@@ -28,6 +28,14 @@
 // hmm::TryLogLikelihoodRows for every worker count and batch size
 // (tests/serve_test.cc pins this).
 //
+// Workspace: only Viterbi, whose backtrack reads every frame, builds the
+// T x k emission table; posterior and log-likelihood requests read
+// emission rows on demand. A posterior request of at least
+// hmm::kDefaultCheckpointThresholdFrames frames runs its sweep in
+// ceil(sqrt(T))-frame panels (O(sqrt(T) * k) workspace), a shorter one in
+// one panel; both widths give the same bits (tests/serve_test.cc serves
+// lengths on both sides of the threshold).
+//
 // Allocation: request slots, the pending queue, batch scratch, and all
 // per-worker workspaces are pooled and grow-only. After warm-up at a fixed
 // model size and sequence length, a Submit/Wait/Release round performs
@@ -74,13 +82,6 @@ struct DecodeServiceOptions {
   /// lower tail latency under mixed traffic, larger batches amortize
   /// dispatch overhead.
   size_t max_batch = 64;
-  /// Posterior-decode requests of at least this many frames run the sweep
-  /// with ceil(sqrt(T))-frame panels (O(sqrt(T) * k) workspace), shorter
-  /// ones with one panel; 0 keeps one panel for every length. Results are
-  /// bitwise identical either way. Posterior and log-likelihood requests
-  /// never build the T x k emission table; Viterbi always does — its
-  /// backtrack needs all T argmax rows regardless.
-  size_t checkpoint_threshold_frames = hmm::kDefaultCheckpointThresholdFrames;
 
   /// A config error (absurd thread count) surfaces here, before the
   /// service spins up threads on it.
@@ -468,19 +469,15 @@ class DecodeService {
       r.status = Status::InvalidArgument("empty observation sequence");
       return;
     }
-    // Posterior and log-likelihood requests read emission rows on demand,
-    // so only Viterbi, whose backtrack reads every frame, builds the T x k
-    // table. The threshold picks the posterior sweep's panel width; every
-    // width gives the same bits, and tests/serve_test.cc pins the service
-    // against the offline decoders at both. Everything below goes through
-    // the non-aborting Try* inference forms: an impossible sequence
-    // (zero-probability frame, chain-unreachable frame, scaled-emission
-    // underflow) is a per-request InvalidArgument, never a DHMM_CHECK
-    // process abort — one bad client request must not take down a
-    // multi-tenant service.
+    // Which kinds build the table and which lengths run panels: see the
+    // header comment. Everything below goes through the non-aborting Try*
+    // inference forms: an impossible sequence (zero-probability frame,
+    // chain-unreachable frame, scaled-emission underflow) is a per-request
+    // InvalidArgument, never a DHMM_CHECK process abort — one bad client
+    // request must not take down a multi-tenant service.
     const size_t frames = slot->obs->size();
-    const size_t threshold = options_.checkpoint_threshold_frames;
-    const size_t panel = threshold != 0 && frames >= threshold ? 0 : frames;
+    const size_t panel =
+        frames >= hmm::kDefaultCheckpointThresholdFrames ? 0 : frames;
     hmm::EmissionLogBRows<Obs> rows{m.emission.get(), slot->obs,
                                     &w.ws.log_b_row};
     switch (slot->kind) {

@@ -6,11 +6,13 @@
 // request payloads into pooled request slots, routes each decode to its
 // model's DecodeService via the registry, and Submits it with a
 // CompletionHook. The service is the only batching layer: after each batch
-// its dispatcher calls the hook, which copies the response into the slot,
-// pushes the slot onto a lock-free done ring (util/mpsc_ring.h) and wakes
-// the IO thread through a pipe; the IO thread encodes the response frames
-// and writes them back (partial writes finish under POLLOUT). kStats and
-// kSessionPush frames are answered inline on the IO thread.
+// its dispatcher calls the hook, which copies the response into the slot
+// and appends the slot to the done list under done_mu_, writing a wake-up
+// byte to a pipe only when the list was empty. The IO thread drains the
+// pipe, swaps the whole list out under the mutex, and encodes and writes
+// the responses after releasing it (partial writes finish under POLLOUT);
+// its poll() blocks with no timeout. kStats and kSessionPush frames are
+// answered inline on the IO thread.
 //
 // Responses on a connection come back in completion order, FIFO per
 // model; clients match them to requests by request id.
@@ -27,12 +29,17 @@
 //                                   trustworthy framing there is nothing
 //                                   to address a response to.
 //
-// Allocation: connections, request slots, read/write buffers and the done
-// ring are all pooled and grow-only. After warm-up, a request/response
-// round trip performs zero heap allocations on the IO-thread + service
-// path (tests/frontend_test.cc pins this with the instrumented allocator).
+// Allocation: connections, request slots and read/write buffers are pooled
+// and grow-only, and both done lists are reserved to queue_capacity at
+// Start(), which the in-flight bound keeps them under. After warm-up, a
+// request/response round trip performs zero heap allocations on the
+// IO-thread + service path (tests/frontend_test.cc pins this with the
+// instrumented allocator).
 //
-// Stop() drains: it frees nothing until every submitted hook has fired.
+// Stop() drains: the IO thread answers every submitted decode before it
+// exits. A hook's last touch of the front end is its unlock of done_mu_,
+// and the drain's last swap takes done_mu_ after the last hook's append,
+// so Stop() frees nothing that a hook still touches.
 //
 // Determinism: the front-end only moves bytes; decoding happens in
 // DecodeService, so wire results are bitwise-identical to offline
@@ -54,6 +61,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -67,7 +75,6 @@
 #include "serve/session_manager.h"
 #include "serve/wire.h"
 #include "util/check.h"
-#include "util/mpsc_ring.h"
 #include "util/status.h"
 
 namespace dhmm::serve {
@@ -87,8 +94,6 @@ struct FrontEndOptions {
   /// Largest accepted request payload; frames above it get OutOfRange.
   /// Must not exceed wire::kMaxPayload.
   size_t max_payload_bytes = size_t{1} << 20;
-  /// poll() tick; the wake pipe makes the loop responsive regardless.
-  int poll_timeout_ms = 100;
 
   Status Validate() const {
     if (max_connections < 1) {
@@ -102,10 +107,6 @@ struct FrontEndOptions {
     if (max_payload_bytes == 0 || max_payload_bytes > wire::kMaxPayload) {
       return Status::InvalidArgument(
           "FrontEndOptions::max_payload_bytes must be in (0, kMaxPayload]");
-    }
-    if (poll_timeout_ms < 1) {
-      return Status::InvalidArgument(
-          "FrontEndOptions::poll_timeout_ms must be >= 1");
     }
     return Status::OK();
   }
@@ -185,13 +186,12 @@ class FrontEnd {
     SetNonBlocking(wake_pipe_[0]);
     SetNonBlocking(wake_pipe_[1]);
 
-    // At most queue_capacity slots are in flight, so a hook's push onto
-    // the done ring cannot fail.
-    done_ring_ = std::make_unique<util::MpscRing<ReqSlot*>>(
-        options_.queue_capacity);
+    // At most queue_capacity slots are in flight, so neither list grows
+    // past its reservation.
+    done_.reserve(options_.queue_capacity);
+    answering_.reserve(options_.queue_capacity);
 
     stop_.store(false, std::memory_order_relaxed);
-    wake_pending_ = false;
     running_ = true;
     io_thread_ = std::thread([this] { IoLoop(); });
     return Status::OK();
@@ -235,7 +235,7 @@ class FrontEnd {
   /// One pooled request. The IO thread owns slot acquisition and release
   /// (single-threaded free list, no lock); while a decode is in flight the
   /// slot belongs to its service, whose hook hands it back through the
-  /// done ring.
+  /// done list.
   struct ReqSlot {
     FrontEnd* owner = nullptr;  // the completion hook's way back
     ModelId model = 0;
@@ -284,18 +284,6 @@ class FrontEnd {
     [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &b, 1);
   }
 
-  // Empty the pipe first, then clear wake_pending_: clearing first would
-  // let a hook set the flag and have its byte swallowed here, leaving the
-  // flag set with an empty pipe and every later hook's wake-up lost. The
-  // clear is an RMW, so it synchronizes with every hook that found the
-  // flag set and the DrainDoneRing that follows sees their slots.
-  void DrainWakePipe() {
-    char buf[256];
-    while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-    }
-    wake_pending_.exchange(false);
-  }
-
   // ---------------------------------------------------------------- IO --
 
   void IoLoop() {
@@ -312,13 +300,11 @@ class FrontEnd {
         pollfds_.push_back({c.fd, events, 0});
         poll_conn_.push_back(i);
       }
-      const int n =
-          ::poll(pollfds_.data(), pollfds_.size(), options_.poll_timeout_ms);
+      const int n = ::poll(pollfds_.data(), pollfds_.size(), -1);
       if (n < 0 && errno != EINTR) break;
       if (stop_.load(std::memory_order_acquire)) break;
 
-      if (pollfds_[1].revents & POLLIN) DrainWakePipe();
-      DrainDoneRing();
+      if (pollfds_[1].revents & POLLIN) AnswerFinished();
       if (pollfds_[0].revents & POLLIN) AcceptAll();
       for (size_t p = 2; p < pollfds_.size(); ++p) {
         const size_t idx = poll_conn_[p - 2];
@@ -332,17 +318,12 @@ class FrontEnd {
         if (c.open && (pollfds_[p].revents & POLLIN)) ReadConn(idx);
       }
     }
-    // Shutdown drains: answer every decode still in flight, then wait out
-    // the tail of the last hooks (a pipe write and a decrement), so Stop()
-    // frees nothing a hook still touches.
+    // Shutdown drains: answer every decode still in flight. The swap that
+    // takes the last slot follows the last hook's unlock of done_mu_.
     while (inflight_ > 0) {
       pollfd p{wake_pipe_[0], POLLIN, 0};
-      ::poll(&p, 1, options_.poll_timeout_ms);
-      DrainWakePipe();
-      DrainDoneRing();
-    }
-    while (unfinished_hooks_ != 0) {
-      std::this_thread::yield();
+      ::poll(&p, 1, -1);
+      AnswerFinished();
     }
   }
 
@@ -498,7 +479,7 @@ class FrontEnd {
       Result<std::shared_ptr<DecodeService<Obs>>> svc =
           registry_->Acquire(h.model);
       if (svc.ok()) {
-        // From here until the IO thread pops it off the done ring, the
+        // From here until the IO thread swaps it out of the done list, the
         // slot belongs to the service and its hook.
         slot->model = h.model;
         slot->arrival = arrival;
@@ -507,7 +488,6 @@ class FrontEnd {
         slot->service = std::move(svc).value();
         ++c.inflight;
         m_ring_occupancy_->Set(static_cast<double>(++inflight_));
-        ++unfinished_hooks_;
         DecodeRequest<Obs> req;
         req.request_id = h.request_id;
         req.model = h.model;
@@ -528,7 +508,9 @@ class FrontEnd {
 
   // The completion hook, on the service's dispatcher thread: copy the
   // response into the pooled slot (whose id and kind HandleFrame already
-  // set), count it, hand the slot back.
+  // set), count it, hand the slot back. Only the append to an empty list
+  // writes a wake-up byte: a non-empty list's byte is already in the pipe,
+  // because the IO thread drains the pipe before it swaps.
   static void OnDecoded(void* ctx, const DecodeResponse& result) {
     ReqSlot* slot = static_cast<ReqSlot*>(ctx);
     FrontEnd* self = slot->owner;
@@ -542,16 +524,11 @@ class FrontEnd {
     } else {
       self->m_requests_served_->Add();
     }
-    // At most queue_capacity slots are in flight and the ring holds that
-    // many, so the push cannot fail.
-    const bool pushed = self->done_ring_->TryPush(slot);
-    DHMM_CHECK_MSG(pushed, "done ring overflow");
-    // One pipe write per IO-thread wake-up, not per response.
-    if (!self->wake_pending_.exchange(true)) {
-      self->WakeIo();
-    }
-    // The last touch of the front end: Stop() waits for this count.
-    --self->unfinished_hooks_;
+    // The unlock is the hook's last touch of the front end (see the header
+    // comment on Stop()).
+    std::lock_guard<std::mutex> lock(self->done_mu_);
+    if (self->done_.empty()) self->WakeIo();
+    self->done_.push_back(slot);
   }
 
   static uint64_t MicrosSince(Clock::time_point t) {
@@ -594,8 +571,10 @@ class FrontEnd {
   void FlushConn(size_t idx) {
     Conn& c = conns_[idx];
     while (c.woff < c.wbuf.size()) {
-      const ssize_t n =
-          ::write(c.fd, c.wbuf.data() + c.woff, c.wbuf.size() - c.woff);
+      // A peer that closed with responses pending must cost its connection
+      // (EPIPE), not raise SIGPIPE in the whole process.
+      const ssize_t n = ::send(c.fd, c.wbuf.data() + c.woff,
+                               c.wbuf.size() - c.woff, MSG_NOSIGNAL);
       if (n < 0) {
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // POLLOUT
         if (errno == EINTR) continue;
@@ -608,9 +587,20 @@ class FrontEnd {
     c.woff = 0;
   }
 
-  void DrainDoneRing() {
-    ReqSlot* slot = nullptr;
-    while (done_ring_->TryPop(&slot)) {
+  // Drains the wake pipe, then swaps the done list out; emptying the pipe
+  // after the swap could swallow the byte of an append the swap missed.
+  // The slots are answered outside done_mu_: dropping a slot's service can
+  // run a DecodeService destructor, which joins a dispatcher whose hook
+  // may be waiting on the mutex.
+  void AnswerFinished() {
+    char buf[256];
+    while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
+    }
+    {
+      std::lock_guard<std::mutex> lock(done_mu_);
+      done_.swap(answering_);
+    }
+    for (ReqSlot* slot : answering_) {
       --inflight_;
       slot->service.reset();
       // Per-request latency: frame fully parsed -> response ready to
@@ -627,6 +617,7 @@ class FrontEnd {
       if (!c.open && c.inflight == 0) free_conns_.push_back(slot->conn_index);
       ReleaseSlot(slot);
     }
+    answering_.clear();
     m_ring_occupancy_->Set(static_cast<double>(inflight_));
   }
 
@@ -721,8 +712,6 @@ class FrontEnd {
   uint16_t port_ = 0;
   bool running_ = false;
 
-  std::unique_ptr<util::MpscRing<ReqSlot*>> done_ring_;
-
   // IO-thread state (single-threaded: no locks).
   std::vector<Conn> conns_;
   std::vector<size_t> free_conns_;
@@ -732,13 +721,14 @@ class FrontEnd {
   std::vector<pollfd> pollfds_;
   std::vector<size_t> poll_conn_;  // conn index per pollfd entry past [1]
   DecodeResponse scratch_resp_;
-  size_t inflight_ = 0;  // submitted decodes not yet popped off done_ring_
+  size_t inflight_ = 0;  // submitted decodes not yet answered
+  std::vector<ReqSlot*> answering_;  // the last swap's finished slots
   SessionManager<Obs>* sessions_ = nullptr;
   ModelId session_model_ = 0;
 
   // Shared with the completion hooks.
-  std::atomic<bool> wake_pending_{false};    // a wake-up is already queued
-  std::atomic<size_t> unfinished_hooks_{0};  // submitted, hook not returned
+  std::mutex done_mu_;
+  std::vector<ReqSlot*> done_;  // finished slots; guarded by done_mu_
   std::atomic<bool> stop_{false};
   std::thread io_thread_;
 

@@ -80,6 +80,26 @@ TEST(NaiveBayesTest, DegradesWithNoiseButNotBelowChance) {
   EXPECT_GT(acc_noisy, 1.5 / 26.0);  // well above chance
 }
 
+TEST(NaiveBayesTest, FitKeepsTheConstructorsProbabilityFloor) {
+  // One pixel: off in the 900 class-0 frames, on in the 100 class-1
+  // frames. A floor of 0.2 clamps every fitted pixel probability into
+  // [0.2, 0.8], so a lit pixel is worth at most log 4 and cannot overturn
+  // the 9:1 prior; under the default floor of 1e-3 it does.
+  hmm::Dataset<prob::BinaryObs> data(1);
+  for (int i = 0; i < 1000; ++i) {
+    const int label = i % 10 == 0 ? 1 : 0;
+    data[0].obs.push_back({static_cast<uint8_t>(label)});
+    data[0].labels.push_back(label);
+  }
+  const prob::BinaryObs lit = {1};
+  NaiveBayesClassifier floored(2, 1, /*p_floor=*/0.2);
+  floored.Fit(data);
+  EXPECT_EQ(floored.Predict(lit), 0);
+  NaiveBayesClassifier fine(2, 1);
+  fine.Fit(data);
+  EXPECT_EQ(fine.Predict(lit), 1);
+}
+
 // ------------------------------------------------------------ OptimizedHmm ---
 
 TEST(OptimizedHmmTest, FitsAndDecodes) {

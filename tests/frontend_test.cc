@@ -10,16 +10,20 @@
 //    DeadlineExceeded, queue_capacity in flight -> Unavailable, malformed
 //    payload -> InvalidArgument — never a crash or an abort,
 //  - responses come back in completion order, FIFO per model, and Stop()
-//    drains every in-flight request before freeing anything,
+//    drains every in-flight request before freeing anything, also when it
+//    lands mid-stream under several pipelining clients,
+//  - a peer that closes with responses pending costs only its connection,
 //  - past max_connections a new client is closed on accept, and a
 //    disconnect frees its slot for the next one,
 //  - steady-state wire round trips at a fixed shape make zero heap
 //    allocations (instrumented operator new).
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -245,6 +249,17 @@ class FrontEndTest : public ::testing::Test {
     ASSERT_TRUE(frontend_->Start().ok());
   }
 
+  // Starts a front end whose kSessionPush frames for model id 1 run on a
+  // fixture-owned manager over `model`, which outlives the front end.
+  void StartWithSessions(std::shared_ptr<const hmm::HmmModel<double>> model,
+                         const serve::SessionManagerOptions& mopts = {}) {
+    sessions_ = std::make_unique<serve::SessionManager<double>>(
+        std::move(model), mopts);
+    frontend_ = std::make_unique<serve::FrontEnd<double>>(&registry_);
+    frontend_->EnableSessions(sessions_.get(), 1);
+    ASSERT_TRUE(frontend_->Start().ok());
+  }
+
   serve::DecodeRequest<double> Request(serve::ModelId model,
                                        serve::DecodeKind kind,
                                        const std::vector<double>* obs,
@@ -276,6 +291,9 @@ class FrontEndTest : public ::testing::Test {
   const obs::Snapshot before_ =
       obs::Registry::Global().TakeSnapshot("frontend.");
   serve::ModelRegistry<double> registry_;
+  // Declared before frontend_, so destroyed after it: the IO thread's
+  // connection teardown destroys sessions in it.
+  std::unique_ptr<serve::SessionManager<double>> sessions_;
   std::unique_ptr<serve::FrontEnd<double>> frontend_;
 };
 
@@ -380,17 +398,14 @@ TEST_F(FrontEndTest, PipelinedRequestsAcrossModelsKeepTheirIds) {
 
 TEST_F(FrontEndTest, PipelinedWindowsNeverWaitForThePollTick) {
   // Completions from two services race the IO thread's own wake-up
-  // handling. A lost wake-up would leave a response in the done ring until
-  // the next poll tick; with the tick at a minute and the client's receive
-  // deadline at a few seconds, that fails the test instead of only
-  // slowing it down.
+  // handling. The IO loop has no poll tick, so a lost wake-up would leave
+  // a response in the done list for good; the client's receive deadline
+  // of a few seconds fails the test instead of letting it hang.
   auto m1 = MakeModel(20, 85);
   auto m2 = MakeModel(20, 86);
   ASSERT_TRUE(registry_.Register(1, m1).ok());
   ASSERT_TRUE(registry_.Register(2, m2).ok());
-  serve::FrontEndOptions opts;
-  opts.poll_timeout_ms = 60'000;
-  StartFrontEnd(opts);
+  StartFrontEnd();
   serve::WireClientOptions copts;
   copts.receive_timeout_ms = 5'000;
   serve::WireClient client(copts);
@@ -673,10 +688,7 @@ TEST_F(FrontEndTest, SessionPushRoundTripsOverTheWire) {
   ASSERT_TRUE(registry_.Register(1, model).ok());
   serve::SessionManagerOptions mopts;
   mopts.lag = 2;
-  serve::SessionManager<double> sessions(model, mopts);
-  frontend_ = std::make_unique<serve::FrontEnd<double>>(&registry_);
-  frontend_->EnableSessions(&sessions, 1);
-  ASSERT_TRUE(frontend_->Start().ok());
+  StartWithSessions(model, mopts);
   serve::WireClient client;
   ASSERT_TRUE(client.Connect(frontend_->port()).ok());
 
@@ -719,7 +731,7 @@ TEST_F(FrontEndTest, SessionPushRoundTripsOverTheWire) {
             std::vector<int>(want_labels.begin() + 4, want_labels.end()));
   EXPECT_EQ(resp.value, want_loglik.value());  // bitwise
   EXPECT_EQ(resp.model_version, 1u);
-  EXPECT_EQ(sessions.live_sessions(), 1u);
+  EXPECT_EQ(sessions_->live_sessions(), 1u);
 
   // Session pushes serve exactly the designated model id.
   ASSERT_TRUE(
@@ -727,8 +739,6 @@ TEST_F(FrontEndTest, SessionPushRoundTripsOverTheWire) {
                   &resp)
           .ok());
   EXPECT_EQ(resp.status.code(), StatusCode::kNotFound);
-
-  frontend_.reset();  // the manager must outlive the front-end threads
 }
 
 TEST_F(FrontEndTest, SessionPushReportsTheModelVersionItDecodedWith) {
@@ -740,10 +750,7 @@ TEST_F(FrontEndTest, SessionPushReportsTheModelVersionItDecodedWith) {
   ASSERT_TRUE(registry_.Register(1, m1).ok());
   serve::SessionManagerOptions mopts;
   mopts.lag = 2;
-  serve::SessionManager<double> sessions(m1, mopts);
-  frontend_ = std::make_unique<serve::FrontEnd<double>>(&registry_);
-  frontend_->EnableSessions(&sessions, 1);
-  ASSERT_TRUE(frontend_->Start().ok());
+  StartWithSessions(m1, mopts);
 
   // In-process sessions over each model, fed what the wire sessions get.
   serve::SessionManager<double> ref1(m1, mopts);
@@ -778,8 +785,8 @@ TEST_F(FrontEndTest, SessionPushReportsTheModelVersionItDecodedWith) {
   EXPECT_EQ(resp.path, push(ref1, h1, first));
   EXPECT_EQ(resp.model_version, 1u);
 
-  sessions.UpdateModel(m2);
-  EXPECT_EQ(sessions.model_version(), 2u);
+  sessions_->UpdateModel(m2);
+  EXPECT_EQ(sessions_->model_version(), 2u);
 
   // A's session keeps decoding on m1, and says so.
   wire_push(a, second, 2);
@@ -794,8 +801,6 @@ TEST_F(FrontEndTest, SessionPushReportsTheModelVersionItDecodedWith) {
   EXPECT_EQ(resp.path, push(ref2, h2, obs));
   EXPECT_EQ(resp.value, ref2.LogLikelihood(h2).value());  // bitwise
   EXPECT_EQ(resp.model_version, 2u);
-
-  frontend_.reset();  // the manager must outlive the front-end threads
 }
 
 TEST_F(FrontEndTest, SessionPushWithoutSessionsEnabledIsTypedError) {
@@ -819,10 +824,7 @@ TEST_F(FrontEndTest, SessionPushWithoutSessionsEnabledIsTypedError) {
 TEST_F(FrontEndTest, ClosingAConnectionDestroysItsSession) {
   auto model = MakeModel(3, 145);
   ASSERT_TRUE(registry_.Register(1, model).ok());
-  serve::SessionManager<double> sessions(model);
-  frontend_ = std::make_unique<serve::FrontEnd<double>>(&registry_);
-  frontend_->EnableSessions(&sessions, 1);
-  ASSERT_TRUE(frontend_->Start().ok());
+  StartWithSessions(model);
   const std::vector<double> obs = MakeObs(*model, 5, 146);
   {
     serve::WireClient client;
@@ -833,15 +835,15 @@ TEST_F(FrontEndTest, ClosingAConnectionDestroysItsSession) {
                     &resp)
             .ok());
     ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
-    EXPECT_EQ(sessions.live_sessions(), 1u);
+    EXPECT_EQ(sessions_->live_sessions(), 1u);
   }  // the client disconnects
   // The IO thread sees the EOF and tears the session down with the
   // connection, not when some later connection reuses the slot.
-  for (int spin = 0; spin < 2000 && sessions.live_sessions() != 0; ++spin) {
+  for (int spin = 0; spin < 2000 && sessions_->live_sessions() != 0;
+       ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(sessions.live_sessions(), 0u);
-  frontend_.reset();  // the manager must outlive the front-end
+  EXPECT_EQ(sessions_->live_sessions(), 0u);
 }
 
 // ----------------------------------------- out-of-vocabulary symbols ---
@@ -1035,6 +1037,160 @@ TEST_F(FrontEndTest, StopDrainsRequestsHeldInAPausedService) {
   EXPECT_FALSE(client.Receive(&resp).ok());  // then the server closed
 }
 
+TEST_F(FrontEndTest, StopUnderLoadDrainsAndEveryAnswerMatchesOffline) {
+  // Four clients on their own threads pipeline Viterbi and posterior
+  // requests to two models while Stop() lands mid-stream, over several
+  // start/stop cycles of one front end. Every OK answer is the offline
+  // one, bit for bit, and once Stop() returns every accepted frame has
+  // been counted exactly once: served, shed, expired or misrouted.
+  auto m1 = MakeModel(4, 201);
+  auto m2 = MakeModel(6, 202);
+  ASSERT_TRUE(registry_.Register(1, m1).ok());
+  ASSERT_TRUE(registry_.Register(2, m2).ok());
+  constexpr size_t kSeqs = 3;
+  std::vector<double> obs[2][kSeqs];
+  OfflineRef refs[2][kSeqs];
+  for (size_t m = 0; m < 2; ++m) {
+    const hmm::HmmModel<double>& model = m == 0 ? *m1 : *m2;
+    for (size_t q = 0; q < kSeqs; ++q) {
+      obs[m][q] = MakeObs(model, 20 + 7 * q, 203 + 10 * m + q);
+      refs[m][q] = Offline(model, obs[m][q]);
+    }
+  }
+  // A request id picks its model, kind and sequence.
+  const auto model_of = [](uint64_t id) { return id % 2; };
+  const auto is_viterbi = [](uint64_t id) { return (id / 2) % 2 == 0; };
+  const auto seq_of = [](uint64_t id) { return (id / 4) % kSeqs; };
+  const auto same_bits = [](double x, double y) {
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+  };
+
+  serve::FrontEndOptions opts;
+  opts.queue_capacity = 16;  // four windows of 8 overflow it: some shed
+  frontend_ = std::make_unique<serve::FrontEnd<double>>(&registry_, opts);
+  constexpr int kClients = 4;
+  constexpr uint64_t kWindow = 8;
+  constexpr uint64_t kOkBeforeStop = 40;  // per client, each cycle
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    SCOPED_TRACE(testing::Message() << "cycle " << cycle);
+    const obs::Snapshot before =
+        obs::Registry::Global().TakeSnapshot("frontend.");
+    ASSERT_TRUE(frontend_->Start().ok());
+    const uint16_t port = frontend_->port();
+    std::atomic<uint64_t> ok_answers[kClients] = {};
+    std::atomic<int> mismatches{0};
+    std::atomic<int> connect_failures{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        serve::WireClientOptions copts;
+        copts.receive_timeout_ms = 10'000;  // a lost answer fails, not hangs
+        serve::WireClient client(copts);
+        if (!client.Connect(port).ok()) {
+          ++connect_failures;
+          return;
+        }
+        // Runs until Stop() closes the connection under it.
+        for (uint64_t id = 0;;) {
+          for (uint64_t i = 0; i < kWindow; ++i, ++id) {
+            const size_t m = model_of(id);
+            const auto kind = is_viterbi(id) ? serve::DecodeKind::kViterbi
+                                             : serve::DecodeKind::kPosterior;
+            if (!client.Send(Request(m + 1, kind, &obs[m][seq_of(id)], id))
+                     .ok()) {
+              return;
+            }
+          }
+          for (uint64_t i = 0; i < kWindow; ++i) {
+            serve::DecodeResponse resp;
+            if (!client.Receive(&resp).ok()) return;
+            if (!resp.status.ok()) continue;  // shed under the load
+            const uint64_t rid = resp.request_id;
+            const OfflineRef& ref = refs[model_of(rid)][seq_of(rid)];
+            const bool match =
+                is_viterbi(rid)
+                    ? resp.path == ref.viterbi.path &&
+                          same_bits(resp.value, ref.viterbi.log_joint)
+                    : resp.path == ref.posterior &&
+                          same_bits(resp.value, ref.log_likelihood);
+            if (!match) ++mismatches;
+            ++ok_answers[c];
+          }
+        }
+      });
+    }
+    const auto slowest = [&] {
+      uint64_t least = ok_answers[0];
+      for (const auto& n : ok_answers) least = std::min<uint64_t>(least, n);
+      return least;
+    };
+    for (int spin = 0; spin < 20'000 && slowest() < kOkBeforeStop &&
+                       connect_failures == 0;
+         ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const uint64_t ok_before_stop = slowest();
+    frontend_->Stop();
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(connect_failures.load(), 0);
+    EXPECT_GE(ok_before_stop, kOkBeforeStop);
+    EXPECT_EQ(mismatches.load(), 0);
+
+    const obs::Snapshot after =
+        obs::Registry::Global().TakeSnapshot("frontend.");
+    const auto delta = [&](const char* name) {
+      return after.ValueOf(name) - before.ValueOf(name);
+    };
+    EXPECT_GT(delta("frontend.frames_accepted"), 0.0);
+    EXPECT_EQ(delta("frontend.frames_accepted"),
+              delta("frontend.requests_served") +
+                  delta("frontend.requests_shed") +
+                  delta("frontend.deadline_expired") +
+                  delta("frontend.routing_errors"));
+  }
+}
+
+TEST_F(FrontEndTest, PeerThatClosesWithResponsesPendingCostsOnlyItsConnection) {
+  // Each client pipelines requests and closes without reading a byte, so
+  // the server's response writes meet a reset connection. That must cost
+  // the connection (EPIPE), not kill the process with SIGPIPE; one such
+  // peer rarely hits it, fifty in a row do.
+  auto model = MakeModel(20, 211);
+  ASSERT_TRUE(registry_.Register(1, model).ok());
+  StartFrontEnd();
+  const std::vector<double> obs = MakeObs(*model, 400, 212);
+  for (int peer = 0; peer < 50; ++peer) {
+    serve::WireClient client;
+    ASSERT_TRUE(client.Connect(frontend_->port()).ok());
+    for (uint64_t id = 0; id < 64; ++id) {
+      if (!client.Send(Request(1, serve::DecodeKind::kViterbi, &obs, id))
+               .ok()) {
+        break;  // the server may drop a connection it cannot write to
+      }
+    }
+  }  // each client closes with its responses unread
+
+  // The server survived and still answers a fresh client correctly.
+  const OfflineRef ref = Offline(*model, obs);
+  serve::WireClientOptions copts;
+  copts.receive_timeout_ms = 10'000;
+  serve::WireClient client(copts);
+  ASSERT_TRUE(client.Connect(frontend_->port()).ok());
+  // The peers' decodes may still fill the queue: a shed call is retried.
+  serve::DecodeResponse resp;
+  for (int attempt = 0; attempt < 2000; ++attempt) {
+    ASSERT_TRUE(
+        client.Call(Request(1, serve::DecodeKind::kViterbi, &obs, 99), &resp)
+            .ok());
+    if (resp.status.code() != StatusCode::kUnavailable) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  EXPECT_EQ(resp.request_id, 99u);
+  EXPECT_EQ(resp.path, ref.viterbi.path);
+  EXPECT_EQ(resp.value, ref.viterbi.log_joint);  // bitwise
+}
+
 // --------------------------------------------- WireClient receive deadline ---
 
 TEST_F(FrontEndTest, ReceiveDeadlineExpiresAndConnectionRecovers) {
@@ -1196,9 +1352,6 @@ TEST_F(FrontEndTest, OptionsValidateRejectsNonsense) {
   EXPECT_FALSE(opts.Validate().ok());
   opts = {};
   opts.max_connections = 0;
-  EXPECT_FALSE(opts.Validate().ok());
-  opts = {};
-  opts.poll_timeout_ms = 0;
   EXPECT_FALSE(opts.Validate().ok());
   EXPECT_TRUE(serve::FrontEndOptions{}.Validate().ok());
   serve::ModelRegistryOptions ropts;

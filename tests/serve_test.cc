@@ -9,8 +9,9 @@
 //  - impossible, unreachable, underflowed and non-finite (NaN) inputs
 //    are per-request InvalidArgument errors that leave the service
 //    serving,
-//  - checkpoint_threshold_frames only picks the posterior sweep's panel
-//    width: lengths on both sides of it serve the offline answers bitwise,
+//  - hmm::kDefaultCheckpointThresholdFrames only picks the posterior
+//    sweep's panel width: lengths on both sides of it serve the offline
+//    answers bitwise,
 //  - every request completes through its CompletionHook, in slot order;
 //    an expired deadline is answered at batch cut without decode work,
 //    and destruction drains a paused service,
@@ -156,8 +157,9 @@ TEST(DecodeServiceTest, BothPanelWidthsMatchOfflineBitwise) {
   auto model = MakeModel(5, 17);
   hmm::Dataset<double> data;
   uint64_t seed = 18;
-  for (size_t length : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
-                        size_t{64}}) {
+  const size_t threshold = hmm::kDefaultCheckpointThresholdFrames;
+  for (size_t length :
+       {size_t{1}, size_t{64}, threshold - 1, threshold, threshold + 1}) {
     for (auto& seq : MakeData(*model, 2, length, seed++)) data.push_back(seq);
   }
   std::vector<OfflineRef> refs;
@@ -166,7 +168,6 @@ TEST(DecodeServiceTest, BothPanelWidthsMatchOfflineBitwise) {
   for (int threads : {1, 3}) {
     serve::DecodeServiceOptions opts;
     opts.num_threads = threads;
-    opts.checkpoint_threshold_frames = 8;
     serve::DecodeService<double> service(model, opts);
     std::vector<serve::DecodeFuture<double>> futures;
     for (const auto& seq : data) {

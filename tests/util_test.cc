@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "util/flags.h"
-#include "util/mpsc_ring.h"
 #include "util/slab_arena.h"
 #include "util/status.h"
 #include "util/string_util.h"
@@ -103,120 +102,6 @@ TEST(ResultTest, ValueOrFallsBackOnError) {
   EXPECT_EQ(Result<int>(Status::NotFound("nope")).value_or(-1), -1);
   Result<std::string> moved(std::string("payload"));
   EXPECT_EQ(std::move(moved).value_or("fallback"), "payload");
-}
-
-// -------------------------------------------------------------- MpscRing ---
-
-TEST(MpscRingTest, PushPopIsFifo) {
-  util::MpscRing<int> ring(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(ring.TryPush(i));
-  int v = -1;
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(ring.TryPop(&v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(ring.TryPop(&v));
-}
-
-TEST(MpscRingTest, CapacityRoundsUpToPowerOfTwo) {
-  // The pushes an empty ring accepts before refusing one.
-  auto capacity = [](size_t requested) {
-    util::MpscRing<int> ring(requested);
-    size_t pushed = 0;
-    while (ring.TryPush(0)) ++pushed;
-    return pushed;
-  };
-  EXPECT_EQ(capacity(1), 2u);
-  EXPECT_EQ(capacity(5), 8u);
-  EXPECT_EQ(capacity(64), 64u);
-}
-
-TEST(MpscRingTest, FullRingRefusesPushUntilPop) {
-  util::MpscRing<int> ring(2);
-  EXPECT_TRUE(ring.TryPush(1));
-  EXPECT_TRUE(ring.TryPush(2));
-  EXPECT_FALSE(ring.TryPush(3));  // backpressure: shed, don't block
-  int v = 0;
-  EXPECT_TRUE(ring.TryPop(&v));
-  EXPECT_TRUE(ring.TryPush(3));
-  EXPECT_TRUE(ring.TryPop(&v));
-  EXPECT_EQ(v, 2);
-  EXPECT_TRUE(ring.TryPop(&v));
-  EXPECT_EQ(v, 3);
-}
-
-TEST(MpscRingTest, FullWraparoundReuseStaysFifo) {
-  // Every cell is reused many times, driving the Vyukov sequence numbers
-  // far past the capacity: a bug in the pos + mask_ + 1 reset would
-  // surface as a stuck push/pop or an out-of-order item within a few laps.
-  util::MpscRing<int> ring(4);
-  int next_push = 0;
-  int next_pop = 0;
-  int v = -1;
-  for (int lap = 0; lap < 1000; ++lap) {
-    while (ring.TryPush(next_push)) ++next_push;  // fill to capacity
-    EXPECT_EQ(next_push - next_pop, 4);
-    while (ring.TryPop(&v)) {
-      ASSERT_EQ(v, next_pop);
-      ++next_pop;
-    }
-  }
-  EXPECT_EQ(next_push, next_pop);
-  EXPECT_EQ(next_push, 1000 * 4);
-}
-
-TEST(MpscRingTest, MisalignedWraparoundReuseStaysFifo) {
-  // Push 3 / pop 2 per step so the cursors cross the capacity boundary at
-  // every possible offset, not just multiples of the ring size.
-  util::MpscRing<int> ring(4);
-  int push = 0;
-  int pop = 0;
-  int v = -1;
-  for (int step = 0; step < 5000; ++step) {
-    for (int i = 0; i < 3 && ring.TryPush(push); ++i) ++push;
-    for (int i = 0; i < 2 && ring.TryPop(&v); ++i) {
-      ASSERT_EQ(v, pop);
-      ++pop;
-    }
-  }
-  while (ring.TryPop(&v)) {
-    ASSERT_EQ(v, pop);
-    ++pop;
-  }
-  EXPECT_EQ(push, pop);
-  EXPECT_GT(push, 10000);
-}
-
-TEST(MpscRingTest, ConcurrentProducersDeliverEveryItemExactlyOnce) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  util::MpscRing<int> ring(128);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ring, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        const int item = p * kPerProducer + i;
-        while (!ring.TryPush(item)) std::this_thread::yield();
-      }
-    });
-  }
-  constexpr size_t kTotal = size_t{kProducers} * kPerProducer;
-  std::vector<int> seen;
-  seen.reserve(kTotal);
-  int v = 0;
-  while (seen.size() < kTotal) {
-    if (ring.TryPop(&v)) {
-      seen.push_back(v);
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_FALSE(ring.TryPop(&v));
-  std::sort(seen.begin(), seen.end());
-  for (int i = 0; i < kProducers * kPerProducer; ++i) {
-    ASSERT_EQ(seen[static_cast<size_t>(i)], i);
-  }
 }
 
 // ------------------------------------------------------------ ThreadPool ---
